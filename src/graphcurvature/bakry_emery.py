@@ -1,9 +1,11 @@
 """Curvature-dimension (CD) curvature at a vertex.
 
 The pipeline is exact until the last step: the Gamma and doubled Gamma2
-forms are assembled over the punctured two-ball with Fraction entries,
-second-neighbor variables are eliminated by an exact Schur complement,
-and only the final smallest-eigenvalue extraction is floating point.
+forms are assembled over the punctured two-ball as integer matrices with
+a common integer scale (the only fractions in them are halves), second
+neighbor variables are eliminated by a Schur complement that stays in
+integers, and only the final smallest-eigenvalue extraction (`eigh`) is
+floating point.
 
 All forms fix f(base) = 0; the operators are translation invariant, so
 nothing is lost, and the Gamma form becomes half the identity on the
@@ -13,6 +15,7 @@ symmetric one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,39 +25,48 @@ from .graphs import GraphError, LocalBall
 
 
 class QuadraticForm:
-    """Symmetric matrix of Fractions indexed by an ordered vertex list."""
+    """Symmetric form matrix / scale, indexed by an ordered vertex list.
 
-    def __init__(self, index: tuple[int, ...], matrix):
+    matrix holds Python ints and scale is a positive int, so every entry
+    and every value is an exact rational.
+    """
+
+    def __init__(self, index: tuple[int, ...], matrix, scale: int = 1):
         self.index = tuple(index)
         n = len(self.index)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
+        self.matrix = [list(row) for row in matrix]
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise GraphError("quadratic form matrix does not match its index")
-        self.matrix = [[Fraction(x) for x in row] for row in matrix]
-        for i in range(n):
-            for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise GraphError("quadratic form matrix is not symmetric")
+        if list(map(list, zip(*self.matrix))) != self.matrix:
+            raise GraphError("quadratic form matrix is not symmetric")
+        if scale <= 0:
+            raise GraphError(f"quadratic form scale {scale} is not positive")
+        self.scale = scale
         self._pos = {v: i for i, v in enumerate(self.index)}
 
     def value(self, values) -> Fraction:
         """Evaluate f^T M f; vertices absent from `values` count as zero.
 
-        Exact: feed int or Fraction values.
+        Exact for int, Fraction and float values: they are brought to a
+        common denominator and the sum runs over integers.
         """
         f = [Fraction(values.get(v, 0)) for v in self.index]
-        total = Fraction(0)
-        for i, fi in enumerate(f):
-            if not fi:
-                continue
+        den = math.lcm(*(x.denominator for x in f))
+        nums = [(i, x.numerator * (den // x.denominator))
+                for i, x in enumerate(f) if x]
+        total = 0
+        for i, fi in nums:
             row = self.matrix[i]
-            total += fi * sum(row[j] * fj for j, fj in enumerate(f) if fj)
-        return total
+            total += fi * sum(row[j] * fj for j, fj in nums)
+        return Fraction(total, den * den * self.scale)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
+        # int / int is correctly rounded, exactly like float(Fraction)
+        s = self.scale
+        return np.array([[x / s for x in row] for row in self.matrix])
 
     def entry(self, u: int, v: int) -> Fraction:
-        return self.matrix[self._pos[u]][self._pos[v]]
+        return Fraction(self.matrix[self._pos[u]][self._pos[v]], self.scale)
 
 
 @dataclass(frozen=True)
@@ -69,14 +81,12 @@ def gamma_form(ball: LocalBall) -> QuadraticForm:
     """Gamma f at the base as a form over {base} + sphere1."""
     index = (ball.base,) + ball.sphere1
     n = len(index)
-    half = Fraction(1, 2)
-    m = [[Fraction(0)] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
+    m[0][0] = n - 1
     for i in range(1, n):
-        m[0][0] += half
-        m[i][i] += half
-        m[0][i] -= half
-        m[i][0] -= half
-    return QuadraticForm(index, m)
+        m[i][i] = 1
+        m[0][i] = m[i][0] = -1
+    return QuadraticForm(index, m, 2)
 
 
 def gamma2_form(ball: LocalBall) -> QuadraticForm:
@@ -84,7 +94,8 @@ def gamma2_form(ball: LocalBall) -> QuadraticForm:
 
     Four contributions: second-neighbor pulls (f(u) - 2f(v))^2, the squared
     neighbor sum, the degree diagonal, and the triangle term for adjacent
-    neighbor pairs.
+    neighbor pairs.  The matrix holds 4 Gamma2, so it is integral, and the
+    form carries scale 2.
     """
     if not ball.complete:
         raise GraphError(
@@ -92,38 +103,34 @@ def gamma2_form(ball: LocalBall) -> QuadraticForm:
             "curvature would be unreliable"
         )
     s1, s2 = ball.sphere1, ball.sphere2
+    n1 = len(s1)
     index = s1 + s2
     pos = {v: i for i, v in enumerate(index)}
-    s2_set = set(s2)
     n = len(index)
-    m = [[Fraction(0)] * n for _ in range(n)]
+    # squared neighbor sum: 2 on the whole sphere1 block
+    m = [[2] * n1 + [0] * (n - n1) if i < n1 else [0] * n for i in range(n)]
 
     dx = ball.degrees[ball.base]
-    for v in s1:
-        i = pos[v]
+    for i, v in enumerate(s1):
+        row = m[i]
+        row[i] += 4 - dx - ball.degrees[v]
         for u in ball.adj[v]:
-            if u in s2_set:
-                j = pos[u]
-                m[j][j] += Fraction(1, 2)
-                m[i][i] += 2
-                m[i][j] -= 1
-                m[j][i] -= 1
-        # squared neighbor sum
-        m[i][i] += 1
-        for w in s1:
-            if w != v:
-                m[i][pos[w]] += 1
-        m[i][i] += Fraction(4 - dx - ball.degrees[v], 2)
-    # adjacent neighbor pairs form triangles with the base
-    for a, v in enumerate(s1):
-        for w in s1[a + 1:]:
-            if ball.has_edge(v, w):
-                i, j = pos[v], pos[w]
-                m[i][i] += Fraction(5, 2)
-                m[j][j] += Fraction(5, 2)
-                m[i][j] -= 2
+            j = pos.get(u, -1)
+            if j >= n1:
+                m[j][j] += 1
+                row[i] += 4
+                row[j] -= 2
                 m[j][i] -= 2
-    return QuadraticForm(index, m)
+    # adjacent neighbor pairs form triangles with the base
+    for i, v in enumerate(s1):
+        for w in ball.adj[v]:
+            j = pos.get(w, n)
+            if i < j < n1:
+                m[i][i] += 5
+                m[j][j] += 5
+                m[i][j] -= 4
+                m[j][i] -= 4
+    return QuadraticForm(index, m, 2)
 
 
 def second_neighbor_minimizer(ball: LocalBall, s1_values) -> dict[int, Fraction]:
@@ -145,40 +152,46 @@ def eliminate_second_neighbors(g2: QuadraticForm, ball: LocalBall) -> QuadraticF
     """Exact Schur complement removing the sphere2 block.
 
     The sphere2 block is diagonal (sphere2 vertices never interact in the
-    doubled Gamma2 form) with entries k_u/2 > 0, so the elimination is a
-    plain weighted rank reduction and stays in Fractions.
+    doubled Gamma2 form) with positive entries k_u, so the elimination is
+    a weighted rank reduction.  It stays in integers by scaling the form
+    with L = lcm(k_u): the reduced matrix is L A - sum (L / k_u) c_u c_u^T
+    and the scale is multiplied by L.
     """
     s1, s2 = ball.sphere1, ball.sphere2
     if g2.index != s1 + s2:
         raise GraphError("form index does not match the ball")
-    n1, n2 = len(s1), len(s2)
+    n1 = len(s1)
     mat = g2.matrix
-    for a in range(n2):
-        for b in range(n2):
-            if a != b and mat[n1 + a][n1 + b] != 0:
-                raise GraphError("sphere2 block unexpectedly non-diagonal")
-    for a in range(n2):
-        if mat[n1 + a][n1 + a] <= 0:
-            raise GraphError(f"sphere2 vertex {s2[a]} has a non-positive diagonal")
-    red = [[mat[i][j] for j in range(n1)] for i in range(n1)]
-    for a in range(n2):
-        d = mat[n1 + a][n1 + a]
-        col = [mat[i][n1 + a] for i in range(n1)]
-        for i in range(n1):
-            if col[i] == 0:
-                continue
-            for j in range(n1):
-                if col[j] != 0:
-                    red[i][j] -= col[i] * col[j] / d
-    return QuadraticForm(s1, red)
+    diag = []
+    for a, u in enumerate(s2):
+        row = mat[n1 + a]
+        k = row[n1 + a]
+        if any(row[n1:n1 + a]) or any(row[n1 + a + 1:]):
+            raise GraphError("sphere2 block unexpectedly non-diagonal")
+        if k <= 0:
+            raise GraphError(f"sphere2 vertex {u} has a non-positive diagonal")
+        diag.append(k)
+    lcm = math.lcm(*diag)
+    red = [[lcm * x for x in row[:n1]] for row in mat[:n1]]
+    for a, k in enumerate(diag):
+        row = mat[n1 + a]
+        col = [(i, c) for i, c in enumerate(row[:n1]) if c]
+        w = lcm // k
+        for i, ci in col:
+            wc = w * ci
+            red_i = red[i]
+            for j, cj in col:
+                red_i[j] -= wc * cj
+    return QuadraticForm(s1, red, g2.scale * lcm)
 
 
-def cd_curvature(ball: LocalBall, tolerance: float = 1e-9) -> CdResult:
+def cd_curvature(ball: LocalBall, form: QuadraticForm | None = None) -> CdResult:
     """Largest rho with Gamma2 f >= rho Gamma f at the base, plus minimizer.
 
     Equals the smallest eigenvalue of the reduced doubled-Gamma2 matrix,
     because the companion Gamma form is half the identity on sphere1 and
-    the doubling cancels.
+    the doubling cancels.  `form` is gamma2_form(ball) when the caller has
+    already built it.
     """
     if not ball.complete:
         raise GraphError(
@@ -188,12 +201,14 @@ def cd_curvature(ball: LocalBall, tolerance: float = 1e-9) -> CdResult:
     d = len(ball.sphere1)
     if d == 0:
         raise GraphError(f"vertex {ball.base} is isolated; curvature undefined")
-    red = eliminate_second_neighbors(gamma2_form(ball), ball)
+    if form is None:
+        form = gamma2_form(ball)
+    red = eliminate_second_neighbors(form, ball)
     if d == 1:
-        rho_exact = red.matrix[0][0]
-        vec = {ball.sphere1[0]: Fraction(1)}
-        ext = second_neighbor_minimizer(ball, vec)
-        minimizer = {ball.base: 0.0, ball.sphere1[0]: 1.0}
+        v = ball.sphere1[0]
+        rho_exact = red.entry(v, v)
+        ext = second_neighbor_minimizer(ball, {v: Fraction(1)})
+        minimizer = {ball.base: 0.0, v: 1.0}
         minimizer.update({u: float(x) for u, x in ext.items()})
         return CdResult(ball.base, float(rho_exact), minimizer, "exact-special-case")
     eigvals, eigvecs = np.linalg.eigh(red.as_array())
@@ -209,4 +224,4 @@ def cd_curvature(ball: LocalBall, tolerance: float = 1e-9) -> CdResult:
 
 def satisfies_cd(ball: LocalBall, rho: float, tolerance: float = 1e-9) -> bool:
     """Whether the base satisfies the CD(rho, infinity) inequality."""
-    return cd_curvature(ball, tolerance).rho >= rho - tolerance
+    return cd_curvature(ball).rho >= rho - tolerance

@@ -99,7 +99,8 @@ def gather_facts(item: CorpusItem, tolerance: float = 1e-9,
                                      None, None, None, None, None, None, None))
             continue
         ball = extract_ball(g, x)
-        rho = cd_curvature(ball, tolerance).rho
+        form = gamma2_form(ball)
+        rho = cd_curvature(ball, form).rho
         verdict = classify_vertex(g, x)
         profile = verdict.profile
         if profile is None and not k3:
@@ -117,11 +118,11 @@ def gather_facts(item: CorpusItem, tolerance: float = 1e-9,
             if cls is StructureClass.ONE_UNLINKED:
                 vec = flat_test_vector(ball, profile)
                 if vec is not None:
-                    flat_val = gamma2_form(ball).value(vec)
+                    flat_val = form.value(vec)
             elif cls is StructureClass.MULTI_UNLINKED:
                 vec = negative_test_vector(ball, profile)
                 if vec is not None:
-                    neg_val = gamma2_form(ball).value(vec)
+                    neg_val = form.value(vec)
         vfacts.append(VertexFact(
             x, g.label(x), g.degree(x), True, rho,
             verdict.structure_class, verdict.N, counts, min_linkage,

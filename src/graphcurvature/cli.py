@@ -13,7 +13,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .bakry_emery import cd_curvature
 from .checks import gather_facts, run_checks
@@ -110,7 +109,7 @@ def cmd_curvature(ns) -> int:
                 f"refusing to probe {g.label(x)}: its two-ball crosses the "
                 f"truncation boundary, so curvature there would be unreliable"
             )
-        res = cd_curvature(extract_ball(g, x), ns.tolerance)
+        res = cd_curvature(extract_ball(g, x))
         verdict = classify_vertex(g, x)
         report.vertices.append(VertexRow(
             key, g.label(x), True, res.rho, str(verdict.structure_class),
@@ -176,6 +175,8 @@ def cmd_verify(ns) -> int:
     args = [(spec, ns.tolerance, ns.inject_fault if i == 0 else None)
             for i, spec in enumerate(specs)]
     if ns.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             outcomes = list(pool.map(_verify_one, args))
     else:
@@ -202,6 +203,9 @@ def cmd_diameter_bound(ns) -> int:
             f"{g.name} is a truncated stand-in for an infinite graph; "
             f"its diameter is not meaningful"
         )
+    if not g.edges:
+        raise GraphError(f"{g.name} has no edges; no edge curvature bounds "
+                         f"its diameter")
     dia = diameter(g)
     if dia is None:
         raise GraphError(f"{g.name} is disconnected; no finite diameter")

@@ -38,6 +38,10 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+# a cached graph property not yet computed, where None is a valid result
+_UNKNOWN = object()
+
+
 class Graph:
     """Simple undirected graph with deterministic ordering everywhere."""
 
@@ -114,6 +118,7 @@ class Graph:
         self._center_dist: dict[int, int] | None = None
         self._k3: bool | None = None
         self._k23: bool | None = None
+        self._regular = _UNKNOWN  # common degree or None, set by is_regular
 
     # -- basic queries ----------------------------------------------------
 
@@ -238,12 +243,49 @@ def diameter(g: Graph) -> int | None:
     return best
 
 
+def support_distances(g: Graph, points) -> dict[int, dict[int, int]]:
+    """Exact graph distances between the given points, as dist[p][q].
+
+    Unreachable pairs are left out.  Distances up to three are read off
+    adjacency sets: q is within 2 of p when it lies in p's radius-2 ball,
+    and within 3 when one of its neighbors does.  Only a point farther
+    away than that costs a full search from p.
+    """
+    points = tuple(points)
+    table: dict[int, dict[int, int]] = {}
+    for p in points:
+        near = g.neighbors(p)
+        near_set = set(near)
+        ball = set(near_set)
+        for w in near:
+            ball.update(g.neighbors(w))
+        row: dict[int, int] = {}
+        far = None
+        for q in points:
+            if q == p:
+                row[q] = 0
+            elif q in near_set:
+                row[q] = 1
+            elif q in ball:
+                row[q] = 2
+            elif not ball.isdisjoint(g.neighbors(q)):
+                row[q] = 3
+            else:
+                if far is None:
+                    far = bfs_distances(g, p)
+                if q in far:
+                    row[q] = far[q]
+        table[p] = row
+    return table
+
+
 def is_regular(g: Graph) -> int | None:
-    """The common degree, or None if degrees vary (or the graph is empty)."""
-    degs = {g.degree(v) for v in g.vertices}
-    if len(degs) == 1:
-        return degs.pop()
-    return None
+    """The common degree, or None if degrees vary or the graph is empty
+    (cached on the graph)."""
+    if g._regular is _UNKNOWN:
+        degs = {len(ns) for ns in g._adj.values()}
+        g._regular = degs.pop() if len(degs) == 1 else None
+    return g._regular
 
 
 def effective_degree(g: Graph, x: int) -> int | None:
@@ -394,10 +436,15 @@ def _parse_json_graph(text: str, name: str) -> Graph:
     if raw_trunc is not None:
         if not isinstance(raw_trunc, dict) or "center" not in raw_trunc or "radius" not in raw_trunc:
             raise GraphError('"truncation" needs "center" and "radius"')
-        truncation = Truncation(
-            int(raw_trunc["center"]), int(raw_trunc["radius"]),
-            host_degree=raw_trunc.get("host_degree"),
-        )
+        fields = {key: raw_trunc.get(key)
+                  for key in ("center", "radius", "host_degree")}
+        for key, value in fields.items():
+            optional = key == "host_degree" and value is None
+            if not optional and (not isinstance(value, int)
+                                 or isinstance(value, bool)):
+                raise GraphError(f'truncation "{key}" must be an integer, '
+                                 f'got {value!r}')
+        truncation = Truncation(**fields)
     return Graph(vertices, [tuple(e) for e in edges], labels=labels,
                  edge_labels=edge_labels, truncation=truncation, name=name)
 

@@ -23,6 +23,7 @@ from .graphs import (
     contains_k3,
     effective_degree,
     extract_ball,
+    support_distances,
 )
 
 
@@ -78,23 +79,19 @@ def lazy_measure(g: Graph, x: int) -> Measure:
 class TransportProblem:
     """Move mu onto nu at cost = graph distance.
 
-    Precomputes the integer distance matrix between the supports and the
-    full distance table over the support union (needed for the dual
-    certificate's constraint system).  A radius limits every search when
-    the caller can bound support-to-support distances in advance.
+    Precomputes the distance table over the support union: the integer
+    cost matrix between the supports and the full table the dual
+    certificate's constraint system needs.
     """
 
-    def __init__(self, g: Graph, mu: Measure, nu: Measure,
-                 radius: int | None = None):
+    def __init__(self, g: Graph, mu: Measure, nu: Measure):
         self.graph = g
         self.mu = mu
         self.nu = nu
         self.sources = mu.support()
         self.targets = nu.support()
         self.points = tuple(sorted(set(self.sources) | set(self.targets)))
-        self._dist: dict[int, dict[int, int]] = {}
-        for p in self.points:
-            self._dist[p] = bfs_distances(g, p, radius=radius)
+        self._dist = support_distances(g, self.points)
         self.cost = []
         for s in self.sources:
             row = []
@@ -111,7 +108,8 @@ class TransportProblem:
             return self._dist[p][q]
         except KeyError:
             raise GraphError(
-                f"distance {p}->{q} unavailable within the search radius"
+                f"distance {p}->{q} unavailable: not a connected pair of "
+                f"support points"
             ) from None
 
 
@@ -364,8 +362,7 @@ class KappaResult:
 def kappa_detail(g: Graph, x: int, y: int) -> KappaResult:
     if not g.has_edge(x, y):
         raise GraphError(f"({x}, {y}) is not an edge")
-    # supports sit in the two unit balls, so no pair is farther than 3
-    tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y), radius=3)
+    tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
     dist, plan, cert = wasserstein(tp)
     return KappaResult(x, y, 1 - dist, dist, plan, cert)
 
@@ -518,5 +515,5 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
     mu = lazy_measure(g, x)
     nu = lazy_measure(g, y)
     dual = nu.integral(values) - mu.integral(values)
-    exact = wasserstein(TransportProblem(g, mu, nu)).distance
+    exact = kappa_detail(g, x, y).wasserstein
     return LipschitzCertificate(values, dual, exact - dual)

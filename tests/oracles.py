@@ -1,9 +1,10 @@
 """Independent slow implementations used only to cross-check the library.
 
 Nothing here shares code with the package: the transport oracle explores
-transportation-polytope extreme points by exhaustive cell saturation, and
-the spectral oracle minimizes the Rayleigh quotient by projected gradient
-descent from many random starts.
+transportation-polytope extreme points by exhaustive cell saturation, the
+spectral oracle minimizes the Rayleigh quotient by projected gradient
+descent from many random starts, and the reference Gamma2 kernels assemble
+and reduce the doubled Gamma2 form entry by entry in Fractions.
 """
 
 from __future__ import annotations
@@ -107,3 +108,57 @@ def rayleigh_minimum(matrix: np.ndarray, restarts: int = 100,
     mf = f @ m
     q = np.sum(f * mf, axis=1)
     return float(q.min())
+
+
+def fraction_gamma2(ball) -> tuple[tuple[int, ...], list[list[Fraction]]]:
+    """Twice Gamma2 at the base of a complete LocalBall, over sphere1 +
+    sphere2, as (index, Fraction matrix)."""
+    s1, s2 = ball.sphere1, ball.sphere2
+    index = s1 + s2
+    pos = {v: i for i, v in enumerate(index)}
+    s2_set = set(s2)
+    n = len(index)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    dx = ball.degrees[ball.base]
+    for v in s1:
+        i = pos[v]
+        for u in ball.adj[v]:
+            if u in s2_set:
+                j = pos[u]
+                m[j][j] += Fraction(1, 2)
+                m[i][i] += 2
+                m[i][j] -= 1
+                m[j][i] -= 1
+        # squared neighbor sum
+        m[i][i] += 1
+        for w in s1:
+            if w != v:
+                m[i][pos[w]] += 1
+        m[i][i] += Fraction(4 - dx - ball.degrees[v], 2)
+    # adjacent neighbor pairs form triangles with the base
+    for a, v in enumerate(s1):
+        for w in s1[a + 1:]:
+            if ball.has_edge(v, w):
+                i, j = pos[v], pos[w]
+                m[i][i] += Fraction(5, 2)
+                m[j][j] += Fraction(5, 2)
+                m[i][j] -= 2
+                m[j][i] -= 2
+    return index, m
+
+
+def fraction_schur(ball, matrix) -> list[list[Fraction]]:
+    """Schur complement of the (diagonal) sphere2 block of a
+    fraction_gamma2 matrix, over sphere1."""
+    n1, n2 = len(ball.sphere1), len(ball.sphere2)
+    red = [[matrix[i][j] for j in range(n1)] for i in range(n1)]
+    for a in range(n2):
+        d = matrix[n1 + a][n1 + a]
+        col = [matrix[i][n1 + a] for i in range(n1)]
+        for i in range(n1):
+            if col[i] == 0:
+                continue
+            for j in range(n1):
+                if col[j] != 0:
+                    red[i][j] -= col[i] * col[j] / d
+    return red

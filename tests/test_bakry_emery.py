@@ -14,6 +14,7 @@ from graphcurvature.bakry_emery import (
     second_neighbor_minimizer,
 )
 from graphcurvature.classify import link_profile
+from graphcurvature.corpus import parse_graph_spec
 from graphcurvature.families import (
     adjacent_transposition_cayley,
     biplane_incidence,
@@ -30,6 +31,8 @@ from graphcurvature.families import (
     transposition_cayley,
 )
 from graphcurvature.graphs import GraphError, extract_ball
+
+from oracles import fraction_gamma2, fraction_schur
 
 
 def slow_gamma(g, f, x):
@@ -100,6 +103,34 @@ class TestFormAssembly:
         form = gamma_form(ball)
         for v in ball.sphere1:
             assert form.value({v: 1}) == Fraction(1, 2)
+
+
+class TestIntegerKernels:
+    @pytest.mark.parametrize("spec", [
+        "complete:5",
+        "flip:6",
+        "star:6",       # the leaves are the d = 1 case
+        "lattice:2:4",
+        "zigzag:hypercube:6,cycle:6",
+        "transpositions:4",  # sphere2 multiplicities 2 and 3: lcm 6
+    ])
+    def test_forms_equal_fraction_reference(self, spec):
+        g = parse_graph_spec(spec)
+        balls = [extract_ball(g, x) for x in g.vertices if g.two_ball_complete(x)]
+        assert balls
+        for ball in balls:
+            form = gamma2_form(ball)
+            index, ref = fraction_gamma2(ball)
+            assert form.index == index
+            for i, v in enumerate(index):
+                for j, w in enumerate(index):
+                    assert form.entry(v, w) == ref[i][j]
+            red = eliminate_second_neighbors(form, ball)
+            ref_red = fraction_schur(ball, ref)
+            assert red.index == ball.sphere1
+            for i, v in enumerate(ball.sphere1):
+                for j, w in enumerate(ball.sphere1):
+                    assert red.entry(v, w) == ref_red[i][j] == red.entry(w, v)
 
 
 class TestElimination:
@@ -250,7 +281,7 @@ class TestLinkageAssembly:
         red = eliminate_second_neighbors(gamma2_form(ball), ball)
         for i, v in enumerate(ball.sphere1):
             for j, w in enumerate(ball.sphere1):
-                got = red.matrix[i][j]
+                got = red.entry(v, w)
                 if i == j:
                     expect = Fraction(3 - d)
                     for u in ball.sphere1:

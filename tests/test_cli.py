@@ -198,6 +198,12 @@ class TestDiameterBoundCommand:
         assert code == 2
         assert "disconnected" in err
 
+    def test_edgeless_graph_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "diameter-bound", "gen:path:1")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no edges" in err
+
 
 class TestGenCommand:
     def test_json_stdout_round_trip(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Graph container, traversal, truncation gating, and serialization."""
 
+import json
+
 import pytest
 
 from graphcurvature.families import (
@@ -29,6 +31,7 @@ from graphcurvature.graphs import (
     load_graph,
     render_graph,
     save_graph,
+    support_distances,
 )
 
 
@@ -92,6 +95,28 @@ class TestQueries:
         g = path_graph(6)
         assert set(bfs_distances(g, 0, radius=1)) == {0, 1}
         assert bfs_distances(g, 0)[5] == 5
+
+    def test_support_distances_match_bfs_on_corpus_edges(self, corpus_items):
+        for item in corpus_items.values():
+            g = item.graph
+            rows = {}
+            for x, y in g.edges:
+                if not g.transport_neighborhood_complete(x, y):
+                    continue
+                points = sorted({x, y, *g.neighbors(x), *g.neighbors(y)})
+                table = support_distances(g, points)
+                for p in points:
+                    # the two one-balls of an edge lie within distance 3
+                    if p not in rows:
+                        rows[p] = bfs_distances(g, p, radius=3)
+                    assert table[p] == {q: rows[p][q] for q in points}
+
+    def test_support_distances_beyond_three(self):
+        g = cycle(8)
+        assert support_distances(g, g.vertices) == {
+            p: bfs_distances(g, p) for p in g.vertices}
+        h = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
+        assert support_distances(h, [0, 3]) == {0: {0: 0}, 3: {3: 0}}
 
     def test_diameter(self):
         assert diameter(petersen()) == 2
@@ -213,6 +238,18 @@ class TestSerialization:
         p = tmp_path / "bad.json"
         p.write_text('{"vertices": [0, 1]}')
         with pytest.raises(GraphError):
+            load_graph(p)
+
+    @pytest.mark.parametrize("field,value", [("radius", "a"),
+                                             ("host_degree", "x")])
+    def test_json_truncation_fields_must_be_integers(self, tmp_path, field,
+                                                     value):
+        trunc = {"center": 0, "radius": 2, "host_degree": 1}
+        trunc[field] = value
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]],
+                                 "truncation": trunc}))
+        with pytest.raises(GraphError, match=f'"{field}" must be an integer'):
             load_graph(p)
 
     def test_json_dict_shape(self):

@@ -91,10 +91,11 @@ class TestWasserstein:
         with pytest.raises(GraphError, match="not connected"):
             TransportProblem(g, point_mass(0), point_mass(3))
 
-    def test_radius_too_small_rejected(self):
-        g = path_graph(6)
-        with pytest.raises(GraphError, match="not connected"):
-            TransportProblem(g, point_mass(0), point_mass(5), radius=2)
+    def test_far_point_masses_use_exact_distances(self):
+        g = cycle(8)
+        tp = TransportProblem(g, point_mass(0), point_mass(4))
+        assert tp.distance(0, 4) == bfs_distances(g, 0)[4] == 4
+        assert wasserstein(tp).distance == 4
 
     def test_cycle_adjacent_lazy_cost(self):
         g = cycle(5)

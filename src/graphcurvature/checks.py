@@ -38,7 +38,6 @@ from .ollivier import (
     TransportProblem,
     certificate_violations,
     extend_certificate,
-    kappa_detail,
     kappa_lower_witness,
     kappa_upper_witness,
     lazy_measure,
@@ -85,7 +84,7 @@ class GraphFacts:
     deep_edges: tuple[tuple[int, int], ...]
 
 
-def gather_facts(item: CorpusItem, tolerance: float = 1e-9,
+def gather_facts(item: CorpusItem,
                  inject_fault: str | None = None) -> GraphFacts:
     """Sweep one corpus graph.  inject_fault ∈ {None, "kappa", "rho"}
     perturbs the first gathered value; only the harness's own failure
@@ -392,22 +391,23 @@ def check_duality(facts: GraphFacts, tolerance: float) -> CheckResult:
             continue
         seen = True
         tag = f"{facts.key} edge ({g.label(x)}, {g.label(y)})"
-        detail = kappa_detail(g, x, y)
+        # the problem kappa_detail would build, solved here so the plan is
+        # validated against the very problem it came from
         tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+        dist, plan, cert = wasserstein(tp)
         try:
-            cost = validate_plan(tp, detail.plan)
-            if cost != detail.wasserstein:
-                problems.append(f"{tag}: plan cost {cost} != distance "
-                                f"{detail.wasserstein}")
+            cost = validate_plan(tp, plan)
+            if cost != dist:
+                problems.append(f"{tag}: plan cost {cost} != distance {dist}")
         except GraphError as e:
             problems.append(f"{tag}: optimal plan invalid: {e}")
-        if detail.certificate.gap != 0:
-            problems.append(f"{tag}: duality gap {detail.certificate.gap}")
-        bad = certificate_violations(g, detail.certificate.values)
+        if cert.gap != 0:
+            problems.append(f"{tag}: duality gap {cert.gap}")
+        bad = certificate_violations(g, cert.values)
         if bad:
             problems.append(f"{tag}: certificate not 1-Lipschitz: {bad[0]}")
         try:
-            ext = extend_certificate(g, detail.certificate, x, y)
+            ext = extend_certificate(g, cert, x, y)
             bad = certificate_violations(g, ext)
             if bad:
                 problems.append(f"{tag}: extended certificate: {bad[0]}")

@@ -100,7 +100,7 @@ def cmd_curvature(ns) -> int:
             item = build_item(spec)
         except GraphError:
             item = CorpusItem(key, g, (), ())
-        facts = gather_facts(item, ns.tolerance)
+        facts = gather_facts(item)
         report.add_facts(facts, run_checks(facts, ns.tolerance))
     elif ns.vertex is not None:
         x = g.resolve_vertex(ns.vertex)
@@ -143,7 +143,7 @@ def _verify_one(args) -> tuple[str, CurvatureReport, bool, float]:
     spec, tolerance, inject = args
     t0 = time.perf_counter()
     item = build_item(spec)
-    facts = gather_facts(item, tolerance, inject_fault=inject)
+    facts = gather_facts(item, inject_fault=inject)
     results = run_checks(facts, tolerance)
     fragment = CurvatureReport(tolerance=tolerance)
     fragment.add_facts(facts, results)

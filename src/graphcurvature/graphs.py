@@ -119,6 +119,8 @@ class Graph:
         self._k3: bool | None = None
         self._k23: bool | None = None
         self._regular = _UNKNOWN  # common degree or None, set by is_regular
+        # transport problem -> its flow cells and potentials (ollivier._solve)
+        self._transport: dict = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -243,8 +245,10 @@ def diameter(g: Graph) -> int | None:
     return best
 
 
-def support_distances(g: Graph, points) -> dict[int, dict[int, int]]:
-    """Exact graph distances between the given points, as dist[p][q].
+def support_distances(g: Graph, points,
+                      targets=None) -> dict[int, dict[int, int]]:
+    """Exact graph distances from each point p to each target q, as
+    dist[p][q]; the targets default to the points themselves.
 
     Unreachable pairs are left out.  Distances up to three are read off
     adjacency sets: q is within 2 of p when it lies in p's radius-2 ball,
@@ -252,6 +256,7 @@ def support_distances(g: Graph, points) -> dict[int, dict[int, int]]:
     away than that costs a full search from p.
     """
     points = tuple(points)
+    targets = points if targets is None else tuple(targets)
     table: dict[int, dict[int, int]] = {}
     for p in points:
         near = g.neighbors(p)
@@ -261,7 +266,7 @@ def support_distances(g: Graph, points) -> dict[int, dict[int, int]]:
             ball.update(g.neighbors(w))
         row: dict[int, int] = {}
         far = None
-        for q in points:
+        for q in targets:
             if q == p:
                 row[q] = 0
             elif q in near_set:

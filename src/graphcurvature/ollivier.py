@@ -2,9 +2,14 @@
 
 All arithmetic is exact: measures are rational, costs are graph distances,
 and the transport problem is scaled by a common denominator and solved as
-an integral min-cost flow.  Every distance comes back with a transport
-plan and an integer dual potential whose value matches it exactly, so the
-result is certified from both sides.
+an integral min-cost flow by successive shortest paths.  The flow's own
+node potentials are the dual certificate: on every edge they are checked
+in integers to be dual feasible and to meet the plan's cost with zero
+gap, so each distance comes back certified from both sides.  A graph
+keeps the solution of every distinct transport problem (supplies, demands
+and costs, rows and columns in a canonical order) and maps it back onto
+each edge that poses the same problem, so a symmetric graph is solved
+once per kind of edge.
 """
 
 from __future__ import annotations
@@ -29,22 +34,28 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class Measure:
-    """Finitely supported probability measure with rational weights."""
+    """Finitely supported probability measure with rational weights.
+
+    The masses are also held as integer numerators over their common
+    denominator, keyed by vertex, so lookups and integrals stay in ints.
+    """
 
     weights: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        seen = set()
-        total = Fraction(0)
+        den = math.lcm(*(m.denominator for _, m in self.weights))
+        num: dict[int, int] = {}
         for v, m in self.weights:
-            if v in seen:
+            if v in num:
                 raise GraphError(f"duplicate support vertex {v}")
-            seen.add(v)
-            if m <= 0:
+            if m.numerator <= 0:
                 raise GraphError(f"nonpositive mass {m} at {v}")
-            total += m
-        if total != 1:
-            raise GraphError(f"total mass {total} != 1")
+            num[v] = m.numerator * (den // m.denominator)
+        total = sum(num.values())
+        if total != den:
+            raise GraphError(f"total mass {Fraction(total, den)} != 1")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", num)
 
     @classmethod
     def from_dict(cls, masses) -> "Measure":
@@ -54,15 +65,12 @@ class Measure:
         return tuple(v for v, _ in self.weights)
 
     def mass(self, v: int) -> Fraction:
-        for u, m in self.weights:
-            if u == v:
-                return m
-        return Fraction(0)
+        return Fraction(self._num.get(v, 0), self._den)
 
     def integral(self, values) -> Fraction:
         """Sum of f(v) weighted by mass, f given as a mapping."""
-        return sum((m * Fraction(values[v]) for v, m in self.weights),
-                   Fraction(0))
+        return Fraction(sum(n * Fraction(values[v]) for v, n in self._num.items()),
+                        self._den)
 
 
 def lazy_measure(g: Graph, x: int) -> Measure:
@@ -70,18 +78,18 @@ def lazy_measure(g: Graph, x: int) -> Measure:
     d = g.degree(x)
     if d == 0:
         raise GraphError(f"vertex {x} is isolated; lazy measure undefined")
-    masses = {x: Fraction(1, 2)}
-    for y in g.neighbors(x):
-        masses[y] = Fraction(1, 2 * d)
-    return Measure.from_dict(masses)
+    unit = Fraction(1, 2 * d)
+    weights = [(y, unit) for y in g.neighbors(x)]
+    weights.append((x, Fraction(1, 2)))
+    return Measure(tuple(sorted(weights)))
 
 
 class TransportProblem:
     """Move mu onto nu at cost = graph distance.
 
-    Precomputes the distance table over the support union: the integer
-    cost matrix between the supports and the full table the dual
-    certificate's constraint system needs.
+    Precomputes the integer cost matrix from every source to every
+    target, the only distances the solver and its certificate read;
+    `distance` looks any other pair of support points up on demand.
     """
 
     def __init__(self, g: Graph, mu: Measure, nu: Measure):
@@ -91,26 +99,30 @@ class TransportProblem:
         self.sources = mu.support()
         self.targets = nu.support()
         self.points = tuple(sorted(set(self.sources) | set(self.targets)))
-        self._dist = support_distances(g, self.points)
+        dist = support_distances(g, self.sources, self.targets)
         self.cost = []
         for s in self.sources:
             row = []
             for t in self.targets:
-                if t not in self._dist[s]:
+                if t not in dist[s]:
                     raise GraphError(
                         f"supports not connected: no path from {s} to {t}"
                     )
-                row.append(self._dist[s][t])
+                row.append(dist[s][t])
             self.cost.append(row)
 
     def distance(self, p: int, q: int) -> int:
-        try:
-            return self._dist[p][q]
-        except KeyError:
-            raise GraphError(
-                f"distance {p}->{q} unavailable: not a connected pair of "
-                f"support points"
-            ) from None
+        for s, t in ((p, q), (q, p)):
+            if s in self.sources and t in self.targets:
+                return self.cost[self.sources.index(s)][self.targets.index(t)]
+        if p in self.points and q in self.points:
+            d = support_distances(self.graph, (p,), (q,))[p].get(q)
+            if d is not None:
+                return d
+        raise GraphError(
+            f"distance {p}->{q} unavailable: not a connected pair of "
+            f"support points"
+        )
 
 
 @dataclass(frozen=True)
@@ -141,136 +153,208 @@ class WassersteinResult(NamedTuple):
 def _min_cost_flow(cost, supply, demand):
     """Integral min-cost transportation by successive shortest paths.
 
-    Residual arcs can have negative cost (reversed flow), so path search
-    is Bellman-Ford from every supply with remaining units.
+    Returns the flow matrix and node potentials (sources first, then
+    targets) with nonnegative reduced cost c(s, t) + p(s) - p(t) on every
+    residual arc and zero reduced cost on every arc that carries flow.
+    Each phase runs Dijkstra on reduced costs from every source with
+    units left; those sources always have potential 0, because nothing
+    reaches them at negative reduced cost, so seeding them at distance 0
+    is exact.  After the potentials move by those distances, every
+    shortest path has zero reduced cost, and the phase augments along
+    such paths until none is left.
+
+    The optimal potentials form a lattice that does not depend on which
+    optimal flow was found.  The returned one is its normal form: the
+    greatest potential that is at most 0 everywhere, shifted up so its
+    least value is 0.  That is one more Dijkstra, from a root joined to
+    every node at cost 0, and it makes the potentials a function of the
+    problem alone, whatever flow or node order the solve used.
     """
     m, n = len(supply), len(demand)
     flow = [[0] * n for _ in range(m)]
     rem_s = list(supply)
     rem_t = list(demand)
-    nodes = m + n
+    pot = [0] * (m + n)
     while any(rem_s):
-        dist = [None] * nodes
-        prev = [None] * nodes
-        for i in range(m):
-            if rem_s[i] > 0:
-                dist[i] = 0
-        for _ in range(nodes):
-            changed = False
-            for i in range(m):
-                if dist[i] is None:
-                    continue
-                base = dist[i]
-                for j in range(n):
-                    nd = base + cost[i][j]
-                    if dist[m + j] is None or nd < dist[m + j]:
-                        dist[m + j] = nd
-                        prev[m + j] = ("f", i, j)
-                        changed = True
-            for j in range(n):
-                if dist[m + j] is None:
-                    continue
-                base = dist[m + j]
-                for i in range(m):
-                    if flow[i][j] > 0:
-                        nd = base - cost[i][j]
-                        if dist[i] is None or nd < dist[i]:
-                            dist[i] = nd
-                            prev[i] = ("b", i, j)
-                            changed = True
-            if not changed:
-                break
-        else:
-            raise GraphError("internal: negative cycle in transport residual")
-        best = None
-        for j in range(n):
-            if rem_t[j] > 0 and dist[m + j] is not None:
-                if best is None or dist[m + j] < dist[m + best]:
-                    best = j
-        if best is None:
+        dist = [0 if r > 0 else None for r in rem_s] + [None] * n
+        _residual_dijkstra(cost, flow, pot, dist)
+        if all(dist[m + j] is None for j in range(n) if rem_t[j] > 0):
             raise GraphError("internal: live demand unreachable")
-        path = []
-        node = m + best
-        steps = 0
-        while prev[node] is not None:
-            kind, i, j = prev[node]
-            path.append((kind, i, j))
-            node = i if kind == "f" else m + j
-            steps += 1
-            if steps > nodes:
-                raise GraphError("internal: cyclic predecessor chain")
-        root = node
-        delta = min(rem_s[root], rem_t[best])
-        for kind, i, j in path:
-            if kind == "b":
-                delta = min(delta, flow[i][j])
-        for kind, i, j in path:
-            if kind == "f":
-                flow[i][j] += delta
-            else:
-                flow[i][j] -= delta
-        rem_s[root] -= delta
-        rem_t[best] -= delta
-    return flow
+        for k, d in enumerate(dist):
+            if d is not None:
+                pot[k] += d
+        path = _zero_cost_path(cost, flow, pot, rem_s, rem_t)
+        if not path:
+            raise GraphError("internal: no zero reduced cost path after "
+                             "a potential update")
+        while path:
+            root, best = path[-1][0], path[0][1] - m
+            delta = min(rem_s[root], rem_t[best])
+            for a, b in path:
+                if a >= m:
+                    delta = min(delta, flow[b][a - m])
+            for a, b in path:
+                if a < m:
+                    flow[a][b - m] += delta
+                else:
+                    flow[b][a - m] -= delta
+            rem_s[root] -= delta
+            rem_t[best] -= delta
+            path = _zero_cost_path(cost, flow, pot, rem_s, rem_t)
+    top = max(pot)
+    dist = [top - p for p in pot]
+    _residual_dijkstra(cost, flow, pot, dist)
+    phi = [d + p for d, p in zip(dist, pot)]
+    low = min(phi)
+    return flow, [f - low for f in phi]
 
 
-def _dual_certificate(tp: TransportProblem, flows):
-    """Integer potential from the tight/slack constraint system.
+def _residual_dijkstra(cost, flow, pot, dist):
+    """Dijkstra on reduced costs over the transport residual graph.
 
-    Arcs q -> p of weight d(q, p) enforce the Lipschitz bound in both
-    directions; arcs t -> s of weight -d(s, t) per used route force the
-    bound tight along the plan.  Any Bellman-Ford solution of the system
-    is an optimal dual by complementary slackness.
+    dist holds the seeds (None elsewhere) and is completed in place.
+    Forward arcs s -> t cost c(s, t); an arc carrying flow is also
+    residual backwards at -c(s, t).  The graphs are a few dozen nodes, so
+    each step scans for the nearest open node instead of keeping a heap.
     """
-    pts = tp.points
-    idx = {p: k for k, p in enumerate(pts)}
-    arcs = []
-    for q in pts:
-        for p in pts:
-            if p != q:
-                arcs.append((idx[q], idx[p], tp.distance(q, p)))
-    for s, t, _ in flows:
-        if s != t:
-            arcs.append((idx[t], idx[s], -tp.distance(s, t)))
-    dist = [0] * len(pts)
-    for _ in range(len(pts) + 1):
-        changed = False
-        for a, b, w in arcs:
-            if dist[a] + w < dist[b]:
-                dist[b] = dist[a] + w
-                changed = True
-        if not changed:
-            break
-    else:
-        raise GraphError("internal: infeasible dual constraint system")
-    low = min(dist)
-    values = {p: dist[idx[p]] - low for p in pts}
-    dual = tp.nu.integral(values) - tp.mu.integral(values)
-    return values, dual
+    m, n = len(flow), len(flow[0])
+    open_nodes = [k for k, d in enumerate(dist) if d is not None]
+    while open_nodes:
+        k = min(open_nodes, key=dist.__getitem__)
+        open_nodes.remove(k)
+        d = dist[k]
+        base = d + pot[k]
+        if k < m:
+            row = cost[k]
+            arcs = ((m + j, base + row[j] - pot[m + j]) for j in range(n))
+        else:
+            j = k - m
+            arcs = ((i, base - cost[i][j] - pot[i])
+                    for i in range(m) if flow[i][j] > 0)
+        for node, nd in arcs:
+            if nd < d:
+                raise GraphError("internal: negative reduced cost in "
+                                 "transport residual")
+            if dist[node] is None:
+                open_nodes.append(node)
+            elif nd >= dist[node]:
+                continue
+            dist[node] = nd
+
+
+def _zero_cost_path(cost, flow, pot, rem_s, rem_t):
+    """Breadth-first residual path of zero reduced cost from a source
+    with units left to a target with demand left, as (tail, head) arcs
+    from the target back to the source; empty when there is none."""
+    m, n = len(rem_s), len(rem_t)
+    prev = [None] * (m + n)
+    queue = [i for i in range(m) if rem_s[i] > 0]
+    seen = set(queue)
+    for k in queue:
+        if k < m:
+            row, base = cost[k], pot[k]
+            heads = [m + j for j in range(n) if row[j] + base == pot[m + j]]
+        else:
+            heads = [i for i in range(m) if flow[i][k - m] > 0]
+        for h in heads:
+            if h in seen:
+                continue
+            seen.add(h)
+            prev[h] = k
+            if h >= m and rem_t[h - m] > 0:
+                path = []
+                while prev[h] is not None:
+                    path.append((prev[h], h))
+                    h = prev[h]
+                    if len(path) > m + n:
+                        raise GraphError("internal: cyclic predecessor chain")
+                return path
+            queue.append(h)
+    return []
+
+
+def _dual_certificate(tp: TransportProblem, potentials):
+    """The flow's potentials as an integer potential on the support union.
+
+    Checks dual feasibility, v(t) - u(s) <= d(s, t) for every source s and
+    target t, and that a point which is both a source and a target gets
+    one value.  With the plan tight where it carries mass, every point's
+    value equals min over sources s of u(s) + d(s, p), a minimum of
+    1-Lipschitz functions, so the potential is 1-Lipschitz on the union.
+    """
+    m = len(tp.sources)
+    values: dict[int, int] = {}
+    for i, s in enumerate(tp.sources):
+        u = potentials[i]
+        for j, t in enumerate(tp.targets):
+            if potentials[m + j] - u > tp.cost[i][j]:
+                raise GraphError(
+                    f"internal: potential rises {potentials[m + j] - u} from "
+                    f"{s} to {t} at distance {tp.cost[i][j]}")
+        values[s] = u
+    for j, t in enumerate(tp.targets):
+        v = potentials[m + j]
+        if values.setdefault(t, v) != v:
+            raise GraphError(f"internal: potentials {values[t]} and {v} "
+                             f"disagree at {t}")
+    return {p: values[p] for p in tp.points}
+
+
+def _solve(g: Graph, cost, supply, demand):
+    """Flow and potentials of one transport problem, solved once per graph.
+
+    Rows and columns are sorted by an invariant (mass, then the multiset
+    of costs) and the whole reordered problem is the memo key, so a hit
+    is the same problem and its solution maps back through the ordering
+    exactly.  Ties keep the caller's order, which costs hits but never
+    correctness.  Returns the (source, target, units, mass) cells that
+    carry flow and the potentials, both in the caller's indexing.
+    """
+    m, n = len(supply), len(demand)
+    rows = sorted(range(m), key=lambda i: (supply[i], sorted(cost[i])))
+    cols = sorted(range(n), key=lambda j: (
+        demand[j], sorted(cost[i][j] for i in range(m))))
+    key = (tuple(supply[i] for i in rows), tuple(demand[j] for j in cols),
+           tuple(tuple(cost[i][j] for j in cols) for i in rows))
+    solved = g._transport.get(key)
+    if solved is None:
+        flow, pot = _min_cost_flow(key[2], key[0], key[1])
+        scale = sum(supply)  # the masses sum to 1
+        cells = tuple((a, b, f, Fraction(f, scale))
+                      for a, row in enumerate(flow)
+                      for b, f in enumerate(row) if f > 0)
+        solved = g._transport[key] = (cells, tuple(pot))
+    cells, cpot = solved
+    pot = [0] * (m + n)
+    for a, i in enumerate(rows):
+        pot[i] = cpot[a]
+    for b, j in enumerate(cols):
+        pot[m + j] = cpot[m + b]
+    return [(rows[a], cols[b], f, mass) for a, b, f, mass in cells], pot
 
 
 def wasserstein(tp: TransportProblem) -> WassersteinResult:
     """Exact transport distance with matching plan and dual certificate."""
-    denoms = [m.denominator for _, m in tp.mu.weights]
-    denoms += [m.denominator for _, m in tp.nu.weights]
-    scale = math.lcm(*denoms)
-    supply = [int(tp.mu.mass(s) * scale) for s in tp.sources]
-    demand = [int(tp.nu.mass(t) * scale) for t in tp.targets]
-    flow = _min_cost_flow(tp.cost, supply, demand)
+    mu, nu = tp.mu, tp.nu
+    scale = math.lcm(mu._den, nu._den)
+    up, down = scale // mu._den, scale // nu._den
+    supply = [mu._num[s] * up for s in tp.sources]
+    demand = [nu._num[t] * down for t in tp.targets]
+    cells, pot = _solve(tp.graph, tp.cost, supply, demand)
     total = 0
     triples = []
-    for i, s in enumerate(tp.sources):
-        for j, t in enumerate(tp.targets):
-            if flow[i][j] > 0:
-                total += flow[i][j] * tp.cost[i][j]
-                triples.append((s, t, Fraction(flow[i][j], scale)))
+    for i, j, f, mass in cells:
+        total += f * tp.cost[i][j]
+        triples.append((tp.sources[i], tp.targets[j], mass))
     distance = Fraction(total, scale)
     plan = TransportPlan(tuple(sorted(triples)), distance)
-    values, dual = _dual_certificate(tp, plan.flows)
-    gap = distance - dual
-    if gap != 0:
+    values = _dual_certificate(tp, pot)
+    dual = (sum(b * values[t] for t, b in zip(tp.targets, demand))
+            - sum(a * values[s] for s, a in zip(tp.sources, supply)))
+    if total != dual:
+        gap = Fraction(total - dual, scale)
         raise GraphError(f"internal: duality gap {gap} between plan and potential")
-    cert = LipschitzCertificate(values, dual, gap)
+    cert = LipschitzCertificate(values, distance, Fraction(0))
     return WassersteinResult(distance, plan, cert)
 
 
@@ -285,11 +369,15 @@ def validate_plan(tp: TransportProblem, plan: TransportPlan) -> Fraction:
     for s, t, mass in plan.flows:
         if mass <= 0:
             raise GraphError(f"plan carries nonpositive mass {mass} on {s}->{t}")
-        if s not in tp._dist or t not in tp._dist[s]:
-            raise GraphError(f"plan routes mass outside the support union: {s}->{t}")
+        try:
+            d = tp.distance(s, t)
+        except GraphError:
+            raise GraphError(
+                f"plan routes mass outside the support union: {s}->{t}"
+            ) from None
         out[s] = out.get(s, Fraction(0)) + mass
         into[t] = into.get(t, Fraction(0)) + mass
-        cost += mass * tp.distance(s, t)
+        cost += mass * d
     for s in tp.sources:
         if out.get(s, Fraction(0)) != tp.mu.mass(s):
             raise GraphError(f"row marginal at {s}: {out.get(s, 0)} != {tp.mu.mass(s)}")
@@ -306,9 +394,10 @@ def validate_plan(tp: TransportProblem, plan: TransportPlan) -> Fraction:
 def certificate_violations(g: Graph, values) -> list[str]:
     """Pairs of valued vertices whose difference exceeds graph distance."""
     keys = sorted(values)
+    table = support_distances(g, keys)
     problems = []
     for i, p in enumerate(keys):
-        dists = bfs_distances(g, p)
+        dists = table[p]
         for q in keys[i + 1:]:
             if q not in dists:
                 continue
@@ -325,10 +414,18 @@ def extend_certificate(g: Graph, cert: LipschitzCertificate,
     """Extend the potential to both two-balls by the minimal cone rule.
 
     f(p) = min over support s of f(s) + d(s, p).  The extension stays
-    1-Lipschitz and agrees with the certificate on its own support.
+    1-Lipschitz and agrees with the certificate on its own support.  The
+    support must lie in the closed neighborhoods of x and y, as an edge
+    certificate's does; then every point of either two-ball is within
+    distance 4 of every support point, so radius-4 cones are exact.
     """
+    near = {x, y, *g.neighbors(x), *g.neighbors(y)}
+    for s in cert.values:
+        if s not in near:
+            raise GraphError(f"certificate point {s} lies outside the "
+                             f"neighborhoods of {x} and {y}")
     domain = set(bfs_distances(g, x, radius=2)) | set(bfs_distances(g, y, radius=2))
-    cones = {s: bfs_distances(g, s) for s in cert.values}
+    cones = {s: bfs_distances(g, s, radius=4) for s in cert.values}
     out: dict[int, int] = {}
     for p in sorted(domain):
         best = None

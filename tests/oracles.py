@@ -2,6 +2,7 @@
 
 Nothing here shares code with the package: the transport oracle explores
 transportation-polytope extreme points by exhaustive cell saturation, the
+dual oracle solves the Lipschitz constraint system by Bellman-Ford, the
 spectral oracle minimizes the Rayleigh quotient by projected gradient
 descent from many random starts, and the reference Gamma2 kernels assemble
 and reduce the doubled Gamma2 form entry by entry in Fractions.
@@ -62,6 +63,34 @@ def oracle_wasserstein(cost, supply, demand) -> Fraction:
     raw = rec(tuple(int(x * scale) for x in supply),
               tuple(int(x * scale) for x in demand))
     return Fraction(raw) / scale
+
+
+def bellman_ford_potential(points, distance, flows) -> dict:
+    """Normal-form optimal potential for a plan, by Bellman-Ford.
+
+    Arcs q -> p of weight d(q, p) enforce the Lipschitz bound both ways
+    and arcs t -> s of weight -d(s, t) per used route force the bound
+    tight along the plan, so the solutions are the optimal potentials.
+    Shortest paths from a root joined to every point at cost 0 give the
+    greatest one that is at most 0; it is returned shifted to least
+    value 0.
+    """
+    pts = sorted(points)
+    arcs = [(q, p, distance(q, p)) for q in pts for p in pts if p != q]
+    arcs += [(t, s, -distance(s, t)) for s, t, _ in flows if s != t]
+    dist = dict.fromkeys(pts, 0)
+    for _ in range(len(pts) + 1):
+        changed = False
+        for a, b, w in arcs:
+            if dist[a] + w < dist[b]:
+                dist[b] = dist[a] + w
+                changed = True
+        if not changed:
+            break
+    else:
+        raise ValueError("dual constraint system has a negative cycle")
+    low = min(dist.values())
+    return {p: d - low for p, d in dist.items()}
 
 
 def rayleigh_minimum(matrix: np.ndarray, restarts: int = 100,

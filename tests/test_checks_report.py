@@ -141,7 +141,7 @@ class TestFractions:
 def build_report(*specs, tolerance=1e-9, inject=None):
     rep = CurvatureReport(tolerance=tolerance)
     for spec in specs:
-        facts = gather_facts(build_item(spec), tolerance, inject_fault=inject)
+        facts = gather_facts(build_item(spec), inject_fault=inject)
         rep.add_facts(facts, run_checks(facts, tolerance))
     return rep
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphcurvature import ollivier
+from graphcurvature.corpus import parse_graph_spec
 from graphcurvature.families import (
     biplane_incidence,
     complete_bipartite,
@@ -39,7 +41,7 @@ from graphcurvature.ollivier import (
     wasserstein,
 )
 
-from oracles import oracle_wasserstein
+from oracles import bellman_ford_potential, oracle_wasserstein
 
 
 def point_mass(v):
@@ -115,6 +117,55 @@ class TestWasserstein:
         # the dual value really is the integral difference
         diff = tp.nu.integral(cert.values) - tp.mu.integral(cert.values)
         assert diff == cert.dual_value
+
+
+class TestCorpusCertificates:
+    def test_every_safe_corpus_edge_is_certified(self, corpus_items):
+        # the certificate is the solver's own output, so every plan and
+        # potential is checked here against independent references
+        edges = 0
+        for item in corpus_items.values():
+            g = item.graph
+            for x, y in g.edges:
+                if not g.transport_neighborhood_complete(x, y):
+                    continue
+                tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+                res = wasserstein(tp)
+                cert = res.certificate
+                assert validate_plan(tp, res.plan) == res.distance
+                assert cert.gap == 0
+                assert certificate_violations(g, cert.values) == []
+                assert cert.values == bellman_ford_potential(
+                    tp.points, tp.distance, res.plan.flows)
+                edges += 1
+        assert edges == 5859
+
+
+class TestSolveMemo:
+    def test_edge_order_does_not_change_results(self):
+        spec = "zigzag:hypercube:6,cycle:6"
+        forward, backward = parse_graph_spec(spec), parse_graph_spec(spec)
+        first = {e: kappa_detail(forward, *e) for e in forward.edges}
+        second = {e: kappa_detail(backward, *e)
+                  for e in reversed(backward.edges)}
+        for e, res in first.items():
+            assert res.plan == second[e].plan
+            assert res.certificate == second[e].certificate
+
+    def test_symmetric_graph_solves_once(self, monkeypatch):
+        calls = []
+        solve = ollivier._min_cost_flow
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(ollivier, "_min_cost_flow", counted)
+        g = hypercube(6)
+        assert len(g.edges) == 192
+        for x, y in g.edges:
+            assert kappa_detail(g, x, y).kappa == Fraction(1, 6)
+        assert len(calls) == 1
 
 
 class TestPlanValidation:
@@ -352,7 +403,36 @@ def connected_graph_and_edge(draw):
     return g, e
 
 
+@st.composite
+def connected_graph_and_measures(draw):
+    g, _ = draw(connected_graph_and_edge())
+    n = len(g.vertices)
+
+    def measure(size):
+        verts = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                              max_size=min(size, n), unique=True))
+        raw = draw(st.lists(st.integers(1, 4), min_size=len(verts),
+                            max_size=len(verts)))
+        return Measure.from_dict(
+            {v: Fraction(w, sum(raw)) for v, w in zip(verts, raw)})
+
+    mu = measure(6)
+    # the exhaustive oracle blows up beyond about 20 plan cells
+    return g, mu, measure(min(6, 20 // len(mu.weights)))
+
+
 class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graph_and_measures())
+    def test_random_measures_match_oracle(self, case):
+        g, mu, nu = case
+        tp = TransportProblem(g, mu, nu)
+        res = wasserstein(tp)
+        supply = [mu.mass(s) for s in tp.sources]
+        demand = [nu.mass(t) for t in tp.targets]
+        assert res.distance == oracle_wasserstein(tp.cost, supply, demand)
+        assert certificate_violations(g, res.certificate.values) == []
+
     @settings(max_examples=40, deadline=None)
     @given(connected_graph_and_edge())
     def test_kappa_detail_invariants(self, case):

@@ -1,10 +1,12 @@
 """Curvature fact gathering and theorem cross-checks.
 
 gather_facts sweeps a corpus graph: spectral curvature and class at every
-vertex whose two-ball is complete, exact edge curvature wherever the
-transport neighborhood is complete.  run_checks then replays every
-applicable classification, linkage, decomposition, duality and diameter
-statement against those facts and reports violations.
+non-isolated vertex whose two-ball is complete, exact edge curvature
+wherever the transport neighborhood is complete.  The vertex facts depend
+on the two-ball alone, so one sweep computes them once per distinct
+two-ball (renumbered by position) and shares them.  run_checks then
+replays every applicable classification, linkage, decomposition, duality
+and diameter statement against those facts and reports violations.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .corpus import CorpusItem
 from .graphs import (
     Graph,
     GraphError,
+    LocalBall,
     contains_k23,
     contains_k3,
     diameter,
@@ -84,6 +87,55 @@ class GraphFacts:
     deep_edges: tuple[tuple[int, int], ...]
 
 
+def _vertex_values(g: Graph, x: int, ball: LocalBall, k3: bool) -> tuple:
+    """rho, class, N, non-link counts in sphere1 order, minimum linkage and
+    the flat and negative test-vector values at a complete, non-isolated x."""
+    form = gamma2_form(ball)
+    rho = cd_curvature(ball, form).rho
+    verdict = classify_vertex(g, x)
+    profile = verdict.profile
+    if profile is None and not k3:
+        # class is inapplicable but linkage facts remain meaningful
+        profile = link_profile(ball)
+    min_linkage = None
+    counts = None
+    flat_val = None
+    neg_val = None
+    if profile is not None:
+        counts = tuple(profile.nonlink_counts[y] for y in ball.sphere1)
+        if profile.linkage:
+            min_linkage = min(profile.linkage.values())
+        cls = verdict.structure_class
+        if cls is StructureClass.ONE_UNLINKED:
+            vec = flat_test_vector(ball, profile)
+            if vec is not None:
+                flat_val = form.value(vec)
+        elif cls is StructureClass.MULTI_UNLINKED:
+            vec = negative_test_vector(ball, profile)
+            if vec is not None:
+                neg_val = form.value(vec)
+    return (rho, verdict.structure_class, verdict.N, counts, min_linkage,
+            flat_val, neg_val)
+
+
+def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
+    """The two-ball at ball.base with its vertices renumbered by position.
+
+    base becomes 0, sphere1 1..d and sphere2 the positions after that, each
+    sphere in its sorted order, so every ordering the kernels use survives
+    the renumbering.  The sphere1 rows name every sphere2 neighbor, so they
+    fix the sphere2 rows too; the degrees delimit the flattened rows.  The
+    effective degree leads the key because classify_vertex reads it from
+    the whole graph, not from the ball.
+    """
+    pos = {ball.base: 0}
+    for v in ball.sphere1 + ball.sphere2:
+        pos[v] = len(pos)
+    rows = [ball.adj[v] for v in ball.sphere1]
+    return (effective_degree(g, ball.base), len(rows),
+            *map(len, rows), *(pos[w] for row in rows for w in row))
+
+
 def gather_facts(item: CorpusItem,
                  inject_fault: str | None = None) -> GraphFacts:
     """Sweep one corpus graph.  inject_fault ∈ {None, "kappa", "rho"}
@@ -92,40 +144,24 @@ def gather_facts(item: CorpusItem,
     g = item.graph
     k3 = contains_k3(g)
     vfacts = []
+    # vertices whose renumbered two-balls agree share every vertex fact
+    memo: dict[tuple[int, ...], tuple] = {}
     for x in g.vertices:
-        if not g.two_ball_complete(x):
+        if not g.two_ball_complete(x) or g.degree(x) == 0:
             vfacts.append(VertexFact(x, g.label(x), g.degree(x), False,
                                      None, None, None, None, None, None, None))
             continue
         ball = extract_ball(g, x)
-        form = gamma2_form(ball)
-        rho = cd_curvature(ball, form).rho
-        verdict = classify_vertex(g, x)
-        profile = verdict.profile
-        if profile is None and not k3:
-            # class is inapplicable but linkage facts remain meaningful
-            profile = link_profile(ball)
-        min_linkage = None
-        counts = None
-        flat_val = None
-        neg_val = None
-        if profile is not None:
-            counts = dict(profile.nonlink_counts)
-            if profile.linkage:
-                min_linkage = min(profile.linkage.values())
-            cls = verdict.structure_class
-            if cls is StructureClass.ONE_UNLINKED:
-                vec = flat_test_vector(ball, profile)
-                if vec is not None:
-                    flat_val = form.value(vec)
-            elif cls is StructureClass.MULTI_UNLINKED:
-                vec = negative_test_vector(ball, profile)
-                if vec is not None:
-                    neg_val = form.value(vec)
+        key = _ball_key(g, ball)
+        known = memo.get(key)
+        if known is None:
+            known = memo[key] = _vertex_values(g, x, ball, k3)
+        rho, cls, n, counts, min_linkage, flat_val, neg_val = known
+        if counts is not None:
+            counts = dict(zip(ball.sphere1, counts))
         vfacts.append(VertexFact(
-            x, g.label(x), g.degree(x), True, rho,
-            verdict.structure_class, verdict.N, counts, min_linkage,
-            flat_val, neg_val,
+            x, g.label(x), g.degree(x), True, rho, cls, n, counts,
+            min_linkage, flat_val, neg_val,
         ))
     efacts = []
     for x, y in g.edges:
@@ -240,6 +276,8 @@ def check_cd_vs_ollivier(facts: GraphFacts, tolerance: float) -> CheckResult:
     kmap = _kappa_map(facts)
     problems = []
     for vf in facts.vertices:
+        if not vf.safe:
+            continue
         kappas = {y: kmap[(vf.vertex, y)]
                   for y in facts.graph.neighbors(vf.vertex)}
         ok, viol = cd_ollivier_consistency(vf.rho, kappas, tolerance)
@@ -448,20 +486,20 @@ def check_diameter_bounds(facts: GraphFacts, tolerance: float) -> CheckResult:
                        f"minimum edge curvature {kstar} <= 0; bound vacuous")
     g = facts.graph
     dia = diameter(g)
-    problems = []
+    # positive curvature on every edge does not make a graph connected
     if dia is None:
-        problems.append(f"{facts.key}: disconnected despite positive curvature")
-    else:
-        if dia * kstar > 1:
-            problems.append(f"{facts.key}: diameter {dia} > 1/kappa* = {1 / kstar}")
-        if facts.regular is not None and dia > 2 * facts.regular:
-            problems.append(f"{facts.key}: diameter {dia} > 2d = {2 * facts.regular}")
-        dmax = max(g.degree(v) for v in g.vertices)
-        # the irregular bound is vacuous at max degree 1 (a single edge)
-        if dmax >= 2 and dia > 2 * dmax * dmax - 2 * dmax:
-            problems.append(
-                f"{facts.key}: diameter {dia} > 2d^2-2d = {2 * dmax * dmax - 2 * dmax}"
-            )
+        return _result("diameter-bounds", False, [], "graph is disconnected")
+    problems = []
+    if dia * kstar > 1:
+        problems.append(f"{facts.key}: diameter {dia} > 1/kappa* = {1 / kstar}")
+    if facts.regular is not None and dia > 2 * facts.regular:
+        problems.append(f"{facts.key}: diameter {dia} > 2d = {2 * facts.regular}")
+    dmax = max(g.degree(v) for v in g.vertices)
+    # the irregular bound is vacuous at max degree 1 (a single edge)
+    if dmax >= 2 and dia > 2 * dmax * dmax - 2 * dmax:
+        problems.append(
+            f"{facts.key}: diameter {dia} > 2d^2-2d = {2 * dmax * dmax - 2 * dmax}"
+        )
     return _result("diameter-bounds", True, problems)
 
 

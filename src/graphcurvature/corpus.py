@@ -115,6 +115,8 @@ class CorpusItem:
 
 
 def _default_probes(g: Graph):
+    if not g.vertices:
+        return (), ()
     if g.truncation is not None:
         v0 = g.truncation.center
     else:

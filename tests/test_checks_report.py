@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from graphcurvature import checks
+from graphcurvature.bakry_emery import gamma2_form
 from graphcurvature.checks import (
     ALL_CHECKS,
     checks_passed,
@@ -12,7 +14,7 @@ from graphcurvature.checks import (
 )
 from graphcurvature.corpus import CorpusItem, build_item
 from graphcurvature.families import complete_graph
-from graphcurvature.graphs import GraphError
+from graphcurvature.graphs import Graph, GraphError
 from graphcurvature.report import (
     CurvatureReport,
     format_fraction,
@@ -23,6 +25,8 @@ from graphcurvature.report import (
     to_json,
     to_table,
 )
+
+from oracles import vertex_facts_one_by_one
 
 CHECK_NAMES = [
     "cd-class",
@@ -106,6 +110,78 @@ class TestCheckBattery:
         res = by_name(run_checks(facts))
         assert res["diameter-bounds"].applicable
         assert res["diameter-bounds"].passed
+
+    def test_diameter_check_sits_out_on_disconnected_graphs(self):
+        # two disjoint edges: kappa = 1 everywhere, yet no finite diameter
+        g = Graph(range(4), [(0, 1), (2, 3)])
+        facts = gather_facts(CorpusItem("two-edges", g, (0,), ((0, 1),)))
+        res = by_name(run_checks(facts))
+        assert checks_passed(res.values())
+        assert not res["diameter-bounds"].applicable
+        assert res["diameter-bounds"].details == ("graph is disconnected",)
+
+    def test_isolated_vertices_are_skipped(self):
+        g = Graph(range(3), [(0, 1)])
+        facts = gather_facts(CorpusItem("edge+point", g, (0,), ((0, 1),)))
+        isolated = facts.vertices[2]
+        assert not isolated.safe and isolated.rho is None
+        assert [vf.safe for vf in facts.vertices] == [True, True, False]
+        assert checks_passed(run_checks(facts))
+
+    def test_edgeless_graph_is_regular_yet_passes(self):
+        # degree 0 everywhere makes the graph 0-regular, so the
+        # curvature comparison applies and must skip every vertex
+        facts = gather_facts(build_item("path:1"))
+        assert facts.regular == 0
+        res = by_name(run_checks(facts))
+        assert res["cd-vs-ollivier"].applicable
+        assert checks_passed(res.values())
+
+
+class TestVertexMemo:
+    def test_matches_vertex_by_vertex_sweep(self, corpus_items, corpus_facts):
+        for key, item in corpus_items.items():
+            expect = vertex_facts_one_by_one(item.graph)
+            got = corpus_facts[key].vertices
+            assert got == expect, key
+            # same neighbor order in every non-link count dict
+            assert [list(vf.nonlink_counts or ()) for vf in got] == \
+                   [list(vf.nonlink_counts or ()) for vf in expect], key
+
+    def test_nonlink_counts_never_shared(self):
+        facts = gather_facts(build_item("hypercube:4"))
+        counts = [vf.nonlink_counts for vf in facts.vertices]
+        assert len({id(c) for c in counts}) == len(counts)
+        counts[0].clear()
+        assert counts[1]
+
+    def test_one_form_per_distinct_two_ball(self, monkeypatch):
+        calls = []
+
+        def counting(ball):
+            calls.append(ball.base)
+            return gamma2_form(ball)
+
+        monkeypatch.setattr(checks, "gamma2_form", counting)
+        facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
+        assert len(facts.vertices) == 384
+        assert len(calls) == 24
+
+    def test_second_sphere_is_part_of_the_key(self):
+        # 0 and 10 both have two degree-3 neighbors with the base first in
+        # their rows; the neighbors of 0 share their other two neighbors,
+        # those of 10 do not, which links them at 0 but not at 10
+        g = Graph(
+            [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 15, 16],
+            [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+             (10, 11), (10, 12), (11, 13), (11, 14), (12, 15), (12, 16)],
+        )
+        facts = gather_facts(CorpusItem("two-shapes", g, (), ()))
+        assert facts.vertices == vertex_facts_one_by_one(g)
+        at = {vf.vertex: vf for vf in facts.vertices}
+        assert at[0].nonlink_counts == {1: 0, 2: 0}
+        assert at[10].nonlink_counts == {11: 1, 12: 1}
+        assert at[0].rho != at[10].rho
 
 
 class TestFaultInjection:

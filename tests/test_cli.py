@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphcurvature.cli import main
 from graphcurvature.graphs import load_graph
@@ -149,6 +150,44 @@ class TestVerifyCommand:
             capsys, "verify", *self.SMALL, "--format", "csv", "--jobs", "3")
         assert code1 == code2 == 0
         assert out1 == out2  # csv carries no timing, so byte-identical
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": [0, 1, 2], "edges": [[0, 1]]},
+        {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [2, 3]]},
+        {"vertices": [], "edges": []},
+    ], ids=["isolated-vertex", "two-edges", "empty"])
+    def test_degenerate_graphs_pass(self, capsys, tmp_path, doc):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(doc))
+        for argv in (["verify", f"file:{p}"],
+                     ["curvature", f"file:{p}", "--all"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+
+    def test_edgeless_generated_graph_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "gen:path:1")
+        assert code == 0
+        assert "(skipped)" in out
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                           st.integers(0, max(n - 1, 0))),
+                 max_size=12),
+    )))
+    def test_small_graphs_never_fail(self, capsys, tmp_path, case):
+        # isolated vertices and disconnected graphs included
+        n, pairs = case
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+        p = tmp_path / "fuzz.json"
+        p.write_text(json.dumps({"vertices": list(range(n)),
+                                 "edges": [list(e) for e in edges]}))
+        for argv in (["verify", f"file:{p}", "--format", "csv"],
+                     ["curvature", f"file:{p}", "--all", "--format", "csv"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), (argv, edges)
 
     def test_json_differs_only_in_timing(self, capsys):
         _, out1, _ = run_cli(

@@ -10,86 +10,29 @@ predicts the sign of both, and the checks module verifies all of the
 classification and bound statements over generated graph corpora.
 """
 
-from .graphs import (
-    Graph,
-    GraphError,
-    LocalBall,
-    Truncation,
-    bfs_distances,
-    contains_k23,
-    contains_k3,
-    diameter,
-    effective_degree,
-    extract_ball,
-    is_regular,
-    load_graph,
-    save_graph,
-)
-from .bakry_emery import (
-    CdResult,
-    QuadraticForm,
-    cd_curvature,
-    eliminate_second_neighbors,
-    gamma_form,
-    gamma2_form,
-    satisfies_cd,
-)
+from .graphs import Graph, GraphError, diameter, extract_ball, is_regular
+from .bakry_emery import cd_curvature
 from .ollivier import (
-    KappaResult,
-    LipschitzCertificate,
-    Measure,
-    TransportPlan,
     TransportProblem,
-    WassersteinResult,
     certificate_violations,
-    extend_certificate,
     kappa_detail,
     kappa_lower_witness,
-    kappa_safe,
     kappa_upper_witness,
     lazy_measure,
     ollivier_kappa,
     validate_plan,
-    wasserstein,
 )
-from .classify import (
-    ClassVerdict,
-    LinkProfile,
-    StructureClass,
-    bipartite_decomposition,
-    cd_ollivier_consistency,
-    classify_vertex,
-    interchange_class,
-    link_profile,
-)
-from .corpus import (
-    CorpusItem,
-    build_item,
-    default_corpus,
-    default_corpus_specs,
-    parse_graph_spec,
-)
-from .checks import gather_facts, run_checks
+from .classify import classify_vertex
+from .corpus import parse_graph_spec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "GraphError", "LocalBall", "Truncation",
-    "bfs_distances", "contains_k23", "contains_k3", "diameter",
-    "effective_degree", "extract_ball", "is_regular", "load_graph",
-    "save_graph",
-    "CdResult", "QuadraticForm", "cd_curvature",
-    "eliminate_second_neighbors", "gamma_form", "gamma2_form",
-    "satisfies_cd",
-    "KappaResult", "LipschitzCertificate", "Measure", "TransportPlan",
-    "TransportProblem", "WassersteinResult", "certificate_violations",
-    "extend_certificate", "kappa_detail", "kappa_lower_witness",
-    "kappa_safe", "kappa_upper_witness", "lazy_measure", "ollivier_kappa",
-    "validate_plan", "wasserstein",
-    "ClassVerdict", "LinkProfile", "StructureClass",
-    "bipartite_decomposition", "cd_ollivier_consistency", "classify_vertex",
-    "interchange_class", "link_profile",
-    "CorpusItem", "build_item", "default_corpus", "default_corpus_specs",
+    "Graph", "GraphError", "diameter", "extract_ball", "is_regular",
+    "cd_curvature",
+    "TransportProblem", "certificate_violations", "kappa_detail",
+    "kappa_lower_witness", "kappa_upper_witness", "lazy_measure",
+    "ollivier_kappa", "validate_plan",
+    "classify_vertex",
     "parse_graph_spec",
-    "gather_facts", "run_checks",
 ]

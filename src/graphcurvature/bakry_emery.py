@@ -23,6 +23,10 @@ import numpy as np
 
 from .graphs import GraphError, LocalBall
 
+# rho comes out of a float eigensolve, so the class statements (rho = 2,
+# rho = 0, rho <= -2/(d-1)) compare it with this fixed slack
+RHO_TOLERANCE = 1e-9
+
 
 class QuadraticForm:
     """Symmetric form matrix / scale, indexed by an ordered vertex list.
@@ -220,8 +224,3 @@ def cd_curvature(ball: LocalBall, form: QuadraticForm | None = None) -> CdResult
         nbrs = ball.adj[u]
         minimizer[u] = 2.0 * sum(minimizer[v] for v in nbrs) / len(nbrs)
     return CdResult(ball.base, rho, minimizer, "eigensolve")
-
-
-def satisfies_cd(ball: LocalBall, rho: float, tolerance: float = 1e-9) -> bool:
-    """Whether the base satisfies the CD(rho, infinity) inequality."""
-    return cd_curvature(ball).rho >= rho - tolerance

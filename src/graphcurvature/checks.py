@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bakry_emery import cd_curvature, gamma2_form
+from .bakry_emery import RHO_TOLERANCE, cd_curvature, gamma2_form
 from .classify import (
     StructureClass,
     bipartite_decomposition,
@@ -83,7 +83,6 @@ class GraphFacts:
     truncated: bool
     vertices: tuple[VertexFact, ...]
     edges: tuple[EdgeFact, ...]
-    deep_vertices: tuple[int, ...]
     deep_edges: tuple[tuple[int, int], ...]
 
 
@@ -136,11 +135,8 @@ def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
             *map(len, rows), *(pos[w] for row in rows for w in row))
 
 
-def gather_facts(item: CorpusItem,
-                 inject_fault: str | None = None) -> GraphFacts:
-    """Sweep one corpus graph.  inject_fault ∈ {None, "kappa", "rho"}
-    perturbs the first gathered value; only the harness's own failure
-    path uses it."""
+def gather_facts(item: CorpusItem) -> GraphFacts:
+    """Sweep one corpus graph."""
     g = item.graph
     k3 = contains_k3(g)
     vfacts = []
@@ -169,26 +165,10 @@ def gather_facts(item: CorpusItem,
             efacts.append(EdgeFact(x, y, True, ollivier_kappa(g, x, y)))
         else:
             efacts.append(EdgeFact(x, y, False, None))
-    if inject_fault == "kappa":
-        for i, ef in enumerate(efacts):
-            if ef.kappa is not None:
-                efacts[i] = EdgeFact(ef.x, ef.y, True, ef.kappa + Fraction(1, 7))
-                break
-    elif inject_fault == "rho":
-        for i, vf in enumerate(vfacts):
-            if vf.rho is not None:
-                vfacts[i] = VertexFact(vf.vertex, vf.label, vf.degree, True,
-                                       vf.rho + 0.25, vf.structure_class,
-                                       vf.N, vf.nonlink_counts, vf.min_linkage,
-                                       vf.flat_vector_value,
-                                       vf.negative_vector_value)
-                break
-    elif inject_fault is not None:
-        raise GraphError(f"unknown fault kind {inject_fault!r}")
     return GraphFacts(
         item.key, g, is_regular(g), not k3, not contains_k23(g),
         g.truncation is not None, tuple(vfacts), tuple(efacts),
-        item.deep_vertices, item.deep_edges,
+        item.deep_edges,
     )
 
 
@@ -216,8 +196,9 @@ def _kappa_map(facts: GraphFacts) -> dict[tuple[int, int], Fraction]:
     return out
 
 
-def check_cd_class(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_cd_class(facts: GraphFacts) -> CheckResult:
     """Class verdict versus the spectral curvature value."""
+    tol = RHO_TOLERANCE
     problems = []
     seen = False
     for vf in facts.vertices:
@@ -226,13 +207,13 @@ def check_cd_class(facts: GraphFacts, tolerance: float) -> CheckResult:
             continue
         seen = True
         tag = f"{facts.key} vertex {vf.label}"
-        if cls is StructureClass.FULLY_LINKED and abs(vf.rho - 2) > tolerance:
+        if cls is StructureClass.FULLY_LINKED and abs(vf.rho - 2) > tol:
             problems.append(f"{tag}: fully linked but rho = {vf.rho!r}")
-        elif cls is StructureClass.ONE_UNLINKED and abs(vf.rho) > tolerance:
+        elif cls is StructureClass.ONE_UNLINKED and abs(vf.rho) > tol:
             problems.append(f"{tag}: one unlinked but rho = {vf.rho!r}")
         elif cls is StructureClass.MULTI_UNLINKED:
             bound = -2 / (vf.degree - 1)
-            if vf.rho >= -tolerance or vf.rho > bound + tolerance:
+            if vf.rho >= -tol or vf.rho > bound + tol:
                 problems.append(
                     f"{tag}: multi unlinked but rho = {vf.rho!r} "
                     f"(needs < 0 and <= {bound})"
@@ -240,7 +221,7 @@ def check_cd_class(facts: GraphFacts, tolerance: float) -> CheckResult:
     return _result("cd-class", seen, problems, "no classified vertices")
 
 
-def check_ollivier_class(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_ollivier_class(facts: GraphFacts) -> CheckResult:
     """Per-neighbor edge curvature signs forced by the non-link counts."""
     kmap = _kappa_map(facts)
     problems = []
@@ -266,7 +247,7 @@ def check_ollivier_class(facts: GraphFacts, tolerance: float) -> CheckResult:
     return _result("ollivier-class", seen, problems, "no classified edges")
 
 
-def check_cd_vs_ollivier(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_cd_vs_ollivier(facts: GraphFacts) -> CheckResult:
     """Sign relations between the two curvatures at each vertex."""
     applicable = (facts.regular is not None and facts.triangle_free
                   and facts.biclique_free and not facts.truncated)
@@ -275,41 +256,46 @@ def check_cd_vs_ollivier(facts: GraphFacts, tolerance: float) -> CheckResult:
                        "needs a regular graph free of triangles and 2x3 bicliques")
     kmap = _kappa_map(facts)
     problems = []
+    seen = False
     for vf in facts.vertices:
         if not vf.safe:
             continue
+        seen = True
         kappas = {y: kmap[(vf.vertex, y)]
                   for y in facts.graph.neighbors(vf.vertex)}
-        ok, viol = cd_ollivier_consistency(vf.rho, kappas, tolerance)
+        ok, viol = cd_ollivier_consistency(vf.rho, kappas)
         if not ok:
             problems.extend(f"{facts.key} vertex {vf.label}: {v}" for v in viol)
-    return _result("cd-vs-ollivier", True, problems)
+    return _result("cd-vs-ollivier", seen, problems, "no safe vertices")
 
 
-def check_linkage_positive_cd(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_linkage_positive_cd(facts: GraphFacts) -> CheckResult:
     """Triangle-free ceiling rho <= 2, attained at locally regular
     vertices when every neighbor pair carries linkage weight >= 1/2."""
     if not facts.triangle_free:
         return _result("linkage-positive-cd", False, [], "graph has triangles")
+    tol = RHO_TOLERANCE
     problems = []
+    seen = False
     for vf in facts.vertices:
         if not vf.safe:
             continue
+        seen = True
         tag = f"{facts.key} vertex {vf.label}"
-        if vf.rho > 2 + tolerance:
+        if vf.rho > 2 + tol:
             problems.append(f"{tag}: triangle-free but rho = {vf.rho!r} > 2")
         # the linkage equality needs the degree shared with all neighbors
         if effective_degree(facts.graph, vf.vertex) is None:
             continue
         heavy = vf.min_linkage is None or vf.min_linkage >= Fraction(1, 2)
-        if heavy and abs(vf.rho - 2) > tolerance:
+        if heavy and abs(vf.rho - 2) > tol:
             problems.append(
                 f"{tag}: every pair linkage >= 1/2 but rho = {vf.rho!r} != 2"
             )
-    return _result("linkage-positive-cd", True, problems)
+    return _result("linkage-positive-cd", seen, problems, "no safe vertices")
 
 
-def check_bipartite_transport(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_bipartite_transport(facts: GraphFacts) -> CheckResult:
     """Where the equal-part biclique decomposition exists, kappa = 1/d."""
     if not facts.triangle_free:
         return _result("bipartite-transport", False, [], "graph has triangles")
@@ -333,7 +319,7 @@ def check_bipartite_transport(facts: GraphFacts, tolerance: float) -> CheckResul
                    "no edge admits the decomposition")
 
 
-def check_transport_upper_bound(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_transport_upper_bound(facts: GraphFacts) -> CheckResult:
     """Triangle-free graphs never exceed kappa = 1/degree on an edge."""
     if not facts.triangle_free:
         return _result("transport-upper-bound", False, [], "graph has triangles")
@@ -353,7 +339,7 @@ def check_transport_upper_bound(facts: GraphFacts, tolerance: float) -> CheckRes
     return _result("transport-upper-bound", seen, problems, "no safe edges")
 
 
-def check_test_vectors(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_test_vectors(facts: GraphFacts) -> CheckResult:
     """Exact evaluations of the two class-certifying vectors."""
     problems = []
     seen = False
@@ -377,7 +363,7 @@ def check_test_vectors(facts: GraphFacts, tolerance: float) -> CheckResult:
                    "no flat or negative class vertices")
 
 
-def check_witness_bounds(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_witness_bounds(facts: GraphFacts) -> CheckResult:
     """Constructed plans and potentials must bracket the exact kappa."""
     g = facts.graph
     kmap = _kappa_map(facts)
@@ -419,7 +405,7 @@ def check_witness_bounds(facts: GraphFacts, tolerance: float) -> CheckResult:
                    "no witness applies on probe edges")
 
 
-def check_duality(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_duality(facts: GraphFacts) -> CheckResult:
     """Plan cost and potential value must meet exactly on probe edges."""
     g = facts.graph
     problems = []
@@ -454,7 +440,7 @@ def check_duality(facts: GraphFacts, tolerance: float) -> CheckResult:
     return _result("duality", seen, problems, "no transport-safe probe edges")
 
 
-def check_quantization(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_quantization(facts: GraphFacts) -> CheckResult:
     """kappa times twice the degree lcm is an integer on every edge."""
     g = facts.graph
     problems = []
@@ -472,7 +458,7 @@ def check_quantization(facts: GraphFacts, tolerance: float) -> CheckResult:
     return _result("quantization", seen, problems, "no safe edges")
 
 
-def check_diameter_bounds(facts: GraphFacts, tolerance: float) -> CheckResult:
+def check_diameter_bounds(facts: GraphFacts) -> CheckResult:
     """Positive curvature everywhere caps the diameter."""
     if facts.truncated:
         return _result("diameter-bounds", False, [],
@@ -518,8 +504,8 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(facts: GraphFacts, tolerance: float = 1e-9) -> list[CheckResult]:
-    return [chk(facts, tolerance) for chk in ALL_CHECKS]
+def run_checks(facts: GraphFacts) -> list[CheckResult]:
+    return [chk(facts) for chk in ALL_CHECKS]
 
 
 def checks_passed(results) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .bakry_emery import second_neighbor_minimizer
+from .bakry_emery import RHO_TOLERANCE, second_neighbor_minimizer
 from .graphs import (
     Graph,
     GraphError,
@@ -68,9 +68,6 @@ class LinkProfile:
     linkage: dict[tuple[int, int], Fraction]
     nonlink_counts: dict[int, int]
     N: int
-
-    def is_linked(self, u: int, v: int) -> bool:
-        return bool(self.links[_pair(u, v)])
 
     def linking_vertices(self, u: int, v: int) -> tuple[int, ...]:
         return self.links[_pair(u, v)]
@@ -153,7 +150,7 @@ def classify_vertex(g: Graph, x: int) -> ClassVerdict:
     )
 
 
-def cd_ollivier_consistency(rho: float, kappas, tolerance: float = 1e-9):
+def cd_ollivier_consistency(rho: float, kappas):
     """Directional sign relations between the two curvatures at a vertex.
 
     kappas maps each probed neighbor to its exact edge curvature.  Only
@@ -163,20 +160,21 @@ def cd_ollivier_consistency(rho: float, kappas, tolerance: float = 1e-9):
 
     Returns (ok, list of violation strings).
     """
+    tol = RHO_TOLERANCE
     problems = []
     items = sorted(kappas.items())
-    if rho > tolerance:
+    if rho > tol:
         for y, k in items:
             if k <= 0:
                 problems.append(f"cd {rho:.6g} > 0 but kappa(.,{y}) = {k} <= 0")
-    if rho >= -tolerance:
+    if rho >= -tol:
         for y, k in items:
             if k < 0:
                 problems.append(f"cd {rho:.6g} >= 0 but kappa(.,{y}) = {k} < 0")
-    if rho < -tolerance and items:
+    if rho < -tol and items:
         if min(k for _, k in items) > 0:
             problems.append(f"cd {rho:.6g} < 0 but every probed kappa is positive")
-    if any(k < 0 for _, k in items) and rho >= -tolerance:
+    if any(k < 0 for _, k in items) and rho >= -tol:
         problems.append(f"some kappa < 0 but cd {rho:.6g} >= 0")
     return (not problems, problems)
 

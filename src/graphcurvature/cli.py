@@ -18,8 +18,8 @@ from .bakry_emery import cd_curvature
 from .checks import gather_facts, run_checks
 from .classify import classify_vertex
 from .corpus import (
-    CorpusItem,
     build_item,
+    canonical_key,
     default_corpus_specs,
     expand_spec,
     parse_graph_spec,
@@ -42,11 +42,6 @@ from .report import (
     to_json,
     to_table,
 )
-
-
-def _canonical_key(spec: str) -> str:
-    spec = spec.strip()
-    return spec[4:] if spec.startswith("gen:") else spec
 
 
 def _split_edge_arg(text: str) -> tuple[str, str]:
@@ -90,19 +85,14 @@ def _render_report(report: CurvatureReport, fmt: str) -> str:
 
 
 def cmd_curvature(ns) -> int:
-    spec = ns.source
-    g = parse_graph_spec(spec)
-    key = _canonical_key(spec)
-    report = CurvatureReport(tolerance=ns.tolerance)
+    key = canonical_key(ns.source)
+    report = CurvatureReport()
     t0 = time.perf_counter()
     if ns.all:
-        try:
-            item = build_item(spec)
-        except GraphError:
-            item = CorpusItem(key, g, (), ())
-        facts = gather_facts(item)
-        report.add_facts(facts, run_checks(facts, ns.tolerance))
+        facts = gather_facts(build_item(ns.source))
+        report.add_facts(facts, run_checks(facts))
     elif ns.vertex is not None:
+        g = parse_graph_spec(ns.source)
         x = g.resolve_vertex(ns.vertex)
         if not g.two_ball_complete(x):
             raise GraphError(
@@ -116,6 +106,7 @@ def cmd_curvature(ns) -> int:
             verdict.N,
         ))
     else:
+        g = parse_graph_spec(ns.source)
         a, b = _split_edge_arg(ns.edge)
         x = g.resolve_vertex(a)
         y = g.resolve_vertex(b)
@@ -139,13 +130,12 @@ def _safe_filename(key: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", key)
 
 
-def _verify_one(args) -> tuple[str, CurvatureReport, bool, float]:
-    spec, tolerance, inject = args
+def _verify_one(spec: str) -> tuple[str, CurvatureReport, bool, float]:
     t0 = time.perf_counter()
     item = build_item(spec)
-    facts = gather_facts(item, inject_fault=inject)
-    results = run_checks(facts, tolerance)
-    fragment = CurvatureReport(tolerance=tolerance)
+    facts = gather_facts(item)
+    results = run_checks(facts)
+    fragment = CurvatureReport()
     fragment.add_facts(facts, results)
     ok = all(r.passed for r in results)
     if not ok and _artifact_dir():
@@ -164,30 +154,27 @@ def _verify_one(args) -> tuple[str, CurvatureReport, bool, float]:
                 fh, indent=2, sort_keys=True,
             )
             fh.write("\n")
-    return spec, fragment, ok, time.perf_counter() - t0
+    return item.key, fragment, ok, time.perf_counter() - t0
 
 
 def cmd_verify(ns) -> int:
     specs: list[str] = []
     for s in (ns.specs or default_corpus_specs()):
         specs.extend(expand_spec(s))
-    # the fault, when requested, lands in the first corpus item
-    args = [(spec, ns.tolerance, ns.inject_fault if i == 0 else None)
-            for i, spec in enumerate(specs)]
     if ns.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            outcomes = list(pool.map(_verify_one, args))
+            outcomes = list(pool.map(_verify_one, specs))
     else:
-        outcomes = [_verify_one(a) for a in args]
-    report = CurvatureReport(tolerance=ns.tolerance)
+        outcomes = [_verify_one(spec) for spec in specs]
+    report = CurvatureReport()
     all_ok = True
-    for spec, fragment, ok, elapsed in outcomes:
+    for key, fragment, ok, elapsed in outcomes:
         report.vertices.extend(fragment.vertices)
         report.edges.extend(fragment.edges)
         report.checks.extend(fragment.checks)
-        report.timing[_canonical_key(spec)] = round(elapsed, 6)
+        report.timing[key] = round(elapsed, 6)
         all_ok = all_ok and ok
     _emit(_render_report(report, ns.format), ns.out)
     failed = [c for c in report.checks if c.applicable and not c.passed]
@@ -228,7 +215,7 @@ def cmd_diameter_bound(ns) -> int:
     ok = all(holds for _, _, holds in bounds)
     if ns.format == "json":
         doc = {
-            "graph": _canonical_key(ns.source),
+            "graph": canonical_key(ns.source),
             "diameter": dia,
             "kappa_star": format_fraction(kstar),
             "kappa_star_decimal": f"{float(kstar):.15g}",
@@ -240,7 +227,7 @@ def cmd_diameter_bound(ns) -> int:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         lines = [
-            f"graph: {_canonical_key(ns.source)}",
+            f"graph: {canonical_key(ns.source)}",
             f"diameter: {dia}",
             f"kappa*: {format_fraction(kstar)} = {float(kstar):.15g}",
         ]
@@ -274,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, fmts=("table", "csv", "json")):
         sp.add_argument("--format", choices=fmts, default=fmts[0])
         sp.add_argument("--out", metavar="PATH", default=None)
-        sp.add_argument("--tolerance", type=float, default=1e-9,
-                        help="eigensolve acceptance tolerance (default 1e-9)")
 
     pc = sub.add_parser("curvature", help="curvature of a graph, vertex, or edge")
     pc.add_argument("source", help="generator spec (gen:name:params) or file:PATH")
@@ -294,9 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="generator specs with optional a..b ranges "
                          "(default: the built-in corpus)")
     pv.add_argument("--jobs", type=int, default=1)
-    pv.add_argument("--inject-fault", choices=("kappa", "rho"), default=None,
-                    help="perturb one gathered value to exercise the "
-                         "failure path")
     common(pv)
     pv.set_defaults(func=cmd_verify)
 

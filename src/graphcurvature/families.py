@@ -397,26 +397,3 @@ def zigzag(g1: Graph, g2: Graph) -> Graph:
     if deg != big_d * big_d:
         raise GraphError(f"zigzag output degree {deg}, expected {big_d * big_d}")
     return out
-
-
-# -- named registry --------------------------------------------------------
-
-
-def named_graph(name: str) -> Graph:
-    """Small registry for graphs addressed by plain name, e.g. "petersen".
-
-    Parameterized entries use a colon, e.g. "star:5".
-    """
-    head, _, arg = name.partition(":")
-    head = head.strip().lower()
-    if head == "petersen":
-        return petersen()
-    if head == "dodecahedron":
-        return dodecahedron()
-    if head == "biplane":
-        return biplane_incidence()
-    if head == "star":
-        if not arg:
-            raise GraphError('star needs a leaf count, e.g. "star:5"')
-        return star(int(arg))
-    raise GraphError(f"unknown named graph {name!r}")

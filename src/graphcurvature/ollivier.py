@@ -468,13 +468,6 @@ def ollivier_kappa(g: Graph, x: int, y: int) -> Fraction:
     return kappa_detail(g, x, y).kappa
 
 
-def kappa_safe(g: Graph, x: int, y: int) -> Fraction | None:
-    """Edge curvature, or None when a truncation boundary could bias it."""
-    if not g.transport_neighborhood_complete(x, y):
-        return None
-    return ollivier_kappa(g, x, y)
-
-
 # -- structure-driven witnesses --------------------------------------------
 
 

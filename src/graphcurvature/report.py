@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bakry_emery import RHO_TOLERANCE
 from .checks import CheckResult, GraphFacts
 from .graphs import GraphError
 
@@ -71,7 +72,6 @@ class CheckRow:
 
 @dataclass
 class CurvatureReport:
-    tolerance: float
     vertices: list[VertexRow] = field(default_factory=list)
     edges: list[EdgeRow] = field(default_factory=list)
     checks: list[CheckRow] = field(default_factory=list)
@@ -101,7 +101,7 @@ class CurvatureReport:
 
 def to_json(report: CurvatureReport) -> str:
     doc = {
-        "tolerance": report.tolerance,
+        "tolerance": RHO_TOLERANCE,
         "vertices": [
             {"graph": r.graph, "vertex": r.vertex, "safe": r.safe,
              "rho": _dec(r.rho) if r.rho is not None else None,
@@ -129,7 +129,7 @@ def from_json(text: str) -> CurvatureReport:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphError(f"malformed report JSON: {e}") from None
-    rep = CurvatureReport(tolerance=float(doc.get("tolerance", 1e-9)))
+    rep = CurvatureReport()
     for r in doc.get("vertices", []):
         rep.vertices.append(VertexRow(
             r["graph"], r["vertex"], bool(r["safe"]),
@@ -176,7 +176,7 @@ def from_csv(text: str) -> CurvatureReport:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != _CSV_HEADER:
         raise GraphError("malformed report CSV: unexpected header")
-    rep = CurvatureReport(tolerance=float("nan"))
+    rep = CurvatureReport()
     for row in rows[1:]:
         kind = row[0]
         if kind == "vertex":

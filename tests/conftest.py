@@ -6,10 +6,30 @@ once per session and every test module reads from the same cache.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
-from graphcurvature.checks import gather_facts, run_checks
+from graphcurvature.checks import GraphFacts, gather_facts, run_checks
 from graphcurvature.corpus import default_corpus
+
+
+def _bump_first(rows, field, delta):
+    rows = list(rows)
+    i = next(i for i, r in enumerate(rows) if getattr(r, field) is not None)
+    rows[i] = replace(rows[i], **{field: getattr(rows[i], field) + delta})
+    return tuple(rows)
+
+
+def perturbed(facts: GraphFacts, kind: str) -> GraphFacts:
+    """facts with the first gathered kappa raised by 1/7 (kind "kappa") or
+    the first rho by 0.25 (kind "rho"): a failing report for the checks,
+    the renderers and the command line failure path to handle."""
+    if kind == "kappa":
+        return replace(facts, edges=_bump_first(facts.edges, "kappa",
+                                                Fraction(1, 7)))
+    return replace(facts, vertices=_bump_first(facts.vertices, "rho", 0.25))
 
 
 @pytest.fixture(scope="session")

@@ -252,7 +252,7 @@ def test_criterion_09_sign_consistency(corpus_facts):
         for vf in facts.vertices:
             kappas = {y: kmap[(vf.vertex, y)]
                       for y in facts.graph.neighbors(vf.vertex)}
-            ok, viol = cd_ollivier_consistency(vf.rho, kappas, TOL)
+            ok, viol = cd_ollivier_consistency(vf.rho, kappas)
             if not ok:
                 problems.append(f"{key} vertex {vf.label}: {viol[0]}")
     for expect in ("hypercube:4", "petersen", "zigzag:hypercube:6,cycle:6",

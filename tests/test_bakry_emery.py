@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from graphcurvature.bakry_emery import (
+    RHO_TOLERANCE,
     cd_curvature,
     eliminate_second_neighbors,
     gamma2_form,
     gamma_form,
-    satisfies_cd,
     second_neighbor_minimizer,
 )
 from graphcurvature.classify import link_profile
@@ -200,10 +200,10 @@ class TestCurvatureValues:
             assert res.rho == pytest.approx(2 - d, abs=1e-9)
 
     def test_threshold_behavior(self):
-        ball = extract_ball(hypercube(3), 0)
-        assert satisfies_cd(ball, 2.0)
-        assert not satisfies_cd(ball, 2.1)
-        assert satisfies_cd(ball, -5.0)
+        rho = cd_curvature(extract_ball(hypercube(3), 0)).rho
+        assert rho >= 2.0 - RHO_TOLERANCE
+        assert not rho >= 2.1 - RHO_TOLERANCE
+        assert rho >= -5.0 - RHO_TOLERANCE
 
     def test_isolated_vertex_rejected(self):
         from graphcurvature.graphs import Graph

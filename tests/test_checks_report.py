@@ -26,6 +26,7 @@ from graphcurvature.report import (
     to_table,
 )
 
+from conftest import perturbed
 from oracles import vertex_facts_one_by_one
 
 CHECK_NAMES = [
@@ -82,7 +83,7 @@ class TestCheckBattery:
 
     def test_triangle_graph_sidelines_triangle_free_checks(self):
         g = complete_graph(4)
-        item = CorpusItem("complete:4", g, (0,), ((0, 1),))
+        item = CorpusItem("complete:4", g, ((0, 1),))
         facts = gather_facts(item)
         res = by_name(run_checks(facts))
         assert checks_passed(res.values())
@@ -114,7 +115,7 @@ class TestCheckBattery:
     def test_diameter_check_sits_out_on_disconnected_graphs(self):
         # two disjoint edges: kappa = 1 everywhere, yet no finite diameter
         g = Graph(range(4), [(0, 1), (2, 3)])
-        facts = gather_facts(CorpusItem("two-edges", g, (0,), ((0, 1),)))
+        facts = gather_facts(CorpusItem("two-edges", g, ((0, 1),)))
         res = by_name(run_checks(facts))
         assert checks_passed(res.values())
         assert not res["diameter-bounds"].applicable
@@ -122,19 +123,20 @@ class TestCheckBattery:
 
     def test_isolated_vertices_are_skipped(self):
         g = Graph(range(3), [(0, 1)])
-        facts = gather_facts(CorpusItem("edge+point", g, (0,), ((0, 1),)))
+        facts = gather_facts(CorpusItem("edge+point", g, ((0, 1),)))
         isolated = facts.vertices[2]
         assert not isolated.safe and isolated.rho is None
         assert [vf.safe for vf in facts.vertices] == [True, True, False]
         assert checks_passed(run_checks(facts))
 
     def test_edgeless_graph_is_regular_yet_passes(self):
-        # degree 0 everywhere makes the graph 0-regular, so the
-        # curvature comparison applies and must skip every vertex
+        # degree 0 everywhere makes the graph 0-regular, so the curvature
+        # comparison's hypotheses hold, but it has no vertex to examine
         facts = gather_facts(build_item("path:1"))
         assert facts.regular == 0
         res = by_name(run_checks(facts))
-        assert res["cd-vs-ollivier"].applicable
+        assert not res["cd-vs-ollivier"].applicable
+        assert res["cd-vs-ollivier"].details == ("no safe vertices",)
         assert checks_passed(res.values())
 
 
@@ -176,7 +178,7 @@ class TestVertexMemo:
             [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
              (10, 11), (10, 12), (11, 13), (11, 14), (12, 15), (12, 16)],
         )
-        facts = gather_facts(CorpusItem("two-shapes", g, (), ()))
+        facts = gather_facts(CorpusItem("two-shapes", g, ()))
         assert facts.vertices == vertex_facts_one_by_one(g)
         at = {vf.vertex: vf for vf in facts.vertices}
         assert at[0].nonlink_counts == {1: 0, 2: 0}
@@ -186,21 +188,17 @@ class TestVertexMemo:
 
 class TestFaultInjection:
     def test_kappa_fault_caught(self):
-        facts = gather_facts(build_item("hypercube:3"), inject_fault="kappa")
+        facts = perturbed(gather_facts(build_item("hypercube:3")), "kappa")
         res = by_name(run_checks(facts))
         failing = {n for n, r in res.items() if not r.passed}
         assert failing == {"ollivier-class", "bipartite-transport",
                           "transport-upper-bound", "quantization"}
 
     def test_rho_fault_caught(self):
-        facts = gather_facts(build_item("hypercube:3"), inject_fault="rho")
+        facts = perturbed(gather_facts(build_item("hypercube:3")), "rho")
         res = by_name(run_checks(facts))
         failing = {n for n, r in res.items() if not r.passed}
         assert failing == {"cd-class", "linkage-positive-cd"}
-
-    def test_unknown_fault_rejected(self):
-        with pytest.raises(GraphError, match="unknown fault"):
-            gather_facts(build_item("hypercube:2"), inject_fault="typo")
 
 
 class TestFractions:
@@ -214,11 +212,13 @@ class TestFractions:
             parse_fraction("one half")
 
 
-def build_report(*specs, tolerance=1e-9, inject=None):
-    rep = CurvatureReport(tolerance=tolerance)
+def build_report(*specs, perturb=None):
+    rep = CurvatureReport()
     for spec in specs:
-        facts = gather_facts(build_item(spec), inject_fault=inject)
-        rep.add_facts(facts, run_checks(facts, tolerance))
+        facts = gather_facts(build_item(spec))
+        if perturb is not None:
+            facts = perturbed(facts, perturb)
+        rep.add_facts(facts, run_checks(facts))
     return rep
 
 
@@ -255,7 +255,7 @@ class TestReportSerialization:
         good = to_table(build_report("hypercube:2"))
         assert "[ok  ]" in good
         assert "[FAIL]" not in good
-        bad = to_table(build_report("hypercube:3", inject="kappa"))
+        bad = to_table(build_report("hypercube:3", perturb="kappa"))
         assert "[FAIL]" in bad
 
     def test_exact_fractions_survive(self):
@@ -273,4 +273,4 @@ class TestReportSerialization:
 
     def test_all_passed_flag(self):
         assert build_report("hypercube:2").all_passed()
-        assert not build_report("hypercube:3", inject="rho").all_passed()
+        assert not build_report("hypercube:3", perturb="rho").all_passed()

@@ -7,15 +7,25 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from graphcurvature import cli
 from graphcurvature.cli import main
 from graphcurvature.graphs import load_graph
 from graphcurvature.report import from_csv, from_json
+
+from conftest import perturbed
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def perturb_gathered(monkeypatch, kind):
+    """Make every `verify` run perturb its gathered facts."""
+    gather = cli.gather_facts
+    monkeypatch.setattr(cli, "gather_facts",
+                        lambda item: perturbed(gather(item), kind))
 
 
 class TestCurvatureCommand:
@@ -118,8 +128,8 @@ class TestVerifyCommand:
     def test_fault_injection_fails_and_writes_artifacts(
             self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVATURE_CORPUS_DIR", str(tmp_path))
-        code, out, err = run_cli(
-            capsys, "verify", "hypercube:3", "--inject-fault", "kappa")
+        perturb_gathered(monkeypatch, "kappa")
+        code, out, err = run_cli(capsys, "verify", "hypercube:3")
         assert code == 1
         assert "[FAIL]" in out
         assert "check(s) failed" in err
@@ -138,10 +148,18 @@ class TestVerifyCommand:
     def test_no_artifacts_without_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("CURVATURE_CORPUS_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
-        code, *_ = run_cli(
-            capsys, "verify", "hypercube:2", "--inject-fault", "rho")
+        perturb_gathered(monkeypatch, "rho")
+        code, *_ = run_cli(capsys, "verify", "hypercube:2")
         assert code == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_padded_spec_keys_rows_and_timing_alike(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", " gen:hypercube:2 ", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        graphs = {r["graph"] for r in doc["vertices"] + doc["checks"]}
+        assert graphs == set(doc["timing"]) == {"hypercube:2"}
 
     def test_parallel_matches_sequential(self, capsys):
         code1, out1, _ = run_cli(
@@ -163,11 +181,25 @@ class TestVerifyCommand:
                      ["curvature", f"file:{p}", "--all"]):
             code, _, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), argv
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            checks = json.loads(out)["checks"]
+            if not doc["vertices"]:
+                # nothing to examine, so no check applies
+                assert not any(c["applicable"] for c in checks), argv
 
-    def test_edgeless_generated_graph_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "gen:path:1")
-        assert code == 0
-        assert "(skipped)" in out
+    @pytest.mark.parametrize("spec", ["path:1", "lattice:2:1", "tree:3:1"])
+    def test_graphs_without_safe_vertices_pass(self, capsys, spec):
+        # an isolated vertex, or truncated balls too shallow to probe
+        # anywhere: every row is skipped and no check applies
+        for argv in (["verify", spec], ["curvature", f"gen:{spec}", "--all"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert "(skipped)" in out
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            doc = json.loads(out)
+            assert all(r["rho"] is None for r in doc["vertices"]), argv
+            assert all(r["kappa"] is None for r in doc["edges"]), argv
+            assert not any(c["applicable"] for c in doc["checks"]), argv
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from graphcurvature.corpus import parse_graph_spec
 from graphcurvature.families import (
     adjacent_transposition_cayley,
     biplane_incidence,
@@ -17,7 +18,6 @@ from graphcurvature.families import (
     interchange_graph,
     lattice_ball,
     matching_graph,
-    named_graph,
     path_graph,
     path_union,
     petersen,
@@ -158,10 +158,10 @@ class TestNamedGraphs:
                 assert len(common) == 2
 
     def test_registry(self):
-        assert named_graph("petersen").name == "petersen"
-        assert len(named_graph("star:5").vertices) == 6
-        with pytest.raises(GraphError, match="unknown named graph"):
-            named_graph("nonsense")
+        assert parse_graph_spec("petersen").name == "petersen"
+        assert len(parse_graph_spec("star:5").vertices) == 6
+        with pytest.raises(GraphError, match="unknown generator"):
+            parse_graph_spec("nonsense")
 
 
 class TestPermutationFamilies:

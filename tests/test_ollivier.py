@@ -33,7 +33,6 @@ from graphcurvature.ollivier import (
     extend_certificate,
     kappa_detail,
     kappa_lower_witness,
-    kappa_safe,
     kappa_upper_witness,
     lazy_measure,
     ollivier_kappa,
@@ -276,8 +275,9 @@ class TestKappaValues:
         g = lattice_ball(2, 4)
         inner = g.resolve_vertex("(0,0)"), g.resolve_vertex("(1,0)")
         outer = g.resolve_vertex("(2,0)"), g.resolve_vertex("(3,0)")
-        assert kappa_safe(g, *inner) == 0
-        assert kappa_safe(g, *outer) is None
+        assert g.transport_neighborhood_complete(*inner)
+        assert ollivier_kappa(g, *inner) == 0
+        assert not g.transport_neighborhood_complete(*outer)
 
     def test_non_edge_rejected(self):
         g = cycle(5)

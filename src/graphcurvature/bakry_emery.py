@@ -1,13 +1,13 @@
 """Curvature-dimension (CD) curvature at a vertex.
 
-The pipeline is exact until the last step: the Gamma and doubled Gamma2
-forms are assembled over the punctured two-ball as integer matrices with
-a common integer scale (the only fractions in them are halves), second
-neighbor variables are eliminated by a Schur complement that stays in
-integers, and only the final smallest-eigenvalue extraction (`eigh`) is
-floating point.
+The pipeline is exact until the last step: the doubled Gamma2 form is
+assembled over the punctured two-ball as an integer matrix with an
+integer scale (the only fractions in it are halves), second neighbor
+variables are eliminated by a Schur complement that stays in integers,
+and only the final smallest-eigenvalue extraction (`eigh`) is floating
+point.
 
-All forms fix f(base) = 0; the operators are translation invariant, so
+The form fixes f(base) = 0; the operators are translation invariant, so
 nothing is lost, and the Gamma form becomes half the identity on the
 first sphere, which turns the generalized eigenproblem into a plain
 symmetric one.
@@ -46,7 +46,6 @@ class QuadraticForm:
         if scale <= 0:
             raise GraphError(f"quadratic form scale {scale} is not positive")
         self.scale = scale
-        self._pos = {v: i for i, v in enumerate(self.index)}
 
     def value(self, values) -> Fraction:
         """Evaluate f^T M f; vertices absent from `values` count as zero.
@@ -69,28 +68,11 @@ class QuadraticForm:
         s = self.scale
         return np.array([[x / s for x in row] for row in self.matrix])
 
-    def entry(self, u: int, v: int) -> Fraction:
-        return Fraction(self.matrix[self._pos[u]][self._pos[v]], self.scale)
-
 
 @dataclass(frozen=True)
 class CdResult:
     vertex: int
     rho: float
-    minimizer: dict[int, float]
-    method: str  # "eigensolve" or "exact-special-case"
-
-
-def gamma_form(ball: LocalBall) -> QuadraticForm:
-    """Gamma f at the base as a form over {base} + sphere1."""
-    index = (ball.base,) + ball.sphere1
-    n = len(index)
-    m = [[0] * n for _ in range(n)]
-    m[0][0] = n - 1
-    for i in range(1, n):
-        m[i][i] = 1
-        m[0][i] = m[i][0] = -1
-    return QuadraticForm(index, m, 2)
 
 
 def gamma2_form(ball: LocalBall) -> QuadraticForm:
@@ -190,7 +172,7 @@ def eliminate_second_neighbors(g2: QuadraticForm, ball: LocalBall) -> QuadraticF
 
 
 def cd_curvature(ball: LocalBall, form: QuadraticForm | None = None) -> CdResult:
-    """Largest rho with Gamma2 f >= rho Gamma f at the base, plus minimizer.
+    """Largest rho with Gamma2 f >= rho Gamma f at the base; returns rho only.
 
     Equals the smallest eigenvalue of the reduced doubled-Gamma2 matrix,
     because the companion Gamma form is half the identity on sphere1 and
@@ -202,25 +184,9 @@ def cd_curvature(ball: LocalBall, form: QuadraticForm | None = None) -> CdResult
             f"two-ball at {ball.base} is cut by a truncation boundary; "
             "curvature would be unreliable"
         )
-    d = len(ball.sphere1)
-    if d == 0:
+    if not ball.sphere1:
         raise GraphError(f"vertex {ball.base} is isolated; curvature undefined")
     if form is None:
         form = gamma2_form(ball)
     red = eliminate_second_neighbors(form, ball)
-    if d == 1:
-        v = ball.sphere1[0]
-        rho_exact = red.entry(v, v)
-        ext = second_neighbor_minimizer(ball, {v: Fraction(1)})
-        minimizer = {ball.base: 0.0, v: 1.0}
-        minimizer.update({u: float(x) for u, x in ext.items()})
-        return CdResult(ball.base, float(rho_exact), minimizer, "exact-special-case")
-    eigvals, eigvecs = np.linalg.eigh(red.as_array())
-    rho = float(eigvals[0])
-    vec = eigvecs[:, 0]
-    minimizer = {ball.base: 0.0}
-    minimizer.update({v: float(vec[i]) for i, v in enumerate(ball.sphere1)})
-    for u in ball.sphere2:
-        nbrs = ball.adj[u]
-        minimizer[u] = 2.0 * sum(minimizer[v] for v in nbrs) / len(nbrs)
-    return CdResult(ball.base, rho, minimizer, "eigensolve")
+    return CdResult(ball.base, float(np.linalg.eigh(red.as_array())[0][0]))

@@ -506,7 +506,3 @@ ALL_CHECKS = (
 
 def run_checks(facts: GraphFacts) -> list[CheckResult]:
     return [chk(facts) for chk in ALL_CHECKS]
-
-
-def checks_passed(results) -> bool:
-    return all(r.passed for r in results)

@@ -36,16 +36,11 @@ class StructureClass(Enum):
         return self.value
 
 
-# sign predictions per class: CD curvature, then edge curvatures
+# sign prediction of the CD curvature per class
 CD_PREDICTION = {
     StructureClass.FULLY_LINKED: "positive",
     StructureClass.ONE_UNLINKED: "flat",
     StructureClass.MULTI_UNLINKED: "negative",
-}
-OLLIVIER_PREDICTION = {
-    StructureClass.FULLY_LINKED: "strictly-positive",
-    StructureClass.ONE_UNLINKED: "nonnegative",
-    StructureClass.MULTI_UNLINKED: "nonpositive",
 }
 
 
@@ -114,7 +109,6 @@ class ClassVerdict:
     degree: int | None
     N: int | None
     cd_prediction: str | None
-    ollivier_prediction: str | None
     reason: str
     profile: LinkProfile | None
 
@@ -124,7 +118,7 @@ def classify_vertex(g: Graph, x: int) -> ClassVerdict:
 
     def inapplicable(reason: str) -> ClassVerdict:
         return ClassVerdict(x, StructureClass.INAPPLICABLE, None, None,
-                            None, None, reason, None)
+                            None, reason, None)
 
     if contains_k3(g):
         return inapplicable("graph contains a triangle")
@@ -144,7 +138,7 @@ def classify_vertex(g: Graph, x: int) -> ClassVerdict:
         cls = StructureClass.MULTI_UNLINKED
     return ClassVerdict(
         x, cls, d, profile.N,
-        CD_PREDICTION[cls], OLLIVIER_PREDICTION[cls],
+        CD_PREDICTION[cls],
         f"max non-link count {profile.N} at degree {d}",
         profile,
     )

@@ -118,11 +118,12 @@ class CorpusItem:
 
 
 def _default_probe_edges(g: Graph) -> tuple[tuple[int, int], ...]:
-    """The first transport-safe edge at the truncation center, else at the
-    first vertex; none when no edge there is safe."""
-    if not g.vertices:
-        return ()
-    v0 = g.truncation.center if g.truncation is not None else g.vertices[0]
+    """The first edge of an untruncated graph (every edge is transport-safe
+    there), else the first transport-safe edge at the truncation center;
+    none when there is no such edge."""
+    if g.truncation is None:
+        return g.edges[:1]
+    v0 = g.truncation.center
     for y in g.neighbors(v0):
         if g.transport_neighborhood_complete(v0, y):
             return ((v0, y),)
@@ -174,7 +175,3 @@ def default_corpus_specs() -> list[str]:
     for spec in DEFAULT_SPECS:
         out.extend(expand_spec(spec))
     return out
-
-
-def default_corpus() -> list[CorpusItem]:
-    return [build_item(s) for s in default_corpus_specs()]

@@ -148,13 +148,6 @@ class Graph:
     def label(self, v: int) -> str:
         return self.labels.get(v, str(v))
 
-    def edge_label(self, u: int, v: int) -> int:
-        pair = _normalize_edge(u, v)
-        try:
-            return self.edge_labels[pair]
-        except KeyError:
-            raise GraphError(f"edge {pair} carries no label") from None
-
     def resolve_vertex(self, token: str) -> int:
         """Map a user-supplied token to a vertex id, labels before raw ids."""
         if token in self._label_to_vertex:

@@ -57,10 +57,6 @@ class Measure:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_num", num)
 
-    @classmethod
-    def from_dict(cls, masses) -> "Measure":
-        return cls(tuple(sorted((v, Fraction(m)) for v, m in masses.items())))
-
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.weights)
 

@@ -1,9 +1,9 @@
 """Report rows and their table/CSV/JSON renderings.
 
 Edge curvatures are serialized as exact fraction strings "p/q" next to a
-15-significant-digit decimal, so sign decisions at zero survive the round
-trip.  Timing lives in its own field and never influences row content;
-re-running an identical corpus reproduces every non-timing byte.
+15-significant-digit decimal, so a reader of the output can decide signs
+at zero exactly.  Timing lives in its own field and never influences row
+content; re-running an identical corpus reproduces every non-timing byte.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .bakry_emery import RHO_TOLERANCE
 from .checks import CheckResult, GraphFacts
-from .graphs import GraphError
 
 
 def _dec(value: float) -> str:
@@ -25,13 +24,6 @@ def _dec(value: float) -> str:
 
 def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise GraphError(f"malformed fraction {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -77,11 +69,7 @@ class CurvatureReport:
     checks: list[CheckRow] = field(default_factory=list)
     timing: dict[str, float] = field(default_factory=dict)
 
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add_facts(self, facts: GraphFacts,
-                  results: list[CheckResult] | None = None) -> None:
+    def add_facts(self, facts: GraphFacts, results: list[CheckResult]) -> None:
         g = facts.graph
         for vf in facts.vertices:
             self.vertices.append(VertexRow(
@@ -93,7 +81,7 @@ class CurvatureReport:
             self.edges.append(EdgeRow(
                 facts.key, g.label(ef.x), g.label(ef.y), ef.safe, ef.kappa,
             ))
-        for r in results or []:
+        for r in results:
             self.checks.append(CheckRow(
                 facts.key, r.name, r.applicable, r.passed, r.details,
             ))
@@ -124,32 +112,6 @@ def to_json(report: CurvatureReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def from_json(text: str) -> CurvatureReport:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GraphError(f"malformed report JSON: {e}") from None
-    rep = CurvatureReport()
-    for r in doc.get("vertices", []):
-        rep.vertices.append(VertexRow(
-            r["graph"], r["vertex"], bool(r["safe"]),
-            float(r["rho"]) if r.get("rho") is not None else None,
-            r.get("class"), r.get("N"),
-        ))
-    for r in doc.get("edges", []):
-        rep.edges.append(EdgeRow(
-            r["graph"], r["x"], r["y"], bool(r["safe"]),
-            parse_fraction(r["kappa"]) if r.get("kappa") else None,
-        ))
-    for r in doc.get("checks", []):
-        rep.checks.append(CheckRow(
-            r["graph"], r["check"], bool(r["applicable"]), bool(r["passed"]),
-            tuple(r.get("details", ())),
-        ))
-    rep.timing = dict(doc.get("timing", {}))
-    return rep
-
-
 _CSV_HEADER = ["kind", "graph", "a", "b", "safe", "rho", "class", "N",
                "kappa", "kappa_decimal", "applicable", "passed", "details"]
 
@@ -170,34 +132,6 @@ def to_csv(report: CurvatureReport) -> str:
         w.writerow(["check", r.graph, r.name, "", "", "", "", "", "", "",
                     int(r.applicable), int(r.passed), "; ".join(r.details)])
     return buf.getvalue()
-
-
-def from_csv(text: str) -> CurvatureReport:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != _CSV_HEADER:
-        raise GraphError("malformed report CSV: unexpected header")
-    rep = CurvatureReport()
-    for row in rows[1:]:
-        kind = row[0]
-        if kind == "vertex":
-            rep.vertices.append(VertexRow(
-                row[1], row[2], bool(int(row[4])),
-                float(row[5]) if row[5] else None,
-                row[6] or None, int(row[7]) if row[7] else None,
-            ))
-        elif kind == "edge":
-            rep.edges.append(EdgeRow(
-                row[1], row[2], row[3], bool(int(row[4])),
-                parse_fraction(row[8]) if row[8] else None,
-            ))
-        elif kind == "check":
-            rep.checks.append(CheckRow(
-                row[1], row[2], bool(int(row[10])), bool(int(row[11])),
-                (row[12],) if row[12] else (),
-            ))
-        else:
-            raise GraphError(f"malformed report CSV: unknown kind {kind!r}")
-    return rep
 
 
 def to_table(report: CurvatureReport) -> str:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from graphcurvature.checks import GraphFacts, gather_facts, run_checks
-from graphcurvature.corpus import default_corpus
+from graphcurvature.corpus import build_item, default_corpus_specs
 
 
 def _bump_first(rows, field, delta):
@@ -34,7 +34,8 @@ def perturbed(facts: GraphFacts, kind: str) -> GraphFacts:
 
 @pytest.fixture(scope="session")
 def corpus_items():
-    return {item.key: item for item in default_corpus()}
+    items = (build_item(spec) for spec in default_corpus_specs())
+    return {item.key: item for item in items}
 
 
 @pytest.fixture(scope="session")

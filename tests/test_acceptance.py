@@ -318,8 +318,8 @@ def test_criterion_11_independent_oracles(corpus_facts):
             verts = rng.sample(range(n), size)
             cuts = sorted(rng.sample(range(1, 12), size - 1))
             parts = [b - a for a, b in zip([0] + cuts, cuts + [12])]
-            return Measure.from_dict(
-                {v: Fraction(p, 12) for v, p in zip(verts, parts)})
+            return Measure(tuple(sorted(
+                (v, Fraction(p, 12)) for v, p in zip(verts, parts))))
 
         tp = TransportProblem(g, measure(), measure())
         res = wasserstein(tp)

@@ -10,7 +10,6 @@ from graphcurvature.bakry_emery import (
     cd_curvature,
     eliminate_second_neighbors,
     gamma2_form,
-    gamma_form,
     second_neighbor_minimizer,
 )
 from graphcurvature.classify import link_profile
@@ -89,21 +88,6 @@ class TestFormAssembly:
             f[x] = Fraction(0)
             assert form.value(f) == slow_doubled_gamma2(g, f, x)
 
-    @pytest.mark.parametrize("name,g,x", OPERATOR_CASES, ids=[c[0] for c in OPERATOR_CASES])
-    def test_gamma_matches(self, name, g, x):
-        rng = random.Random(hash(name) & 0xFFF)
-        ball = extract_ball(g, x)
-        form = gamma_form(ball)
-        for _ in range(6):
-            f = random_function(rng, (x,) + ball.sphere1)
-            assert form.value(f) == slow_gamma(g, f, x)
-
-    def test_gamma_is_half_identity_when_base_pinned(self):
-        ball = extract_ball(petersen(), 0)
-        form = gamma_form(ball)
-        for v in ball.sphere1:
-            assert form.value({v: 1}) == Fraction(1, 2)
-
 
 class TestIntegerKernels:
     @pytest.mark.parametrize("spec", [
@@ -122,15 +106,17 @@ class TestIntegerKernels:
             form = gamma2_form(ball)
             index, ref = fraction_gamma2(ball)
             assert form.index == index
-            for i, v in enumerate(index):
-                for j, w in enumerate(index):
-                    assert form.entry(v, w) == ref[i][j]
+            for i, row in enumerate(ref):
+                for j, expect in enumerate(row):
+                    assert Fraction(form.matrix[i][j], form.scale) == expect
             red = eliminate_second_neighbors(form, ball)
             ref_red = fraction_schur(ball, ref)
             assert red.index == ball.sphere1
-            for i, v in enumerate(ball.sphere1):
-                for j, w in enumerate(ball.sphere1):
-                    assert red.entry(v, w) == ref_red[i][j] == red.entry(w, v)
+            n1, s = len(ball.sphere1), red.scale
+            for i in range(n1):
+                for j in range(n1):
+                    assert Fraction(red.matrix[i][j], s) == ref_red[i][j] \
+                        == Fraction(red.matrix[j][i], s)
 
 
 class TestElimination:
@@ -219,29 +205,10 @@ class TestCurvatureValues:
 
     def test_degree_one_special_case_is_exact(self):
         res = cd_curvature(extract_ball(star(6), 1))
-        assert res.method == "exact-special-case"
         assert res.rho == -0.5
 
 
 class TestMinimizerCertificate:
-    @pytest.mark.parametrize("g,x", [
-        (petersen(), 0),
-        (cycle(5), 0),
-        (hypercube(4), 0),
-        (flip_graph(6), 0),
-        (regular_tree(4, 4), 0),
-        (star(7), 0),
-    ])
-    def test_minimizer_achieves_rho(self, g, x):
-        ball = extract_ball(g, x)
-        res = cd_curvature(ball)
-        f = res.minimizer
-        g2 = gamma2_form(ball).value(f)
-        gm = gamma_form(ball).value(f)
-        assert gm > 0
-        # doubled form: 2*Gamma2 = rho * 2*Gamma at the minimizer
-        assert float(g2) == pytest.approx(res.rho * 2 * float(gm), abs=1e-8)
-
     @pytest.mark.parametrize("g,x", [
         (petersen(), 0),
         (hypercube(3), 0),
@@ -253,11 +220,10 @@ class TestMinimizerCertificate:
         ball = extract_ball(g, x)
         res = cd_curvature(ball)
         g2 = gamma2_form(ball)
-        gm = gamma_form(ball)
         for _ in range(25):
             f = random_function(rng, ball.sphere1 + ball.sphere2)
             val2 = float(g2.value(f))
-            valg = 2 * float(gm.value(f))
+            valg = 2 * float(slow_gamma(g, f, x))
             assert val2 >= (res.rho - 1e-9) * valg - 1e-9
 
 
@@ -281,7 +247,7 @@ class TestLinkageAssembly:
         red = eliminate_second_neighbors(gamma2_form(ball), ball)
         for i, v in enumerate(ball.sphere1):
             for j, w in enumerate(ball.sphere1):
-                got = red.entry(v, w)
+                got = Fraction(red.matrix[i][j], red.scale)
                 if i == j:
                     expect = Fraction(3 - d)
                     for u in ball.sphere1:

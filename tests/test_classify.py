@@ -87,19 +87,17 @@ class TestClassifyVertex:
         assert v.structure_class is StructureClass.FULLY_LINKED
         assert v.N == 0
         assert v.cd_prediction == "positive"
-        assert v.ollivier_prediction == "strictly-positive"
 
     def test_cycle_one_unlinked(self):
         v = classify_vertex(cycle(7), 0)
         assert v.structure_class is StructureClass.ONE_UNLINKED
         assert v.cd_prediction == "flat"
-        assert v.ollivier_prediction == "nonnegative"
 
     def test_tree_multi_unlinked(self):
         v = classify_vertex(regular_tree(4, 4), 0)
         assert v.structure_class is StructureClass.MULTI_UNLINKED
         assert v.N == 3
-        assert v.ollivier_prediction == "nonpositive"
+        assert v.cd_prediction == "negative"
 
     def test_triangle_inapplicable(self):
         v = classify_vertex(complete_graph(4), 0)

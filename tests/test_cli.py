@@ -1,5 +1,7 @@
 """Command line contract: outputs, exit codes, artifacts, determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from graphcurvature import cli
 from graphcurvature.cli import main
 from graphcurvature.graphs import load_graph
-from graphcurvature.report import from_csv, from_json
 
 from conftest import perturbed
 
@@ -65,9 +66,8 @@ class TestCurvatureCommand:
         code, out, _ = run_cli(
             capsys, "curvature", "gen:cycle:5", "--all", "--format", "csv")
         assert code == 0
-        rep = from_csv(out)
-        assert len(rep.vertices) == 5
-        assert len(rep.edges) == 5
+        kinds = [row[0] for row in csv.reader(io.StringIO(out))]
+        assert kinds.count("vertex") == kinds.count("edge") == 5
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -76,7 +76,8 @@ class TestCurvatureCommand:
             "--format", "json", "--out", str(target))
         assert code == 0
         assert out == ""
-        assert from_json(target.read_text()).all_passed()
+        checks = json.loads(target.read_text())["checks"]
+        assert checks and all(c["passed"] for c in checks)
 
     def test_file_source(self, capsys, tmp_path):
         p = tmp_path / "edge.json"
@@ -161,6 +162,17 @@ class TestVerifyCommand:
         graphs = {r["graph"] for r in doc["vertices"] + doc["checks"]}
         assert graphs == set(doc["timing"]) == {"hypercube:2"}
 
+    def test_specs_sharing_a_key_run_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "hypercube:2", "gen:hypercube:2",
+            "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["vertices"]) == 4 and len(doc["checks"]) == 11
+        assert set(doc["timing"]) == {"hypercube:2"}
+        _, out, _ = run_cli(capsys, "verify", "hypercube:2", "gen:hypercube:2")
+        assert out.count("== hypercube:2 ==") == 1
+
     def test_parallel_matches_sequential(self, capsys):
         code1, out1, _ = run_cli(
             capsys, "verify", *self.SMALL, "--format", "csv")
@@ -173,7 +185,10 @@ class TestVerifyCommand:
         {"vertices": [0, 1, 2], "edges": [[0, 1]]},
         {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [2, 3]]},
         {"vertices": [], "edges": []},
-    ], ids=["isolated-vertex", "two-edges", "empty"])
+        # a 4-cycle beside an isolated first vertex still has a probe edge
+        {"vertices": [0, 1, 2, 3, 4],
+         "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+    ], ids=["isolated-vertex", "two-edges", "empty", "isolated-first-vertex"])
     def test_degenerate_graphs_pass(self, capsys, tmp_path, doc):
         p = tmp_path / "g.json"
         p.write_text(json.dumps(doc))
@@ -186,6 +201,10 @@ class TestVerifyCommand:
             if not doc["vertices"]:
                 # nothing to examine, so no check applies
                 assert not any(c["applicable"] for c in checks), argv
+            if doc["edges"]:
+                # any edge is a probe edge for the deep transport checks
+                (duality,) = [c for c in checks if c["check"] == "duality"]
+                assert duality["applicable"] and duality["passed"], argv
 
     @pytest.mark.parametrize("spec", ["path:1", "lattice:2:1", "tree:3:1"])
     def test_graphs_without_safe_vertices_pass(self, capsys, spec):

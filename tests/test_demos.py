@@ -1,7 +1,10 @@
 """Every demo script and the README quickstart run against the source tree,
-and the top-level API they import from stays whole."""
+the top-level API they import from stays whole, and every public name of
+the package has a use outside the tests."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +48,41 @@ def test_public_names_resolve():
     # the benchmark calls these as graphcurvature.<name>
     assert {"parse_graph_spec", "cd_curvature", "extract_ball",
             "kappa_detail"} <= set(exported)
+
+
+# public names kept although only tests use them, with the reason
+TEST_ONLY_ALLOWED = {
+    # the interchange rule itself; acceptance criterion 8 checks it against
+    # the classification of every vertex of the interchange graphs
+    "interchange_class",
+}
+
+
+def public_definitions():
+    """(name, where) for every public top-level def or class of the package
+    and every public method of those classes."""
+    for path in sorted((ROOT / "src" / "graphcurvature").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            yield node.name, path.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) \
+                            and not sub.name.startswith("_"):
+                        yield sub.name, f"{path.name}:{node.name}"
+
+
+def test_every_public_name_has_a_non_test_use():
+    users = (sorted((ROOT / "src").rglob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py"))
+             + [ROOT / "README.md"])
+    text = "\n".join(p.read_text(encoding="utf-8") for p in users)
+    # a name whose only whole-word occurrence is its own definition
+    unused = [f"{where}: {name}" for name, where in public_definitions()
+              if name not in TEST_ONLY_ALLOWED
+              and len(re.findall(rf"\b{re.escape(name)}\b", text)) == 1]
+    assert unused == []

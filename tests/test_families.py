@@ -67,7 +67,8 @@ class TestBasicFamilies:
         assert not contains_k23(g)
         # the edge labelling lists every coordinate once around each vertex
         for a in g.vertices:
-            labs = sorted(g.edge_label(a, b) for b in g.neighbors(a))
+            labs = sorted(g.edge_labels[min(a, b), max(a, b)]
+                          for b in g.neighbors(a))
             assert labs == list(range(d))
 
     def test_cycle_and_path(self):

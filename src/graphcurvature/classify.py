@@ -179,15 +179,10 @@ def cd_ollivier_consistency(rho: float, kappas):
 def _biclique_closure(g: Graph, a_side: set[int], b_side: set[int]):
     """Galois closure: alternate each side to the common neighborhood of
     the other until stable.  Returns the maximal biclique through the seed."""
+    adj = g.neighbor_sets()
     while True:
-        new_a = None
-        for b in b_side:
-            nb = set(g.neighbors(b))
-            new_a = nb if new_a is None else new_a & nb
-        new_b = None
-        for a in new_a:
-            na = set(g.neighbors(a))
-            new_b = na if new_b is None else new_b & na
+        new_a = frozenset.intersection(*map(adj.__getitem__, b_side))
+        new_b = frozenset.intersection(*map(adj.__getitem__, new_a))
         if new_a == a_side and new_b == b_side:
             return a_side, b_side
         a_side, b_side = new_a, new_b
@@ -207,7 +202,7 @@ def bipartite_decomposition(g: Graph, x: int, y: int):
     if contains_k3(g):
         raise GraphError("biclique decomposition needs a triangle-free graph")
     rest_x = [w for w in g.neighbors(x) if w != y]
-    rest_y = set(g.neighbors(y)) - {x}
+    rest_y = g.neighbor_sets()[y] - {x}
     classes: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     assigned: dict[int, int] = {}
     for w in rest_x:

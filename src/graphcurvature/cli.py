@@ -32,7 +32,7 @@ from .graphs import (
     render_graph,
     save_graph,
 )
-from .ollivier import kappa_detail
+from .ollivier import kappa_detail, ollivier_kappa
 from .report import (
     CurvatureReport,
     EdgeRow,
@@ -198,7 +198,7 @@ def cmd_diameter_bound(ns) -> int:
     dia = diameter(g)
     if dia is None:
         raise GraphError(f"{g.name} is disconnected; no finite diameter")
-    kappas = [(x, y, kappa_detail(g, x, y).kappa) for x, y in g.edges]
+    kappas = [(x, y, ollivier_kappa(g, x, y)) for x, y in g.edges]
     kstar = min(k for _, _, k in kappas)
     reg = is_regular(g)
     dmax = max(g.degree(v) for v in g.vertices)

@@ -1,7 +1,8 @@
 """Finite graph container plus the bookkeeping the curvature code relies on.
 
 Vertices are integers.  Adjacency is kept in sorted tuples so traversals,
-matrix indices and report rows come out in a reproducible order.  A Graph
+matrix indices and report rows come out in a reproducible order, and as
+frozensets, built on first use, for edge and distance tests.  A Graph
 may carry a Truncation record saying it is a radius-limited piece of a
 larger regular host; the predicates that decide whether a curvature
 evaluation near the cut boundary is trustworthy live here as well.
@@ -62,7 +63,6 @@ class Graph:
                 raise GraphError(f"duplicate vertex id {v}")
             seen.add(v)
         self.vertices: tuple[int, ...] = tuple(sorted(seen))
-        self._vertex_set = seen
 
         edge_set: set[tuple[int, int]] = set()
         for e in edges:
@@ -77,13 +77,13 @@ class Graph:
                 raise GraphError(f"duplicate edge {pair}")
             edge_set.add(pair)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
-        self._edge_set = edge_set
 
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        self._adj_sets: dict[int, frozenset[int]] | None = None
 
         self.labels: dict[int, str] = {}
         if labels:
@@ -125,7 +125,7 @@ class Graph:
     # -- basic queries ----------------------------------------------------
 
     def __contains__(self, v: int) -> bool:
-        return v in self._vertex_set
+        return v in self._adj
 
     def __repr__(self) -> str:
         tag = self.name or "graph"
@@ -137,13 +137,17 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown vertex {v}") from None
 
+    def neighbor_sets(self) -> dict[int, frozenset[int]]:
+        """Every vertex's neighbors as a frozenset (built on first use)."""
+        if self._adj_sets is None:
+            self._adj_sets = {v: frozenset(ns) for v, ns in self._adj.items()}
+        return self._adj_sets
+
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return (min(u, v), max(u, v)) in self._edge_set
+        return v in self.neighbor_sets().get(u, ())
 
     def label(self, v: int) -> str:
         return self.labels.get(v, str(v))
@@ -156,7 +160,7 @@ class Graph:
             v = int(token)
         except ValueError:
             v = None
-        if v is not None and v in self._vertex_set:
+        if v is not None and v in self._adj:
             return v
         sample = ", ".join(self.label(v) for v in self.vertices[:6])
         raise GraphError(f"no vertex matches {token!r} (known labels start: {sample})")
@@ -181,7 +185,7 @@ class Graph:
         which would silently corrupt the curvature form, hence the radius-2
         margin.
         """
-        if x not in self._vertex_set:
+        if x not in self._adj:
             raise GraphError(f"unknown vertex {x}")
         if self.truncation is None:
             return True
@@ -239,34 +243,34 @@ def diameter(g: Graph) -> int | None:
 
 
 def support_distances(g: Graph, points,
-                      targets=None) -> dict[int, dict[int, int]]:
+                      targets) -> dict[int, dict[int, int]]:
     """Exact graph distances from each point p to each target q, as
-    dist[p][q]; the targets default to the points themselves.
+    dist[p][q].
 
     Unreachable pairs are left out.  Distances up to three are read off
     adjacency sets: q is within 2 of p when it lies in p's radius-2 ball,
     and within 3 when one of its neighbors does.  Only a point farther
     away than that costs a full search from p.
     """
-    points = tuple(points)
-    targets = points if targets is None else tuple(targets)
+    points, targets = tuple(points), tuple(targets)
+    adj = g.neighbor_sets()
+    for v in (*points, *targets):
+        if v not in adj:
+            raise GraphError(f"unknown vertex {v}")
     table: dict[int, dict[int, int]] = {}
     for p in points:
-        near = g.neighbors(p)
-        near_set = set(near)
-        ball = set(near_set)
-        for w in near:
-            ball.update(g.neighbors(w))
+        near = adj[p]
+        ball = near.union(*(adj[w] for w in near))
         row: dict[int, int] = {}
         far = None
         for q in targets:
             if q == p:
                 row[q] = 0
-            elif q in near_set:
+            elif q in near:
                 row[q] = 1
             elif q in ball:
                 row[q] = 2
-            elif not ball.isdisjoint(g.neighbors(q)):
+            elif not ball.isdisjoint(adj[q]):
                 row[q] = 3
             else:
                 if far is None:
@@ -313,13 +317,8 @@ def effective_degree(g: Graph, x: int) -> int | None:
 def contains_k3(g: Graph) -> bool:
     """Whether any triangle exists (cached on the graph)."""
     if g._k3 is None:
-        found = False
-        for u, v in g.edges:
-            nu = set(g.neighbors(u))
-            if any(w in nu for w in g.neighbors(v)):
-                found = True
-                break
-        g._k3 = found
+        adj = g.neighbor_sets()
+        g._k3 = any(not adj[u].isdisjoint(adj[v]) for u, v in g.edges)
     return g._k3
 
 

@@ -3,13 +3,21 @@
 All arithmetic is exact: measures are rational, costs are graph distances,
 and the transport problem is scaled by a common denominator and solved as
 an integral min-cost flow by successive shortest paths.  The flow's own
-node potentials are the dual certificate: on every edge they are checked
-in integers to be dual feasible and to meet the plan's cost with zero
-gap, so each distance comes back certified from both sides.  A graph
-keeps the solution of every distinct transport problem (supplies, demands
-and costs, rows and columns in a canonical order) and maps it back onto
-each edge that poses the same problem, so a symmetric graph is solved
-once per kind of edge.
+node potentials are the dual certificate: they are checked in integers
+to be dual feasible, to agree where the supports overlap and to meet the
+plan's cost with zero gap, so each distance comes back certified from
+both sides.  A graph keeps the solution of every distinct transport
+problem (supplies, demands and costs, rows and columns in a canonical
+order) and maps it back onto each edge that poses the same problem, so a
+symmetric graph is solved once per kind of edge.
+
+Edge curvature takes an integer path: `ollivier_kappa` builds the lazy
+problem of an edge straight from the adjacency, in ints over the scale
+2 lcm(dx, dy), and certifies each edge's solution in ints, memo hits
+included.  Only `kappa_detail` turns the result into plan and
+certificate objects.  `lazy_measure`, `Measure`, `TransportProblem` and
+`wasserstein` are the validated path for arbitrary measures, certified
+by the same check.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import NamedTuple
 
 from .classify import bipartite_decomposition, link_profile
@@ -269,49 +278,87 @@ def _zero_cost_path(cost, flow, pot, rem_s, rem_t):
     return []
 
 
-def _dual_certificate(tp: TransportProblem, potentials):
-    """The flow's potentials as an integer potential on the support union.
+def _certify(sources, targets, cost, supply, demand, cells, potentials):
+    """Check a solved integer transport problem against its potentials.
 
-    Checks dual feasibility, v(t) - u(s) <= d(s, t) for every source s and
-    target t, and that a point which is both a source and a target gets
-    one value.  With the plan tight where it carries mass, every point's
-    value equals min over sources s of u(s) + d(s, p), a minimum of
-    1-Lipschitz functions, so the potential is 1-Lipschitz on the union.
+    Checks that the plan's cells are positive and meet supply and demand
+    exactly; dual feasibility, v(t) - u(s) <= d(s, t) for every source s
+    and target t; that a point which is both a source and a target gets
+    one value; and that the plan's cost equals the dual value, sum of
+    demand times v less sum of supply times u, so plan and potential are
+    both optimal.  With the plan tight where it carries mass, every
+    point's value equals min over sources s of u(s) + d(s, p), a minimum
+    of 1-Lipschitz functions, so the potential is 1-Lipschitz on the
+    union.  Returns the plan's cost in units of the masses' scale and the
+    potential by support point.
     """
-    m = len(tp.sources)
-    values: dict[int, int] = {}
-    for i, s in enumerate(tp.sources):
-        u = potentials[i]
-        for j, t in enumerate(tp.targets):
-            if potentials[m + j] - u > tp.cost[i][j]:
-                raise GraphError(
-                    f"internal: potential rises {potentials[m + j] - u} from "
-                    f"{s} to {t} at distance {tp.cost[i][j]}")
-        values[s] = u
-    for j, t in enumerate(tp.targets):
-        v = potentials[m + j]
-        if values.setdefault(t, v) != v:
-            raise GraphError(f"internal: potentials {values[t]} and {v} "
+    m = len(sources)
+    out, into = [0] * m, [0] * len(targets)
+    total = 0
+    for i, j, f, _ in cells:
+        if f <= 0:
+            raise GraphError(f"internal: plan carries {f} units from "
+                             f"{sources[i]} to {targets[j]}")
+        out[i] += f
+        into[j] += f
+        total += f * cost[i][j]
+    if out != supply or into != demand:
+        raise GraphError("internal: plan marginals miss supply or demand")
+    u, v = potentials[:m], potentials[m:]
+    for i, s in enumerate(sources):
+        row = cost[i]
+        if max(map(sub, v, row)) > u[i]:
+            j = next(j for j, c in enumerate(row) if v[j] - u[i] > c)
+            raise GraphError(
+                f"internal: potential rises {v[j] - u[i]} from {s} to "
+                f"{targets[j]} at distance {row[j]}")
+    values = dict(zip(sources, u))
+    for t, vt in zip(targets, v):
+        if values.setdefault(t, vt) != vt:
+            raise GraphError(f"internal: potentials {values[t]} and {vt} "
                              f"disagree at {t}")
-    return {p: values[p] for p in tp.points}
+    dual = sum(map(mul, demand, v)) - sum(map(mul, supply, u))
+    if total != dual:
+        gap = Fraction(total - dual, sum(supply))
+        raise GraphError(f"internal: duality gap {gap} between plan and potential")
+    return total, values
+
+
+def _dual_certificate(tp: TransportProblem, supply, demand, cells, potentials):
+    """The certificate stage of `wasserstein`: `_certify` on the problem's
+    own sources, targets and cost matrix.  Edge curvature calls `_certify`
+    directly, so this stage counts only solves of explicit measures."""
+    return _certify(tp.sources, tp.targets, tp.cost, supply, demand, cells,
+                    potentials)
+
+
+def _order(masses, lines):
+    """Indices of the rows (or columns) of a transport problem, sorted by
+    mass, then by how many of the line's costs are 0, 1 and 2, each count
+    descending; ties keep their order.
+
+    All lines have one length, so where costs run from 0 to 3, as on
+    every edge, this orders them exactly as their sorted cost lists do.
+    """
+    keys = [(a, -c.count(0), -c.count(1), -c.count(2))
+            for a, c in zip(masses, lines)]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _solve(g: Graph, cost, supply, demand):
     """Flow and potentials of one transport problem, solved once per graph.
 
-    Rows and columns are sorted by an invariant (mass, then the multiset
-    of costs) and the whole reordered problem is the memo key, so a hit
-    is the same problem and its solution maps back through the ordering
-    exactly.  Ties keep the caller's order, which costs hits but never
-    correctness.  Returns the (source, target, units, mass) cells that
-    carry flow and the potentials, both in the caller's indexing.
+    Rows and columns are sorted by an invariant (`_order`) and the whole
+    reordered problem is the memo key, so a hit is the same problem and
+    its solution maps back through the ordering exactly.  Ties keep the
+    caller's order, which costs hits but never correctness.  Returns the
+    (source, target, units, mass) cells that carry flow and the
+    potentials, both in the caller's indexing.
     """
     m, n = len(supply), len(demand)
-    rows = sorted(range(m), key=lambda i: (supply[i], sorted(cost[i])))
-    cols = sorted(range(n), key=lambda j: (
-        demand[j], sorted(cost[i][j] for i in range(m))))
-    key = (tuple(supply[i] for i in rows), tuple(demand[j] for j in cols),
-           tuple(tuple(cost[i][j] for j in cols) for i in rows))
+    rows, cols = _order(supply, cost), _order(demand, zip(*cost))
+    key = (tuple([supply[i] for i in rows]), tuple([demand[j] for j in cols]),
+           tuple([tuple([cost[i][j] for j in cols]) for i in rows]))
     solved = g._transport.get(key)
     if solved is None:
         flow, pot = _min_cost_flow(key[2], key[0], key[1])
@@ -329,6 +376,17 @@ def _solve(g: Graph, cost, supply, demand):
     return [(rows[a], cols[b], f, mass) for a, b, f, mass in cells], pot
 
 
+def _result(sources, targets, cells, total, scale, values) -> WassersteinResult:
+    """Distance, plan and certificate of a certified solve, as Fractions."""
+    distance = Fraction(total, scale)
+    plan = TransportPlan(
+        tuple(sorted((sources[i], targets[j], mass) for i, j, _, mass in cells)),
+        distance)
+    cert = LipschitzCertificate({p: values[p] for p in sorted(values)},
+                                distance, Fraction(0))
+    return WassersteinResult(distance, plan, cert)
+
+
 def wasserstein(tp: TransportProblem) -> WassersteinResult:
     """Exact transport distance with matching plan and dual certificate."""
     mu, nu = tp.mu, tp.nu
@@ -337,21 +395,8 @@ def wasserstein(tp: TransportProblem) -> WassersteinResult:
     supply = [mu._num[s] * up for s in tp.sources]
     demand = [nu._num[t] * down for t in tp.targets]
     cells, pot = _solve(tp.graph, tp.cost, supply, demand)
-    total = 0
-    triples = []
-    for i, j, f, mass in cells:
-        total += f * tp.cost[i][j]
-        triples.append((tp.sources[i], tp.targets[j], mass))
-    distance = Fraction(total, scale)
-    plan = TransportPlan(tuple(sorted(triples)), distance)
-    values = _dual_certificate(tp, pot)
-    dual = (sum(b * values[t] for t, b in zip(tp.targets, demand))
-            - sum(a * values[s] for s, a in zip(tp.sources, supply)))
-    if total != dual:
-        gap = Fraction(total - dual, scale)
-        raise GraphError(f"internal: duality gap {gap} between plan and potential")
-    cert = LipschitzCertificate(values, distance, Fraction(0))
-    return WassersteinResult(distance, plan, cert)
+    total, values = _dual_certificate(tp, supply, demand, cells, pot)
+    return _result(tp.sources, tp.targets, cells, total, scale, values)
 
 
 def validate_plan(tp: TransportProblem, plan: TransportPlan) -> Fraction:
@@ -388,12 +433,19 @@ def validate_plan(tp: TransportProblem, plan: TransportPlan) -> Fraction:
 
 
 def certificate_violations(g: Graph, values) -> list[str]:
-    """Pairs of valued vertices whose difference exceeds graph distance."""
+    """Pairs of valued vertices whose difference exceeds graph distance.
+
+    No two values differ by more than the spread, the largest value less
+    the least, so no pair farther apart than that can violate the bound
+    and each search stops at that radius.
+    """
     keys = sorted(values)
-    table = support_distances(g, keys)
+    if not keys:
+        return []
+    radius = math.floor(max(values.values()) - min(values.values()))
     problems = []
     for i, p in enumerate(keys):
-        dists = table[p]
+        dists = bfs_distances(g, p, radius=radius)
         for q in keys[i + 1:]:
             if q not in dists:
                 continue
@@ -452,16 +504,51 @@ class KappaResult:
     certificate: LipschitzCertificate
 
 
-def kappa_detail(g: Graph, x: int, y: int) -> KappaResult:
+def _edge_transport(g: Graph, x: int, y: int):
+    """The lazy transport problem across edge (x, y), solved and certified
+    in integers.
+
+    Over the scale 2 lcm(dx, dy) the lazy measure of x puts lcm(dx, dy) on
+    x and lcm(dx, dy) / dx on each neighbor, and likewise for y.  Sources
+    and targets are the sorted closed neighborhoods, and every cost is at
+    most 3 because the path p - x - y - q exists: q is at distance 1 from
+    p when adjacent, 2 when they share a neighbor, 3 otherwise.  Returns
+    sources, targets, flow cells, the plan's cost in units of the scale,
+    the scale and the potential by support point.
+    """
     if not g.has_edge(x, y):
         raise GraphError(f"({x}, {y}) is not an edge")
-    tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
-    dist, plan, cert = wasserstein(tp)
+    nx, ny = g.neighbors(x), g.neighbors(y)
+    lcm = math.lcm(len(nx), len(ny))
+    sources = sorted((x, *nx))
+    targets = sorted((y, *ny))
+    unit_x, unit_y = lcm // len(nx), lcm // len(ny)
+    supply = [lcm if s == x else unit_x for s in sources]
+    demand = [lcm if t == y else unit_y for t in targets]
+    adj = g.neighbor_sets()
+    cost = []
+    for s in sources:
+        near = adj[s]
+        cost.append([0 if t == s else 1 if t in near
+                     else 2 if not near.isdisjoint(adj[t]) else 3
+                     for t in targets])
+    cells, pot = _solve(g, cost, supply, demand)
+    total, values = _certify(sources, targets, cost, supply, demand, cells, pot)
+    return sources, targets, cells, total, 2 * lcm, values
+
+
+def kappa_detail(g: Graph, x: int, y: int) -> KappaResult:
+    """Exact edge curvature with its optimal plan and dual certificate."""
+    sources, targets, cells, total, scale, values = _edge_transport(g, x, y)
+    dist, plan, cert = _result(sources, targets, cells, total, scale, values)
     return KappaResult(x, y, 1 - dist, dist, plan, cert)
 
 
 def ollivier_kappa(g: Graph, x: int, y: int) -> Fraction:
-    return kappa_detail(g, x, y).kappa
+    """Exact edge curvature, certified like `kappa_detail`'s but without
+    building the plan and certificate objects."""
+    _, _, _, total, scale, _ = _edge_transport(g, x, y)
+    return Fraction(scale - total, scale)
 
 
 # -- structure-driven witnesses --------------------------------------------
@@ -601,5 +688,5 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
     mu = lazy_measure(g, x)
     nu = lazy_measure(g, y)
     dual = nu.integral(values) - mu.integral(values)
-    exact = kappa_detail(g, x, y).wasserstein
+    exact = 1 - ollivier_kappa(g, x, y)
     return LipschitzCertificate(values, dual, exact - dual)

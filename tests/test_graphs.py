@@ -104,7 +104,7 @@ class TestQueries:
                 if not g.transport_neighborhood_complete(x, y):
                     continue
                 points = sorted({x, y, *g.neighbors(x), *g.neighbors(y)})
-                table = support_distances(g, points)
+                table = support_distances(g, points, points)
                 for p in points:
                     # the two one-balls of an edge lie within distance 3
                     if p not in rows:
@@ -113,10 +113,20 @@ class TestQueries:
 
     def test_support_distances_beyond_three(self):
         g = cycle(8)
-        assert support_distances(g, g.vertices) == {
+        assert support_distances(g, g.vertices, g.vertices) == {
             p: bfs_distances(g, p) for p in g.vertices}
         h = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
-        assert support_distances(h, [0, 3]) == {0: {0: 0}, 3: {3: 0}}
+        assert support_distances(h, [0, 3], [0, 3]) == {0: {0: 0}, 3: {3: 0}}
+
+    def test_support_distances_reject_unknown_points(self):
+        with pytest.raises(GraphError, match="unknown vertex 9"):
+            support_distances(cycle(4), [0], [9])
+
+    def test_neighbor_sets_match_neighbors(self):
+        g = star(4)
+        sets = g.neighbor_sets()
+        assert sets == {v: frozenset(g.neighbors(v)) for v in g.vertices}
+        assert g.neighbor_sets() is sets
 
     def test_diameter(self):
         assert diameter(petersen()) == 2

@@ -136,6 +136,11 @@ class TestCorpusCertificates:
                 assert certificate_violations(g, cert.values) == []
                 assert cert.values == bellman_ford_potential(
                     tp.points, tp.distance, res.plan.flows)
+                # the integer edge path agrees with the measure path
+                detail = kappa_detail(g, x, y)
+                assert ollivier_kappa(g, x, y) == detail.kappa == 1 - res.distance
+                assert detail.plan == res.plan
+                assert detail.certificate == res.certificate
                 edges += 1
         assert edges == 5859
 
@@ -165,6 +170,42 @@ class TestSolveMemo:
         for x, y in g.edges:
             assert kappa_detail(g, x, y).kappa == Fraction(1, 6)
         assert len(calls) == 1
+
+    def test_memo_hits_are_certified_per_edge(self):
+        g = hypercube(3)
+        first, other = g.edges[0], g.edges[-1]
+        assert ollivier_kappa(g, *first) == Fraction(1, 3)
+        [(key, (cells, pot))] = g._transport.items()
+        tampered = []
+        for k in range(len(pot)):
+            bumped = list(pot)
+            bumped[k] += 1
+            tampered.append((cells, tuple(bumped)))
+        for k, (a, b, f, mass) in enumerate(cells):
+            moved = list(cells)
+            moved[k] = (a, b, f + 1, mass)
+            tampered.append((tuple(moved), pot))
+        for entry in tampered:
+            g._transport[key] = entry
+            for edge in (first, other):
+                with pytest.raises(GraphError, match="internal"):
+                    ollivier_kappa(g, *edge)
+                with pytest.raises(GraphError, match="internal"):
+                    kappa_detail(g, *edge)
+        g._transport[key] = (cells, pot)
+        assert ollivier_kappa(g, *other) == Fraction(1, 3)
+        assert len(g._transport) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(1, 3), st.lists(st.integers(0, 3), min_size=n,
+                                              max_size=n)),
+        min_size=1, max_size=8)))
+    def test_canonical_order_sorts_by_cost_multiset(self, lines):
+        masses = [a for a, _ in lines]
+        costs = [c for _, c in lines]
+        assert ollivier._order(masses, costs) == sorted(
+            range(len(lines)), key=lambda i: (masses[i], sorted(costs[i])))
 
 
 class TestPlanValidation:
@@ -209,6 +250,25 @@ class TestCertificates:
         g = path_graph(4)
         assert certificate_violations(g, {0: 0, 3: 5})
         assert certificate_violations(g, {0: 0, 3: 3}) == []
+
+    def test_violations_match_all_pairs_search(self):
+        rng = random.Random(7)
+        for g in (cycle(12), petersen(), hypercube(5), regular_tree(3, 5),
+                  Graph(range(6), [(0, 1), (1, 2), (3, 4)])):
+            for _ in range(20):
+                points = rng.sample(g.vertices, min(8, len(g.vertices)))
+                values = {p: Fraction(rng.randint(0, 12), rng.choice((1, 2)))
+                          for p in points}
+                expected = []
+                keys = sorted(values)
+                for i, p in enumerate(keys):
+                    dist = bfs_distances(g, p)
+                    for q in keys[i + 1:]:
+                        spread = abs(values[p] - values[q])
+                        if q in dist and spread > dist[q]:
+                            expected.append(f"|f({p}) - f({q})| = {spread} "
+                                            f"> distance {dist[q]}")
+                assert certificate_violations(g, values) == expected
 
     def test_extension_covers_and_agrees(self):
         g = petersen()
@@ -438,6 +498,8 @@ class TestProperties:
     def test_kappa_detail_invariants(self, case):
         g, (x, y) = case
         res = kappa_detail(g, x, y)
+        tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+        assert ollivier_kappa(g, x, y) == res.kappa == 1 - wasserstein(tp).distance
         # bounds, symmetry, certificate tightness, and mass quantization
         assert Fraction(-2) <= res.kappa <= Fraction(1)
         assert res.kappa == kappa_detail(g, y, x).kappa
@@ -445,5 +507,4 @@ class TestProperties:
         assert certificate_violations(g, res.certificate.values) == []
         denom = 2 * math.lcm(g.degree(x), g.degree(y))
         assert (res.kappa * denom).denominator == 1
-        tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
         assert validate_plan(tp, res.plan) == res.wasserstein

@@ -8,13 +8,14 @@ the constructive witnesses that bracket the answer without solving the
 full problem.
 """
 
+from fractions import Fraction
+
 from graphcurvature import (
     TransportProblem,
     certificate_violations,
     kappa_detail,
     kappa_lower_witness,
     kappa_upper_witness,
-    lazy_measure,
     ollivier_kappa,
     validate_plan,
 )
@@ -23,12 +24,12 @@ from graphcurvature.families import cycle, regular_tree
 g = cycle(5)
 x, y = 0, 1
 
-mu = lazy_measure(g, x)
-nu = lazy_measure(g, y)
-print(f"mass around {g.label(x)}: "
-      + ", ".join(f"{g.label(v)}:{mu.mass(v)}" for v in mu.support()))
-print(f"mass around {g.label(y)}: "
-      + ", ".join(f"{g.label(v)}:{nu.mass(v)}" for v in nu.support()))
+# the lazy transport problem across the edge, masses in units of tp.scale
+tp = TransportProblem(g, x, y)
+for v, measure in ((x, tp.mu), (y, tp.nu)):
+    print(f"mass around {g.label(v)}: "
+          + ", ".join(f"{g.label(p)}:{Fraction(units, tp.scale)}"
+                      for p, units in measure))
 
 detail = kappa_detail(g, x, y)
 print(f"\nW1 = {detail.wasserstein}, kappa = 1 - W1 = {detail.kappa}")
@@ -39,7 +40,7 @@ for s, t, mass in detail.plan.flows:
         print(f"  {g.label(s)} -> {g.label(t)}  {mass}")
 
 # the plan is feasible and its cost is what the solver claims
-cost = validate_plan(TransportProblem(g, mu, nu), detail.plan)
+cost = validate_plan(tp, detail.plan)
 assert cost == detail.wasserstein
 
 cert = detail.certificate

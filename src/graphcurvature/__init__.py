@@ -18,7 +18,6 @@ from .ollivier import (
     kappa_detail,
     kappa_lower_witness,
     kappa_upper_witness,
-    lazy_measure,
     ollivier_kappa,
     validate_plan,
 )
@@ -31,8 +30,8 @@ __all__ = [
     "Graph", "GraphError", "diameter", "extract_ball", "is_regular",
     "cd_curvature",
     "TransportProblem", "certificate_violations", "kappa_detail",
-    "kappa_lower_witness", "kappa_upper_witness", "lazy_measure",
-    "ollivier_kappa", "validate_plan",
+    "kappa_lower_witness", "kappa_upper_witness", "ollivier_kappa",
+    "validate_plan",
     "classify_vertex",
     "parse_graph_spec",
 ]

@@ -96,10 +96,10 @@ def gamma2_form(ball: LocalBall) -> QuadraticForm:
     # squared neighbor sum: 2 on the whole sphere1 block
     m = [[2] * n1 + [0] * (n - n1) if i < n1 else [0] * n for i in range(n)]
 
-    dx = ball.degrees[ball.base]
+    dx = len(s1)
     for i, v in enumerate(s1):
         row = m[i]
-        row[i] += 4 - dx - ball.degrees[v]
+        row[i] += 4 - dx - len(ball.adj[v])
         for u in ball.adj[v]:
             j = pos.get(u, -1)
             if j >= n1:

@@ -43,7 +43,6 @@ from .ollivier import (
     extend_certificate,
     kappa_lower_witness,
     kappa_upper_witness,
-    lazy_measure,
     ollivier_kappa,
     validate_plan,
     wasserstein,
@@ -377,9 +376,8 @@ def check_witness_bounds(facts: GraphFacts) -> CheckResult:
         plan = kappa_lower_witness(g, x, y)
         if plan is not None:
             seen = True
-            tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
             try:
-                validate_plan(tp, plan)
+                validate_plan(TransportProblem(g, x, y), plan)
             except GraphError as e:
                 problems.append(f"{tag}: witness plan invalid: {e}")
             if k < 1 - plan.total_cost:
@@ -415,9 +413,9 @@ def check_duality(facts: GraphFacts) -> CheckResult:
             continue
         seen = True
         tag = f"{facts.key} edge ({g.label(x)}, {g.label(y)})"
-        # the problem kappa_detail would build, solved here so the plan is
+        # solved here rather than through kappa_detail so the plan is
         # validated against the very problem it came from
-        tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+        tp = TransportProblem(g, x, y)
         dist, plan, cert = wasserstein(tp)
         try:
             cost = validate_plan(tp, plan)

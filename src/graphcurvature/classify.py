@@ -176,16 +176,13 @@ def cd_ollivier_consistency(rho: float, kappas):
 # -- biclique decomposition of an edge neighborhood ------------------------
 
 
-def _biclique_closure(g: Graph, a_side: set[int], b_side: set[int]):
-    """Galois closure: alternate each side to the common neighborhood of
-    the other until stable.  Returns the maximal biclique through the seed."""
+def _biclique_closure(g: Graph, seed: set[int]):
+    """Galois closure of a seed side B: (N(B), N(N(B))), the maximal
+    biclique through it.  N(N(N(B))) = N(B), so one round is stable.
+    N(B) must not be empty."""
     adj = g.neighbor_sets()
-    while True:
-        new_a = frozenset.intersection(*map(adj.__getitem__, b_side))
-        new_b = frozenset.intersection(*map(adj.__getitem__, new_a))
-        if new_a == a_side and new_b == b_side:
-            return a_side, b_side
-        a_side, b_side = new_a, new_b
+    a_side = frozenset.intersection(*map(adj.__getitem__, seed))
+    return a_side, frozenset.intersection(*map(adj.__getitem__, a_side))
 
 
 def bipartite_decomposition(g: Graph, x: int, y: int):
@@ -208,7 +205,7 @@ def bipartite_decomposition(g: Graph, x: int, y: int):
     for w in rest_x:
         if w in assigned:
             continue
-        a_side, b_side = _biclique_closure(g, {x}, {y, w})
+        a_side, b_side = _biclique_closure(g, {y, w})
         if x not in a_side or y not in b_side or w not in b_side:
             return None
         if len(a_side) != len(b_side):
@@ -232,7 +229,7 @@ def bipartite_decomposition(g: Graph, x: int, y: int):
     # closure seeded anywhere inside a class must reproduce it
     for s, t in classes:
         for w in s:
-            a2, b2 = _biclique_closure(g, {x}, {y, w})
+            a2, b2 = _biclique_closure(g, {y, w})
             if b2 != set(s) | {y} or a2 != set(t) | {x}:
                 return None
     return classes

@@ -219,9 +219,26 @@ def _swap(p: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
 
 
 def _permutation_cayley(n: int, generators, name: str) -> Graph:
-    """Cayley graph of S_n under the given position transpositions."""
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
+    """Cayley graph, under the given position transpositions, of the
+    subgroup of S_n they generate.
+
+    Breadth-first search from the identity finds the subgroup, so the
+    construction holds whether or not the generators reach all of S_n.
+    Vertices are the permutations in sorted order.
+    """
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for a, b in generators:
+                q = _swap(p, a, b)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    index = {p: i for i, p in enumerate(sorted(seen))}
     edges = set()
     for p, i in index.items():
         for a, b in generators:
@@ -229,7 +246,7 @@ def _permutation_cayley(n: int, generators, name: str) -> Graph:
             if i < j:
                 edges.add((i, j))
     labels = {i: _perm_label(p) for p, i in index.items()}
-    return Graph(range(len(perms)), sorted(edges), labels=labels, name=name)
+    return Graph(range(len(index)), sorted(edges), labels=labels, name=name)
 
 
 def transposition_cayley(n: int) -> Graph:
@@ -254,38 +271,15 @@ def interchange_graph(h: Graph) -> Graph:
     States are the placements of |V(h)| labels reachable from the identity
     by swapping the two endpoints of an edge of h; equivalently the Cayley
     graph of the subgroup of the symmetric group generated by the edge
-    transpositions.  BFS from the identity keeps the construction correct
-    when the generators do not generate the full symmetric group.
+    transpositions.
     """
     positions = sorted(h.vertices)
     if not h.edges:
         raise GraphError("interchange process needs at least one edge")
     pos = {v: i for i, v in enumerate(positions)}
     gens = [(pos[u], pos[v]) for u, v in h.edges]
-    identity = tuple(range(len(positions)))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for a, b in gens:
-                q = _swap(p, a, b)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    states = sorted(seen)
-    index = {p: i for i, p in enumerate(states)}
-    edges = set()
-    for p, i in index.items():
-        for a, b in gens:
-            j = index[_swap(p, a, b)]
-            if i < j:
-                edges.add((i, j))
-    labels = {i: _perm_label(p) for p, i in index.items()}
     host = h.name or f"{len(positions)}v"
-    return Graph(range(len(states)), sorted(edges), labels=labels,
-                 name=f"interchange-{host}")
+    return _permutation_cayley(len(positions), gens, f"interchange-{host}")
 
 
 # -- polygon triangulations ------------------------------------------------

@@ -242,45 +242,6 @@ def diameter(g: Graph) -> int | None:
     return best
 
 
-def support_distances(g: Graph, points,
-                      targets) -> dict[int, dict[int, int]]:
-    """Exact graph distances from each point p to each target q, as
-    dist[p][q].
-
-    Unreachable pairs are left out.  Distances up to three are read off
-    adjacency sets: q is within 2 of p when it lies in p's radius-2 ball,
-    and within 3 when one of its neighbors does.  Only a point farther
-    away than that costs a full search from p.
-    """
-    points, targets = tuple(points), tuple(targets)
-    adj = g.neighbor_sets()
-    for v in (*points, *targets):
-        if v not in adj:
-            raise GraphError(f"unknown vertex {v}")
-    table: dict[int, dict[int, int]] = {}
-    for p in points:
-        near = adj[p]
-        ball = near.union(*(adj[w] for w in near))
-        row: dict[int, int] = {}
-        far = None
-        for q in targets:
-            if q == p:
-                row[q] = 0
-            elif q in near:
-                row[q] = 1
-            elif q in ball:
-                row[q] = 2
-            elif not ball.isdisjoint(adj[q]):
-                row[q] = 3
-            else:
-                if far is None:
-                    far = bfs_distances(g, p)
-                if q in far:
-                    row[q] = far[q]
-        table[p] = row
-    return table
-
-
 def is_regular(g: Graph) -> int | None:
     """The common degree, or None if degrees vary or the graph is empty
     (cached on the graph)."""
@@ -359,20 +320,16 @@ class LocalBall:
     """The radius-2 ball around `base`, trimmed to what curvature reads.
 
     adj keeps only edges meeting base or sphere1; edges between two second
-    neighbors never enter the curvature form and are dropped.  degrees holds
-    the stored-graph degrees of base and sphere1 (equal to host degrees
-    whenever complete is True).
+    neighbors never enter the curvature form and are dropped, so the rows
+    of base and sphere1 are whole and their lengths are the stored-graph
+    degrees (equal to host degrees whenever complete is True).
     """
 
     base: int
     sphere1: tuple[int, ...]
     sphere2: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
-    degrees: dict[int, int]
     complete: bool
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj.get(u, ())
 
 
 def extract_ball(g: Graph, x: int) -> LocalBall:
@@ -384,8 +341,7 @@ def extract_ball(g: Graph, x: int) -> LocalBall:
         adj[v] = g.neighbors(v)
     for u in s2:
         adj[u] = tuple(w for w in g.neighbors(u) if w in s1_set)
-    degrees = {v: g.degree(v) for v in (x, *s1)}
-    return LocalBall(x, s1, tuple(s2), adj, degrees, g.two_ball_complete(x))
+    return LocalBall(x, s1, tuple(s2), adj, g.two_ball_complete(x))
 
 
 # -- serialization ---------------------------------------------------------

@@ -1,23 +1,21 @@
 """Edge curvature via optimal transport of lazy neighborhood measures.
 
-All arithmetic is exact: measures are rational, costs are graph distances,
-and the transport problem is scaled by a common denominator and solved as
-an integral min-cost flow by successive shortest paths.  The flow's own
-node potentials are the dual certificate: they are checked in integers
-to be dual feasible, to agree where the supports overlap and to meet the
-plan's cost with zero gap, so each distance comes back certified from
-both sides.  A graph keeps the solution of every distinct transport
-problem (supplies, demands and costs, rows and columns in a canonical
-order) and maps it back onto each edge that poses the same problem, so a
-symmetric graph is solved once per kind of edge.
-
-Edge curvature takes an integer path: `ollivier_kappa` builds the lazy
-problem of an edge straight from the adjacency, in ints over the scale
-2 lcm(dx, dy), and certifies each edge's solution in ints, memo hits
-included.  Only `kappa_detail` turns the result into plan and
-certificate objects.  `lazy_measure`, `Measure`, `TransportProblem` and
-`wasserstein` are the validated path for arbitrary measures, certified
-by the same check.
+The one transport problem here is Ollivier's: across an edge (x, y), move
+the lazy measure of x (half its mass at x, the rest spread evenly over
+its neighbors) onto that of y at cost = graph distance, and kappa(x, y)
+= 1 - W1.  `TransportProblem(g, x, y)` builds it exactly, in integers:
+masses over the scale 2 lcm(dx, dy) and costs 0 to 3 read from the
+adjacency.  It is solved as an integral min-cost flow by successive
+shortest paths.  The flow's own node potentials are the dual
+certificate: on every edge they are checked in integers to be dual
+feasible, to agree where the supports overlap and to meet the plan's
+cost with zero gap, so each distance comes back certified from both
+sides.  A graph keeps the solution of every distinct transport problem
+(supplies, demands and costs, rows and columns in a canonical order) and
+maps it back onto each edge that poses the same problem, so a symmetric
+graph is solved once per kind of edge.  `ollivier_kappa` returns the
+certified fraction alone; `wasserstein` and `kappa_detail` also build
+the plan and certificate objects.
 """
 
 from __future__ import annotations
@@ -37,97 +35,49 @@ from .graphs import (
     contains_k3,
     effective_degree,
     extract_ball,
-    support_distances,
 )
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Finitely supported probability measure with rational weights.
-
-    The masses are also held as integer numerators over their common
-    denominator, keyed by vertex, so lookups and integrals stay in ints.
-    """
-
-    weights: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self):
-        den = math.lcm(*(m.denominator for _, m in self.weights))
-        num: dict[int, int] = {}
-        for v, m in self.weights:
-            if v in num:
-                raise GraphError(f"duplicate support vertex {v}")
-            if m.numerator <= 0:
-                raise GraphError(f"nonpositive mass {m} at {v}")
-            num[v] = m.numerator * (den // m.denominator)
-        total = sum(num.values())
-        if total != den:
-            raise GraphError(f"total mass {Fraction(total, den)} != 1")
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_num", num)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.weights)
-
-    def mass(self, v: int) -> Fraction:
-        return Fraction(self._num.get(v, 0), self._den)
-
-    def integral(self, values) -> Fraction:
-        """Sum of f(v) weighted by mass, f given as a mapping."""
-        return Fraction(sum(n * Fraction(values[v]) for v, n in self._num.items()),
-                        self._den)
-
-
-def lazy_measure(g: Graph, x: int) -> Measure:
-    """Half the mass stays at x, the rest spreads evenly over neighbors."""
-    d = g.degree(x)
-    if d == 0:
-        raise GraphError(f"vertex {x} is isolated; lazy measure undefined")
-    unit = Fraction(1, 2 * d)
-    weights = [(y, unit) for y in g.neighbors(x)]
-    weights.append((x, Fraction(1, 2)))
-    return Measure(tuple(sorted(weights)))
-
-
 class TransportProblem:
-    """Move mu onto nu at cost = graph distance.
+    """The lazy transport problem across edge (x, y), in integers.
 
-    Precomputes the integer cost matrix from every source to every
-    target, the only distances the solver and its certificate read;
-    `distance` looks any other pair of support points up on demand.
+    Over the scale 2 lcm(dx, dy) the lazy measure of x puts lcm(dx, dy) on
+    x and lcm(dx, dy) / dx on each neighbor, and likewise for y.  Sources
+    and targets are the sorted closed neighborhoods, and every cost is at
+    most 3 because the path s - x - y - t exists: t is at distance 1 from
+    s when adjacent, 2 when they share a neighbor, 3 otherwise.
     """
 
-    def __init__(self, g: Graph, mu: Measure, nu: Measure):
-        self.graph = g
-        self.mu = mu
-        self.nu = nu
-        self.sources = mu.support()
-        self.targets = nu.support()
-        self.points = tuple(sorted(set(self.sources) | set(self.targets)))
-        dist = support_distances(g, self.sources, self.targets)
-        self.cost = []
-        for s in self.sources:
-            row = []
-            for t in self.targets:
-                if t not in dist[s]:
-                    raise GraphError(
-                        f"supports not connected: no path from {s} to {t}"
-                    )
-                row.append(dist[s][t])
-            self.cost.append(row)
+    def __init__(self, g: Graph, x: int, y: int):
+        if not g.has_edge(x, y):
+            raise GraphError(f"({x}, {y}) is not an edge")
+        nx, ny = g.neighbors(x), g.neighbors(y)
+        lcm = math.lcm(len(nx), len(ny))
+        sources = sorted((x, *nx))
+        targets = sorted((y, *ny))
+        unit_x, unit_y = lcm // len(nx), lcm // len(ny)
+        adj = g.neighbor_sets()
+        cost = []
+        for s in sources:
+            near = adj[s]
+            cost.append([0 if t == s else 1 if t in near
+                         else 2 if not near.isdisjoint(adj[t]) else 3
+                         for t in targets])
+        self.graph, self.x, self.y = g, x, y
+        self.scale = 2 * lcm
+        self.sources, self.targets, self.cost = sources, targets, cost
+        self.supply = [lcm if s == x else unit_x for s in sources]
+        self.demand = [lcm if t == y else unit_y for t in targets]
 
-    def distance(self, p: int, q: int) -> int:
-        for s, t in ((p, q), (q, p)):
-            if s in self.sources and t in self.targets:
-                return self.cost[self.sources.index(s)][self.targets.index(t)]
-        if p in self.points and q in self.points:
-            d = support_distances(self.graph, (p,), (q,))[p].get(q)
-            if d is not None:
-                return d
-        raise GraphError(
-            f"distance {p}->{q} unavailable: not a connected pair of "
-            f"support points"
-        )
+    @property
+    def mu(self) -> tuple[tuple[int, int], ...]:
+        """The lazy measure of x as (point, units over `scale`) pairs."""
+        return tuple(zip(self.sources, self.supply))
+
+    @property
+    def nu(self) -> tuple[tuple[int, int], ...]:
+        """The lazy measure of y as (point, units over `scale`) pairs."""
+        return tuple(zip(self.targets, self.demand))
 
 
 @dataclass(frozen=True)
@@ -278,13 +228,15 @@ def _zero_cost_path(cost, flow, pot, rem_s, rem_t):
     return []
 
 
-def _certify(sources, targets, cost, supply, demand, cells, potentials):
+def _dual_certificate(sources, targets, cost, supply, demand, cells,
+                      potentials):
     """Check a solved integer transport problem against its potentials.
 
-    Checks that the plan's cells are positive and meet supply and demand
-    exactly; dual feasibility, v(t) - u(s) <= d(s, t) for every source s
-    and target t; that a point which is both a source and a target gets
-    one value; and that the plan's cost equals the dual value, sum of
+    The plan comes as (row, column, units, mass) cells.  Checks that the
+    plan's cells are positive and meet supply and demand exactly; dual
+    feasibility, v(t) - u(s) <= d(s, t) for every source s and target t;
+    that a point which is both a source and a target gets one value; and
+    that the plan's cost equals the dual value, sum of
     demand times v less sum of supply times u, so plan and potential are
     both optimal.  With the plan tight where it carries mass, every
     point's value equals min over sources s of u(s) + d(s, p), a minimum
@@ -324,14 +276,6 @@ def _certify(sources, targets, cost, supply, demand, cells, potentials):
     return total, values
 
 
-def _dual_certificate(tp: TransportProblem, supply, demand, cells, potentials):
-    """The certificate stage of `wasserstein`: `_certify` on the problem's
-    own sources, targets and cost matrix.  Edge curvature calls `_certify`
-    directly, so this stage counts only solves of explicit measures."""
-    return _certify(tp.sources, tp.targets, tp.cost, supply, demand, cells,
-                    potentials)
-
-
 def _order(masses, lines):
     """Indices of the rows (or columns) of a transport problem, sorted by
     mass, then by how many of the line's costs are 0, 1 and 2, each count
@@ -345,7 +289,7 @@ def _order(masses, lines):
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def _solve(g: Graph, cost, supply, demand):
+def _solve(tp: TransportProblem):
     """Flow and potentials of one transport problem, solved once per graph.
 
     Rows and columns are sorted by an invariant (`_order`) and the whole
@@ -355,18 +299,18 @@ def _solve(g: Graph, cost, supply, demand):
     (source, target, units, mass) cells that carry flow and the
     potentials, both in the caller's indexing.
     """
+    cost, supply, demand = tp.cost, tp.supply, tp.demand
     m, n = len(supply), len(demand)
     rows, cols = _order(supply, cost), _order(demand, zip(*cost))
     key = (tuple([supply[i] for i in rows]), tuple([demand[j] for j in cols]),
            tuple([tuple([cost[i][j] for j in cols]) for i in rows]))
-    solved = g._transport.get(key)
+    solved = tp.graph._transport.get(key)
     if solved is None:
         flow, pot = _min_cost_flow(key[2], key[0], key[1])
-        scale = sum(supply)  # the masses sum to 1
-        cells = tuple((a, b, f, Fraction(f, scale))
+        cells = tuple((a, b, f, Fraction(f, tp.scale))
                       for a, row in enumerate(flow)
                       for b, f in enumerate(row) if f > 0)
-        solved = g._transport[key] = (cells, tuple(pot))
+        solved = tp.graph._transport[key] = (cells, tuple(pot))
     cells, cpot = solved
     pot = [0] * (m + n)
     for a, i in enumerate(rows):
@@ -376,9 +320,13 @@ def _solve(g: Graph, cost, supply, demand):
     return [(rows[a], cols[b], f, mass) for a, b, f, mass in cells], pot
 
 
-def _result(sources, targets, cells, total, scale, values) -> WassersteinResult:
-    """Distance, plan and certificate of a certified solve, as Fractions."""
-    distance = Fraction(total, scale)
+def wasserstein(tp: TransportProblem) -> WassersteinResult:
+    """Exact transport distance with matching plan and dual certificate."""
+    sources, targets = tp.sources, tp.targets
+    cells, pot = _solve(tp)
+    total, values = _dual_certificate(sources, targets, tp.cost, tp.supply,
+                                      tp.demand, cells, pot)
+    distance = Fraction(total, tp.scale)
     plan = TransportPlan(
         tuple(sorted((sources[i], targets[j], mass) for i, j, _, mass in cells)),
         distance)
@@ -387,46 +335,43 @@ def _result(sources, targets, cells, total, scale, values) -> WassersteinResult:
     return WassersteinResult(distance, plan, cert)
 
 
-def wasserstein(tp: TransportProblem) -> WassersteinResult:
-    """Exact transport distance with matching plan and dual certificate."""
-    mu, nu = tp.mu, tp.nu
-    scale = math.lcm(mu._den, nu._den)
-    up, down = scale // mu._den, scale // nu._den
-    supply = [mu._num[s] * up for s in tp.sources]
-    demand = [nu._num[t] * down for t in tp.targets]
-    cells, pot = _solve(tp.graph, tp.cost, supply, demand)
-    total, values = _dual_certificate(tp, supply, demand, cells, pot)
-    return _result(tp.sources, tp.targets, cells, total, scale, values)
-
-
 def validate_plan(tp: TransportProblem, plan: TransportPlan) -> Fraction:
     """Recompute marginals and cost of a plan; raises on any mismatch.
 
-    Returns the recomputed exact cost.
+    Shares nothing with the problem's own arithmetic: the marginals come
+    from the lazy definition (1/2 at the endpoint, 1/(2d) at each
+    neighbor) and each move's length from a breadth-first search, cut at
+    radius 3 because every move runs from N[x] to N[y].  Returns the
+    recomputed exact cost.
     """
+    g = tp.graph
+
+    def lazy(v):
+        masses = dict.fromkeys(g.neighbors(v), Fraction(1, 2 * g.degree(v)))
+        masses[v] = Fraction(1, 2)
+        return masses
+
+    mu, nu = lazy(tp.x), lazy(tp.y)
     out: dict[int, Fraction] = {}
     into: dict[int, Fraction] = {}
+    lengths: dict[int, dict[int, int]] = {}
     cost = Fraction(0)
     for s, t, mass in plan.flows:
         if mass <= 0:
             raise GraphError(f"plan carries nonpositive mass {mass} on {s}->{t}")
-        try:
-            d = tp.distance(s, t)
-        except GraphError:
-            raise GraphError(
-                f"plan routes mass outside the support union: {s}->{t}"
-            ) from None
+        if s not in mu or t not in nu:
+            raise GraphError(f"plan routes mass outside the supports: {s}->{t}")
+        if s not in lengths:
+            lengths[s] = bfs_distances(g, s, radius=3)
         out[s] = out.get(s, Fraction(0)) + mass
         into[t] = into.get(t, Fraction(0)) + mass
-        cost += mass * d
-    for s in tp.sources:
-        if out.get(s, Fraction(0)) != tp.mu.mass(s):
-            raise GraphError(f"row marginal at {s}: {out.get(s, 0)} != {tp.mu.mass(s)}")
-    for t in tp.targets:
-        if into.get(t, Fraction(0)) != tp.nu.mass(t):
-            raise GraphError(f"column marginal at {t}: {into.get(t, 0)} != {tp.nu.mass(t)}")
-    if set(out) - set(tp.sources) or set(into) - set(tp.targets):
-        raise GraphError("plan touches vertices outside the supports")
+        cost += mass * lengths[s][t]
+    for s, m in mu.items():
+        if out.get(s, Fraction(0)) != m:
+            raise GraphError(f"row marginal at {s}: {out.get(s, 0)} != {m}")
+    for t, m in nu.items():
+        if into.get(t, Fraction(0)) != m:
+            raise GraphError(f"column marginal at {t}: {into.get(t, 0)} != {m}")
     if cost != plan.total_cost:
         raise GraphError(f"plan cost {plan.total_cost} recomputes to {cost}")
     return cost
@@ -504,51 +449,20 @@ class KappaResult:
     certificate: LipschitzCertificate
 
 
-def _edge_transport(g: Graph, x: int, y: int):
-    """The lazy transport problem across edge (x, y), solved and certified
-    in integers.
-
-    Over the scale 2 lcm(dx, dy) the lazy measure of x puts lcm(dx, dy) on
-    x and lcm(dx, dy) / dx on each neighbor, and likewise for y.  Sources
-    and targets are the sorted closed neighborhoods, and every cost is at
-    most 3 because the path p - x - y - q exists: q is at distance 1 from
-    p when adjacent, 2 when they share a neighbor, 3 otherwise.  Returns
-    sources, targets, flow cells, the plan's cost in units of the scale,
-    the scale and the potential by support point.
-    """
-    if not g.has_edge(x, y):
-        raise GraphError(f"({x}, {y}) is not an edge")
-    nx, ny = g.neighbors(x), g.neighbors(y)
-    lcm = math.lcm(len(nx), len(ny))
-    sources = sorted((x, *nx))
-    targets = sorted((y, *ny))
-    unit_x, unit_y = lcm // len(nx), lcm // len(ny)
-    supply = [lcm if s == x else unit_x for s in sources]
-    demand = [lcm if t == y else unit_y for t in targets]
-    adj = g.neighbor_sets()
-    cost = []
-    for s in sources:
-        near = adj[s]
-        cost.append([0 if t == s else 1 if t in near
-                     else 2 if not near.isdisjoint(adj[t]) else 3
-                     for t in targets])
-    cells, pot = _solve(g, cost, supply, demand)
-    total, values = _certify(sources, targets, cost, supply, demand, cells, pot)
-    return sources, targets, cells, total, 2 * lcm, values
-
-
 def kappa_detail(g: Graph, x: int, y: int) -> KappaResult:
     """Exact edge curvature with its optimal plan and dual certificate."""
-    sources, targets, cells, total, scale, values = _edge_transport(g, x, y)
-    dist, plan, cert = _result(sources, targets, cells, total, scale, values)
+    dist, plan, cert = wasserstein(TransportProblem(g, x, y))
     return KappaResult(x, y, 1 - dist, dist, plan, cert)
 
 
 def ollivier_kappa(g: Graph, x: int, y: int) -> Fraction:
     """Exact edge curvature, certified like `kappa_detail`'s but without
     building the plan and certificate objects."""
-    _, _, _, total, scale, _ = _edge_transport(g, x, y)
-    return Fraction(scale - total, scale)
+    tp = TransportProblem(g, x, y)
+    cells, pot = _solve(tp)
+    total, _ = _dual_certificate(tp.sources, tp.targets, tp.cost, tp.supply,
+                                 tp.demand, cells, pot)
+    return Fraction(tp.scale - total, tp.scale)
 
 
 # -- structure-driven witnesses --------------------------------------------
@@ -593,16 +507,11 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
         if len(free) != 1:
             return None
         flows.append((leftover, free[0], unit))
-    cost = Fraction(0)
-    dists = {}
-    for s, t, mass in flows:
-        if s == t:
-            continue
-        if s not in dists:
-            dists[s] = bfs_distances(g, s, radius=4)
-        if t not in dists[s]:
-            return None
-        cost += mass * dists[s][t]
+    # every move runs from N[x] to N[y], so the edge problem has its length
+    tp = TransportProblem(g, x, y)
+    length = {s: dict(zip(tp.targets, row))
+              for s, row in zip(tp.sources, tp.cost)}
+    cost = sum((mass * length[s][t] for s, t, mass in flows), Fraction(0))
     return TransportPlan(tuple(sorted(flows)), cost)
 
 
@@ -685,8 +594,8 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
     bad = certificate_violations(g, values)
     if bad:
         raise GraphError("internal: witness potential not 1-Lipschitz: " + bad[0])
-    mu = lazy_measure(g, x)
-    nu = lazy_measure(g, y)
-    dual = nu.integral(values) - mu.integral(values)
+    tp = TransportProblem(g, x, y)
+    dual = Fraction(sum(u * values[t] for t, u in tp.nu)
+                    - sum(u * values[s] for s, u in tp.mu), tp.scale)
     exact = 1 - ollivier_kappa(g, x, y)
     return LipschitzCertificate(values, dual, exact - dual)

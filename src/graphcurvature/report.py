@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bakry_emery import RHO_TOLERANCE
 from .checks import CheckResult, GraphFacts
 
 
@@ -89,7 +88,6 @@ class CurvatureReport:
 
 def to_json(report: CurvatureReport) -> str:
     doc = {
-        "tolerance": RHO_TOLERANCE,
         "vertices": [
             {"graph": r.graph, "vertex": r.vertex, "safe": r.safe,
              "rho": _dec(r.rho) if r.rho is not None else None,

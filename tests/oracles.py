@@ -6,9 +6,13 @@ constraint system by Bellman-Ford, the spectral oracle minimizes the
 Rayleigh quotient by projected gradient descent from many random starts,
 and the reference Gamma2 kernels assemble and reduce the doubled Gamma2
 form entry by entry in Fractions; none of these shares code with the
-package.  The reference vertex sweep is the one exception: it calls the
-package's kernels, but at every vertex afresh, with nothing shared
-between vertices.
+package.  Two helpers are the exceptions.  The reference vertex sweep
+calls the package's kernels, but at every vertex afresh, with nothing
+shared between vertices.  `solve_integer_transport` poses general
+transport problems (costs above 3, supports that are not closed
+neighborhoods) to the package's flow and integer certificate, so the
+transport oracle can check more than the edge problems the package
+itself builds.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from graphcurvature.classify import (
     link_profile,
     negative_test_vector,
 )
-from graphcurvature.graphs import contains_k3, extract_ball
+from graphcurvature.graphs import bfs_distances, contains_k3, extract_ball
+from graphcurvature.ollivier import _dual_certificate, _min_cost_flow
 
 
 def oracle_wasserstein(cost, supply, demand) -> Fraction:
@@ -82,6 +87,30 @@ def oracle_wasserstein(cost, supply, demand) -> Fraction:
     raw = rec(tuple(int(x * scale) for x in supply),
               tuple(int(x * scale) for x in demand))
     return Fraction(raw) / scale
+
+
+def solve_integer_transport(g, mu, nu):
+    """Transport between two measures at cost = graph distance, through
+    the package's flow and certificate.
+
+    mu and nu map support points to positive integer weights, each read
+    as a probability measure, on a connected graph.  The masses go over
+    the common scale lcm(total mu, total nu).  Returns the cost matrix,
+    supply and demand (sorted supports, in units of that scale), the
+    certified plan cost in those units and the potential by point.
+    """
+    total_mu, total_nu = sum(mu.values()), sum(nu.values())
+    scale = math.lcm(total_mu, total_nu)
+    sources, targets = sorted(mu), sorted(nu)
+    cost = [[bfs_distances(g, s)[t] for t in targets] for s in sources]
+    supply = [mu[s] * (scale // total_mu) for s in sources]
+    demand = [nu[t] * (scale // total_nu) for t in targets]
+    flow, pot = _min_cost_flow(cost, supply, demand)
+    cells = [(i, j, f, None) for i, row in enumerate(flow)
+             for j, f in enumerate(row) if f > 0]
+    total, values = _dual_certificate(sources, targets, cost, supply, demand,
+                                      cells, pot)
+    return cost, supply, demand, total, values
 
 
 def bellman_ford_potential(points, distance, flows) -> dict:
@@ -167,7 +196,7 @@ def fraction_gamma2(ball) -> tuple[tuple[int, ...], list[list[Fraction]]]:
     s2_set = set(s2)
     n = len(index)
     m = [[Fraction(0)] * n for _ in range(n)]
-    dx = ball.degrees[ball.base]
+    dx = len(ball.adj[ball.base])
     for v in s1:
         i = pos[v]
         for u in ball.adj[v]:
@@ -182,11 +211,11 @@ def fraction_gamma2(ball) -> tuple[tuple[int, ...], list[list[Fraction]]]:
         for w in s1:
             if w != v:
                 m[i][pos[w]] += 1
-        m[i][i] += Fraction(4 - dx - ball.degrees[v], 2)
+        m[i][i] += Fraction(4 - dx - len(ball.adj[v]), 2)
     # adjacent neighbor pairs form triangles with the base
     for a, v in enumerate(s1):
         for w in s1[a + 1:]:
-            if ball.has_edge(v, w):
+            if w in ball.adj[v]:
                 i, j = pos[v], pos[w]
                 m[i][i] += Fraction(5, 2)
                 m[j][j] += Fraction(5, 2)

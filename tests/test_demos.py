@@ -1,8 +1,10 @@
 """Every demo script and the README quickstart run against the source tree,
-the top-level API they import from stays whole, and every public name of
+the top-level API they import from stays whole, every layer the
+benchmark's tracer wraps by name still exists, and every public name of
 the package has a use outside the tests."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -48,6 +50,22 @@ def test_public_names_resolve():
     # the benchmark calls these as graphcurvature.<name>
     assert {"parse_graph_spec", "cd_curvature", "extract_ball",
             "kappa_detail"} <= set(exported)
+
+
+def test_traced_layers_resolve():
+    # perfbench/tracing.py wraps package functions by name; a renamed or
+    # deleted layer would otherwise fail only the benchmark's own tests
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import graphcurvature.cli  # noqa: F401  (loads every traced module)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
 
 
 # public names kept although only tests use them, with the reason

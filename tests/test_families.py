@@ -1,5 +1,6 @@
 """Generator invariants: sizes, regularity, forbidden subgraphs, labels."""
 
+import itertools
 import math
 
 import pytest
@@ -191,6 +192,34 @@ class TestPermutationFamilies:
         assert not contains_k3(g)
         if n == 4:
             assert not contains_k23(g)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_permutation_cayley_matches_plain_enumeration(self, n):
+        # vertex i is the i-th permutation in sorted order, joined to every
+        # permutation one generator swap away
+        perms = sorted(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+
+        def swap_edges(gens):
+            edges = set()
+            for p, i in index.items():
+                for a, b in gens:
+                    q = list(p)
+                    q[a], q[b] = q[b], q[a]
+                    edges.add(tuple(sorted((i, index[tuple(q)]))))
+            return tuple(sorted(edges))
+
+        labels = {i: "".join(str(x + 1) for x in p) for p, i in index.items()}
+        for g, name, gens in (
+                (transposition_cayley(n), f"transpositions-{n}",
+                 list(itertools.combinations(range(n), 2))),
+                (adjacent_transposition_cayley(n),
+                 f"adjacent-transpositions-{n}",
+                 [(i, i + 1) for i in range(n - 1)])):
+            assert g.name == name
+            assert g.vertices == tuple(range(len(perms)))
+            assert g.edges == swap_edges(gens)
+            assert g.labels == labels
 
     def test_interchange_sizes(self):
         # hosts with k independent edges give k commuting swaps

@@ -26,7 +26,6 @@ from graphcurvature.families import (
 )
 from graphcurvature.graphs import Graph, GraphError, bfs_distances
 from graphcurvature.ollivier import (
-    Measure,
     TransportPlan,
     TransportProblem,
     certificate_violations,
@@ -34,78 +33,84 @@ from graphcurvature.ollivier import (
     kappa_detail,
     kappa_lower_witness,
     kappa_upper_witness,
-    lazy_measure,
     ollivier_kappa,
     validate_plan,
     wasserstein,
 )
 
-from oracles import bellman_ford_potential, oracle_wasserstein
+from oracles import (
+    bellman_ford_potential,
+    oracle_wasserstein,
+    solve_integer_transport,
+)
 
 
-def point_mass(v):
-    return Measure(((v, Fraction(1)),))
+def lazy_masses(g, v):
+    """The lazy measure at v straight from its definition."""
+    masses = {w: Fraction(1, 2 * g.degree(v)) for w in g.neighbors(v)}
+    masses[v] = Fraction(1, 2)
+    return masses
+
+
+def as_fractions(measure, scale):
+    return {p: Fraction(units, scale) for p, units in measure}
 
 
 class TestMeasures:
     def test_lazy_measure_masses(self):
         g = petersen()
-        mu = lazy_measure(g, 0)
-        assert mu.mass(0) == Fraction(1, 2)
+        tp = TransportProblem(g, 0, 1)
+        mu = as_fractions(tp.mu, tp.scale)
+        assert mu[0] == Fraction(1, 2)
         for y in g.neighbors(0):
-            assert mu.mass(y) == Fraction(1, 6)
-        assert mu.mass(9) == 0
+            assert mu[y] == Fraction(1, 6)
+        assert 9 not in mu
+        assert as_fractions(tp.nu, tp.scale) == lazy_masses(g, 1)
 
     def test_lazy_measure_isolated(self):
+        # an isolated vertex is on no edge, so it poses no problem
         g = Graph([0, 1, 2], [(1, 2)])
-        with pytest.raises(GraphError, match="isolated"):
-            lazy_measure(g, 0)
+        with pytest.raises(GraphError, match="not an edge"):
+            TransportProblem(g, 0, 1)
 
     def test_measure_validation(self):
-        with pytest.raises(GraphError, match="total mass"):
-            Measure(((0, Fraction(1, 2)),))
-        with pytest.raises(GraphError, match="nonpositive"):
-            Measure(((0, Fraction(3, 2)), (1, Fraction(-1, 2))))
-        with pytest.raises(GraphError, match="duplicate"):
-            Measure(((0, Fraction(1, 2)), (0, Fraction(1, 2))))
-
-    def test_integral(self):
-        mu = Measure(((0, Fraction(1, 4)), (1, Fraction(3, 4))))
-        assert mu.integral({0: 4, 1: 0}) == 1
+        # both measures are probability measures over the scale, also
+        # where the endpoint degrees differ: distinct points, positive
+        # units, total mass 1
+        for g in (star(4), petersen(), regular_tree(3, 3)):
+            for x, y in g.edges:
+                tp = TransportProblem(g, x, y)
+                for measure in (tp.mu, tp.nu):
+                    points = [p for p, _ in measure]
+                    assert len(set(points)) == len(points)
+                    assert all(units > 0 for _, units in measure)
+                    assert sum(units for _, units in measure) == tp.scale
 
 
 class TestWasserstein:
     def test_identical_measures_cost_zero(self):
         g = cycle(6)
-        mu = lazy_measure(g, 0)
-        res = wasserstein(TransportProblem(g, mu, mu))
-        assert res.distance == 0
-        assert res.certificate.gap == 0
+        mu = {0: 2, 1: 1, 5: 1}
+        _, _, _, total, values = solve_integer_transport(g, mu, mu)
+        assert total == 0
+        assert certificate_violations(g, values) == []
 
     def test_point_masses_pay_the_distance(self):
+        # a general problem: one move of length 4, beyond any edge problem
         g = path_graph(5)
-        res = wasserstein(TransportProblem(g, point_mass(0), point_mass(4)))
-        assert res.distance == 4
-
-    def test_disconnected_supports_rejected(self):
-        g = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
-        with pytest.raises(GraphError, match="not connected"):
-            TransportProblem(g, point_mass(0), point_mass(3))
-
-    def test_far_point_masses_use_exact_distances(self):
-        g = cycle(8)
-        tp = TransportProblem(g, point_mass(0), point_mass(4))
-        assert tp.distance(0, 4) == bfs_distances(g, 0)[4] == 4
-        assert wasserstein(tp).distance == 4
+        cost, _, _, total, values = solve_integer_transport(g, {0: 1}, {4: 1})
+        assert cost == [[4]]
+        assert total == 4
+        assert values[4] - values[0] == 4
 
     def test_cycle_adjacent_lazy_cost(self):
         g = cycle(5)
-        res = wasserstein(TransportProblem(g, lazy_measure(g, 0), lazy_measure(g, 1)))
+        res = wasserstein(TransportProblem(g, 0, 1))
         assert res.distance == Fraction(3, 4)
 
     def test_plan_is_feasible_and_certified(self):
         g = petersen()
-        tp = TransportProblem(g, lazy_measure(g, 0), lazy_measure(g, 1))
+        tp = TransportProblem(g, 0, 1)
         res = wasserstein(tp)
         assert validate_plan(tp, res.plan) == res.distance
         cert = res.certificate
@@ -114,7 +119,8 @@ class TestWasserstein:
         assert all(isinstance(v, int) for v in cert.values.values())
         assert certificate_violations(g, cert.values) == []
         # the dual value really is the integral difference
-        diff = tp.nu.integral(cert.values) - tp.mu.integral(cert.values)
+        diff = (sum(m * cert.values[p] for p, m in lazy_masses(g, 1).items())
+                - sum(m * cert.values[p] for p, m in lazy_masses(g, 0).items()))
         assert diff == cert.dual_value
 
 
@@ -128,15 +134,22 @@ class TestCorpusCertificates:
             for x, y in g.edges:
                 if not g.transport_neighborhood_complete(x, y):
                     continue
-                tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+                tp = TransportProblem(g, x, y)
+                assert as_fractions(tp.mu, tp.scale) == lazy_masses(g, x)
+                assert as_fractions(tp.nu, tp.scale) == lazy_masses(g, y)
+                # every support point lies within 3 of every other
+                dist = {p: bfs_distances(g, p, radius=3)
+                        for p in {*tp.sources, *tp.targets}}
+                assert tp.cost == [[dist[s][t] for t in tp.targets]
+                                   for s in tp.sources]
                 res = wasserstein(tp)
                 cert = res.certificate
                 assert validate_plan(tp, res.plan) == res.distance
                 assert cert.gap == 0
                 assert certificate_violations(g, cert.values) == []
                 assert cert.values == bellman_ford_potential(
-                    tp.points, tp.distance, res.plan.flows)
-                # the integer edge path agrees with the measure path
+                    dist, lambda p, q: dist[p][q], res.plan.flows)
+                # the sweep's path, which builds no objects, agrees
                 detail = kappa_detail(g, x, y)
                 assert ollivier_kappa(g, x, y) == detail.kappa == 1 - res.distance
                 assert detail.plan == res.plan
@@ -211,7 +224,7 @@ class TestSolveMemo:
 class TestPlanValidation:
     def _problem(self):
         g = cycle(5)
-        return g, TransportProblem(g, lazy_measure(g, 0), lazy_measure(g, 1))
+        return g, TransportProblem(g, 0, 1)
 
     def test_detects_bad_marginal(self):
         g, tp = self._problem()
@@ -351,7 +364,7 @@ class TestWitnesses:
         plan = kappa_lower_witness(g, 0, 1)
         assert plan is not None
         assert plan.total_cost == Fraction(3, 4)
-        tp = TransportProblem(g, lazy_measure(g, 0), lazy_measure(g, 1))
+        tp = TransportProblem(g, 0, 1)
         assert validate_plan(tp, plan) == plan.total_cost
 
     def test_hypercube_partner_plan_is_tight(self):
@@ -366,7 +379,7 @@ class TestWitnesses:
         plan = kappa_lower_witness(g, x, y)
         assert plan is not None
         assert 1 - plan.total_cost == Fraction(1, 3)
-        tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+        tp = TransportProblem(g, x, y)
         assert validate_plan(tp, plan) == plan.total_cost
 
     def test_tree_has_no_lower_witness(self):
@@ -382,7 +395,7 @@ class TestWitnesses:
                     continue
                 exact = ollivier_kappa(g, x, y)
                 assert 1 - plan.total_cost <= exact
-                tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+                tp = TransportProblem(g, x, y)
                 validate_plan(tp, plan)
 
     def test_tree_upper_witness(self):
@@ -433,16 +446,11 @@ class TestAgainstOracle:
             def random_measure():
                 size = rng.randint(1, min(4, n))
                 verts = rng.sample(range(n), size)
-                raw = [Fraction(rng.randint(1, 5)) for _ in verts]
-                tot = sum(raw)
-                return Measure(tuple(sorted(
-                    (v, m / tot) for v, m in zip(verts, raw))))
+                return {v: rng.randint(1, 5) for v in verts}
 
-            tp = TransportProblem(g, random_measure(), random_measure())
-            res = wasserstein(tp)
-            supply = [tp.mu.mass(s) for s in tp.sources]
-            demand = [tp.nu.mass(t) for t in tp.targets]
-            assert res.distance == oracle_wasserstein(tp.cost, supply, demand)
+            cost, supply, demand, total, _ = solve_integer_transport(
+                g, random_measure(), random_measure())
+            assert total == oracle_wasserstein(cost, supply, demand)
 
 
 @st.composite
@@ -473,12 +481,11 @@ def connected_graph_and_measures(draw):
                               max_size=min(size, n), unique=True))
         raw = draw(st.lists(st.integers(1, 4), min_size=len(verts),
                             max_size=len(verts)))
-        return Measure(tuple(sorted(
-            (v, Fraction(w, sum(raw))) for v, w in zip(verts, raw))))
+        return dict(zip(verts, raw))
 
     mu = measure(6)
     # the exhaustive oracle blows up beyond about 20 plan cells
-    return g, mu, measure(min(6, 20 // len(mu.weights)))
+    return g, mu, measure(min(6, 20 // len(mu)))
 
 
 class TestProperties:
@@ -486,19 +493,16 @@ class TestProperties:
     @given(connected_graph_and_measures())
     def test_random_measures_match_oracle(self, case):
         g, mu, nu = case
-        tp = TransportProblem(g, mu, nu)
-        res = wasserstein(tp)
-        supply = [mu.mass(s) for s in tp.sources]
-        demand = [nu.mass(t) for t in tp.targets]
-        assert res.distance == oracle_wasserstein(tp.cost, supply, demand)
-        assert certificate_violations(g, res.certificate.values) == []
+        cost, supply, demand, total, values = solve_integer_transport(g, mu, nu)
+        assert total == oracle_wasserstein(cost, supply, demand)
+        assert certificate_violations(g, values) == []
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graph_and_edge())
     def test_kappa_detail_invariants(self, case):
         g, (x, y) = case
         res = kappa_detail(g, x, y)
-        tp = TransportProblem(g, lazy_measure(g, x), lazy_measure(g, y))
+        tp = TransportProblem(g, x, y)
         assert ollivier_kappa(g, x, y) == res.kappa == 1 - wasserstein(tp).distance
         # bounds, symmetry, certificate tightness, and mass quantization
         assert Fraction(-2) <= res.kappa <= Fraction(1)

@@ -71,7 +71,6 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class CdResult:
-    vertex: int
     rho: float
 
 
@@ -189,4 +188,4 @@ def cd_curvature(ball: LocalBall, form: QuadraticForm | None = None) -> CdResult
     if form is None:
         form = gamma2_form(ball)
     red = eliminate_second_neighbors(form, ball)
-    return CdResult(ball.base, float(np.linalg.eigh(red.as_array())[0][0]))
+    return CdResult(float(np.linalg.eigh(red.as_array())[0][0]))

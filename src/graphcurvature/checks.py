@@ -456,6 +456,25 @@ def check_quantization(facts: GraphFacts) -> CheckResult:
     return _result("quantization", seen, problems, "no safe edges")
 
 
+def diameter_bounds(g: Graph, dia: int, kstar: Fraction, regular: int | None):
+    """The diameter bounds that a positive minimum edge curvature kappa*
+    gives, as (name, statement, holds): diameter <= 1/kappa*, and also
+    diameter <= 2d when g is d-regular or diameter <= 2d^2-2d when it is
+    irregular with max degree d >= 2.  None apply when kappa* <= 0.
+    """
+    if kstar <= 0:
+        return []
+    caps = [("diameter <= 1/kappa*", 1 / kstar)]
+    if regular is not None:
+        caps.append(("regular: diameter <= 2d", 2 * regular))
+    else:
+        dmax = max(g.degree(v) for v in g.vertices)
+        # vacuous at max degree 1 (a single edge)
+        if dmax >= 2:
+            caps.append(("irregular: diameter <= 2d^2-2d", 2 * dmax * dmax - 2 * dmax))
+    return [(name, f"{dia} <= {cap}", dia <= cap) for name, cap in caps]
+
+
 def check_diameter_bounds(facts: GraphFacts) -> CheckResult:
     """Positive curvature everywhere caps the diameter."""
     if facts.truncated:
@@ -468,22 +487,13 @@ def check_diameter_bounds(facts: GraphFacts) -> CheckResult:
     if kstar <= 0:
         return _result("diameter-bounds", False, [],
                        f"minimum edge curvature {kstar} <= 0; bound vacuous")
-    g = facts.graph
-    dia = diameter(g)
+    dia = diameter(facts.graph)
     # positive curvature on every edge does not make a graph connected
     if dia is None:
         return _result("diameter-bounds", False, [], "graph is disconnected")
-    problems = []
-    if dia * kstar > 1:
-        problems.append(f"{facts.key}: diameter {dia} > 1/kappa* = {1 / kstar}")
-    if facts.regular is not None and dia > 2 * facts.regular:
-        problems.append(f"{facts.key}: diameter {dia} > 2d = {2 * facts.regular}")
-    dmax = max(g.degree(v) for v in g.vertices)
-    # the irregular bound is vacuous at max degree 1 (a single edge)
-    if dmax >= 2 and dia > 2 * dmax * dmax - 2 * dmax:
-        problems.append(
-            f"{facts.key}: diameter {dia} > 2d^2-2d = {2 * dmax * dmax - 2 * dmax}"
-        )
+    problems = [f"{facts.key}: {name} violated: {stmt}"
+                for name, stmt, holds in diameter_bounds(
+                    facts.graph, dia, kstar, facts.regular) if not holds]
     return _result("diameter-bounds", True, problems)
 
 

@@ -15,7 +15,7 @@ import sys
 import time
 
 from .bakry_emery import cd_curvature
-from .checks import gather_facts, run_checks
+from .checks import diameter_bounds, gather_facts, run_checks
 from .classify import classify_vertex
 from .corpus import (
     build_item,
@@ -200,20 +200,7 @@ def cmd_diameter_bound(ns) -> int:
         raise GraphError(f"{g.name} is disconnected; no finite diameter")
     kappas = [(x, y, ollivier_kappa(g, x, y)) for x, y in g.edges]
     kstar = min(k for _, _, k in kappas)
-    reg = is_regular(g)
-    dmax = max(g.degree(v) for v in g.vertices)
-    bounds = []
-    if kstar > 0:
-        bounds.append(("diameter <= 1/kappa*",
-                       f"{dia} <= {format_fraction(1 / kstar)}",
-                       dia * kstar <= 1))
-        if reg is not None:
-            bounds.append(("regular: diameter <= 2d",
-                           f"{dia} <= {2 * reg}", dia <= 2 * reg))
-        elif dmax >= 2:
-            bounds.append(("irregular: diameter <= 2d^2-2d",
-                           f"{dia} <= {2 * dmax * dmax - 2 * dmax}",
-                           dia <= 2 * dmax * dmax - 2 * dmax))
+    bounds = diameter_bounds(g, dia, kstar, is_regular(g))
     ok = all(holds for _, _, holds in bounds)
     if ns.format == "json":
         doc = {

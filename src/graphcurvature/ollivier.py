@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul, sub
 from typing import NamedTuple
 
-from .classify import bipartite_decomposition, link_profile
+from .classify import bipartite_decomposition
 from .graphs import (
     Graph,
     GraphError,
@@ -34,7 +34,6 @@ from .graphs import (
     contains_k23,
     contains_k3,
     effective_degree,
-    extract_ball,
 )
 
 
@@ -468,6 +467,14 @@ def ollivier_kappa(g: Graph, x: int, y: int) -> Fraction:
 # -- structure-driven witnesses --------------------------------------------
 
 
+def _partners(g: Graph, x: int, y: int) -> dict[int, list[int]]:
+    """Each neighbor v of x other than y mapped to the sorted vertices
+    other than x that link it to y: `link_profile`'s links[(v, y)]."""
+    adj = g.neighbor_sets()
+    beside_y = adj[y] - {x}
+    return {v: sorted(adj[v] & beside_y) for v in g.neighbors(x) if v != y}
+
+
 def _stay_flows(x: int, y: int, d: int):
     return [(x, x, Fraction(1, 2 * d)), (y, y, Fraction(1, 2 * d))]
 
@@ -479,8 +486,8 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
     triangle and no 2x3 biclique the partners are unique and distinct, so
     the routing is a matching.  Cost is at most 1, giving kappa >= 0.
     """
-    profile = link_profile(extract_ball(g, x))
-    if profile.nonlink_counts[y] > 1:
+    partners = _partners(g, x, y)
+    if sum(not zs for zs in partners.values()) > 1:
         return None
     flows = _stay_flows(x, y, d)
     if d > 1:
@@ -488,12 +495,9 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
     unit = Fraction(1, 2 * d)
     used = set()
     leftover = None
-    for v in g.neighbors(x):
-        if v == y:
-            continue
-        partners = profile.linking_vertices(v, y)
-        if partners:
-            w = partners[0]
+    for v, zs in partners.items():
+        if zs:
+            w = zs[0]
             if w in used:
                 return None
             used.add(w)
@@ -573,15 +577,12 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
         return None
     if not (g.two_ball_complete(x) and g.two_ball_complete(y)):
         return None
-    profile = link_profile(extract_ball(g, x))
-    if profile.nonlink_counts[y] < 2:
+    partners = _partners(g, x, y)
+    if sum(not zs for zs in partners.values()) < 2:
         return None
-    rest_x = [v for v in g.neighbors(x) if v != y]
-    linking = set()
-    for v in rest_x:
-        linking.update(profile.linking_vertices(v, y))
+    linking = set().union(*partners.values())
     values = {x: 0, y: 1}
-    for v in rest_x:
+    for v in partners:
         values[v] = 0
     for u in g.neighbors(y):
         if u == x:

@@ -12,7 +12,8 @@ shared between vertices.  `solve_integer_transport` poses general
 transport problems (costs above 3, supports that are not closed
 neighborhoods) to the package's flow and integer certificate, so the
 transport oracle can check more than the edge problems the package
-itself builds.
+itself builds.  The decomposition oracle finds the biclique classes
+across an edge by Galois closures, where the package groups neighbors.
 """
 
 from __future__ import annotations
@@ -281,3 +282,49 @@ def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
             flat_val, neg_val,
         ))
     return tuple(vfacts)
+
+
+def oracle_bipartite_decomposition(g, x, y):
+    """Equal-part biclique classes across edge (x, y) of a triangle-free
+    graph, by Galois closures.
+
+    Each unassigned neighbor w of x beside y seeds the closure of {y, w},
+    which must be an equal-part biclique through the edge with no side
+    vertex already in a class.  The classes must tile N(x) - y and
+    N(y) - x, and the closure seeded anywhere inside a class must
+    reproduce it.  None when any of this fails.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def closure(seed):
+        a_side = set.intersection(*(adj[b] for b in seed))
+        return a_side, set.intersection(*(adj[a] for a in a_side))
+
+    rest_x = [w for w in g.neighbors(x) if w != y]
+    rest_y = adj[y] - {x}
+    classes = []
+    assigned = set()
+    for w in rest_x:
+        if w in assigned:
+            continue
+        a_side, b_side = closure({y, w})
+        if x not in a_side or y not in b_side or w not in b_side:
+            return None
+        if len(a_side) != len(b_side):
+            return None
+        s = tuple(sorted(b_side - {y}))
+        t = tuple(sorted(a_side - {x}))
+        if assigned & set(s) or not set(s) <= set(rest_x) or not set(t) <= rest_y:
+            return None
+        classes.append((s, t))
+        assigned.update(s)
+    if len(assigned) != len(rest_x):
+        return None
+    t_all = [v for _, t in classes for v in t]
+    if len(t_all) != len(set(t_all)) or set(t_all) != rest_y:
+        return None
+    for s, t in classes:
+        for w in s:
+            if closure({y, w}) != (set(t) | {x}, set(s) | {y}):
+                return None
+    return classes

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcurvature.bakry_emery import gamma2_form
 from graphcurvature.classify import (
@@ -32,7 +33,9 @@ from graphcurvature.families import (
     star,
     transposition_cayley,
 )
-from graphcurvature.graphs import GraphError, extract_ball
+from graphcurvature.graphs import Graph, GraphError, extract_ball
+
+from oracles import oracle_bipartite_decomposition
 
 
 class TestLinkProfile:
@@ -150,7 +153,7 @@ class TestConsistency:
 
     def test_flat_rejects_negative_kappa(self):
         ok, problems = cd_ollivier_consistency(0.0, {1: Fraction(-1, 3)})
-        assert not ok
+        assert not ok and len(problems) == 1
 
     def test_negative_needs_some_nonpositive(self):
         ok, problems = cd_ollivier_consistency(-1.0, {1: Fraction(1, 6), 2: Fraction(0)})
@@ -160,6 +163,24 @@ class TestConsistency:
 
     def test_empty_kappas_trivially_ok(self):
         assert cd_ollivier_consistency(-2.0, {})[0]
+
+
+@st.composite
+def random_bipartite_graph(draw):
+    """Up to 7 + 7 vertices: random edges, some of them unions of random
+    bicliques so that equal-part classes and 2x3 bicliques both turn up;
+    vertices may stay isolated."""
+    left = draw(st.integers(1, 7))
+    right = draw(st.integers(1, 7))
+    lefts = st.sets(st.integers(0, left - 1), min_size=1)
+    rights = st.sets(st.integers(left, left + right - 1), min_size=1)
+    edges = set(draw(st.lists(st.tuples(st.integers(0, left - 1),
+                                        st.integers(left, left + right - 1)),
+                              max_size=left * right)))
+    for _ in range(draw(st.integers(0, 3))):
+        a_side, b_side = draw(lefts), draw(rights)
+        edges.update((a, b) for a in a_side for b in b_side)
+    return Graph(range(left + right), edges)
 
 
 class TestBipartiteDecomposition:
@@ -190,6 +211,14 @@ class TestBipartiteDecomposition:
     def test_cycle5_has_none(self):
         assert bipartite_decomposition(cycle(5), 0, 1) is None
 
+    def test_overlapping_classes_have_none(self):
+        # across (0, 1): neighbors 2, 3 see {5, 6}, neighbor 4 sees {5}, and
+        # 7 sees neither; the group sizes match but the classes overlap
+        g = Graph(range(8), [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),
+                             (1, 7), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5)])
+        assert bipartite_decomposition(g, 0, 1) is None
+        assert oracle_bipartite_decomposition(g, 0, 1) is None
+
     def test_tree_has_none(self):
         g = regular_tree(3, 4)
         assert bipartite_decomposition(g, 0, g.resolve_vertex("r.1")) is None
@@ -201,6 +230,14 @@ class TestBipartiteDecomposition:
     def test_non_edge_is_an_error(self):
         with pytest.raises(GraphError, match="not an edge"):
             bipartite_decomposition(hypercube(3), 0, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bipartite_graph())
+    def test_grouping_matches_closure_oracle(self, g):
+        for x, y in g.edges:
+            for a, b in ((x, y), (y, x)):
+                assert (bipartite_decomposition(g, a, b)
+                        == oracle_bipartite_decomposition(g, a, b))
 
 
 class TestInterchangeRule:

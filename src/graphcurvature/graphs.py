@@ -230,15 +230,47 @@ def bfs_distances(g: Graph, source: int, radius: int | None = None) -> dict[int,
     return dist
 
 
+# sources per pass of the bit-parallel BFS in diameter
+_DIAMETER_BATCH = 4096
+
+
 def diameter(g: Graph) -> int | None:
-    """Largest pairwise distance, or None when the graph is disconnected."""
+    """Largest pairwise distance, or None when the graph is disconnected.
+
+    One BFS from the first vertex decides connectivity.  A connected graph
+    then runs a multi-source bit-parallel BFS (Then et al., "The More the
+    Merrier", PVLDB 2014) over batches of at most 4,096 sources: each
+    vertex holds a Python int whose bit i says source i is within the
+    current level, and one level ORs every vertex's int with its
+    neighbours' ints.  The levels taken until every int is full are the
+    largest eccentricity among the batch's sources.  A pass holds two
+    lists of V ints of at most 4,096 bits, so memory stays at about
+    V x 1 KB whatever the graph's size.
+    """
     n = len(g.vertices)
+    if n <= 1:
+        return 0
+    if len(bfs_distances(g, g.vertices[0])) < n:
+        return None
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adjacency = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
     best = 0
-    for v in g.vertices:
-        dist = bfs_distances(g, v)
-        if len(dist) < n:
-            return None
-        best = max(best, max(dist.values()))
+    for start in range(0, n, _DIAMETER_BATCH):
+        stop = min(start + _DIAMETER_BATCH, n)
+        full = (1 << (stop - start)) - 1
+        reach = [0] * n
+        for i in range(start, stop):
+            reach[i] = 1 << (i - start)
+        levels = 0
+        while reach.count(full) < n:
+            nxt = []
+            for r, ns in zip(reach, adjacency):
+                for w in ns:
+                    r |= reach[w]
+                nxt.append(r)
+            reach = nxt
+            levels += 1
+        best = max(best, levels)
     return best
 
 

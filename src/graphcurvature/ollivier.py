@@ -379,7 +379,9 @@ def validate_plan(tp: TransportProblem, plan: TransportPlan) -> Fraction:
 def certificate_violations(g: Graph, values) -> list[str]:
     """Pairs of valued vertices whose difference exceeds graph distance.
 
-    No two values differ by more than the spread, the largest value less
+    The values must be ints or Fractions, so that each difference is exact
+    as it stands; every potential the package builds is int-valued.  No
+    two values differ by more than the spread, the largest value less
     the least, so no pair farther apart than that can violate the bound
     and each search stops at that radius.
     """
@@ -393,7 +395,7 @@ def certificate_violations(g: Graph, values) -> list[str]:
         for q in keys[i + 1:]:
             if q not in dists:
                 continue
-            spread = abs(Fraction(values[p]) - Fraction(values[q]))
+            spread = abs(values[p] - values[q])
             if spread > dists[q]:
                 problems.append(
                     f"|f({p}) - f({q})| = {spread} > distance {dists[q]}"

@@ -14,6 +14,8 @@ neighborhoods) to the package's flow and integer certificate, so the
 transport oracle can check more than the edge problems the package
 itself builds.  The decomposition oracle finds the biclique classes
 across an edge by Galois closures, where the package groups neighbors.
+The diameter oracle runs the package's single-source BFS from every
+vertex, where the package runs one bit-parallel multi-source BFS.
 """
 
 from __future__ import annotations
@@ -328,3 +330,16 @@ def oracle_bipartite_decomposition(g, x, y):
             if closure({y, w}) != (set(t) | {x}, set(s) | {y}):
                 return None
     return classes
+
+
+def oracle_diameter(g) -> int | None:
+    """Largest pairwise distance by one full BFS per vertex, or None when
+    the graph is disconnected."""
+    n = len(g.vertices)
+    best = 0
+    for v in g.vertices:
+        dist = bfs_distances(g, v)
+        if len(dist) < n:
+            return None
+        best = max(best, max(dist.values()))
+    return best

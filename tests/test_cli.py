@@ -239,6 +239,15 @@ class TestVerifyCommand:
                      ["curvature", f"file:{p}", "--all", "--format", "csv"]):
             code, _, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), (argv, edges)
+        for fmt in ("table", "json"):
+            argv = ["diameter-bound", f"file:{p}", "--format", fmt]
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (0, 1, 2), (argv, edges)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (
+                    argv, edges, err)
+            else:
+                assert err == "", (argv, edges)
 
     def test_json_differs_only_in_timing(self, capsys):
         _, out1, _ = run_cli(

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from graphcurvature import graphs
+from graphcurvature.corpus import parse_graph_spec
 from graphcurvature.families import (
     complete_bipartite,
     complete_graph,
@@ -32,6 +35,23 @@ from graphcurvature.graphs import (
     render_graph,
     save_graph,
 )
+
+from oracles import oracle_diameter
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on up to 12 vertices with scattered ids: empty, one-vertex,
+    disconnected and isolated-vertex graphs included; half of them carry
+    a random spanning tree, so connected graphs are common too."""
+    n = draw(st.integers(0, 12))
+    ids = sorted(draw(st.sets(st.integers(-20, 40), min_size=n, max_size=n)))
+    index = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=20))
+    if n > 1 and draw(st.booleans()):
+        pairs += [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    edges = {(ids[min(a, b)], ids[max(a, b)]) for a, b in pairs if a != b}
+    return Graph(ids, edges)
 
 
 class TestConstruction:
@@ -120,6 +140,29 @@ class TestQueries:
         assert not contains_k23(petersen())
         assert contains_k23(complete_bipartite(3))
         assert not contains_k23(star(6))  # leaves share only the center
+
+
+class TestDiameter:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    @example(Graph([], []))
+    @example(Graph([5], []))
+    @example(Graph([0, 1, 2], [(0, 1)]))
+    def test_matches_per_vertex_bfs(self, g):
+        expected = oracle_diameter(g)
+        assert diameter(g) == expected
+        # sources in several batches: a skipped batch misses its
+        # eccentricities
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_DIAMETER_BATCH", 3)
+            assert diameter(g) == expected
+
+    def test_corpus_and_larger_graphs(self, corpus_items):
+        cases = [item.graph for item in corpus_items.values()]
+        cases += [parse_graph_spec(s) for s in
+                  ("hypercube:7", "transpositions:5", "flip:8")]
+        for g in cases:
+            assert diameter(g) == oracle_diameter(g), g.name
 
 
 class TestTruncationGates:

@@ -264,6 +264,13 @@ class TestCertificates:
         assert certificate_violations(g, {0: 0, 3: 5})
         assert certificate_violations(g, {0: 0, 3: 3}) == []
 
+    def test_fraction_values_compare_exactly(self):
+        # f(1) - f(0) exceeds distance 1 by 1/3; f(3) - f(0) meets distance 3
+        g = path_graph(4)
+        values = {0: Fraction(0), 1: Fraction(4, 3), 3: Fraction(3)}
+        assert certificate_violations(g, values) == [
+            "|f(0) - f(1)| = 4/3 > distance 1"]
+
     def test_violations_match_all_pairs_search(self):
         rng = random.Random(7)
         for g in (cycle(12), petersen(), hypercube(5), regular_tree(3, 5),

@@ -41,8 +41,9 @@ print(hdr)
 print("-" * len(hdr))
 for g in graphs:
     x = next(v for v in g.vertices if g.two_ball_complete(v))
-    verdict = classify_vertex(g, x)
-    rho = cd_curvature(extract_ball(g, x)).rho
+    ball = extract_ball(g, x)
+    verdict = classify_vertex(g, ball)
+    rho = cd_curvature(ball).rho
     kappa = ollivier_kappa(g, x, g.neighbors(x)[0])
     cls = verdict.structure_class.name.lower().replace("_", " ")
     if verdict.cd_prediction is None:

@@ -31,14 +31,15 @@ print(f"\nneighbors of {g.label(x)}:")
 for y in g.neighbors(x):
     print(f"  {g.label(y)}")
 
-verdict = classify_vertex(g, x)
+ball = extract_ball(g, x)
+verdict = classify_vertex(g, ball)
 print(f"\nclass: {verdict.structure_class.name}, N = {verdict.N}")
 print("non-link counts per neighbor:")
 for y, miss in sorted(verdict.profile.nonlink_counts.items(),
                       key=lambda kv: g.label(kv[0])):
     print(f"  {g.label(y)}: fails to link {miss} of the other 3")
 
-rho = cd_curvature(extract_ball(g, x)).rho
+rho = cd_curvature(ball).rho
 print(f"\nrho at {g.label(x)} = {rho:.6f}  (exactly -sqrt(2))")
 
 # the edge that moves two cycle steps after flipping coordinate 2

@@ -3,10 +3,12 @@
 gather_facts sweeps a corpus graph: spectral curvature and class at every
 non-isolated vertex whose two-ball is complete, exact edge curvature
 wherever the transport neighborhood is complete.  The vertex facts depend
-on the two-ball alone, so one sweep computes them once per distinct
-two-ball (renumbered by position) and shares them.  run_checks then
-replays every applicable classification, linkage, decomposition, duality
-and diameter statement against those facts and reports violations.
+on the two-ball alone, extracted once per vertex, so one sweep computes
+them once per distinct two-ball (renumbered by position) and shares them;
+each edge problem is solved once and certified on every edge.  run_checks
+then replays every applicable classification, linkage, decomposition,
+duality and diameter statement against those facts and reports
+violations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .classify import (
     cd_ollivier_consistency,
     classify_vertex,
     flat_test_vector,
-    link_profile,
     negative_test_vector,
 )
 from .corpus import CorpusItem
@@ -85,16 +86,14 @@ class GraphFacts:
     deep_edges: tuple[tuple[int, int], ...]
 
 
-def _vertex_values(g: Graph, x: int, ball: LocalBall, k3: bool) -> tuple:
+def _vertex_values(g: Graph, ball: LocalBall) -> tuple:
     """rho, class, N, non-link counts in sphere1 order, minimum linkage and
-    the flat and negative test-vector values at a complete, non-isolated x."""
+    the flat and negative test-vector values at a complete, non-isolated
+    vertex; the linkage facts stand wherever g is triangle-free."""
     form = gamma2_form(ball)
     rho = cd_curvature(ball, form).rho
-    verdict = classify_vertex(g, x)
+    verdict = classify_vertex(g, ball)
     profile = verdict.profile
-    if profile is None and not k3:
-        # class is inapplicable but linkage facts remain meaningful
-        profile = link_profile(ball)
     min_linkage = None
     counts = None
     flat_val = None
@@ -137,7 +136,6 @@ def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
 def gather_facts(item: CorpusItem) -> GraphFacts:
     """Sweep one corpus graph."""
     g = item.graph
-    k3 = contains_k3(g)
     vfacts = []
     # vertices whose renumbered two-balls agree share every vertex fact
     memo: dict[tuple[int, ...], tuple] = {}
@@ -150,7 +148,7 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         key = _ball_key(g, ball)
         known = memo.get(key)
         if known is None:
-            known = memo[key] = _vertex_values(g, x, ball, k3)
+            known = memo[key] = _vertex_values(g, ball)
         rho, cls, n, counts, min_linkage, flat_val, neg_val = known
         if counts is not None:
             counts = dict(zip(ball.sphere1, counts))
@@ -165,7 +163,7 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         else:
             efacts.append(EdgeFact(x, y, False, None))
     return GraphFacts(
-        item.key, g, is_regular(g), not k3, not contains_k23(g),
+        item.key, g, is_regular(g), not contains_k3(g), not contains_k23(g),
         g.truncation is not None, tuple(vfacts), tuple(efacts),
         item.deep_edges,
     )

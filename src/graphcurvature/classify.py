@@ -26,7 +26,6 @@ from .graphs import (
     contains_k23,
     contains_k3,
     effective_degree,
-    extract_ball,
 )
 
 
@@ -54,7 +53,7 @@ def _pair(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LinkProfile:
-    """Linkage structure among the neighbors of `base`.
+    """Linkage structure among the neighbors of a ball's base.
 
     links maps each unordered neighbor pair to the tuple of vertices
     joining them (empty = unlinked); linkage weights each joining vertex
@@ -62,7 +61,6 @@ class LinkProfile:
     the number of other neighbors not linked to y, and N is its maximum.
     """
 
-    base: int
     links: dict[tuple[int, int], tuple[int, ...]]
     linkage: dict[tuple[int, int], Fraction]
     nonlink_counts: dict[int, int]
@@ -100,49 +98,49 @@ def link_profile(ball: LocalBall) -> LinkProfile:
         for y in s1
     }
     n = max(nonlink.values(), default=0)
-    return LinkProfile(ball.base, links, linkage, nonlink, n)
+    return LinkProfile(links, linkage, nonlink, n)
 
 
 @dataclass(frozen=True)
 class ClassVerdict:
-    vertex: int
     structure_class: StructureClass
-    degree: int | None
     N: int | None
     cd_prediction: str | None
     reason: str
     profile: LinkProfile | None
 
 
-def classify_vertex(g: Graph, x: int) -> ClassVerdict:
-    """Class verdict at x; inapplicability is a verdict, never an error."""
+def classify_vertex(g: Graph, ball: LocalBall) -> ClassVerdict:
+    """Class verdict at ball.base; inapplicability is a verdict, never an
+    error.  The verdict carries the link profile wherever g is
+    triangle-free and the ball complete, whatever else fails."""
+    k3 = contains_k3(g)
+    profile = link_profile(ball) if ball.complete and not k3 else None
 
     def inapplicable(reason: str) -> ClassVerdict:
-        return ClassVerdict(x, StructureClass.INAPPLICABLE, None, None,
-                            None, reason, None)
+        return ClassVerdict(StructureClass.INAPPLICABLE, None, None, reason,
+                            profile)
 
-    if contains_k3(g):
+    if k3:
         return inapplicable("graph contains a triangle")
     if contains_k23(g):
         return inapplicable("graph contains a 2x3 biclique")
-    d = effective_degree(g, x)
+    if not ball.sphere1:
+        return inapplicable("isolated vertex")
+    d = effective_degree(g, ball.base)
     if d is None:
         return inapplicable("no certified regular degree at this vertex")
-    if not g.two_ball_complete(x):
+    if not ball.complete:
         return inapplicable("two-ball cut by the truncation boundary")
-    profile = link_profile(extract_ball(g, x))
     if profile.N == 0:
         cls = StructureClass.FULLY_LINKED
     elif profile.N == 1:
         cls = StructureClass.ONE_UNLINKED
     else:
         cls = StructureClass.MULTI_UNLINKED
-    return ClassVerdict(
-        x, cls, d, profile.N,
-        CD_PREDICTION[cls],
-        f"max non-link count {profile.N} at degree {d}",
-        profile,
-    )
+    return ClassVerdict(cls, profile.N, CD_PREDICTION[cls],
+                        f"max non-link count {profile.N} at degree {d}",
+                        profile)
 
 
 def cd_ollivier_consistency(rho: float, kappas):

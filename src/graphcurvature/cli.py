@@ -99,8 +99,9 @@ def cmd_curvature(ns) -> int:
                 f"refusing to probe {g.label(x)}: its two-ball crosses the "
                 f"truncation boundary, so curvature there would be unreliable"
             )
-        res = cd_curvature(extract_ball(g, x))
-        verdict = classify_vertex(g, x)
+        ball = extract_ball(g, x)
+        res = cd_curvature(ball)
+        verdict = classify_vertex(g, ball)
         report.vertices.append(VertexRow(
             key, g.label(x), True, res.rho, str(verdict.structure_class),
             verdict.N,

@@ -10,12 +10,13 @@ shortest paths.  The flow's own node potentials are the dual
 certificate: on every edge they are checked in integers to be dual
 feasible, to agree where the supports overlap and to meet the plan's
 cost with zero gap, so each distance comes back certified from both
-sides.  A graph keeps the solution of every distinct transport problem
-(supplies, demands and costs, rows and columns in a canonical order) and
-maps it back onto each edge that poses the same problem, so a symmetric
-graph is solved once per kind of edge.  `ollivier_kappa` returns the
-certified fraction alone; `wasserstein` and `kappa_detail` also build
-the plan and certificate objects.
+sides.  Each problem lays its rows and columns out in a canonical order,
+so its supplies, demands and costs are themselves the key under which a
+graph keeps the solution, and every edge that poses the same problem
+reuses it index for index: a symmetric graph is solved once per kind of
+edge.  `ollivier_kappa` returns the certified fraction alone;
+`wasserstein` and `kappa_detail` also build the plan and certificate
+objects.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ class TransportProblem:
 
     Over the scale 2 lcm(dx, dy) the lazy measure of x puts lcm(dx, dy) on
     x and lcm(dx, dy) / dx on each neighbor, and likewise for y.  Sources
-    and targets are the sorted closed neighborhoods, and every cost is at
-    most 3 because the path s - x - y - t exists: t is at distance 1 from
-    s when adjacent, 2 when they share a neighbor, 3 otherwise.
+    and targets are the closed neighborhoods, and every cost is at most 3
+    because the path s - x - y - t exists: t is at distance 1 from s when
+    adjacent, 2 when they share a neighbor, 3 otherwise.  Rows and columns
+    come in `_order`'s canonical order, ties by vertex id, and supply,
+    demand and cost are tuples, so the problem is its own memo key.
     """
 
     def __init__(self, g: Graph, x: int, y: int):
@@ -62,21 +65,26 @@ class TransportProblem:
             cost.append([0 if t == s else 1 if t in near
                          else 2 if not near.isdisjoint(adj[t]) else 3
                          for t in targets])
+        supply = [lcm if s == x else unit_x for s in sources]
+        demand = [lcm if t == y else unit_y for t in targets]
+        rows, cols = _order(supply, cost), _order(demand, zip(*cost))
         self.graph, self.x, self.y = g, x, y
         self.scale = 2 * lcm
-        self.sources, self.targets, self.cost = sources, targets, cost
-        self.supply = [lcm if s == x else unit_x for s in sources]
-        self.demand = [lcm if t == y else unit_y for t in targets]
+        self.sources = tuple([sources[i] for i in rows])
+        self.targets = tuple([targets[j] for j in cols])
+        self.supply = tuple([supply[i] for i in rows])
+        self.demand = tuple([demand[j] for j in cols])
+        self.cost = tuple([tuple([cost[i][j] for j in cols]) for i in rows])
 
     @property
     def mu(self) -> tuple[tuple[int, int], ...]:
-        """The lazy measure of x as (point, units over `scale`) pairs."""
-        return tuple(zip(self.sources, self.supply))
+        """The lazy measure of x as point-sorted (point, units) pairs."""
+        return tuple(sorted(zip(self.sources, self.supply)))
 
     @property
     def nu(self) -> tuple[tuple[int, int], ...]:
-        """The lazy measure of y as (point, units over `scale`) pairs."""
-        return tuple(zip(self.targets, self.demand))
+        """The lazy measure of y as point-sorted (point, units) pairs."""
+        return tuple(sorted(zip(self.targets, self.demand)))
 
 
 @dataclass(frozen=True)
@@ -253,7 +261,7 @@ def _dual_certificate(sources, targets, cost, supply, demand, cells,
         out[i] += f
         into[j] += f
         total += f * cost[i][j]
-    if out != supply or into != demand:
+    if out != list(supply) or into != list(demand):
         raise GraphError("internal: plan marginals miss supply or demand")
     u, v = potentials[:m], potentials[m:]
     for i, s in enumerate(sources):
@@ -291,32 +299,28 @@ def _order(masses, lines):
 def _solve(tp: TransportProblem):
     """Flow and potentials of one transport problem, solved once per graph.
 
-    Rows and columns are sorted by an invariant (`_order`) and the whole
-    reordered problem is the memo key, so a hit is the same problem and
-    its solution maps back through the ordering exactly.  Ties keep the
-    caller's order, which costs hits but never correctness.  Returns the
-    (source, target, units, mass) cells that carry flow and the
-    potentials, both in the caller's indexing.
+    The problem's supply, demand and cost, laid out in canonical order, are
+    the memo key, so a hit is the same problem index for index.  Ties in
+    that order cost hits but never correctness.  Returns the (row, column,
+    units, mass) cells that carry flow and the potentials, rows first.
     """
-    cost, supply, demand = tp.cost, tp.supply, tp.demand
-    m, n = len(supply), len(demand)
-    rows, cols = _order(supply, cost), _order(demand, zip(*cost))
-    key = (tuple([supply[i] for i in rows]), tuple([demand[j] for j in cols]),
-           tuple([tuple([cost[i][j] for j in cols]) for i in rows]))
+    key = (tp.supply, tp.demand, tp.cost)
     solved = tp.graph._transport.get(key)
     if solved is None:
-        flow, pot = _min_cost_flow(key[2], key[0], key[1])
+        flow, pot = _min_cost_flow(tp.cost, tp.supply, tp.demand)
         cells = tuple((a, b, f, Fraction(f, tp.scale))
                       for a, row in enumerate(flow)
                       for b, f in enumerate(row) if f > 0)
         solved = tp.graph._transport[key] = (cells, tuple(pot))
-    cells, cpot = solved
-    pot = [0] * (m + n)
-    for a, i in enumerate(rows):
-        pot[i] = cpot[a]
-    for b, j in enumerate(cols):
-        pot[m + j] = cpot[m + b]
-    return [(rows[a], cols[b], f, mass) for a, b, f, mass in cells], pot
+    return solved
+
+
+def _certified_cost(tp: TransportProblem) -> int:
+    """The optimal cost in units of tp.scale, certified on this edge,
+    without the plan and certificate objects."""
+    cells, pot = _solve(tp)
+    return _dual_certificate(tp.sources, tp.targets, tp.cost, tp.supply,
+                             tp.demand, cells, pot)[0]
 
 
 def wasserstein(tp: TransportProblem) -> WassersteinResult:
@@ -460,10 +464,7 @@ def ollivier_kappa(g: Graph, x: int, y: int) -> Fraction:
     """Exact edge curvature, certified like `kappa_detail`'s but without
     building the plan and certificate objects."""
     tp = TransportProblem(g, x, y)
-    cells, pot = _solve(tp)
-    total, _ = _dual_certificate(tp.sources, tp.targets, tp.cost, tp.supply,
-                                 tp.demand, cells, pot)
-    return Fraction(tp.scale - total, tp.scale)
+    return Fraction(tp.scale - _certified_cost(tp), tp.scale)
 
 
 # -- structure-driven witnesses --------------------------------------------
@@ -600,5 +601,5 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
     tp = TransportProblem(g, x, y)
     dual = Fraction(sum(u * values[t] for t, u in tp.nu)
                     - sum(u * values[s] for s, u in tp.mu), tp.scale)
-    exact = 1 - ollivier_kappa(g, x, y)
+    exact = Fraction(_certified_cost(tp), tp.scale)
     return LipschitzCertificate(values, dual, exact - dual)

@@ -31,10 +31,9 @@ from graphcurvature.classify import (
     StructureClass,
     classify_vertex,
     flat_test_vector,
-    link_profile,
     negative_test_vector,
 )
-from graphcurvature.graphs import bfs_distances, contains_k3, extract_ball
+from graphcurvature.graphs import bfs_distances, extract_ball
 from graphcurvature.ollivier import _dual_certificate, _min_cost_flow
 
 
@@ -247,7 +246,6 @@ def fraction_schur(ball, matrix) -> list[list[Fraction]]:
 def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
     """The vertex facts of checks.gather_facts, each computed from its own
     two-ball with no reuse between vertices."""
-    k3 = contains_k3(g)
     vfacts = []
     for x in g.vertices:
         if not g.two_ball_complete(x) or g.degree(x) == 0:
@@ -257,10 +255,8 @@ def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
         ball = extract_ball(g, x)
         form = gamma2_form(ball)
         rho = cd_curvature(ball, form).rho
-        verdict = classify_vertex(g, x)
+        verdict = classify_vertex(g, ball)
         profile = verdict.profile
-        if profile is None and not k3:
-            profile = link_profile(ball)
         min_linkage = None
         counts = None
         flat_val = None

@@ -229,7 +229,7 @@ def test_criterion_08_interchange_rule(corpus_facts):
         predicted = interchange_class(host)
         g = interchange_graph(host)
         for v in g.vertices:
-            direct = classify_vertex(g, v).structure_class
+            direct = classify_vertex(g, extract_ball(g, v)).structure_class
             if direct is not predicted:
                 problems.append(
                     f"host {host.name} state {g.label(v)}: rule says "

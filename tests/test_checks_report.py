@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 from graphcurvature import checks
@@ -14,7 +15,7 @@ from graphcurvature.checks import (
 )
 from graphcurvature.corpus import CorpusItem, build_item
 from graphcurvature.families import complete_graph
-from graphcurvature.graphs import Graph
+from graphcurvature.graphs import Graph, extract_ball
 from graphcurvature.report import (
     CheckRow,
     CurvatureReport,
@@ -170,6 +171,22 @@ class TestVertexMemo:
         facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
         assert len(facts.vertices) == 384
         assert len(calls) == 24
+
+    def test_one_ball_per_safe_vertex(self, monkeypatch):
+        # count extract_ball wherever a package module imported it
+        calls = []
+
+        def counting(g, x):
+            calls.append(x)
+            return extract_ball(g, x)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphcurvature") and hasattr(module, "extract_ball"):
+                monkeypatch.setattr(module, "extract_ball", counting)
+        facts = gather_facts(build_item("flip:6"))
+        safe = [vf.vertex for vf in facts.vertices if vf.safe]
+        assert len(safe) == 14
+        assert calls == safe
 
     def test_second_sphere_is_part_of_the_key(self):
         # 0 and 10 both have two degree-3 neighbors with the base first in

@@ -84,42 +84,46 @@ class TestLinkProfile:
                     assert prof.linkage[pair] == 0
 
 
+def verdict_at(g, x):
+    return classify_vertex(g, extract_ball(g, x))
+
+
 class TestClassifyVertex:
     def test_hypercube_fully_linked(self):
-        v = classify_vertex(hypercube(5), 0)
+        v = verdict_at(hypercube(5), 0)
         assert v.structure_class is StructureClass.FULLY_LINKED
         assert v.N == 0
         assert v.cd_prediction == "positive"
 
     def test_cycle_one_unlinked(self):
-        v = classify_vertex(cycle(7), 0)
+        v = verdict_at(cycle(7), 0)
         assert v.structure_class is StructureClass.ONE_UNLINKED
         assert v.cd_prediction == "flat"
 
     def test_tree_multi_unlinked(self):
-        v = classify_vertex(regular_tree(4, 4), 0)
+        v = verdict_at(regular_tree(4, 4), 0)
         assert v.structure_class is StructureClass.MULTI_UNLINKED
         assert v.N == 3
         assert v.cd_prediction == "negative"
 
     def test_triangle_inapplicable(self):
-        v = classify_vertex(complete_graph(4), 0)
+        v = verdict_at(complete_graph(4), 0)
         assert v.structure_class is StructureClass.INAPPLICABLE
         assert "triangle" in v.reason
 
     def test_biclique_inapplicable(self):
-        v = classify_vertex(complete_bipartite(4), 0)
+        v = verdict_at(complete_bipartite(4), 0)
         assert v.structure_class is StructureClass.INAPPLICABLE
         assert "biclique" in v.reason
 
     def test_irregular_inapplicable(self):
-        v = classify_vertex(star(5), 0)
+        v = verdict_at(star(5), 0)
         assert v.structure_class is StructureClass.INAPPLICABLE
         assert "degree" in v.reason
 
     def test_lattice_boundary_inapplicable(self):
         g = lattice_ball(2, 4)
-        v = classify_vertex(g, g.resolve_vertex("(3,0)"))
+        v = verdict_at(g, g.resolve_vertex("(3,0)"))
         assert v.structure_class is StructureClass.INAPPLICABLE
         # the degree certification is what fails first near the cut
         assert "degree" in v.reason
@@ -129,13 +133,29 @@ class TestClassifyVertex:
         base = cycle(8)
         g = Graph(base.vertices, base.edges,
                   truncation=Truncation(center=0, radius=2))
-        v = classify_vertex(g, 4)
+        v = verdict_at(g, 4)
         assert v.structure_class is StructureClass.INAPPLICABLE
         assert "truncation" in v.reason
 
+    def test_isolated_vertex_inapplicable(self):
+        # cd_curvature refuses this vertex too
+        v = verdict_at(Graph([0, 1], []), 0)
+        assert v.structure_class is StructureClass.INAPPLICABLE
+        assert v.reason == "isolated vertex"
+
+    def test_inapplicable_verdict_keeps_link_profile(self):
+        # a biclique voids the class, not the linkage facts
+        g = complete_bipartite(4)
+        ball = extract_ball(g, 0)
+        v = classify_vertex(g, ball)
+        assert v.structure_class is StructureClass.INAPPLICABLE
+        assert v.N is None
+        assert v.profile == link_profile(ball)
+        assert verdict_at(complete_graph(4), 0).profile is None
+
     def test_lattice_interior_applies(self):
         g = lattice_ball(2, 4)
-        v = classify_vertex(g, g.resolve_vertex("(0,0)"))
+        v = verdict_at(g, g.resolve_vertex("(0,0)"))
         assert v.structure_class is StructureClass.ONE_UNLINKED
 
 
@@ -261,7 +281,7 @@ class TestInterchangeRule:
         assert interchange_class(host) is expect
         g = interchange_graph(host)
         identity = 0  # states are sorted, the identity comes first
-        direct = classify_vertex(g, identity)
+        direct = verdict_at(g, identity)
         assert direct.structure_class is expect
 
     def test_edgeless_host_rejected(self):

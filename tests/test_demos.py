@@ -1,7 +1,8 @@
 """Every demo script and the README quickstart run against the source tree,
 the top-level API they import from stays whole, every layer the
-benchmark's tracer wraps by name still exists, and every public name of
-the package has a use outside the tests."""
+benchmark's tracer wraps by name still exists, `verify` still passes the
+benchmark's output gate, and every public name of the package has a use
+outside the tests."""
 
 import ast
 import importlib.util
@@ -52,13 +53,19 @@ def test_public_names_resolve():
             "kappa_detail"} <= set(exported)
 
 
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module of its own, read from its file."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_layers_resolve():
     # perfbench/tracing.py wraps package functions by name; a renamed or
     # deleted layer would otherwise fail only the benchmark's own tests
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing")
     import graphcurvature.cli  # noqa: F401  (loads every traced module)
     tracer = tracing.Tracer()
     try:
@@ -66,6 +73,23 @@ def test_traced_layers_resolve():
     finally:
         tracer.uninstall()
     assert tracer.absent == []
+
+
+def test_verify_rows_match_the_benchmark_reference(capsys):
+    # the benchmark's output gate, run here over every graph it holds, so
+    # a changed row fails tier-1 and not only a benchmark run
+    gate = load_perfbench("gate")
+    reference = gate.load_reference()
+    graphs = list(reference)
+    assert len(graphs) == 50
+    from graphcurvature.cli import main
+    code = main(["verify", *graphs, "--jobs", "1", "--format", "csv"])
+    out = capsys.readouterr().out
+    attempted, failed, problems = gate.compare_sweep([out], graphs, reference)
+    assert code == 0
+    assert problems == []
+    assert failed == 0
+    assert attempted == sum(map(len, reference.values()))
 
 
 # public names kept although only tests use them, with the reason

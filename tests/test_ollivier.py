@@ -82,7 +82,7 @@ class TestMeasures:
                 tp = TransportProblem(g, x, y)
                 for measure in (tp.mu, tp.nu):
                     points = [p for p, _ in measure]
-                    assert len(set(points)) == len(points)
+                    assert points == sorted(set(points))
                     assert all(units > 0 for _, units in measure)
                     assert sum(units for _, units in measure) == tp.scale
 
@@ -140,8 +140,8 @@ class TestCorpusCertificates:
                 # every support point lies within 3 of every other
                 dist = {p: bfs_distances(g, p, radius=3)
                         for p in {*tp.sources, *tp.targets}}
-                assert tp.cost == [[dist[s][t] for t in tp.targets]
-                                   for s in tp.sources]
+                assert tp.cost == tuple(tuple(dist[s][t] for t in tp.targets)
+                                        for s in tp.sources)
                 res = wasserstein(tp)
                 cert = res.certificate
                 assert validate_plan(tp, res.plan) == res.distance
@@ -183,6 +183,16 @@ class TestSolveMemo:
         for x, y in g.edges:
             assert kappa_detail(g, x, y).kappa == Fraction(1, 6)
         assert len(calls) == 1
+
+    def test_problem_is_its_own_memo_key(self):
+        # every edge of the 4-cube poses one problem, laid out identically
+        g = hypercube(4)
+        problems = {(tp.supply, tp.demand, tp.cost)
+                    for tp in (TransportProblem(g, *e) for e in g.edges)}
+        assert len(problems) == 1
+        for x, y in g.edges:
+            assert ollivier_kappa(g, x, y) == Fraction(1, 4)
+        assert list(g._transport) == list(problems)
 
     def test_memo_hits_are_certified_per_edge(self):
         g = hypercube(3)

@@ -40,7 +40,7 @@ for s, t, mass in detail.plan.flows:
         print(f"  {g.label(s)} -> {g.label(t)}  {mass}")
 
 # the plan is feasible and its cost is what the solver claims
-cost = validate_plan(tp, detail.plan)
+cost = validate_plan(g, x, y, detail.plan)
 assert cost == detail.wasserstein
 
 cert = detail.certificate

@@ -2,18 +2,23 @@
 
 gather_facts sweeps a corpus graph: spectral curvature and class at every
 non-isolated vertex whose two-ball is complete, exact edge curvature
-wherever the transport neighborhood is complete.  The vertex facts depend
-on the two-ball alone, extracted once per vertex, so one sweep computes
-them once per distinct two-ball (renumbered by position) and shares them;
-each edge problem is solved once and certified on every edge.  run_checks
-then replays every applicable classification, linkage, decomposition,
-duality and diameter statement against those facts and reports
-violations.
+wherever the transport neighborhood is complete.  Both curvatures depend
+on the two-ball alone, so one sweep sorts the vertices into classes of
+equal two-balls (renumbered by position) and computes the vertex facts
+once per class.  The edge problem across (x, y) lives inside the two-ball
+of x, so where x is a swept vertex the edge takes the kappa of the first
+edge at the same neighbor position from a vertex of the same class.
+Repeated edges in a sweep are therefore no longer posed, solved or
+certified one by one; ollivier_kappa still certifies every answer it
+computes.  run_checks then replays every applicable classification,
+linkage, decomposition, duality and diameter statement against those
+facts and reports violations.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,14 +44,13 @@ from .graphs import (
     is_regular,
 )
 from .ollivier import (
-    TransportProblem,
     certificate_violations,
     extend_certificate,
+    kappa_detail,
     kappa_lower_witness,
     kappa_upper_witness,
     ollivier_kappa,
     validate_plan,
-    wasserstein,
 )
 
 
@@ -124,21 +128,35 @@ def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
     fix the sphere2 rows too; the degrees delimit the flattened rows.  The
     effective degree leads the key because classify_vertex reads it from
     the whole graph, not from the ball.
+
+    The key ends with the edges between two sphere2 vertices, as position
+    pairs, read from the graph because LocalBall drops them.  No vertex
+    fact reads them, but the edge problem across (base, y) does: a
+    neighbor s of the base and a neighbor t of y are at distance 2 when
+    they share a neighbor, which may lie in sphere2.  Equal keys therefore
+    pose the same edge problem, up to relabelling, at every neighbor
+    position.
     """
     pos = {ball.base: 0}
     for v in ball.sphere1 + ball.sphere2:
         pos[v] = len(pos)
     rows = [ball.adj[v] for v in ball.sphere1]
+    # neighbor rows are sorted, so each pair list comes out in position order
+    outer = [k for i, u in enumerate(ball.sphere2, len(rows) + 1)
+             for w in g.neighbors(u) if (j := pos.get(w, 0)) > i
+             for k in (i, j)]
     return (effective_degree(g, ball.base), len(rows),
-            *map(len, rows), *(pos[w] for row in rows for w in row))
+            *map(len, rows), *(pos[w] for row in rows for w in row), *outer)
 
 
 def gather_facts(item: CorpusItem) -> GraphFacts:
     """Sweep one corpus graph."""
     g = item.graph
     vfacts = []
-    # vertices whose renumbered two-balls agree share every vertex fact
-    memo: dict[tuple[int, ...], tuple] = {}
+    # vertices whose renumbered two-balls agree share one class index and
+    # every vertex fact
+    memo: dict[tuple[int, ...], tuple[int, tuple]] = {}
+    ball_class: dict[int, int] = {}
     for x in g.vertices:
         if not g.two_ball_complete(x) or g.degree(x) == 0:
             vfacts.append(VertexFact(x, g.label(x), g.degree(x), False,
@@ -148,8 +166,9 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         key = _ball_key(g, ball)
         known = memo.get(key)
         if known is None:
-            known = memo[key] = _vertex_values(g, ball)
-        rho, cls, n, counts, min_linkage, flat_val, neg_val = known
+            known = memo[key] = (len(memo), _vertex_values(g, ball))
+        ball_class[x], values = known
+        rho, cls, n, counts, min_linkage, flat_val, neg_val = values
         if counts is not None:
             counts = dict(zip(ball.sphere1, counts))
         vfacts.append(VertexFact(
@@ -157,11 +176,21 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             min_linkage, flat_val, neg_val,
         ))
     efacts = []
+    # (class of x, position of y among the neighbors of x) -> kappa(x, y)
+    kappas: dict[tuple[int, int], Fraction] = {}
     for x, y in g.edges:
-        if g.transport_neighborhood_complete(x, y):
-            efacts.append(EdgeFact(x, y, True, ollivier_kappa(g, x, y)))
-        else:
+        if not g.transport_neighborhood_complete(x, y):
             efacts.append(EdgeFact(x, y, False, None))
+            continue
+        c = ball_class.get(x)
+        if c is None:
+            kappa = ollivier_kappa(g, x, y)
+        else:
+            key = (c, bisect_left(g.neighbors(x), y))
+            kappa = kappas.get(key)
+            if kappa is None:
+                kappa = kappas[key] = ollivier_kappa(g, x, y)
+        efacts.append(EdgeFact(x, y, True, kappa))
     return GraphFacts(
         item.key, g, is_regular(g), not contains_k3(g), not contains_k23(g),
         g.truncation is not None, tuple(vfacts), tuple(efacts),
@@ -375,7 +404,7 @@ def check_witness_bounds(facts: GraphFacts) -> CheckResult:
         if plan is not None:
             seen = True
             try:
-                validate_plan(TransportProblem(g, x, y), plan)
+                validate_plan(g, x, y, plan)
             except GraphError as e:
                 problems.append(f"{tag}: witness plan invalid: {e}")
             if k < 1 - plan.total_cost:
@@ -411,12 +440,10 @@ def check_duality(facts: GraphFacts) -> CheckResult:
             continue
         seen = True
         tag = f"{facts.key} edge ({g.label(x)}, {g.label(y)})"
-        # solved here rather than through kappa_detail so the plan is
-        # validated against the very problem it came from
-        tp = TransportProblem(g, x, y)
-        dist, plan, cert = wasserstein(tp)
+        detail = kappa_detail(g, x, y)
+        dist, plan, cert = detail.wasserstein, detail.plan, detail.certificate
         try:
-            cost = validate_plan(tp, plan)
+            cost = validate_plan(g, x, y, plan)
             if cost != dist:
                 problems.append(f"{tag}: plan cost {cost} != distance {dist}")
         except GraphError as e:

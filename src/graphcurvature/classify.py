@@ -14,6 +14,7 @@ Galois closures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -78,6 +79,14 @@ def link_profile(ball: LocalBall) -> LinkProfile:
         )
     s1 = ball.sphere1
     s1_set = set(s1)
+    # sphere1 neighbors of each possible joining vertex, counted once: a
+    # sphere2 row holds nothing else, a sphere1 row (a triangle) may
+    in_s1 = {z: len(ball.adj[z]) for z in ball.sphere2}
+    for z in s1:
+        in_s1[z] = sum(1 for t in ball.adj[z] if t in s1_set)
+    # every weight as a whole number of 1/den, summed per pair in ints
+    den = math.lcm(*{c for c in in_s1.values() if c})
+    unit = {z: den // c for z, c in in_s1.items() if c}
     links: dict[tuple[int, int], tuple[int, ...]] = {}
     linkage: dict[tuple[int, int], Fraction] = {}
     for a, v in enumerate(s1):
@@ -88,11 +97,7 @@ def link_profile(ball: LocalBall) -> LinkProfile:
                 if z != ball.base and z in nv
             )
             links[(v, w)] = zs
-            total = Fraction(0)
-            for z in zs:
-                in_s1 = sum(1 for t in ball.adj[z] if t in s1_set)
-                total += Fraction(1, in_s1)
-            linkage[(v, w)] = total
+            linkage[(v, w)] = Fraction(sum(map(unit.__getitem__, zs)), den)
     nonlink = {
         y: sum(1 for w in s1 if w != y and not links[_pair(y, w)])
         for y in s1

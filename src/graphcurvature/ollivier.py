@@ -338,23 +338,23 @@ def wasserstein(tp: TransportProblem) -> WassersteinResult:
     return WassersteinResult(distance, plan, cert)
 
 
-def validate_plan(tp: TransportProblem, plan: TransportPlan) -> Fraction:
-    """Recompute marginals and cost of a plan; raises on any mismatch.
+def validate_plan(g: Graph, x: int, y: int, plan: TransportPlan) -> Fraction:
+    """Recompute marginals and cost of a plan across edge (x, y); raises on
+    any mismatch.
 
-    Shares nothing with the problem's own arithmetic: the marginals come
+    Shares nothing with TransportProblem's arithmetic: the marginals come
     from the lazy definition (1/2 at the endpoint, 1/(2d) at each
     neighbor) and each move's length from a breadth-first search, cut at
     radius 3 because every move runs from N[x] to N[y].  Returns the
     recomputed exact cost.
     """
-    g = tp.graph
 
     def lazy(v):
         masses = dict.fromkeys(g.neighbors(v), Fraction(1, 2 * g.degree(v)))
         masses[v] = Fraction(1, 2)
         return masses
 
-    mu, nu = lazy(tp.x), lazy(tp.y)
+    mu, nu = lazy(x), lazy(y)
     out: dict[int, Fraction] = {}
     into: dict[int, Fraction] = {}
     lengths: dict[int, dict[int, int]] = {}

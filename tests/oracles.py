@@ -8,14 +8,18 @@ and the reference Gamma2 kernels assemble and reduce the doubled Gamma2
 form entry by entry in Fractions; none of these shares code with the
 package.  Two helpers are the exceptions.  The reference vertex sweep
 calls the package's kernels, but at every vertex afresh, with nothing
-shared between vertices.  `solve_integer_transport` poses general
+shared between vertices, and the reference edge sweep likewise calls
+`ollivier_kappa` on every edge.  `solve_integer_transport` poses general
 transport problems (costs above 3, supports that are not closed
 neighborhoods) to the package's flow and integer certificate, so the
 transport oracle can check more than the edge problems the package
 itself builds.  The decomposition oracle finds the biclique classes
 across an edge by Galois closures, where the package groups neighbors.
 The diameter oracle runs the package's single-source BFS from every
-vertex, where the package runs one bit-parallel multi-source BFS.
+vertex, where the package runs one bit-parallel multi-source BFS.  The
+link-profile oracle recounts each joining vertex's first-sphere
+neighbors for every pair and adds the linkage weights one `Fraction` at
+a time.
 """
 
 from __future__ import annotations
@@ -26,15 +30,20 @@ from fractions import Fraction
 import numpy as np
 
 from graphcurvature.bakry_emery import cd_curvature, gamma2_form
-from graphcurvature.checks import VertexFact
+from graphcurvature.checks import EdgeFact, VertexFact
 from graphcurvature.classify import (
+    LinkProfile,
     StructureClass,
     classify_vertex,
     flat_test_vector,
     negative_test_vector,
 )
 from graphcurvature.graphs import bfs_distances, extract_ball
-from graphcurvature.ollivier import _dual_certificate, _min_cost_flow
+from graphcurvature.ollivier import (
+    _dual_certificate,
+    _min_cost_flow,
+    ollivier_kappa,
+)
 
 
 def oracle_wasserstein(cost, supply, demand) -> Fraction:
@@ -280,6 +289,40 @@ def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
             flat_val, neg_val,
         ))
     return tuple(vfacts)
+
+
+def edge_facts_one_by_one(g) -> tuple[EdgeFact, ...]:
+    """The edge facts of checks.gather_facts, each edge posed, solved and
+    certified by its own ollivier_kappa call."""
+    return tuple(
+        EdgeFact(x, y, True, ollivier_kappa(g, x, y))
+        if g.transport_neighborhood_complete(x, y)
+        else EdgeFact(x, y, False, None)
+        for x, y in g.edges
+    )
+
+
+def oracle_link_profile(ball) -> LinkProfile:
+    """classify.link_profile pair by pair: the joining vertices of each
+    neighbor pair, each weighted by one over its first-sphere neighbors,
+    recounted for every pair and summed as Fractions."""
+    s1 = ball.sphere1
+    s1_set = set(s1)
+    links = {}
+    linkage = {}
+    for a, v in enumerate(s1):
+        for w in s1[a + 1:]:
+            zs = tuple(z for z in ball.adj[w]
+                       if z != ball.base and z in ball.adj[v])
+            links[(v, w)] = zs
+            total = Fraction(0)
+            for z in zs:
+                total += Fraction(1, sum(1 for t in ball.adj[z] if t in s1_set))
+            linkage[(v, w)] = total
+    nonlink = {y: sum(1 for w in s1 if w != y
+                      and not links[(y, w) if y < w else (w, y)])
+               for y in s1}
+    return LinkProfile(links, linkage, nonlink, max(nonlink.values(), default=0))
 
 
 def oracle_bipartite_decomposition(g, x, y):

@@ -6,7 +6,7 @@ import json
 import sys
 from fractions import Fraction
 
-from graphcurvature import checks
+from graphcurvature import checks, ollivier
 from graphcurvature.bakry_emery import gamma2_form
 from graphcurvature.checks import (
     ALL_CHECKS,
@@ -26,7 +26,7 @@ from graphcurvature.report import (
 )
 
 from conftest import perturbed
-from oracles import vertex_facts_one_by_one
+from oracles import edge_facts_one_by_one, vertex_facts_one_by_one
 
 CHECK_NAMES = [
     "cd-class",
@@ -203,6 +203,47 @@ class TestVertexMemo:
         assert at[0].nonlink_counts == {1: 0, 2: 0}
         assert at[10].nonlink_counts == {11: 1, 12: 1}
         assert at[0].rho != at[10].rho
+
+
+class TestEdgeMemo:
+    def test_matches_edge_by_edge_sweep(self, corpus_items, corpus_facts):
+        # repeated edges are no longer certified one by one in a sweep, so
+        # every kappa is compared with its own certified ollivier_kappa
+        for key, item in corpus_items.items():
+            assert corpus_facts[key].edges == \
+                   edge_facts_one_by_one(item.graph), key
+        for spec in ("transpositions:5", "hypercube:8", "flip:8"):
+            item = build_item(spec)
+            assert gather_facts(item).edges == \
+                   edge_facts_one_by_one(item.graph), spec
+
+    def test_second_sphere_edges_split_edge_classes(self):
+        # 0 heads the path 3-1-0-2-4 and 10 the 5-cycle 10-11-13-14-12;
+        # the two-balls differ only by the second-sphere edge 13-14, which
+        # no vertex fact reads but which brings 12 within 2 of 13
+        g = Graph(
+            [0, 1, 2, 3, 4, 10, 11, 12, 13, 14],
+            [(0, 1), (0, 2), (1, 3), (2, 4),
+             (10, 11), (10, 12), (11, 13), (12, 14), (13, 14)],
+        )
+        facts = gather_facts(CorpusItem("path-and-cycle", g, ()))
+        assert facts.vertices == vertex_facts_one_by_one(g)
+        assert facts.edges == edge_facts_one_by_one(g)
+        kappa = {(ef.x, ef.y): ef.kappa for ef in facts.edges}
+        assert kappa[(0, 1)] != kappa[(10, 11)]
+
+    def test_one_problem_per_edge_class(self, monkeypatch):
+        built = []
+        init = ollivier.TransportProblem.__init__
+
+        def counting(tp, g, x, y):
+            built.append((x, y))
+            init(tp, g, x, y)
+
+        monkeypatch.setattr(ollivier.TransportProblem, "__init__", counting)
+        facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
+        assert len(facts.edges) == 768
+        assert len(built) == 64
 
 
 class TestFaultInjection:

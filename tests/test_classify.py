@@ -35,7 +35,7 @@ from graphcurvature.families import (
 )
 from graphcurvature.graphs import Graph, GraphError, extract_ball
 
-from oracles import oracle_bipartite_decomposition
+from oracles import oracle_bipartite_decomposition, oracle_link_profile
 
 
 class TestLinkProfile:
@@ -82,6 +82,26 @@ class TestLinkProfile:
                     assert prof.linkage[pair] >= Fraction(1, 2)
                 else:
                     assert prof.linkage[pair] == 0
+
+    def test_matches_pairwise_oracle(self, corpus_items):
+        # the corpus plus graphs with triangles (joining vertices inside
+        # the first sphere) and a dense biclique
+        graphs = [item.graph for item in corpus_items.values()]
+        graphs += [complete_graph(5), complete_graph(6), flip_graph(7),
+                   complete_bipartite(9), transposition_cayley(4)]
+        balls = 0
+        for g in graphs:
+            for x in g.vertices[:12]:
+                if not g.two_ball_complete(x):
+                    continue
+                ball = extract_ball(g, x)
+                got, want = link_profile(ball), oracle_link_profile(ball)
+                assert got == want, (g, x)
+                assert list(got.links) == list(want.links)
+                assert list(got.linkage) == list(want.linkage)
+                assert list(got.nonlink_counts) == list(want.nonlink_counts)
+                balls += 1
+        assert balls > 400
 
 
 def verdict_at(g, x):

@@ -187,5 +187,13 @@ def cd_curvature(ball: LocalBall, form: QuadraticForm | None = None) -> CdResult
         raise GraphError(f"vertex {ball.base} is isolated; curvature undefined")
     if form is None:
         form = gamma2_form(ball)
-    red = eliminate_second_neighbors(form, ball)
-    return CdResult(float(np.linalg.eigh(red.as_array())[0][0]))
+    return CdResult(lowest_eigenvalue(eliminate_second_neighbors(form, ball)))
+
+
+def lowest_eigenvalue(form: QuadraticForm) -> float:
+    """Smallest eigenvalue of form.matrix / form.scale, by a float eigensolve.
+
+    The entries are rounded once, so equal integer matrices and scales
+    give the same bits.
+    """
+    return float(np.linalg.eigh(form.as_array())[0][0])

@@ -3,16 +3,22 @@
 gather_facts sweeps a corpus graph: spectral curvature and class at every
 non-isolated vertex whose two-ball is complete, exact edge curvature
 wherever the transport neighborhood is complete.  Both curvatures depend
-on the two-ball alone, so one sweep sorts the vertices into classes of
-equal two-balls (renumbered by position) and computes the vertex facts
-once per class.  The edge problem across (x, y) lives inside the two-ball
-of x, so where x is a swept vertex the edge takes the kappa of the first
-edge at the same neighbor position from a vertex of the same class.
-Repeated edges in a sweep are therefore no longer posed, solved or
-certified one by one; ollivier_kappa still certifies every answer it
-computes.  run_checks then replays every applicable classification,
-linkage, decomposition, duality and diameter statement against those
-facts and reports violations.
+on the two-ball alone, so the sweep sorts the vertices into classes of
+isomorphic two-balls, in two tiers.  The first key renumbers the ball by
+position and is built at every vertex; only a key not seen before is
+relabelled by individualise and refine, and the relabelled ball is the
+second key.  The Gamma2 form, its reduction and the class verdict are
+computed once per relabelled class; each positional class then reads its
+rho off the reduced matrix permuted into its own order, the same array
+it would have built itself, and its non-link counts and test vectors
+likewise.  The edge problem across (x, y) lives inside the two-ball of
+x, so where x is a swept vertex the edge takes the kappa of the first
+edge from a vertex of the same relabelled class to a neighbor of the
+same label.  Repeated edges in a sweep are therefore no longer posed,
+solved or certified one by one; ollivier_kappa still certifies every
+answer it computes.  run_checks then replays every applicable
+classification, linkage, decomposition, duality and diameter statement
+against those facts and reports violations.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bakry_emery import RHO_TOLERANCE, cd_curvature, gamma2_form
+from .bakry_emery import (
+    RHO_TOLERANCE,
+    QuadraticForm,
+    eliminate_second_neighbors,
+    gamma2_form,
+    lowest_eigenvalue,
+)
 from .classify import (
     StructureClass,
     bipartite_decomposition,
@@ -90,33 +102,67 @@ class GraphFacts:
     deep_edges: tuple[tuple[int, int], ...]
 
 
-def _vertex_values(g: Graph, ball: LocalBall) -> tuple:
-    """rho, class, N, non-link counts in sphere1 order, minimum linkage and
-    the flat and negative test-vector values at a complete, non-isolated
-    vertex; the linkage facts stand wherever g is triangle-free."""
-    form = gamma2_form(ball)
-    rho = cd_curvature(ball, form).rho
-    verdict = classify_vertex(g, ball)
-    profile = verdict.profile
-    min_linkage = None
-    counts = None
-    flat_val = None
-    neg_val = None
-    if profile is not None:
-        counts = tuple(profile.nonlink_counts[y] for y in ball.sphere1)
-        if profile.linkage:
-            min_linkage = min(profile.linkage.values())
-        cls = verdict.structure_class
-        if cls is StructureClass.ONE_UNLINKED:
-            vec = flat_test_vector(ball, profile)
-            if vec is not None:
-                flat_val = form.value(vec)
-        elif cls is StructureClass.MULTI_UNLINKED:
-            vec = negative_test_vector(ball, profile)
-            if vec is not None:
-                neg_val = form.value(vec)
-    return (rho, verdict.structure_class, verdict.N, counts, min_linkage,
-            flat_val, neg_val)
+class _TwoBall:
+    """One refined class of two-balls, solved once at its first vertex.
+
+    Holds the exact work that equal relabelled two-balls share: the
+    doubled Gamma2 form, its reduction to sphere1, the class verdict and
+    its link profile.  `values` reads the vertex facts of any ball of the
+    class off them, given where that ball's sphere1 order sends each label.
+    """
+
+    def __init__(self, g: Graph, ball: LocalBall, labels: tuple[int, ...]):
+        self.ball = ball
+        self.form = gamma2_form(ball)
+        self.reduced = eliminate_second_neighbors(self.form, ball)
+        self.verdict = verdict = classify_vertex(g, ball)
+        self.min_linkage = None
+        if verdict.profile is not None and verdict.profile.linkage:
+            self.min_linkage = min(verdict.profile.linkage.values())
+        # label of a sphere1 vertex -> its position in this ball's sphere1
+        self.slot = {lab: i for i, lab in enumerate(labels)}
+        # chosen pair or neighbor -> exact value of its test vector
+        self.vector_values: dict = {}
+
+    def values(self, labels: tuple[int, ...]) -> tuple:
+        """rho, class, N, non-link counts in sphere1 order, minimum linkage
+        and the flat and negative test-vector values at a ball of this
+        class whose sphere1 vertices carry `labels`, in its own order.
+
+        rho is the eigensolve of the reduced matrix permuted into that
+        order, the very array the ball itself would build, so it keeps its
+        bits.  The test vectors are the ones that order picks, moved here
+        and evaluated exactly once per class and choice; the linkage facts
+        stand wherever g is triangle-free.
+        """
+        slots = [self.slot[lab] for lab in labels]
+        red = self.reduced.matrix
+        order = tuple(self.ball.sphere1[i] for i in slots)
+        rho = lowest_eigenvalue(QuadraticForm(
+            order, [[red[i][j] for j in slots] for i in slots],
+            self.reduced.scale))
+        cls, profile = self.verdict.structure_class, self.verdict.profile
+        counts = flat_val = neg_val = None
+        if profile is not None:
+            counts = tuple(profile.nonlink_counts[y] for y in order)
+            if cls is StructureClass.ONE_UNLINKED:
+                flat_val = self._vector_value(
+                    flat_test_vector, profile.first_unlinked_pair(order), order)
+            elif cls is StructureClass.MULTI_UNLINKED:
+                neg_val = self._vector_value(
+                    negative_test_vector, profile.first_deficient(order), order)
+        return (rho, cls, self.verdict.N, counts, self.min_linkage,
+                flat_val, neg_val)
+
+    def _vector_value(self, build, choice, order) -> Fraction | None:
+        """Value of the test vector that `build` makes at the neighbors
+        `order` picks, once per choice: a class has one kind of vector."""
+        if choice is None:
+            return None
+        if choice not in self.vector_values:
+            vec = build(self.ball, self.verdict.profile, order)
+            self.vector_values[choice] = self.form.value(vec)
+        return self.vector_values[choice]
 
 
 def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
@@ -141,22 +187,137 @@ def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
     for v in ball.sphere1 + ball.sphere2:
         pos[v] = len(pos)
     rows = [ball.adj[v] for v in ball.sphere1]
-    # neighbor rows are sorted, so each pair list comes out in position order
-    outer = [k for i, u in enumerate(ball.sphere2, len(rows) + 1)
-             for w in g.neighbors(u) if (j := pos.get(w, 0)) > i
-             for k in (i, j)]
+    adj = g.neighbor_sets()
+    s2 = set(ball.sphere2)
+    outer = []
+    for i, u in enumerate(ball.sphere2, len(rows) + 1):
+        near = adj[u] & s2
+        if near:
+            outer += [k for j in sorted(map(pos.__getitem__, near)) if j > i
+                      for k in (i, j)]
     return (effective_degree(g, ball.base), len(rows),
             *map(len, rows), *(pos[w] for row in rows for w in row), *outer)
+
+
+def _refine(nbrs: list[list[int]], lab: list[int], where: list[int],
+            cell: list[int], size: dict[int, int], active: set[int]) -> None:
+    """Refine an ordered partition until it is equitable, in place.
+
+    lab lists the vertices cell after cell and where[v] is the index of v
+    in lab; a cell is named by its first index, cell[v] names the cell of
+    v and size the length of each cell.  The first active cell splits
+    every cell by how many neighbors its members have in it: the members
+    it misses keep the front of the cell and its name, and the others
+    move behind them in groups of rising count.  Each new group becomes
+    active, and so does every part but the first largest when the split
+    cell was not active itself.  Only counts and cell positions steer the
+    refinement, never a vertex id.
+    """
+    n = len(lab)
+    while active and len(size) < n:
+        s = min(active)
+        active.remove(s)
+        if size[s] == 1:
+            hits = dict.fromkeys(nbrs[lab[s]], 1)
+        else:
+            hits = {}
+            for u in lab[s:s + size[s]]:
+                for w in nbrs[u]:
+                    hits[w] = hits.get(w, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for w in hits:
+            c = cell[w]
+            if size[c] > 1:
+                touched.setdefault(c, []).append(w)
+        for c in sorted(touched):
+            k = size[c]
+            hit = sorted(touched[c], key=hits.__getitem__)
+            if len(hit) == k and hits[hit[0]] == hits[hit[-1]]:
+                continue
+            # the hit members go to the back of the cell, in count order
+            at = c + k - len(hit)
+            bounds = [c] if at > c else []
+            last = None
+            for i, w in enumerate(hit, at):
+                j, u = where[w], lab[i]
+                lab[i], lab[j] = w, u
+                where[w], where[u] = i, j
+                if hits[w] != last:
+                    bounds.append(i)
+                    last = hits[w]
+            bounds.append(c + k)
+            skip = None if c in active else max(
+                b - a for a, b in zip(bounds, bounds[1:]))
+            for a, b in zip(bounds, bounds[1:]):
+                size[a] = b - a
+                if a != c:
+                    for v in lab[a:b]:
+                        cell[v] = a
+                if b - a == skip:
+                    skip = None
+                else:
+                    active.add(a)
+
+
+def _relabel(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positional two-ball `key` relabelled by individualise and refine.
+
+    Colour refinement (_refine) starts from the cells base, sphere1 and
+    sphere2; while a cell holds more than one vertex, the vertex at the
+    front of the first such cell is split off to its back and refinement
+    runs again.  The order of the discrete partition is the labelling, so
+    base keeps label 0 and sphere1 takes labels 1..d.  Which vertex is
+    split off is the one choice that follows positions, so isomorphic
+    balls may still get different labellings, but never the other way
+    round: the returned key is the effective degree and the whole
+    relabelled adjacency, sphere2 to sphere2 edges included, so equal
+    keys are the same rooted ball.  Returns that key and the labels of
+    positions 1..d.
+    """
+    d = key[1]
+    lens = key[2:2 + d]
+    flat = key[2 + d:2 + d + sum(lens)]
+    outer = key[2 + d + sum(lens):]
+    edges = [(0, i) for i in range(1, d + 1)]
+    at = 0
+    for i, k in enumerate(lens, 1):
+        edges += [(i, w) for w in flat[at:at + k] if w > i]
+        at += k
+    edges += zip(outer[::2], outer[1::2])
+    n = 1 + max(w for _, w in edges)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, w in edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    lab = list(range(n))
+    where = list(range(n))
+    cell = [0] + [1] * d + [d + 1] * (n - d - 1)
+    size = {c: cell.count(c) for c in {0, 1, d + 1} if c < n}
+    _refine(nbrs, lab, where, cell, size, set(size))
+    while len(size) < n:
+        c = min(c for c, k in size.items() if k > 1)
+        k = size[c]
+        v, u = lab[c], lab[c + k - 1]
+        lab[c], lab[c + k - 1] = u, v
+        where[u], where[v] = c, c + k - 1
+        size[c] = k - 1
+        size[c + k - 1] = 1
+        cell[v] = c + k - 1
+        _refine(nbrs, lab, where, cell, size, {c + k - 1})
+    codes = sorted(min(a, b) * n + max(a, b)
+                   for a, b in ((where[u], where[w]) for u, w in edges))
+    return (key[0], n, *codes), tuple(where[1:d + 1])
 
 
 def gather_facts(item: CorpusItem) -> GraphFacts:
     """Sweep one corpus graph."""
     g = item.graph
     vfacts = []
-    # vertices whose renumbered two-balls agree share one class index and
-    # every vertex fact
-    memo: dict[tuple[int, ...], tuple[int, tuple]] = {}
-    ball_class: dict[int, int] = {}
+    # two tiers: the positional key of a two-ball finds its refined class
+    # and sphere1 labels, and only a new positional key is relabelled
+    memo: dict[tuple[int, ...], tuple[_TwoBall, tuple[int, ...], tuple]] = {}
+    kinds: dict[tuple[int, ...], _TwoBall] = {}
+    ball_class: dict[int, tuple[_TwoBall, tuple[int, ...]]] = {}
     for x in g.vertices:
         if not g.two_ball_complete(x) or g.degree(x) == 0:
             vfacts.append(VertexFact(x, g.label(x), g.degree(x), False,
@@ -166,8 +327,13 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         key = _ball_key(g, ball)
         known = memo.get(key)
         if known is None:
-            known = memo[key] = (len(memo), _vertex_values(g, ball))
-        ball_class[x], values = known
+            rkey, labels = _relabel(key)
+            kind = kinds.get(rkey)
+            if kind is None:
+                kind = kinds[rkey] = _TwoBall(g, ball, labels)
+            known = memo[key] = (kind, labels, kind.values(labels))
+        kind, labels, values = known
+        ball_class[x] = (kind, labels)
         rho, cls, n, counts, min_linkage, flat_val, neg_val = values
         if counts is not None:
             counts = dict(zip(ball.sphere1, counts))
@@ -176,17 +342,18 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             min_linkage, flat_val, neg_val,
         ))
     efacts = []
-    # (class of x, position of y among the neighbors of x) -> kappa(x, y)
-    kappas: dict[tuple[int, int], Fraction] = {}
+    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y)
+    kappas: dict[tuple[_TwoBall, int], Fraction] = {}
     for x, y in g.edges:
         if not g.transport_neighborhood_complete(x, y):
             efacts.append(EdgeFact(x, y, False, None))
             continue
-        c = ball_class.get(x)
-        if c is None:
+        known = ball_class.get(x)
+        if known is None:
             kappa = ollivier_kappa(g, x, y)
         else:
-            key = (c, bisect_left(g.neighbors(x), y))
+            kind, labels = known
+            key = (kind, labels[bisect_left(g.neighbors(x), y)])
             kappa = kappas.get(key)
             if kappa is None:
                 kappa = kappas[key] = ollivier_kappa(g, x, y)
@@ -356,11 +523,11 @@ def check_transport_upper_bound(facts: GraphFacts) -> CheckResult:
         if ef.kappa is None:
             continue
         seen = True
-        cap = Fraction(1, max(g.degree(ef.x), g.degree(ef.y)))
-        if ef.kappa > cap:
+        dmax = max(g.degree(ef.x), g.degree(ef.y))
+        if ef.kappa.numerator * dmax > ef.kappa.denominator:
             problems.append(
                 f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
-                f"kappa = {ef.kappa} > {cap}"
+                f"kappa = {ef.kappa} > {Fraction(1, dmax)}"
             )
     return _result("transport-upper-bound", seen, problems, "no safe edges")
 
@@ -473,7 +640,7 @@ def check_quantization(facts: GraphFacts) -> CheckResult:
             continue
         seen = True
         grain = 2 * math.lcm(g.degree(ef.x), g.degree(ef.y))
-        if (ef.kappa * grain).denominator != 1:
+        if grain % ef.kappa.denominator:
             problems.append(
                 f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
                 f"kappa = {ef.kappa} not a multiple of 1/{grain}"

@@ -70,6 +70,19 @@ class LinkProfile:
     def unlinked_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(p for p, zs in sorted(self.links.items()) if not zs)
 
+    def first_unlinked_pair(self, order) -> tuple[int, int] | None:
+        """The unlinked pair met first in `order`, a listing of sphere1,
+        as links names it; None if every pair is linked."""
+        rank = {v: i for i, v in enumerate(order)}
+        return min(self.unlinked_pairs(), default=None,
+                   key=lambda p: sorted(map(rank.__getitem__, p)))
+
+    def first_deficient(self, order) -> int | None:
+        """The first neighbor in `order`, a listing of sphere1, that
+        misses two or more partners; None if there is none."""
+        counts = self.nonlink_counts
+        return next((y for y in order if counts[y] >= 2), None)
+
 
 def link_profile(ball: LocalBall) -> LinkProfile:
     if not ball.complete:
@@ -258,16 +271,18 @@ def interchange_class(h: Graph) -> StructureClass:
 # -- class-certifying test vectors -----------------------------------------
 
 
-def flat_test_vector(ball: LocalBall, profile: LinkProfile):
+def flat_test_vector(ball: LocalBall, profile: LinkProfile, order=None):
     """The +1/-1 vector on an unlinked neighbor pair, optimally extended.
 
-    Evaluates to exactly zero under the doubled Gamma2 form whenever the
-    class hypotheses hold.  None if every pair is linked.
+    The pair is the first one in `order`, a listing of sphere1 that
+    defaults to sphere1 itself.  Evaluates to exactly zero under the
+    doubled Gamma2 form whenever the class hypotheses hold.  None if every
+    pair is linked.
     """
-    pairs = profile.unlinked_pairs()
-    if not pairs:
+    pair = profile.first_unlinked_pair(order or ball.sphere1)
+    if pair is None:
         return None
-    y, z = pairs[0]
+    y, z = pair
     values = {v: Fraction(0) for v in ball.sphere1}
     values[y] = Fraction(1)
     values[z] = Fraction(-1)
@@ -277,17 +292,17 @@ def flat_test_vector(ball: LocalBall, profile: LinkProfile):
     return out
 
 
-def negative_test_vector(ball: LocalBall, profile: LinkProfile):
+def negative_test_vector(ball: LocalBall, profile: LinkProfile, order=None):
     """The (d-1)/-1 vector at a neighbor missing two or more partners.
 
-    Evaluates to at most -2d under the doubled Gamma2 form whenever the
-    class hypotheses hold.  None unless some neighbor has non-link count
-    at least two.
+    The neighbor is the first such one in `order`, a listing of sphere1
+    that defaults to sphere1 itself.  Evaluates to at most -2d under the
+    doubled Gamma2 form whenever the class hypotheses hold.  None unless
+    some neighbor has non-link count at least two.
     """
-    worst = [y for y, c in sorted(profile.nonlink_counts.items()) if c >= 2]
-    if not worst:
+    y = profile.first_deficient(order or ball.sphere1)
+    if y is None:
         return None
-    y = worst[0]
     d = len(ball.sphere1)
     values = {v: Fraction(-1) for v in ball.sphere1}
     values[y] = Fraction(d - 1)

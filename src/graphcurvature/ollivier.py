@@ -38,16 +38,28 @@ from .graphs import (
 )
 
 
+def _move_lengths(adj, s, targets) -> list[int]:
+    """Graph distances from s to each of targets, for s in N[x] and
+    targets in N[y] across an edge (x, y), read off the neighbor sets adj.
+
+    0 to s itself, 1 to a neighbor, 2 across a shared neighbor, and 3
+    otherwise, because the path s - x - y - t exists.
+    """
+    near = adj[s]
+    return [0 if t == s else 1 if t in near
+            else 2 if not near.isdisjoint(adj[t]) else 3
+            for t in targets]
+
+
 class TransportProblem:
     """The lazy transport problem across edge (x, y), in integers.
 
     Over the scale 2 lcm(dx, dy) the lazy measure of x puts lcm(dx, dy) on
     x and lcm(dx, dy) / dx on each neighbor, and likewise for y.  Sources
-    and targets are the closed neighborhoods, and every cost is at most 3
-    because the path s - x - y - t exists: t is at distance 1 from s when
-    adjacent, 2 when they share a neighbor, 3 otherwise.  Rows and columns
-    come in `_order`'s canonical order, ties by vertex id, and supply,
-    demand and cost are tuples, so the problem is its own memo key.
+    and targets are the closed neighborhoods, and the costs their
+    distances, 0 to 3, from `_move_lengths`.  Rows and columns come in
+    `_order`'s canonical order, ties by vertex id, and supply, demand and
+    cost are tuples, so the problem is its own memo key.
     """
 
     def __init__(self, g: Graph, x: int, y: int):
@@ -59,12 +71,7 @@ class TransportProblem:
         targets = sorted((y, *ny))
         unit_x, unit_y = lcm // len(nx), lcm // len(ny)
         adj = g.neighbor_sets()
-        cost = []
-        for s in sources:
-            near = adj[s]
-            cost.append([0 if t == s else 1 if t in near
-                         else 2 if not near.isdisjoint(adj[t]) else 3
-                         for t in targets])
+        cost = [_move_lengths(adj, s, targets) for s in sources]
         supply = [lcm if s == x else unit_x for s in sources]
         demand = [lcm if t == y else unit_y for t in targets]
         rows, cols = _order(supply, cost), _order(demand, zip(*cost))
@@ -514,11 +521,10 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
         if len(free) != 1:
             return None
         flows.append((leftover, free[0], unit))
-    # every move runs from N[x] to N[y], so the edge problem has its length
-    tp = TransportProblem(g, x, y)
-    length = {s: dict(zip(tp.targets, row))
-              for s, row in zip(tp.sources, tp.cost)}
-    cost = sum((mass * length[s][t] for s, t, mass in flows), Fraction(0))
+    # every move runs from N[x] to N[y]
+    adj = g.neighbor_sets()
+    cost = sum((mass * _move_lengths(adj, s, (t,))[0] for s, t, mass in flows),
+               Fraction(0))
     return TransportPlan(tuple(sorted(flows)), cost)
 
 

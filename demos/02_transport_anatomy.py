@@ -4,8 +4,8 @@ Anatomy of one edge curvature
 
 Everything behind kappa on a single edge of the five-cycle: the two lazy
 measures, the optimal transport plan, the matching dual potential, and
-the constructive witnesses that bracket the answer without solving the
-full problem.
+the constructive witnesses that bracket the answer from the link
+structure alone.
 """
 
 from fractions import Fraction
@@ -51,7 +51,8 @@ print(f"  dual value {cert.dual_value}, gap {cert.gap} "
       "(zero gap = certified optimal)")
 assert not certificate_violations(g, cert.values)
 
-# cheap bounds that skip the solver entirely
+# bounds built from the link structure: the lower plan solves nothing,
+# the upper potential solves the edge only to report its gap
 plan = kappa_lower_witness(g, x, y)
 cert = kappa_upper_witness(g, x, y)
 print(f"\nwitness plan cost {plan.total_cost}: proves kappa >= {1 - plan.total_cost}")

@@ -170,23 +170,17 @@ def eliminate_second_neighbors(g2: QuadraticForm, ball: LocalBall) -> QuadraticF
     return QuadraticForm(s1, red, g2.scale * lcm)
 
 
-def cd_curvature(ball: LocalBall, form: QuadraticForm | None = None) -> CdResult:
+def cd_curvature(ball: LocalBall) -> CdResult:
     """Largest rho with Gamma2 f >= rho Gamma f at the base; returns rho only.
 
     Equals the smallest eigenvalue of the reduced doubled-Gamma2 matrix,
     because the companion Gamma form is half the identity on sphere1 and
-    the doubling cancels.  `form` is gamma2_form(ball) when the caller has
-    already built it.
+    the doubling cancels.  A ball cut by a truncation boundary is refused
+    by gamma2_form.
     """
-    if not ball.complete:
-        raise GraphError(
-            f"two-ball at {ball.base} is cut by a truncation boundary; "
-            "curvature would be unreliable"
-        )
+    form = gamma2_form(ball)
     if not ball.sphere1:
         raise GraphError(f"vertex {ball.base} is isolated; curvature undefined")
-    if form is None:
-        form = gamma2_form(ball)
     return CdResult(lowest_eigenvalue(eliminate_second_neighbors(form, ball)))
 
 

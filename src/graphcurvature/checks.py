@@ -10,15 +10,16 @@ relabelled by individualise and refine, and the relabelled ball is the
 second key.  The Gamma2 form, its reduction and the class verdict are
 computed once per relabelled class; each positional class then reads its
 rho off the reduced matrix permuted into its own order, the same array
-it would have built itself, and its non-link counts and test vectors
-likewise.  The edge problem across (x, y) lives inside the two-ball of
-x, so where x is a swept vertex the edge takes the kappa of the first
-edge from a vertex of the same relabelled class to a neighbor of the
-same label.  Repeated edges in a sweep are therefore no longer posed,
-solved or certified one by one; ollivier_kappa still certifies every
-answer it computes.  run_checks then replays every applicable
-classification, linkage, decomposition, duality and diameter statement
-against those facts and reports violations.
+it would have built itself, once per distinct order, and its non-link
+counts and test vectors likewise.  The edge problem across (x, y) lives
+inside the two-ball of x, and x is a swept vertex wherever the edge is
+transport-safe, so the edge takes the kappa of the first edge from a
+vertex of the same relabelled class to a neighbor of the same label.
+Repeated edges in a sweep are therefore no longer posed, solved or
+certified one by one; ollivier_kappa still certifies every answer it
+computes.  run_checks then replays every applicable classification,
+linkage, decomposition, duality and diameter statement against those
+facts and reports violations.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ class _TwoBall:
             self.min_linkage = min(verdict.profile.linkage.values())
         # label of a sphere1 vertex -> its position in this ball's sphere1
         self.slot = {lab: i for i, lab in enumerate(labels)}
+        # sphere1 labels -> the vertex facts of values
+        self.by_labels: dict[tuple[int, ...], tuple] = {}
         # chosen pair or neighbor -> exact value of its test vector
         self.vector_values: dict = {}
 
@@ -131,10 +134,14 @@ class _TwoBall:
 
         rho is the eigensolve of the reduced matrix permuted into that
         order, the very array the ball itself would build, so it keeps its
-        bits.  The test vectors are the ones that order picks, moved here
-        and evaluated exactly once per class and choice; the linkage facts
+        bits; equal labels permute it alike, so each is solved once.  The
+        test vectors are the ones that order picks, moved here and
+        evaluated exactly once per class and choice; the linkage facts
         stand wherever g is triangle-free.
         """
+        known = self.by_labels.get(labels)
+        if known is not None:
+            return known
         slots = [self.slot[lab] for lab in labels]
         red = self.reduced.matrix
         order = tuple(self.ball.sphere1[i] for i in slots)
@@ -147,21 +154,20 @@ class _TwoBall:
             counts = tuple(profile.nonlink_counts[y] for y in order)
             if cls is StructureClass.ONE_UNLINKED:
                 flat_val = self._vector_value(
-                    flat_test_vector, profile.first_unlinked_pair(order), order)
+                    flat_test_vector, profile.first_unlinked_pair(order))
             elif cls is StructureClass.MULTI_UNLINKED:
                 neg_val = self._vector_value(
-                    negative_test_vector, profile.first_deficient(order), order)
-        return (rho, cls, self.verdict.N, counts, self.min_linkage,
-                flat_val, neg_val)
+                    negative_test_vector, profile.first_deficient(order))
+        known = self.by_labels[labels] = (
+            rho, cls, self.verdict.N, counts, self.min_linkage, flat_val,
+            neg_val)
+        return known
 
-    def _vector_value(self, build, choice, order) -> Fraction | None:
-        """Value of the test vector that `build` makes at the neighbors
-        `order` picks, once per choice: a class has one kind of vector."""
-        if choice is None:
-            return None
+    def _vector_value(self, build, choice) -> Fraction:
+        """Value of the test vector that `build` makes at `choice`, once
+        per choice: a class has one kind of vector."""
         if choice not in self.vector_values:
-            vec = build(self.ball, self.verdict.profile, order)
-            self.vector_values[choice] = self.form.value(vec)
+            self.vector_values[choice] = self.form.value(build(self.ball, choice))
         return self.vector_values[choice]
 
 
@@ -315,7 +321,7 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
     vfacts = []
     # two tiers: the positional key of a two-ball finds its refined class
     # and sphere1 labels, and only a new positional key is relabelled
-    memo: dict[tuple[int, ...], tuple[_TwoBall, tuple[int, ...], tuple]] = {}
+    memo: dict[tuple[int, ...], tuple[_TwoBall, tuple[int, ...]]] = {}
     kinds: dict[tuple[int, ...], _TwoBall] = {}
     ball_class: dict[int, tuple[_TwoBall, tuple[int, ...]]] = {}
     for x in g.vertices:
@@ -331,10 +337,9 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             kind = kinds.get(rkey)
             if kind is None:
                 kind = kinds[rkey] = _TwoBall(g, ball, labels)
-            known = memo[key] = (kind, labels, kind.values(labels))
-        kind, labels, values = known
-        ball_class[x] = (kind, labels)
-        rho, cls, n, counts, min_linkage, flat_val, neg_val = values
+            known = memo[key] = (kind, labels)
+        kind, labels = ball_class[x] = known
+        rho, cls, n, counts, min_linkage, flat_val, neg_val = kind.values(labels)
         if counts is not None:
             counts = dict(zip(ball.sphere1, counts))
         vfacts.append(VertexFact(
@@ -342,21 +347,19 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             min_linkage, flat_val, neg_val,
         ))
     efacts = []
-    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y)
+    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y);
+    # adjacent vertices differ by at most one in their distance from the
+    # truncation center, so both ends of a transport-safe edge are classed
     kappas: dict[tuple[_TwoBall, int], Fraction] = {}
     for x, y in g.edges:
         if not g.transport_neighborhood_complete(x, y):
             efacts.append(EdgeFact(x, y, False, None))
             continue
-        known = ball_class.get(x)
-        if known is None:
-            kappa = ollivier_kappa(g, x, y)
-        else:
-            kind, labels = known
-            key = (kind, labels[bisect_left(g.neighbors(x), y)])
-            kappa = kappas.get(key)
-            if kappa is None:
-                kappa = kappas[key] = ollivier_kappa(g, x, y)
+        kind, labels = ball_class[x]
+        key = (kind, labels[bisect_left(g.neighbors(x), y)])
+        kappa = kappas.get(key)
+        if kappa is None:
+            kappa = kappas[key] = ollivier_kappa(g, x, y)
         efacts.append(EdgeFact(x, y, True, kappa))
     return GraphFacts(
         item.key, g, is_regular(g), not contains_k3(g), not contains_k23(g),

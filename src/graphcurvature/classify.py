@@ -271,17 +271,13 @@ def interchange_class(h: Graph) -> StructureClass:
 # -- class-certifying test vectors -----------------------------------------
 
 
-def flat_test_vector(ball: LocalBall, profile: LinkProfile, order=None):
-    """The +1/-1 vector on an unlinked neighbor pair, optimally extended.
+def flat_test_vector(ball: LocalBall, pair: tuple[int, int]):
+    """The +1/-1 vector on the unlinked neighbor pair `pair`, optimally
+    extended.
 
-    The pair is the first one in `order`, a listing of sphere1 that
-    defaults to sphere1 itself.  Evaluates to exactly zero under the
-    doubled Gamma2 form whenever the class hypotheses hold.  None if every
-    pair is linked.
+    Evaluates to exactly zero under the doubled Gamma2 form whenever the
+    class hypotheses hold; LinkProfile.first_unlinked_pair picks the pair.
     """
-    pair = profile.first_unlinked_pair(order or ball.sphere1)
-    if pair is None:
-        return None
     y, z = pair
     values = {v: Fraction(0) for v in ball.sphere1}
     values[y] = Fraction(1)
@@ -292,17 +288,12 @@ def flat_test_vector(ball: LocalBall, profile: LinkProfile, order=None):
     return out
 
 
-def negative_test_vector(ball: LocalBall, profile: LinkProfile, order=None):
-    """The (d-1)/-1 vector at a neighbor missing two or more partners.
+def negative_test_vector(ball: LocalBall, y: int):
+    """The (d-1)/-1 vector at a neighbor y missing two or more partners.
 
-    The neighbor is the first such one in `order`, a listing of sphere1
-    that defaults to sphere1 itself.  Evaluates to at most -2d under the
-    doubled Gamma2 form whenever the class hypotheses hold.  None unless
-    some neighbor has non-link count at least two.
+    Evaluates to at most -2d under the doubled Gamma2 form whenever the
+    class hypotheses hold; LinkProfile.first_deficient picks y.
     """
-    y = profile.first_deficient(order or ball.sphere1)
-    if y is None:
-        return None
     d = len(ball.sphere1)
     values = {v: Fraction(-1) for v in ball.sphere1}
     values[y] = Fraction(d - 1)

@@ -111,11 +111,6 @@ def cmd_curvature(ns) -> int:
         a, b = _split_edge_arg(ns.edge)
         x = g.resolve_vertex(a)
         y = g.resolve_vertex(b)
-        if not g.transport_neighborhood_complete(x, y):
-            raise GraphError(
-                f"refusing to probe edge ({g.label(x)}, {g.label(y)}): the "
-                f"transport neighborhood crosses the truncation boundary"
-            )
         res = kappa_detail(g, x, y)
         report.edges.append(EdgeRow(key, g.label(x), g.label(y), True, res.kappa))
     report.timing["seconds"] = round(time.perf_counter() - t0, 6)

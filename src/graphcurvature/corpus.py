@@ -31,7 +31,7 @@ def expand_spec(spec: str) -> list[str]:
 def _int_args(name: str, args: list[str], count: int) -> list[int]:
     if len(args) != count:
         raise GraphError(
-            f"generator {name!r} takes {count} integer parameter(s), "
+            f"generator {name!r} takes {count or 'no'} integer parameter(s), "
             f"got {args!r}"
         )
     try:
@@ -46,61 +46,61 @@ def canonical_key(spec: str) -> str:
     return spec[4:] if spec.startswith("gen:") else spec
 
 
+def _paths(arg: str) -> Graph:
+    if not re.fullmatch(r"\d+(\+\d+)*", arg):
+        raise GraphError(f"paths takes lengths like 2+1, got {arg!r}")
+    return families.path_union([int(t) for t in arg.split("+")])
+
+
+def _zigzag(arg: str) -> Graph:
+    parts = arg.split(",")
+    if len(parts) != 2:
+        raise GraphError(
+            f"zigzag takes exactly two comma-separated sub-specs, got {arg!r}")
+    return families.zigzag(parse_graph_spec(parts[0]),
+                           parse_graph_spec(parts[1]))
+
+
+def _interchange(arg: str) -> Graph:
+    return families.interchange_graph(parse_graph_spec(arg))
+
+
+# generator name -> (constructor, number of integer parameters); None
+# hands the constructor the rest of the spec as it stands
+_GENERATORS = {
+    "adjacent-transpositions": (families.adjacent_transposition_cayley, 1),
+    "complete": (families.complete_graph, 1),
+    "complete-bipartite": (families.complete_bipartite, 1),
+    "cycle": (families.cycle, 1),
+    "flip": (families.flip_graph, 1),
+    "hypercube": (families.hypercube, 1),
+    "matching": (families.matching_graph, 1),
+    "path": (families.path_graph, 1),
+    "star": (families.star, 1),
+    "transpositions": (families.transposition_cayley, 1),
+    "lattice": (families.lattice_ball, 2),
+    "tree": (families.regular_tree, 2),
+    "gp": (families.generalized_petersen, 2),
+    "petersen": (families.petersen, 0),
+    "dodecahedron": (families.dodecahedron, 0),
+    "biplane": (families.biplane_incidence, 0),
+    "paths": (_paths, None),
+    "zigzag": (_zigzag, None),
+    "interchange": (_interchange, None),
+    "file": (load_graph, None),
+}
+
+
 def parse_graph_spec(spec: str) -> Graph:
     """Build the graph a spec names."""
-    spec = canonical_key(spec)
-    if spec.startswith("file:"):
-        return load_graph(spec[5:])
-    if spec.startswith("zigzag:"):
-        parts = spec[len("zigzag:"):].split(",")
-        if len(parts) != 2:
-            raise GraphError(
-                "zigzag takes exactly two comma-separated sub-specs, "
-                f"got {spec!r}"
-            )
-        return families.zigzag(parse_graph_spec(parts[0]),
-                               parse_graph_spec(parts[1]))
-    if spec.startswith("interchange:"):
-        host = parse_graph_spec(spec[len("interchange:"):])
-        return families.interchange_graph(host)
-    name, *args = spec.split(":")
-    if name == "paths":
-        if len(args) != 1 or not re.fullmatch(r"\d+(\+\d+)*", args[0]):
-            raise GraphError(f"paths takes lengths like 2+1, got {args!r}")
-        return families.path_union([int(t) for t in args[0].split("+")])
-    simple = {
-        "hypercube": families.hypercube,
-        "cycle": families.cycle,
-        "path": families.path_graph,
-        "complete": families.complete_graph,
-        "complete-bipartite": families.complete_bipartite,
-        "star": families.star,
-        "matching": families.matching_graph,
-        "flip": families.flip_graph,
-        "transpositions": families.transposition_cayley,
-        "adjacent-transpositions": families.adjacent_transposition_cayley,
-    }
-    if name in simple:
-        return simple[name](*_int_args(name, args, 1))
-    if name == "lattice":
-        return families.lattice_ball(*_int_args(name, args, 2))
-    if name == "tree":
-        return families.regular_tree(*_int_args(name, args, 2))
-    if name == "gp":
-        return families.generalized_petersen(*_int_args(name, args, 2))
-    if name in ("petersen", "dodecahedron", "biplane"):
-        if args:
-            raise GraphError(f"{name!r} takes no parameters")
-        return {
-            "petersen": families.petersen,
-            "dodecahedron": families.dodecahedron,
-            "biplane": families.biplane_incidence,
-        }[name]()
-    known = sorted(simple) + [
-        "lattice", "tree", "gp", "petersen", "dodecahedron", "biplane",
-        "paths", "zigzag", "interchange", "file",
-    ]
-    raise GraphError(f"unknown generator {name!r}; known: {', '.join(known)}")
+    name, sep, rest = canonical_key(spec).partition(":")
+    if name not in _GENERATORS:
+        raise GraphError(
+            f"unknown generator {name!r}; known: {', '.join(_GENERATORS)}")
+    build, arity = _GENERATORS[name]
+    if arity is None:
+        return build(rest)
+    return build(*_int_args(name, rest.split(":") if sep else [], arity))
 
 
 @dataclass(frozen=True)

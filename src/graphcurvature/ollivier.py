@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import NamedTuple
 
 from .classify import bipartite_decomposition
 from .graphs import (
@@ -59,12 +58,16 @@ class TransportProblem:
     and targets are the closed neighborhoods, and the costs their
     distances, 0 to 3, from `_move_lengths`.  Rows and columns come in
     `_order`'s canonical order, ties by vertex id, and supply, demand and
-    cost are tuples, so the problem is its own memo key.
+    cost are tuples, so the problem is its own memo key.  An edge whose
+    transport neighborhood a truncation boundary may cut is refused.
     """
 
     def __init__(self, g: Graph, x: int, y: int):
-        if not g.has_edge(x, y):
-            raise GraphError(f"({x}, {y}) is not an edge")
+        if not g.transport_neighborhood_complete(x, y):
+            raise GraphError(
+                f"refusing to probe edge ({g.label(x)}, {g.label(y)}): the "
+                f"transport neighborhood crosses the truncation boundary"
+            )
         nx, ny = g.neighbors(x), g.neighbors(y)
         lcm = math.lcm(len(nx), len(ny))
         sources = sorted((x, *nx))
@@ -113,8 +116,12 @@ class LipschitzCertificate:
     gap: Fraction
 
 
-class WassersteinResult(NamedTuple):
-    distance: Fraction
+@dataclass(frozen=True)
+class KappaResult:
+    x: int
+    y: int
+    kappa: Fraction
+    wasserstein: Fraction
     plan: TransportPlan
     certificate: LipschitzCertificate
 
@@ -330,8 +337,9 @@ def _certified_cost(tp: TransportProblem) -> int:
                              tp.demand, cells, pot)[0]
 
 
-def wasserstein(tp: TransportProblem) -> WassersteinResult:
-    """Exact transport distance with matching plan and dual certificate."""
+def wasserstein(tp: TransportProblem) -> KappaResult:
+    """Exact transport distance across tp's edge, with the curvature it
+    gives and the matching plan and dual certificate."""
     sources, targets = tp.sources, tp.targets
     cells, pot = _solve(tp)
     total, values = _dual_certificate(sources, targets, tp.cost, tp.supply,
@@ -342,7 +350,7 @@ def wasserstein(tp: TransportProblem) -> WassersteinResult:
         distance)
     cert = LipschitzCertificate({p: values[p] for p in sorted(values)},
                                 distance, Fraction(0))
-    return WassersteinResult(distance, plan, cert)
+    return KappaResult(tp.x, tp.y, 1 - distance, distance, plan, cert)
 
 
 def validate_plan(g: Graph, x: int, y: int, plan: TransportPlan) -> Fraction:
@@ -451,20 +459,9 @@ def extend_certificate(g: Graph, cert: LipschitzCertificate,
 # -- edge curvature --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KappaResult:
-    x: int
-    y: int
-    kappa: Fraction
-    wasserstein: Fraction
-    plan: TransportPlan
-    certificate: LipschitzCertificate
-
-
 def kappa_detail(g: Graph, x: int, y: int) -> KappaResult:
     """Exact edge curvature with its optimal plan and dual certificate."""
-    dist, plan, cert = wasserstein(TransportProblem(g, x, y))
-    return KappaResult(x, y, 1 - dist, dist, plan, cert)
+    return wasserstein(TransportProblem(g, x, y))
 
 
 def ollivier_kappa(g: Graph, x: int, y: int) -> Fraction:
@@ -573,18 +570,17 @@ def kappa_lower_witness(g: Graph, x: int, y: int) -> TransportPlan | None:
 def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None:
     """Explicit potential forcing the edge curvature nonpositive.
 
-    Defined when both endpoints have the same certified degree, the graph
+    Defined when no truncation boundary can cut the transport neighborhood
+    of the edge, both endpoints have the same certified degree, the graph
     has no triangle and no 2x3 biclique, and at least two neighbors of x
     are unlinked from y.  The dual value is 1 + (N - 2) / (2d) where N is
     that non-link count, so the curvature is at most (2 - N) / (2d) <= 0.
     """
-    if not g.has_edge(x, y):
-        raise GraphError(f"({x}, {y}) is not an edge")
+    if not g.transport_neighborhood_complete(x, y):
+        return None
     dx = effective_degree(g, x)
     dy = effective_degree(g, y)
     if dx is None or dx != dy or contains_k3(g) or contains_k23(g):
-        return None
-    if not (g.two_ball_complete(x) and g.two_ball_complete(y)):
         return None
     partners = _partners(g, x, y)
     if sum(not zs for zs in partners.values()) < 2:

@@ -263,7 +263,7 @@ def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
             continue
         ball = extract_ball(g, x)
         form = gamma2_form(ball)
-        rho = cd_curvature(ball, form).rho
+        rho = cd_curvature(ball).rho
         verdict = classify_vertex(g, ball)
         profile = verdict.profile
         min_linkage = None
@@ -276,13 +276,11 @@ def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
                 min_linkage = min(profile.linkage.values())
             cls = verdict.structure_class
             if cls is StructureClass.ONE_UNLINKED:
-                vec = flat_test_vector(ball, profile)
-                if vec is not None:
-                    flat_val = form.value(vec)
+                pair = profile.first_unlinked_pair(ball.sphere1)
+                flat_val = form.value(flat_test_vector(ball, pair))
             elif cls is StructureClass.MULTI_UNLINKED:
-                vec = negative_test_vector(ball, profile)
-                if vec is not None:
-                    neg_val = form.value(vec)
+                y = profile.first_deficient(ball.sphere1)
+                neg_val = form.value(negative_test_vector(ball, y))
         vfacts.append(VertexFact(
             x, g.label(x), g.degree(x), True, rho,
             verdict.structure_class, verdict.N, counts, min_linkage,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcurvature import checks, ollivier
-from graphcurvature.bakry_emery import gamma2_form
+from graphcurvature.bakry_emery import gamma2_form, lowest_eigenvalue
 from graphcurvature.checks import (
     ALL_CHECKS,
     gather_facts,
@@ -178,6 +178,20 @@ class TestVertexMemo:
         monkeypatch.setattr(checks, "gamma2_form", counting)
         facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
         assert len(facts.vertices) == 384
+        assert len(calls) == 1
+
+    def test_one_eigensolve_per_sphere1_labelling(self, monkeypatch):
+        # the 128 positional classes of hypercube:8 all give their sphere1
+        # the same labels, so they share one permuted reduced matrix
+        calls = []
+
+        def counting(form):
+            calls.append(form.index)
+            return lowest_eigenvalue(form)
+
+        monkeypatch.setattr(checks, "lowest_eigenvalue", counting)
+        facts = gather_facts(build_item("hypercube:8"))
+        assert len(facts.vertices) == 256
         assert len(calls) == 1
 
     def test_one_ball_per_safe_vertex(self, monkeypatch):

@@ -320,10 +320,9 @@ class TestCertifyingVectors:
     def test_flat_vector_evaluates_to_zero(self, g, x):
         x = g.resolve_vertex(x)
         ball = extract_ball(g, x)
-        prof = link_profile(ball)
-        vec = flat_test_vector(ball, prof)
-        assert vec is not None
-        assert gamma2_form(ball).value(vec) == 0
+        pair = link_profile(ball).first_unlinked_pair(ball.sphere1)
+        assert pair is not None
+        assert gamma2_form(ball).value(flat_test_vector(ball, pair)) == 0
 
     @pytest.mark.parametrize("g,x", [
         (petersen(), 0),
@@ -334,14 +333,13 @@ class TestCertifyingVectors:
     ])
     def test_negative_vector_forces_deficit(self, g, x):
         ball = extract_ball(g, x)
-        prof = link_profile(ball)
-        vec = negative_test_vector(ball, prof)
-        assert vec is not None
+        y = link_profile(ball).first_deficient(ball.sphere1)
+        assert y is not None
         d = len(ball.sphere1)
-        assert gamma2_form(ball).value(vec) <= -2 * d
+        assert gamma2_form(ball).value(negative_test_vector(ball, y)) <= -2 * d
 
     def test_vectors_absent_when_linked(self):
         ball = extract_ball(hypercube(4), 0)
         prof = link_profile(ball)
-        assert flat_test_vector(ball, prof) is None
-        assert negative_test_vector(ball, prof) is None
+        assert prof.first_unlinked_pair(ball.sphere1) is None
+        assert prof.first_deficient(ball.sphere1) is None

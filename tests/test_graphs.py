@@ -192,6 +192,41 @@ class TestTruncationGates:
         # the vertex gate is already shut one level higher
         assert not g.two_ball_complete(great)
 
+    @staticmethod
+    def _safe_edges_have_safe_ends(g):
+        """Assert that both ends of every transport-safe edge of g are
+        two-ball-complete; return how many safe edges list the end farther
+        from the truncation center first."""
+        farther_first = 0
+        for x, y in g.edges:
+            if g.transport_neighborhood_complete(x, y):
+                assert g.two_ball_complete(x) and g.two_ball_complete(y), \
+                    (g.name, g.label(x), g.label(y))
+                farther_first += g.distance_to_center(x) > g.distance_to_center(y)
+        return farther_first
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_transport_safe_edges_have_two_ball_safe_ends(self, radius):
+        # the sweep reads the kappa of a safe edge off the two-ball class
+        # of its first end, so that end must have been swept
+        for g in (*(lattice_ball(dim, radius) for dim in (1, 2, 3)),
+                  *(regular_tree(d, radius) for d in (3, 4, 5))):
+            self._safe_edges_have_safe_ends(g)
+
+    def test_transport_safe_ends_with_ids_reversed(self, tmp_path):
+        g = lattice_ball(2, 6)
+        top = max(g.vertices)
+        data = graph_to_json_dict(g)
+        data["vertices"] = [top - v for v in data["vertices"]]
+        data["edges"] = [[top - u, top - v] for u, v in data["edges"]]
+        data["labels"] = {str(top - int(v)): lab
+                          for v, lab in data["labels"].items()}
+        data["truncation"]["center"] = top - g.truncation.center
+        p = tmp_path / "reversed.json"
+        p.write_text(json.dumps(data))
+        h = load_graph(p)
+        assert self._safe_edges_have_safe_ends(h) > 0
+
     def test_effective_degree(self):
         g = regular_tree(3, 4)
         root = g.resolve_vertex("r")

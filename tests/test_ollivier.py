@@ -56,6 +56,11 @@ def as_fractions(measure, scale):
     return {p: Fraction(units, scale) for p, units in measure}
 
 
+def safe_edges(g):
+    """The edges of g whose transport neighborhood no truncation cuts."""
+    return [e for e in g.edges if g.transport_neighborhood_complete(*e)]
+
+
 class TestMeasures:
     def test_lazy_measure_masses(self):
         g = petersen()
@@ -77,8 +82,8 @@ class TestMeasures:
         # both measures are probability measures over the scale, also
         # where the endpoint degrees differ: distinct points, positive
         # units, total mass 1
-        for g in (star(4), petersen(), regular_tree(3, 3)):
-            for x, y in g.edges:
+        for g in (star(4), petersen(), regular_tree(3, 5)):
+            for x, y in safe_edges(g):
                 tp = TransportProblem(g, x, y)
                 for measure in (tp.mu, tp.nu):
                     points = [p for p, _ in measure]
@@ -106,16 +111,16 @@ class TestWasserstein:
     def test_cycle_adjacent_lazy_cost(self):
         g = cycle(5)
         res = wasserstein(TransportProblem(g, 0, 1))
-        assert res.distance == Fraction(3, 4)
+        assert res.wasserstein == Fraction(3, 4)
 
     def test_plan_is_feasible_and_certified(self):
         g = petersen()
         tp = TransportProblem(g, 0, 1)
         res = wasserstein(tp)
-        assert validate_plan(g, 0, 1, res.plan) == res.distance
+        assert validate_plan(g, 0, 1, res.plan) == res.wasserstein
         cert = res.certificate
         assert cert.gap == 0
-        assert cert.dual_value == res.distance
+        assert cert.dual_value == res.wasserstein
         assert all(isinstance(v, int) for v in cert.values.values())
         assert certificate_violations(g, cert.values) == []
         # the dual value really is the integral difference
@@ -144,14 +149,14 @@ class TestCorpusCertificates:
                                         for s in tp.sources)
                 res = wasserstein(tp)
                 cert = res.certificate
-                assert validate_plan(g, x, y, res.plan) == res.distance
+                assert validate_plan(g, x, y, res.plan) == res.wasserstein
                 assert cert.gap == 0
                 assert certificate_violations(g, cert.values) == []
                 assert cert.values == bellman_ford_potential(
                     dist, lambda p, q: dist[p][q], res.plan.flows)
                 # the sweep's path, which builds no objects, agrees
                 detail = kappa_detail(g, x, y)
-                assert ollivier_kappa(g, x, y) == detail.kappa == 1 - res.distance
+                assert ollivier_kappa(g, x, y) == detail.kappa == 1 - res.wasserstein
                 assert detail.plan == res.plan
                 assert detail.certificate == res.certificate
                 edges += 1
@@ -354,9 +359,9 @@ class TestKappaValues:
                 assert ollivier_kappa(g, x, y) == ollivier_kappa(g, y, x)
 
     def test_quantization(self):
-        for g in (petersen(), flip_graph(6), regular_tree(3, 3),
+        for g in (petersen(), flip_graph(6), regular_tree(3, 5),
                   transposition_cayley(3)):
-            for x, y in g.edges[:8]:
+            for x, y in safe_edges(g)[:8]:
                 k = ollivier_kappa(g, x, y)
                 denom = 2 * math.lcm(g.degree(x), g.degree(y))
                 assert (k * denom).denominator == 1
@@ -373,6 +378,22 @@ class TestKappaValues:
         g = cycle(5)
         with pytest.raises(GraphError, match="not an edge"):
             ollivier_kappa(g, 0, 2)
+
+    def test_edge_cut_by_truncation_refused(self):
+        # the farthest vertex of the ball: its neighborhood in Z^2 is cut
+        # off, and kappa there would read 1/4 where Z^2 has 0
+        g = lattice_ball(2, 4)
+        x, y = g.resolve_vertex("(4,0)"), g.resolve_vertex("(3,0)")
+        for edge in ((x, y), (y, x)):
+            for probe in (ollivier_kappa, kappa_detail, TransportProblem):
+                with pytest.raises(GraphError, match="truncation boundary"):
+                    probe(g, *edge)
+            assert kappa_upper_witness(g, *edge) is None
+        # both two-balls are whole, but radius 3 leaves no edge safe
+        t = regular_tree(3, 3)
+        r, c = t.resolve_vertex("r"), t.resolve_vertex("r.1")
+        assert t.two_ball_complete(r) and t.two_ball_complete(c)
+        assert kappa_upper_witness(t, r, c) is None
 
 
 class TestWitnesses:
@@ -517,7 +538,7 @@ class TestProperties:
         g, (x, y) = case
         res = kappa_detail(g, x, y)
         tp = TransportProblem(g, x, y)
-        assert ollivier_kappa(g, x, y) == res.kappa == 1 - wasserstein(tp).distance
+        assert ollivier_kappa(g, x, y) == res.kappa == 1 - wasserstein(tp).wasserstein
         # bounds, symmetry, certificate tightness, and mass quantization
         assert Fraction(-2) <= res.kappa <= Fraction(1)
         assert res.kappa == kappa_detail(g, y, x).kappa

@@ -82,11 +82,6 @@ def gamma2_form(ball: LocalBall) -> QuadraticForm:
     neighbor pairs.  The matrix holds 4 Gamma2, so it is integral, and the
     form carries scale 2.
     """
-    if not ball.complete:
-        raise GraphError(
-            f"two-ball at {ball.base} is cut by a truncation boundary; "
-            "curvature would be unreliable"
-        )
     s1, s2 = ball.sphere1, ball.sphere2
     n1 = len(s1)
     index = s1 + s2
@@ -175,12 +170,10 @@ def cd_curvature(ball: LocalBall) -> CdResult:
 
     Equals the smallest eigenvalue of the reduced doubled-Gamma2 matrix,
     because the companion Gamma form is half the identity on sphere1 and
-    the doubling cancels.  A ball cut by a truncation boundary is refused
-    by gamma2_form.
+    the doubling cancels.  A truncated or isolated vertex has no ball:
+    extract_ball refuses it.
     """
     form = gamma2_form(ball)
-    if not ball.sphere1:
-        raise GraphError(f"vertex {ball.base} is isolated; curvature undefined")
     return CdResult(lowest_eigenvalue(eliminate_second_neighbors(form, ball)))
 
 

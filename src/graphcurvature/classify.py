@@ -85,11 +85,6 @@ class LinkProfile:
 
 
 def link_profile(ball: LocalBall) -> LinkProfile:
-    if not ball.complete:
-        raise GraphError(
-            f"two-ball at {ball.base} is cut by a truncation boundary; "
-            "link structure would be unreliable"
-        )
     s1 = ball.sphere1
     s1_set = set(s1)
     # sphere1 neighbors of each possible joining vertex, counted once: a
@@ -130,10 +125,11 @@ class ClassVerdict:
 
 def classify_vertex(g: Graph, ball: LocalBall) -> ClassVerdict:
     """Class verdict at ball.base; inapplicability is a verdict, never an
-    error.  The verdict carries the link profile wherever g is
-    triangle-free and the ball complete, whatever else fails."""
+    error.  A truncated or isolated vertex never gets here: extract_ball
+    refuses it.  The verdict carries the link profile wherever g is
+    triangle-free, whatever else fails."""
     k3 = contains_k3(g)
-    profile = link_profile(ball) if ball.complete and not k3 else None
+    profile = None if k3 else link_profile(ball)
 
     def inapplicable(reason: str) -> ClassVerdict:
         return ClassVerdict(StructureClass.INAPPLICABLE, None, None, reason,
@@ -143,13 +139,9 @@ def classify_vertex(g: Graph, ball: LocalBall) -> ClassVerdict:
         return inapplicable("graph contains a triangle")
     if contains_k23(g):
         return inapplicable("graph contains a 2x3 biclique")
-    if not ball.sphere1:
-        return inapplicable("isolated vertex")
     d = effective_degree(g, ball.base)
     if d is None:
         return inapplicable("no certified regular degree at this vertex")
-    if not ball.complete:
-        return inapplicable("two-ball cut by the truncation boundary")
     if profile.N == 0:
         cls = StructureClass.FULLY_LINKED
     elif profile.N == 1:

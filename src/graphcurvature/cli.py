@@ -94,11 +94,6 @@ def cmd_curvature(ns) -> int:
     elif ns.vertex is not None:
         g = parse_graph_spec(ns.source)
         x = g.resolve_vertex(ns.vertex)
-        if not g.two_ball_complete(x):
-            raise GraphError(
-                f"refusing to probe {g.label(x)}: its two-ball crosses the "
-                f"truncation boundary, so curvature there would be unreliable"
-            )
         ball = extract_ball(g, x)
         res = cd_curvature(ball)
         verdict = classify_vertex(g, ball)

@@ -200,7 +200,7 @@ class Graph:
         any interior edge to exist).
         """
         if not self.has_edge(x, y):
-            raise GraphError(f"({x}, {y}) is not an edge")
+            raise GraphError(f"({self.label(x)}, {self.label(y)}) is not an edge")
         if self.truncation is None:
             return True
         if self.truncation.radius < 4:
@@ -353,19 +353,30 @@ class LocalBall:
 
     adj keeps only edges meeting base or sphere1; edges between two second
     neighbors never enter the curvature form and are dropped, so the rows
-    of base and sphere1 are whole and their lengths are the stored-graph
-    degrees (equal to host degrees whenever complete is True).
+    of base and sphere1 are whole and their lengths are the host degrees.
+    `extract_ball` builds every ball, so sphere1 is never empty and no
+    truncation boundary cuts the ball.
     """
 
     base: int
     sphere1: tuple[int, ...]
     sphere2: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
-    complete: bool
 
 
 def extract_ball(g: Graph, x: int) -> LocalBall:
+    """The two-ball at x; refuses, naming x's label, a vertex less than
+    two steps inside a truncation boundary or an isolated one, so that
+    every curvature read off the ball is defined and trustworthy."""
+    if not g.two_ball_complete(x):
+        raise GraphError(
+            f"refusing to probe {g.label(x)}: its two-ball crosses the "
+            f"truncation boundary, so curvature there would be unreliable"
+        )
     s1 = g.neighbors(x)
+    if not s1:
+        raise GraphError(f"refusing to probe {g.label(x)}: it is isolated, "
+                         f"so curvature there is undefined")
     s1_set = set(s1)
     s2 = sorted({u for v in s1 for u in g.neighbors(v)} - s1_set - {x})
     adj: dict[int, tuple[int, ...]] = {x: s1}
@@ -373,7 +384,7 @@ def extract_ball(g: Graph, x: int) -> LocalBall:
         adj[v] = g.neighbors(v)
     for u in s2:
         adj[u] = tuple(w for w in g.neighbors(u) if w in s1_set)
-    return LocalBall(x, s1, tuple(s2), adj, g.two_ball_complete(x))
+    return LocalBall(x, s1, tuple(s2), adj)
 
 
 # -- serialization ---------------------------------------------------------

@@ -482,12 +482,27 @@ def _partners(g: Graph, x: int, y: int) -> dict[int, list[int]]:
     return {v: sorted(adj[v] & beside_y) for v in g.neighbors(x) if v != y}
 
 
-def _stay_flows(x: int, y: int, d: int):
-    return [(x, x, Fraction(1, 2 * d)), (y, y, Fraction(1, 2 * d))]
+def _plan(g: Graph, x: int, y: int, d: int, moves) -> TransportPlan:
+    """The lazy plan across (x, y) at degree d that sends each neighbor
+    of x other than y along `moves`, (source, target) pairs.
+
+    1/(2d) stays at x and at y, (d-1)/(2d) goes from x to y, and 1/(2d)
+    goes along each move.  Every flow runs from N[x] to N[y], so
+    `_move_lengths` prices it.
+    """
+    unit = Fraction(1, 2 * d)
+    flows = [(x, x, unit), (y, y, unit), *((s, t, unit) for s, t in moves)]
+    if d > 1:
+        flows.append((x, y, Fraction(d - 1, 2 * d)))
+    adj = g.neighbor_sets()
+    cost = sum((mass * _move_lengths(adj, s, (t,))[0] for s, t, mass in flows),
+               Fraction(0))
+    return TransportPlan(tuple(sorted(flows)), cost)
 
 
 def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
-    """Route each linked neighbor of x to its partner beside y.
+    """Route each linked neighbor of x to its partner beside y, and the
+    one unlinked neighbor, if any, to the partner left over.
 
     Needs every neighbor pair short of at most one to be linked; with no
     triangle and no 2x3 biclique the partners are unique and distinct, so
@@ -496,33 +511,21 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
     partners = _partners(g, x, y)
     if sum(not zs for zs in partners.values()) > 1:
         return None
-    flows = _stay_flows(x, y, d)
-    if d > 1:
-        flows.append((x, y, Fraction(d - 1, 2 * d)))
-    unit = Fraction(1, 2 * d)
-    used = set()
-    leftover = None
+    moves, used, leftover = [], set(), None
     for v, zs in partners.items():
-        if zs:
-            w = zs[0]
-            if w in used:
-                return None
-            used.add(w)
-            flows.append((v, w, unit))
-        else:
-            if leftover is not None:
-                return None
+        if not zs:
             leftover = v
+            continue
+        if zs[0] in used:
+            return None
+        used.add(zs[0])
+        moves.append((v, zs[0]))
     if leftover is not None:
         free = [u for u in g.neighbors(y) if u != x and u not in used]
         if len(free) != 1:
             return None
-        flows.append((leftover, free[0], unit))
-    # every move runs from N[x] to N[y]
-    adj = g.neighbor_sets()
-    cost = sum((mass * _move_lengths(adj, s, (t,))[0] for s, t, mass in flows),
-               Fraction(0))
-    return TransportPlan(tuple(sorted(flows)), cost)
+        moves.append((leftover, free[0]))
+    return _plan(g, x, y, d, moves)
 
 
 def _biclique_plan(g: Graph, x: int, y: int, d: int):
@@ -530,17 +533,8 @@ def _biclique_plan(g: Graph, x: int, y: int, d: int):
     classes = bipartite_decomposition(g, x, y)
     if classes is None:
         return None
-    flows = _stay_flows(x, y, d)
-    if d > 1:
-        flows.append((x, y, Fraction(d - 1, 2 * d)))
-    unit = Fraction(1, 2 * d)
-    moved = 0
-    for s_cls, t_cls in classes:
-        for s, t in zip(sorted(s_cls), sorted(t_cls)):
-            flows.append((s, t, unit))
-            moved += 1
-    cost = Fraction(d - 1, 2 * d) + Fraction(moved, 2 * d) if d > 1 else Fraction(0)
-    return TransportPlan(tuple(sorted(flows)), cost)
+    return _plan(g, x, y, d, [pair for s_cls, t_cls in classes
+                              for pair in zip(sorted(s_cls), sorted(t_cls))])
 
 
 def kappa_lower_witness(g: Graph, x: int, y: int) -> TransportPlan | None:
@@ -549,8 +543,8 @@ def kappa_lower_witness(g: Graph, x: int, y: int) -> TransportPlan | None:
     1 - total_cost then lower-bounds the edge curvature.  Tries the
     linked-partner routing first (regular, triangle-free, biclique-free
     neighborhoods), then the biclique-class routing (triangle-free with a
-    full equal-part decomposition).  None when neither construction's
-    hypotheses hold.
+    full equal-part decomposition); `_plan` builds and prices both.  None
+    when neither construction's hypotheses hold.
     """
     if not g.has_edge(x, y):
         raise GraphError(f"({x}, {y}) is not an edge")

@@ -142,26 +142,25 @@ class TestClassifyVertex:
         assert "degree" in v.reason
 
     def test_lattice_boundary_inapplicable(self):
+        # a vertex near the cut has no ball to classify
         g = lattice_ball(2, 4)
-        v = verdict_at(g, g.resolve_vertex("(3,0)"))
-        assert v.structure_class is StructureClass.INAPPLICABLE
-        # the degree certification is what fails first near the cut
-        assert "degree" in v.reason
+        with pytest.raises(GraphError, match=r"probe \(3,0\): its two-ball"):
+            verdict_at(g, g.resolve_vertex("(3,0)"))
 
     def test_truncated_but_regular_inapplicable(self):
+        # regularity does not let a cut ball through
         from graphcurvature.graphs import Graph, Truncation
         base = cycle(8)
         g = Graph(base.vertices, base.edges,
                   truncation=Truncation(center=0, radius=2))
-        v = verdict_at(g, 4)
-        assert v.structure_class is StructureClass.INAPPLICABLE
-        assert "truncation" in v.reason
+        with pytest.raises(GraphError, match="probe 4: its two-ball crosses "
+                                             "the truncation boundary"):
+            verdict_at(g, 4)
 
     def test_isolated_vertex_inapplicable(self):
-        # cd_curvature refuses this vertex too
-        v = verdict_at(Graph([0, 1], []), 0)
-        assert v.structure_class is StructureClass.INAPPLICABLE
-        assert v.reason == "isolated vertex"
+        # an isolated vertex has no ball to classify
+        with pytest.raises(GraphError, match="probe 0: it is isolated"):
+            verdict_at(Graph([0, 1], []), 0)
 
     def test_inapplicable_verdict_keeps_link_profile(self):
         # a biclique voids the class, not the linkage facts

@@ -107,6 +107,24 @@ class TestCurvatureCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_non_edge_refusal_names_labels(self, capsys):
+        code, _, err = run_cli(
+            capsys, "curvature", "gen:petersen", "--edge", "o0,o2")
+        assert code == 2
+        assert "(o0, o2) is not an edge" in err
+
+    def test_isolated_vertex_refusal_names_label(self, capsys, tmp_path):
+        p = tmp_path / "isolated.json"
+        p.write_text(json.dumps({
+            "vertices": [0, 1, 2, 3, 4, 5],
+            "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
+            "labels": {"5": "a"},
+        }))
+        code, _, err = run_cli(
+            capsys, "curvature", f"file:{p}", "--vertex", "a")
+        assert code == 2
+        assert "refusing to probe a: it is isolated" in err
+
 
 class TestVerifyCommand:
     SMALL = ["hypercube:2..3", "cycle:5", "star:3"]

@@ -8,6 +8,7 @@ import ast
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,20 @@ def readme_quickstart() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
+def readme_command_lines() -> list[list[str]]:
+    """The arguments after `python -m graphcurvature` of each command in
+    the code block under the README's "Command line" heading, with
+    backslash continuations joined and `#` comments dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    prefix = ["python", "-m", "graphcurvature"]
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    assert lines and all(line[:3] == prefix for line in lines)
+    return [line[3:] for line in lines]
+
+
 # (test id, interpreter arguments)
 SCRIPTS = [(d.name, [str(d)]) for d in DEMOS]
 SCRIPTS.append(("README-quickstart", ["-c", readme_quickstart()]))
@@ -43,6 +58,17 @@ def test_demo_runs(args):
     assert done.returncode == 0, done.stderr
     if args[0].endswith("02_transport_anatomy.py"):
         assert "gap 0" in done.stdout
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    from graphcurvature.cli import main
+    for argv in readme_command_lines():
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        if "--edge" in argv:
+            assert "-1/4" in out
 
 
 def test_public_names_resolve():

@@ -54,6 +54,21 @@ def small_graphs(draw):
     return Graph(ids, edges)
 
 
+def reversed_lattice(tmp_path):
+    """lattice:2:6 saved with its vertex ids reversed and loaded back."""
+    g = lattice_ball(2, 6)
+    top = max(g.vertices)
+    data = graph_to_json_dict(g)
+    data["vertices"] = [top - v for v in data["vertices"]]
+    data["edges"] = [[top - u, top - v] for u, v in data["edges"]]
+    data["labels"] = {str(top - int(v)): lab
+                      for v, lab in data["labels"].items()}
+    data["truncation"]["center"] = top - g.truncation.center
+    p = tmp_path / "reversed.json"
+    p.write_text(json.dumps(data))
+    return load_graph(p)
+
+
 class TestConstruction:
     def test_sorted_deterministic_ordering(self):
         g = Graph([3, 1, 2], [(3, 1), (2, 3)])
@@ -214,17 +229,7 @@ class TestTruncationGates:
             self._safe_edges_have_safe_ends(g)
 
     def test_transport_safe_ends_with_ids_reversed(self, tmp_path):
-        g = lattice_ball(2, 6)
-        top = max(g.vertices)
-        data = graph_to_json_dict(g)
-        data["vertices"] = [top - v for v in data["vertices"]]
-        data["edges"] = [[top - u, top - v] for u, v in data["edges"]]
-        data["labels"] = {str(top - int(v)): lab
-                          for v, lab in data["labels"].items()}
-        data["truncation"]["center"] = top - g.truncation.center
-        p = tmp_path / "reversed.json"
-        p.write_text(json.dumps(data))
-        h = load_graph(p)
+        h = reversed_lattice(tmp_path)
         assert self._safe_edges_have_safe_ends(h) > 0
 
     def test_effective_degree(self):
@@ -244,15 +249,35 @@ class TestExtractBall:
         assert ball.base == 0
         assert ball.sphere1 == (1, 4)
         assert ball.sphere2 == (2, 3)
-        assert ball.complete
         # adjacency within the ball keeps only edges the form needs
         assert ball.adj[2] == (1,)
         assert len(ball.adj[0]) == 2
 
     def test_ball_near_truncation_marked_incomplete(self):
         g = lattice_ball(1, 4)
-        ball = extract_ball(g, g.resolve_vertex("(3)"))
-        assert not ball.complete
+        with pytest.raises(GraphError, match=r"probe \(3\): its two-ball "
+                                             r"crosses the truncation"):
+            extract_ball(g, g.resolve_vertex("(3)"))
+
+    def test_refuses_exactly_cut_or_isolated_vertices(self, tmp_path):
+        graphs = [lattice_ball(dim, radius)
+                  for dim in (1, 2, 3) for radius in range(7)]
+        graphs += [regular_tree(d, depth)
+                   for d in (3, 4, 5) for depth in range(7)]
+        graphs.append(reversed_lattice(tmp_path))
+        graphs.append(Graph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4)],
+                            labels={5: "a"}))
+        refused = 0
+        for g in graphs:
+            for x in g.vertices:
+                if g.two_ball_complete(x) and g.degree(x) > 0:
+                    assert extract_ball(g, x).base == x
+                    continue
+                with pytest.raises(GraphError) as info:
+                    extract_ball(g, x)
+                assert f"refusing to probe {g.label(x)}: " in str(info.value)
+                refused += 1
+        assert refused > 0
 
 
 class TestSerialization:

@@ -423,15 +423,22 @@ class TestWitnesses:
         assert kappa_lower_witness(g, 0, g.resolve_vertex("r.1")) is None
 
     def test_lower_witness_soundness_sample(self):
-        for g in (hypercube(3), cycle(6), complete_bipartite(4), petersen(),
-                  flip_graph(6)):
-            for x, y in g.edges[:5]:
-                plan = kappa_lower_witness(g, x, y)
-                if plan is None:
-                    continue
-                exact = ollivier_kappa(g, x, y)
-                assert 1 - plan.total_cost <= exact
-                validate_plan(g, x, y, plan)
+        graphs = [hypercube(3), cycle(6), petersen(), flip_graph(6),
+                  biplane_incidence(), hypercube(5),
+                  zigzag(hypercube(6), cycle(6)), regular_tree(3, 5),
+                  lattice_ball(2, 5)]
+        graphs += [complete_bipartite(n) for n in range(2, 7)]
+        plans = 0
+        for g in graphs:
+            for u, v in g.edges:
+                for x, y in ((u, v), (v, u)):
+                    plan = kappa_lower_witness(g, x, y)
+                    if plan is None:
+                        continue
+                    plans += 1
+                    assert validate_plan(g, x, y, plan) == plan.total_cost
+                    assert 1 - plan.total_cost <= ollivier_kappa(g, x, y)
+        assert plans > 1000
 
     def test_tree_upper_witness(self):
         g = regular_tree(3, 4)

@@ -4,22 +4,27 @@ gather_facts sweeps a corpus graph: spectral curvature and class at every
 non-isolated vertex whose two-ball is complete, exact edge curvature
 wherever the transport neighborhood is complete.  Both curvatures depend
 on the two-ball alone, so the sweep sorts the vertices into classes of
-isomorphic two-balls, in two tiers.  The first key renumbers the ball by
-position and is built at every vertex; only a key not seen before is
-relabelled by individualise and refine, and the relabelled ball is the
-second key.  The Gamma2 form, its reduction and the class verdict are
-computed once per relabelled class; each positional class then reads its
-rho off the reduced matrix permuted into its own order, the same array
-it would have built itself, once per distinct order, and its non-link
-counts and test vectors likewise.  The edge problem across (x, y) lives
-inside the two-ball of x, and x is a swept vertex wherever the edge is
+isomorphic two-balls, in three tiers.  The graph's declared symmetries
+are verified first and split the vertices into orbits; only the root of
+an orbit, its smallest id, has its two-ball built, and every other
+vertex takes its parent's class with its sphere1 labels carried through
+the symmetry.  The positional key renumbers a root's ball by position;
+only a key not seen before is relabelled by individualise and refine,
+and the relabelled ball is the class key.  The Gamma2 form, its
+reduction and the class verdict are computed once per relabelled class;
+each vertex then reads its rho off the reduced matrix permuted into its
+own order, the same array it would have built itself, with one
+eigensolve per distinct permuted matrix, and its non-link counts and
+test vectors likewise.  The edge problem across (x, y) lives inside the
+two-ball of x, and x is a swept vertex wherever the edge is
 transport-safe, so the edge takes the kappa of the first edge from a
-vertex of the same relabelled class to a neighbor of the same label.
-Repeated edges in a sweep are therefore no longer posed, solved or
-certified one by one; ollivier_kappa still certifies every answer it
-computes.  run_checks then replays every applicable classification,
-linkage, decomposition, duality and diameter statement against those
-facts and reports violations.
+vertex of the same relabelled class to a neighbor of the same label,
+and on a triangle-free graph whether the biclique decomposition across
+it exists.  Repeated edges in a sweep are therefore no longer posed,
+solved or certified one by one; ollivier_kappa still certifies every
+answer it computes.  run_checks then replays every applicable
+classification, linkage, decomposition, duality and diameter statement
+against those facts and reports violations.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ class EdgeFact:
     y: int
     safe: bool
     kappa: Fraction | None
+    # whether bipartite_decomposition(g, x, y) exists; None at an unsafe
+    # edge or in a graph with triangles
+    decomposable: bool | None
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,8 @@ class _TwoBall:
         self.slot = {lab: i for i, lab in enumerate(labels)}
         # sphere1 labels -> the vertex facts of values
         self.by_labels: dict[tuple[int, ...], tuple] = {}
+        # reduced matrix permuted into some order, as rows -> its rho
+        self.rhos: dict[tuple[tuple[int, ...], ...], float] = {}
         # chosen pair or neighbor -> exact value of its test vector
         self.vector_values: dict = {}
 
@@ -134,10 +144,10 @@ class _TwoBall:
 
         rho is the eigensolve of the reduced matrix permuted into that
         order, the very array the ball itself would build, so it keeps its
-        bits; equal labels permute it alike, so each is solved once.  The
-        test vectors are the ones that order picks, moved here and
-        evaluated exactly once per class and choice; the linkage facts
-        stand wherever g is triangle-free.
+        bits; labellings that permute it into the same matrix share one
+        eigensolve.  The test vectors are the ones that order picks,
+        moved here and evaluated exactly once per class and choice; the
+        linkage facts stand wherever g is triangle-free.
         """
         known = self.by_labels.get(labels)
         if known is not None:
@@ -145,9 +155,11 @@ class _TwoBall:
         slots = [self.slot[lab] for lab in labels]
         red = self.reduced.matrix
         order = tuple(self.ball.sphere1[i] for i in slots)
-        rho = lowest_eigenvalue(QuadraticForm(
-            order, [[red[i][j] for j in slots] for i in slots],
-            self.reduced.scale))
+        matrix = tuple(tuple(red[i][j] for j in slots) for i in slots)
+        rho = self.rhos.get(matrix)
+        if rho is None:
+            rho = self.rhos[matrix] = lowest_eigenvalue(
+                QuadraticForm(order, matrix, self.reduced.scale))
         cls, profile = self.verdict.structure_class, self.verdict.profile
         counts = flat_val = neg_val = None
         if profile is not None:
@@ -315,19 +327,62 @@ def _relabel(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (key[0], n, *codes), tuple(where[1:d + 1])
 
 
+def _orbit_parents(g: Graph) -> dict[int, tuple[int, tuple[int, ...]] | None]:
+    """Every vertex of g, parents first, mapped to None at the root of its
+    orbit under g.symmetries and else to a parent p and a symmetry s
+    with s[p] the vertex.
+
+    Each declared symmetry is verified first, in O(m): it must permute
+    range(n), map every edge to an edge and fix any truncation center,
+    so that it keeps every two-ball and its safety.  A breadth-first
+    search over the symmetries starts from each vertex not yet reached,
+    in id order, so each orbit is rooted at its smallest id.  Without
+    symmetries every vertex is a root.
+    """
+    n = len(g.vertices)
+    adj = g.neighbor_sets()
+    center = g.truncation.center if g.truncation is not None else None
+    for s in g.symmetries:
+        if (g.vertices != tuple(range(n)) or sorted(s) != list(range(n))
+                or (center is not None and s[center] != center)
+                or not all(s[v] in adj[s[u]] for u, v in g.edges)):
+            raise GraphError(f"internal: a declared symmetry of "
+                             f"{g.name or 'the graph'} is not an automorphism")
+    parents: dict[int, tuple[int, tuple[int, ...]] | None] = {}
+    for root in g.vertices:
+        if root in parents:
+            continue
+        parents[root] = None
+        queue = [root]
+        for p in queue:
+            for s in g.symmetries:
+                x = s[p]
+                if x not in parents:
+                    parents[x] = (p, s)
+                    queue.append(x)
+    return parents
+
+
 def gather_facts(item: CorpusItem) -> GraphFacts:
     """Sweep one corpus graph."""
     g = item.graph
-    vfacts = []
-    # two tiers: the positional key of a two-ball finds its refined class
-    # and sphere1 labels, and only a new positional key is relabelled
+    triangle_free = not contains_k3(g)
+    # three tiers: an orbit root's two-ball alone is built, its positional
+    # key finds its refined class and sphere1 labels, and only a new
+    # positional key is relabelled; every other vertex of the orbit takes
+    # its parent's class, with the labels carried through the symmetry
     memo: dict[tuple[int, ...], tuple[_TwoBall, tuple[int, ...]]] = {}
     kinds: dict[tuple[int, ...], _TwoBall] = {}
     ball_class: dict[int, tuple[_TwoBall, tuple[int, ...]]] = {}
-    for x in g.vertices:
+    for x, up in _orbit_parents(g).items():
         if not g.two_ball_complete(x) or g.degree(x) == 0:
-            vfacts.append(VertexFact(x, g.label(x), g.degree(x), False,
-                                     None, None, None, None, None, None, None))
+            continue
+        if up is not None:
+            p, s = up
+            kind, labels = ball_class[p]
+            carried = dict(zip((s[w] for w in g.neighbors(p)), labels))
+            ball_class[x] = (kind, tuple(map(carried.__getitem__,
+                                             g.neighbors(x))))
             continue
         ball = extract_ball(g, x)
         key = _ball_key(g, ball)
@@ -338,31 +393,43 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             if kind is None:
                 kind = kinds[rkey] = _TwoBall(g, ball, labels)
             known = memo[key] = (kind, labels)
-        kind, labels = ball_class[x] = known
+        ball_class[x] = known
+    vfacts = []
+    for x in g.vertices:
+        if x not in ball_class:
+            vfacts.append(VertexFact(x, g.label(x), g.degree(x), False,
+                                     None, None, None, None, None, None, None))
+            continue
+        kind, labels = ball_class[x]
         rho, cls, n, counts, min_linkage, flat_val, neg_val = kind.values(labels)
         if counts is not None:
-            counts = dict(zip(ball.sphere1, counts))
+            counts = dict(zip(g.neighbors(x), counts))
         vfacts.append(VertexFact(
             x, g.label(x), g.degree(x), True, rho, cls, n, counts,
             min_linkage, flat_val, neg_val,
         ))
     efacts = []
-    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y);
-    # adjacent vertices differ by at most one in their distance from the
-    # truncation center, so both ends of a transport-safe edge are classed
-    kappas: dict[tuple[_TwoBall, int], Fraction] = {}
+    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y)
+    # and whether the biclique decomposition across it exists, both read
+    # inside that two-ball; adjacent vertices differ by at most one in
+    # their distance from the truncation center, so both ends of a
+    # transport-safe edge are classed
+    edge_memo: dict[tuple[_TwoBall, int], tuple[Fraction, bool | None]] = {}
     for x, y in g.edges:
         if not g.transport_neighborhood_complete(x, y):
-            efacts.append(EdgeFact(x, y, False, None))
+            efacts.append(EdgeFact(x, y, False, None, None))
             continue
         kind, labels = ball_class[x]
         key = (kind, labels[bisect_left(g.neighbors(x), y)])
-        kappa = kappas.get(key)
-        if kappa is None:
-            kappa = kappas[key] = ollivier_kappa(g, x, y)
-        efacts.append(EdgeFact(x, y, True, kappa))
+        known = edge_memo.get(key)
+        if known is None:
+            known = edge_memo[key] = (
+                ollivier_kappa(g, x, y),
+                bipartite_decomposition(g, x, y) is not None
+                if triangle_free else None)
+        efacts.append(EdgeFact(x, y, True, *known))
     return GraphFacts(
-        item.key, g, is_regular(g), not contains_k3(g), not contains_k23(g),
+        item.key, g, is_regular(g), triangle_free, not contains_k23(g),
         g.truncation is not None, tuple(vfacts), tuple(efacts),
         item.deep_edges,
     )
@@ -499,10 +566,7 @@ def check_bipartite_transport(facts: GraphFacts) -> CheckResult:
     problems = []
     seen = False
     for ef in facts.edges:
-        if ef.kappa is None:
-            continue
-        classes = bipartite_decomposition(g, ef.x, ef.y)
-        if classes is None:
+        if not ef.decomposable:
             continue
         seen = True
         d = g.degree(ef.x)

@@ -198,8 +198,7 @@ def bipartite_decomposition(g: Graph, x: int, y: int):
     they exist exactly when every group has |T| members (so no T is
     empty) and each vertex of N(y) minus x lies in exactly one T.
     """
-    if not g.has_edge(x, y):
-        raise GraphError(f"({x}, {y}) is not an edge")
+    g.require_edge(x, y)
     if contains_k3(g):
         raise GraphError("biclique decomposition needs a triangle-free graph")
     adj = g.neighbor_sets()

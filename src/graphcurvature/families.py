@@ -4,12 +4,18 @@ Every generator returns a Graph with contiguous 0-based vertex ids,
 human-readable labels, and a deterministic vertex order, so curvature
 reports are reproducible run to run.  Families standing in for infinite
 graphs (lattices, regular trees) carry a Truncation record; everything
-else is finite and exact as built.
+else is finite and exact as built.  Some families declare symmetries
+(Graph.symmetries) that generate a group acting on their vertices:
+the hypercube's bit flips, left multiplication by the generators of a
+permutation Cayley graph, the dihedral group of the polygon on its
+triangulations, and the label-preserving symmetries of a zigzag
+product's first factor.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .graphs import Graph, GraphError, Truncation, is_regular
 
@@ -19,7 +25,8 @@ def hypercube(d: int) -> Graph:
 
     Character i of a label is coordinate i.  Each edge carries its flip
     coordinate as an edge label; the zigzag construction uses those as
-    the per-vertex edge indexing.
+    the per-vertex edge indexing.  The d coordinate flips are declared as
+    symmetries; they keep every edge label.
     """
     if d < 1:
         raise GraphError("hypercube needs d >= 1")
@@ -33,8 +40,11 @@ def hypercube(d: int) -> Graph:
                 edges.append((a, b))
                 edge_labels[(a, b)] = i
     labels = {a: "".join("1" if a >> i & 1 else "0" for i in range(d)) for a in range(n)}
-    return Graph(range(n), edges, labels=labels, edge_labels=edge_labels,
-                 name=f"hypercube-{d}")
+    g = Graph(range(n), edges, labels=labels, edge_labels=edge_labels,
+              name=f"hypercube-{d}")
+    g.symmetries = tuple(tuple(a ^ (1 << i) for a in range(n))
+                         for i in range(d))
+    return g
 
 
 def cycle(k: int) -> Graph:
@@ -224,7 +234,10 @@ def _permutation_cayley(n: int, generators, name: str) -> Graph:
 
     Breadth-first search from the identity finds the subgroup, so the
     construction holds whether or not the generators reach all of S_n.
-    Vertices are the permutations in sorted order.
+    Vertices are the permutations in sorted order.  An edge swaps two
+    positions, so swapping two values commutes with it: left
+    multiplication by each generator, which keeps the subgroup, is
+    declared as a symmetry.
     """
     identity = tuple(range(n))
     seen = {identity}
@@ -246,7 +259,11 @@ def _permutation_cayley(n: int, generators, name: str) -> Graph:
             if i < j:
                 edges.add((i, j))
     labels = {i: _perm_label(p) for p, i in index.items()}
-    return Graph(range(len(index)), sorted(edges), labels=labels, name=name)
+    g = Graph(range(len(index)), sorted(edges), labels=labels, name=name)
+    g.symmetries = tuple(
+        tuple(index[_swap(p, p.index(a), p.index(b))] for p in index)
+        for a, b in generators)
+    return g
 
 
 def transposition_cayley(n: int) -> Graph:
@@ -309,7 +326,9 @@ def flip_graph(n: int) -> Graph:
 
     Vertices are the diagonal sets; two triangulations are adjacent when
     one diagonal flip maps one to the other.  (n-3)-regular with Catalan
-    (n-2) many vertices.
+    (n-2) many vertices.  The polygon's rotation i -> i+1 and reflection
+    i -> -i (mod n), applied to every diagonal, are declared as
+    symmetries.
     """
     if n < 4:
         raise GraphError("flip graph needs n >= 4")
@@ -337,7 +356,12 @@ def flip_graph(n: int) -> Graph:
         i: ".".join(f"{a}{b}" if n <= 10 else f"{a}-{b}" for a, b in sorted(tri))
         for tri, i in index.items()
     }
-    return Graph(range(len(order)), sorted(edges), labels=labels, name=f"flip-{n}")
+    g = Graph(range(len(order)), sorted(edges), labels=labels, name=f"flip-{n}")
+    g.symmetries = tuple(
+        tuple(index[frozenset(tuple(sorted((move(a), move(b)))) for a, b in tri)]
+              for tri in order)
+        for move in (lambda i: (i + 1) % n, lambda i: -i % n))
+    return g
 
 
 # -- zigzag product --------------------------------------------------------
@@ -349,7 +373,8 @@ def zigzag(g1: Graph, g2: Graph) -> Graph:
     Vertices are pairs (a, x); every 2-walk x ~ y ~ z in g2 contributes the
     edge (a, x) ~ (a[y], z), where a[y] is the g1-neighbor of a across the
     edge labelled y.  Requires the edge labelling to list every g2 vertex
-    exactly once around each g1 vertex.
+    exactly once around each g1 vertex.  Each declared symmetry s of g1
+    that keeps every edge label lifts to the symmetry (a, x) -> (s(a), x).
     """
     n1, n2 = len(g1.vertices), len(g2.vertices)
     if g1.vertices != tuple(range(n1)) or g2.vertices != tuple(range(n2)):
@@ -390,4 +415,11 @@ def zigzag(g1: Graph, g2: Graph) -> Graph:
     deg = is_regular(out)
     if deg != big_d * big_d:
         raise GraphError(f"zigzag output degree {deg}, expected {big_d * big_d}")
+    # s keeps every edge label when it commutes with each partner map
+    # a -> a[y]; the tuples compare both composites at C speed
+    partner = [tuple(across[a][y] for a in range(n1)) for y in range(n2)]
+    out.symmetries = tuple(
+        tuple(itertools.chain.from_iterable(range(t * n2, t * n2 + n2) for t in s))
+        for s in g1.symmetries
+        if all(itemgetter(*col)(s) == itemgetter(*s)(col) for col in partner))
     return out

@@ -5,7 +5,10 @@ matrix indices and report rows come out in a reproducible order, and as
 frozensets, built on first use, for edge and distance tests.  A Graph
 may carry a Truncation record saying it is a radius-limited piece of a
 larger regular host; the predicates that decide whether a curvature
-evaluation near the cut boundary is trustworthy live here as well.
+evaluation near the cut boundary is trustworthy live here as well.  A
+family may also declare symmetries, permutations of the vertex ids that
+it claims are automorphisms; they are not serialised, so a graph read
+from a file carries none.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ _UNKNOWN = object()
 
 
 class Graph:
-    """Simple undirected graph with deterministic ordering everywhere."""
+    """Simple undirected graph with deterministic ordering everywhere.
+
+    `symmetries` holds permutations of range(n), as tuples, that the
+    family which built the graph claims are automorphisms; it is empty
+    unless a family sets it after construction.  checks.gather_facts
+    verifies each one before it uses it.
+    """
 
     def __init__(
         self,
@@ -114,6 +123,7 @@ class Graph:
                 raise GraphError("truncation radius must be nonnegative")
         self.truncation = truncation
         self.name = name
+        self.symmetries: tuple[tuple[int, ...], ...] = ()
 
         self._center_dist: dict[int, int] | None = None
         self._k3: bool | None = None
@@ -152,6 +162,11 @@ class Graph:
     def label(self, v: int) -> str:
         return self.labels.get(v, str(v))
 
+    def require_edge(self, x: int, y: int) -> None:
+        """Refuse a vertex pair that is not an edge, naming both labels."""
+        if not self.has_edge(x, y):
+            raise GraphError(f"({self.label(x)}, {self.label(y)}) is not an edge")
+
     def resolve_vertex(self, token: str) -> int:
         """Map a user-supplied token to a vertex id, labels before raw ids."""
         if token in self._label_to_vertex:
@@ -167,16 +182,20 @@ class Graph:
 
     # -- truncation safety ------------------------------------------------
 
-    def distance_to_center(self, v: int) -> int:
-        """BFS distance from the truncation center (0 when untruncated)."""
+    def distance_to_center(self, v: int) -> int | None:
+        """BFS distance from the truncation center (0 when untruncated),
+        None when the center cannot reach v."""
         if self.truncation is None:
             return 0
         if self._center_dist is None:
             self._center_dist = bfs_distances(self, self.truncation.center)
-        try:
-            return self._center_dist[v]
-        except KeyError:
-            raise GraphError(f"vertex {v} is unreachable from the truncation center") from None
+        return self._center_dist.get(v)
+
+    def _within_center(self, v: int, radius: int) -> bool:
+        """Whether v lies within `radius` of the truncation center; a
+        vertex the center cannot reach lies outside the truncation."""
+        dist = self.distance_to_center(v)
+        return dist is not None and dist <= radius
 
     def two_ball_complete(self, x: int) -> bool:
         """True when every vertex and edge of the radius-2 ball at x is stored.
@@ -189,7 +208,7 @@ class Graph:
             raise GraphError(f"unknown vertex {x}")
         if self.truncation is None:
             return True
-        return self.distance_to_center(x) <= self.truncation.radius - 2
+        return self._within_center(x, self.truncation.radius - 2)
 
     def transport_neighborhood_complete(self, x: int, y: int) -> bool:
         """True when optimal transport across edge (x, y) only sees stored data.
@@ -199,14 +218,13 @@ class Graph:
         radius-3 margin from the better endpoint (and radius at least 4 for
         any interior edge to exist).
         """
-        if not self.has_edge(x, y):
-            raise GraphError(f"({self.label(x)}, {self.label(y)}) is not an edge")
+        self.require_edge(x, y)
         if self.truncation is None:
             return True
         if self.truncation.radius < 4:
             return False
         margin = self.truncation.radius - 3
-        return min(self.distance_to_center(x), self.distance_to_center(y)) <= margin
+        return self._within_center(x, margin) or self._within_center(y, margin)
 
 
 # -- traversal helpers ----------------------------------------------------

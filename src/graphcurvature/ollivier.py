@@ -516,15 +516,12 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
         if not zs:
             leftover = v
             continue
-        if zs[0] in used:
-            return None
         used.add(zs[0])
         moves.append((v, zs[0]))
     if leftover is not None:
-        free = [u for u in g.neighbors(y) if u != x and u not in used]
-        if len(free) != 1:
-            return None
-        moves.append((leftover, free[0]))
+        # equal degrees leave exactly one neighbor of y unmatched
+        free = next(u for u in g.neighbors(y) if u != x and u not in used)
+        moves.append((leftover, free))
     return _plan(g, x, y, d, moves)
 
 
@@ -546,8 +543,7 @@ def kappa_lower_witness(g: Graph, x: int, y: int) -> TransportPlan | None:
     full equal-part decomposition); `_plan` builds and prices both.  None
     when neither construction's hypotheses hold.
     """
-    if not g.has_edge(x, y):
-        raise GraphError(f"({x}, {y}) is not an edge")
+    g.require_edge(x, y)
     dx = effective_degree(g, x)
     dy = effective_degree(g, y)
     if dx is not None and dx == dy and not contains_k3(g):

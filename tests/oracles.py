@@ -9,7 +9,7 @@ form entry by entry in Fractions; none of these shares code with the
 package.  Two helpers are the exceptions.  The reference vertex sweep
 calls the package's kernels, but at every vertex afresh, with nothing
 shared between vertices, and the reference edge sweep likewise calls
-`ollivier_kappa` on every edge.  `solve_integer_transport` poses general
+`ollivier_kappa` and `bipartite_decomposition` on every edge.  `solve_integer_transport` poses general
 transport problems (costs above 3, supports that are not closed
 neighborhoods) to the package's flow and integer certificate, so the
 transport oracle can check more than the edge problems the package
@@ -17,6 +17,8 @@ itself builds.  The decomposition oracle finds the biclique classes
 across an edge by Galois closures, where the package groups neighbors.
 The diameter oracle runs the package's single-source BFS from every
 vertex, where the package runs one bit-parallel multi-source BFS.  The
+orbit oracle merges each vertex with its images under the declared
+symmetries in a union-find, where the package searches breadth first.  The
 link-profile oracle recounts each joining vertex's first-sphere
 neighbors for every pair and adds the linkage weights one `Fraction` at
 a time.
@@ -34,11 +36,12 @@ from graphcurvature.checks import EdgeFact, VertexFact
 from graphcurvature.classify import (
     LinkProfile,
     StructureClass,
+    bipartite_decomposition,
     classify_vertex,
     flat_test_vector,
     negative_test_vector,
 )
-from graphcurvature.graphs import bfs_distances, extract_ball
+from graphcurvature.graphs import bfs_distances, contains_k3, extract_ball
 from graphcurvature.ollivier import (
     _dual_certificate,
     _min_cost_flow,
@@ -291,11 +294,15 @@ def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
 
 def edge_facts_one_by_one(g) -> tuple[EdgeFact, ...]:
     """The edge facts of checks.gather_facts, each edge posed, solved and
-    certified by its own ollivier_kappa call."""
+    certified by its own ollivier_kappa call, and its biclique
+    decomposition sought by its own bipartite_decomposition call."""
+    triangle_free = not contains_k3(g)
     return tuple(
-        EdgeFact(x, y, True, ollivier_kappa(g, x, y))
+        EdgeFact(x, y, True, ollivier_kappa(g, x, y),
+                 bipartite_decomposition(g, x, y) is not None
+                 if triangle_free else None)
         if g.transport_neighborhood_complete(x, y)
-        else EdgeFact(x, y, False, None)
+        else EdgeFact(x, y, False, None, None)
         for x, y in g.edges
     )
 
@@ -367,6 +374,25 @@ def oracle_bipartite_decomposition(g, x, y):
             if closure({y, w}) != (set(t) | {x}, set(s) | {y}):
                 return None
     return classes
+
+
+def orbit_roots(g) -> list[int]:
+    """The smallest vertex of each orbit of the group that g.symmetries
+    generate, in increasing order, by union-find."""
+    up = {v: v for v in g.vertices}
+
+    def find(v):
+        while up[v] != v:
+            up[v] = up[up[v]]
+            v = up[v]
+        return v
+
+    for s in g.symmetries:
+        for v in g.vertices:
+            a, b = find(v), find(s[v])
+            if a != b:
+                up[max(a, b)] = min(a, b)
+    return [v for v in g.vertices if find(v) == v]
 
 
 def oracle_diameter(g) -> int | None:

@@ -18,7 +18,7 @@ from graphcurvature.checks import (
 )
 from graphcurvature.corpus import CorpusItem, build_item
 from graphcurvature.families import complete_graph
-from graphcurvature.graphs import Graph, extract_ball
+from graphcurvature.graphs import Graph, GraphError, Truncation, extract_ball
 from graphcurvature.report import (
     CheckRow,
     CurvatureReport,
@@ -29,7 +29,7 @@ from graphcurvature.report import (
 )
 
 from conftest import perturbed
-from oracles import edge_facts_one_by_one, vertex_facts_one_by_one
+from oracles import edge_facts_one_by_one, orbit_roots, vertex_facts_one_by_one
 
 CHECK_NAMES = [
     "cd-class",
@@ -194,7 +194,8 @@ class TestVertexMemo:
         assert len(facts.vertices) == 256
         assert len(calls) == 1
 
-    def test_one_ball_per_safe_vertex(self, monkeypatch):
+    @staticmethod
+    def _count_balls(monkeypatch):
         # count extract_ball wherever a package module imported it
         calls = []
 
@@ -205,10 +206,26 @@ class TestVertexMemo:
         for name, module in list(sys.modules.items()):
             if name.startswith("graphcurvature") and hasattr(module, "extract_ball"):
                 monkeypatch.setattr(module, "extract_ball", counting)
-        facts = gather_facts(build_item("flip:6"))
-        safe = [vf.vertex for vf in facts.vertices if vf.safe]
-        assert len(safe) == 14
-        assert calls == safe
+        return calls
+
+    def test_one_ball_per_orbit_root(self, monkeypatch):
+        # the fan, the inner triangle and the zigzag: the three orbits of
+        # the hexagon's dihedral group on its 14 triangulations
+        calls = self._count_balls(monkeypatch)
+        item = build_item("flip:6")
+        facts = gather_facts(item)
+        assert sum(vf.safe for vf in facts.vertices) == 14
+        assert calls == orbit_roots(item.graph)
+        assert len(calls) == 3
+
+    def test_one_ball_per_safe_vertex(self, monkeypatch):
+        # a graph that declares no symmetry sweeps every vertex as a root
+        calls = self._count_balls(monkeypatch)
+        item = build_item("petersen")
+        assert item.graph.symmetries == ()
+        facts = gather_facts(item)
+        assert calls == [vf.vertex for vf in facts.vertices if vf.safe]
+        assert len(calls) == 10
 
     def test_second_sphere_is_part_of_the_key(self):
         # 0 and 10 both have two degree-3 neighbors with the base first in
@@ -262,6 +279,63 @@ class TestVertexMemo:
         facts = gather_facts(CorpusItem("random", g, ()))
         assert facts.vertices == vertex_facts_one_by_one(g)
         assert facts.edges == edge_facts_one_by_one(g)
+
+
+class TestSymmetries:
+    # hosts of every kind the families declare symmetries for, and how
+    # many orbits those symmetries leave
+    DECLARED = {
+        **{f"hypercube:{d}": 1 for d in range(1, 6)},
+        **{f"transpositions:{n}": 1 for n in range(2, 5)},
+        **{f"adjacent-transpositions:{n}": 1 for n in range(2, 6)},
+        **{f"interchange:{h}": 1 for h in (
+            "matching:1", "matching:2", "matching:3", "paths:2", "paths:2+1",
+            "paths:2+2", "paths:3", "star:3", "complete:3", "cycle:4")},
+        "flip:4": 1, "flip:5": 1, "flip:6": 3, "flip:7": 4, "flip:8": 12,
+        "zigzag:hypercube:4,cycle:4": 4,
+        "zigzag:hypercube:6,cycle:6": 6,
+    }
+
+    @pytest.mark.parametrize("spec", sorted(DECLARED))
+    def test_declared_symmetries_verify(self, spec):
+        g = build_item(spec).graph
+        assert g.symmetries
+        parents = checks._orbit_parents(g)
+        roots = [x for x, up in parents.items() if up is None]
+        assert roots == orbit_roots(g)
+        assert len(roots) == self.DECLARED[spec]
+        rank = {x: i for i, x in enumerate(parents)}
+        for x, up in parents.items():
+            if up is not None:
+                p, s = up
+                assert s[p] == x and rank[p] < rank[x]
+
+    def test_wrong_symmetry_refused(self):
+        # 0 and 3 are at distance two with different neighborhoods
+        item = build_item("hypercube:4")
+        swap = list(range(16))
+        swap[0], swap[3] = 3, 0
+        item.graph.symmetries += (tuple(swap),)
+        with pytest.raises(GraphError, match="internal: .* not an automorphism"):
+            gather_facts(item)
+
+    def test_symmetry_moving_the_truncation_center_refused(self):
+        # a rotation of the 6-cycle is an automorphism, but it moves the
+        # center of the truncation and with it every vertex's safety
+        g = Graph(range(6), [(i, (i + 1) % 6) for i in range(6)],
+                  truncation=Truncation(0, 5))
+        g.symmetries = (tuple((i + 1) % 6 for i in range(6)),)
+        with pytest.raises(GraphError, match="internal"):
+            gather_facts(CorpusItem("rotated", g, ()))
+
+    def test_intransitive_symmetries_match_one_by_one(self):
+        # two of the five bit flips leave eight orbits, so eight roots
+        item = build_item("hypercube:5")
+        item.graph.symmetries = item.graph.symmetries[:2]
+        facts = gather_facts(item)
+        assert len(orbit_roots(item.graph)) == 8
+        assert facts.vertices == vertex_facts_one_by_one(item.graph)
+        assert facts.edges == edge_facts_one_by_one(item.graph)
 
 
 class TestEdgeMemo:

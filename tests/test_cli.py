@@ -16,6 +16,19 @@ from graphcurvature.graphs import load_graph
 from conftest import perturbed
 
 
+def unreachable_json(tmp_path):
+    """A truncated 5-cycle with an isolated vertex `a` (id 5) that the
+    truncation center cannot reach."""
+    p = tmp_path / "unreachable.json"
+    p.write_text(json.dumps({
+        "vertices": [0, 1, 2, 3, 4, 5],
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
+        "labels": {"5": "a"},
+        "truncation": {"center": 0, "radius": 5},
+    }))
+    return p
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -125,9 +138,30 @@ class TestCurvatureCommand:
         assert code == 2
         assert "refusing to probe a: it is isolated" in err
 
+    def test_unreachable_vertex_refusal_names_label(self, capsys, tmp_path):
+        p = unreachable_json(tmp_path)
+        code, out, err = run_cli(
+            capsys, "curvature", f"file:{p}", "--vertex", "a")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "refusing to probe a:" in err
+        assert "5" not in err
+
 
 class TestVerifyCommand:
     SMALL = ["hypercube:2..3", "cycle:5", "star:3"]
+
+    def test_unreachable_vertex_is_a_skipped_row(self, capsys, tmp_path):
+        p = unreachable_json(tmp_path)
+        code, out, err = run_cli(capsys, "verify", f"file:{p}",
+                                 "--format", "csv")
+        assert code == 0
+        assert err == ""
+        rows = [r for r in csv.DictReader(io.StringIO(out))
+                if r["kind"] == "vertex"]
+        assert [(r["a"], r["safe"]) for r in rows] == \
+            [(str(v), "1") for v in range(5)] + [("a", "0")]
 
     def test_small_corpus_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", *self.SMALL)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphcurvature import graphs
+from graphcurvature.classify import bipartite_decomposition
 from graphcurvature.corpus import parse_graph_spec
 from graphcurvature.families import (
     complete_bipartite,
@@ -35,6 +36,7 @@ from graphcurvature.graphs import (
     render_graph,
     save_graph,
 )
+from graphcurvature.ollivier import kappa_lower_witness
 
 from oracles import oracle_diameter
 
@@ -112,6 +114,15 @@ class TestConstruction:
 
 
 class TestQueries:
+    @pytest.mark.parametrize("probe", [
+        lambda g, x, y: g.transport_neighborhood_complete(x, y),
+        kappa_lower_witness,
+        bipartite_decomposition,
+    ])
+    def test_non_edge_refusal_names_labels(self, probe):
+        with pytest.raises(GraphError, match=r"^\(o0, o2\) is not an edge$"):
+            probe(petersen(), 0, 2)
+
     def test_resolve_vertex_by_label_and_id(self):
         g = cycle(5)
         assert g.resolve_vertex("3") == 2      # labels win over raw ids

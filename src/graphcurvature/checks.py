@@ -22,9 +22,20 @@ vertex of the same relabelled class to a neighbor of the same label,
 and on a triangle-free graph whether the biclique decomposition across
 it exists.  Repeated edges in a sweep are therefore no longer posed,
 solved or certified one by one; ollivier_kappa still certifies every
-answer it computes.  run_checks then replays every applicable
-classification, linkage, decomposition, duality and diameter statement
-against those facts and reports violations.
+answer it computes.
+
+The sweep also sorts its rows into classes of equal facts.  An edge
+class joins the keys (class of x, label of y) and (class of y, label of
+x) of every edge, since both name its kappa.  A vertex class shares the
+refined class, the exact rho and test-vector values and, in a truncated
+graph, which of its labels lead to unsafe edges.  run_checks then
+replays every applicable classification, linkage, decomposition, duality
+and diameter statement against those facts and reports violations.  A
+per-element statement is decided at the first row of each class, which
+also reads that vertex's own edges for the kappa at each label; only
+when a class fails does the check walk every row, so each violation
+still names its vertex or edge, in row order.  kappa* for the diameter
+bounds is the least kappa over the edge classes.
 """
 
 from __future__ import annotations
@@ -109,6 +120,12 @@ class GraphFacts:
     vertices: tuple[VertexFact, ...]
     edges: tuple[EdgeFact, ...]
     deep_edges: tuple[tuple[int, int], ...]
+    # for each row, the index of the first row of its class: rows of one
+    # class hold equal facts and see equal kappas at equal labels, so a
+    # check decided at the first row of each class is decided at every
+    # row; the rows the sweep skips form one class
+    vertex_class: tuple[int, ...]
+    edge_class: tuple[int, ...]
 
 
 class _TwoBall:
@@ -394,11 +411,64 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
                 kind = kinds[rkey] = _TwoBall(g, ball, labels)
             known = memo[key] = (kind, labels)
         ball_class[x] = known
+
+    def label_in(u: int, w: int) -> tuple[_TwoBall, int]:
+        # the refined class of u and the label of its neighbor w
+        kind, labels = ball_class[u]
+        return kind, labels[bisect_left(g.neighbors(u), w)]
+
+    efacts = []
+    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y)
+    # and whether the biclique decomposition across it exists, both read
+    # inside that two-ball; adjacent vertices differ by at most one in
+    # their distance from the truncation center, so both ends of a
+    # transport-safe edge are classed
+    edge_memo: dict[tuple[_TwoBall, int], tuple[Fraction, bool | None]] = {}
+    # the key of each edge row, None at an unsafe edge, and the first row
+    # of each key
+    edge_keys: list[tuple[_TwoBall, int] | None] = []
+    first_row: dict[tuple[_TwoBall, int] | None, int] = {}
+    # the key from y names the same kappa, so an edge class is a class of
+    # the union-find that joins the keys from both ends of each edge
+    up: dict[tuple[_TwoBall, int], tuple[_TwoBall, int]] = {}
+    # classed vertex -> labels of its transport-unsafe edges
+    cut: dict[int, set[int]] = {}
+    for i, (x, y) in enumerate(g.edges):
+        if not g.transport_neighborhood_complete(x, y):
+            efacts.append(EdgeFact(x, y, False, None, None))
+            edge_keys.append(None)
+            first_row.setdefault(None, i)
+            for u, w in ((x, y), (y, x)):
+                if u in ball_class:
+                    cut.setdefault(u, set()).add(label_in(u, w)[1])
+            continue
+        key = label_in(x, y)
+        known = edge_memo.get(key)
+        if known is None:
+            known = edge_memo[key] = (
+                ollivier_kappa(g, x, y),
+                bipartite_decomposition(g, x, y) is not None
+                if triangle_free else None)
+            first_row[key] = i
+        efacts.append(EdgeFact(x, y, True, *known))
+        edge_keys.append(key)
+        back = label_in(y, x)
+        if back != key:
+            a, b = _root(up, key), _root(up, back)
+            if a != b:
+                up[b] = a
+    # first_row runs in row order, so each root meets its first row first
+    root_row: dict = {}
+    edge_class = {key: root_row.setdefault(_root(up, key), i)
+                  for key, i in first_row.items()}
     vfacts = []
-    for x in g.vertices:
+    vertex_class = []
+    key_row: dict = {}
+    for i, x in enumerate(g.vertices):
         if x not in ball_class:
             vfacts.append(VertexFact(x, g.label(x), g.degree(x), False,
                                      None, None, None, None, None, None, None))
+            vertex_class.append(key_row.setdefault(None, i))
             continue
         kind, labels = ball_class[x]
         rho, cls, n, counts, min_linkage, flat_val, neg_val = kind.values(labels)
@@ -408,31 +478,24 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             x, g.label(x), g.degree(x), True, rho, cls, n, counts,
             min_linkage, flat_val, neg_val,
         ))
-    efacts = []
-    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y)
-    # and whether the biclique decomposition across it exists, both read
-    # inside that two-ball; adjacent vertices differ by at most one in
-    # their distance from the truncation center, so both ends of a
-    # transport-safe edge are classed
-    edge_memo: dict[tuple[_TwoBall, int], tuple[Fraction, bool | None]] = {}
-    for x, y in g.edges:
-        if not g.transport_neighborhood_complete(x, y):
-            efacts.append(EdgeFact(x, y, False, None, None))
-            continue
-        kind, labels = ball_class[x]
-        key = (kind, labels[bisect_left(g.neighbors(x), y)])
-        known = edge_memo.get(key)
-        if known is None:
-            known = edge_memo[key] = (
-                ollivier_kappa(g, x, y),
-                bipartite_decomposition(g, x, y) is not None
-                if triangle_free else None)
-        efacts.append(EdgeFact(x, y, True, *known))
+        # the refined class fixes every other fact and the kappa at each
+        # label, but not which edges are transport-safe
+        vertex_class.append(key_row.setdefault(
+            (kind, rho, flat_val, neg_val,
+             frozenset(cut[x]) if x in cut else None), i))
     return GraphFacts(
         item.key, g, is_regular(g), triangle_free, not contains_k23(g),
         g.truncation is not None, tuple(vfacts), tuple(efacts),
-        item.deep_edges,
+        item.deep_edges, tuple(vertex_class),
+        tuple(map(edge_class.__getitem__, edge_keys)),
     )
+
+
+def _root(up: dict, key):
+    """The key that names the union-find class of key."""
+    while key in up:
+        key = up[key]
+    return key
 
 
 @dataclass(frozen=True)
@@ -450,51 +513,66 @@ def _result(name: str, applicable: bool, problems: list[str],
     return CheckResult(name, True, not problems, tuple(problems))
 
 
-def _kappa_map(facts: GraphFacts) -> dict[tuple[int, int], Fraction]:
-    out = {}
-    for ef in facts.edges:
-        if ef.kappa is not None:
-            out[(ef.x, ef.y)] = ef.kappa
-            out[(ef.y, ef.x)] = ef.kappa
-    return out
+def _by_class(rows, classes, at) -> tuple[bool, list[str]]:
+    """Whether `at` examines any row, and the problems it finds.
+
+    `at` returns None at a row it does not examine and else the list of
+    problems there.  Rows of one class hold equal facts, so `at` runs at
+    the first row of each class alone; only when one of those fails does
+    it run at every row, so that each failing row is named, in order.
+    """
+    seen = False
+    for i in dict.fromkeys(classes):
+        problems = at(rows[i])
+        if problems:
+            return True, [p for row in rows for p in at(row) or ()]
+        seen = seen or problems is not None
+    return seen, []
+
+
+def _edge_fact(facts: GraphFacts, x: int, y: int) -> EdgeFact | None:
+    """The fact row of edge (x, y), or None when it is no edge."""
+    pair = (x, y) if x < y else (y, x)
+    edges = facts.graph.edges
+    i = bisect_left(edges, pair)
+    return facts.edges[i] if i < len(edges) and edges[i] == pair else None
 
 
 def check_cd_class(facts: GraphFacts) -> CheckResult:
     """Class verdict versus the spectral curvature value."""
     tol = RHO_TOLERANCE
-    problems = []
-    seen = False
-    for vf in facts.vertices:
+
+    def at(vf: VertexFact) -> list[str] | None:
         cls = vf.structure_class
         if cls is None or cls is StructureClass.INAPPLICABLE:
-            continue
-        seen = True
+            return None
         tag = f"{facts.key} vertex {vf.label}"
         if cls is StructureClass.FULLY_LINKED and abs(vf.rho - 2) > tol:
-            problems.append(f"{tag}: fully linked but rho = {vf.rho!r}")
-        elif cls is StructureClass.ONE_UNLINKED and abs(vf.rho) > tol:
-            problems.append(f"{tag}: one unlinked but rho = {vf.rho!r}")
-        elif cls is StructureClass.MULTI_UNLINKED:
+            return [f"{tag}: fully linked but rho = {vf.rho!r}"]
+        if cls is StructureClass.ONE_UNLINKED and abs(vf.rho) > tol:
+            return [f"{tag}: one unlinked but rho = {vf.rho!r}"]
+        if cls is StructureClass.MULTI_UNLINKED:
             bound = -2 / (vf.degree - 1)
             if vf.rho >= -tol or vf.rho > bound + tol:
-                problems.append(
-                    f"{tag}: multi unlinked but rho = {vf.rho!r} "
-                    f"(needs < 0 and <= {bound})"
-                )
-    return _result("cd-class", seen, problems, "no classified vertices")
+                return [f"{tag}: multi unlinked but rho = {vf.rho!r} "
+                        f"(needs < 0 and <= {bound})"]
+        return []
+
+    return _result("cd-class", *_by_class(facts.vertices, facts.vertex_class, at),
+                   "no classified vertices")
 
 
 def check_ollivier_class(facts: GraphFacts) -> CheckResult:
     """Per-neighbor edge curvature signs forced by the non-link counts."""
-    kmap = _kappa_map(facts)
-    problems = []
-    seen = False
-    for vf in facts.vertices:
+
+    def at(vf: VertexFact) -> list[str] | None:
         cls = vf.structure_class
         if cls is None or cls is StructureClass.INAPPLICABLE:
-            continue
+            return None
+        problems = []
+        seen = False
         for y, miss in sorted(vf.nonlink_counts.items()):
-            k = kmap.get((vf.vertex, y))
+            k = _edge_fact(facts, vf.vertex, y).kappa
             if k is None:
                 continue
             seen = True
@@ -507,7 +585,11 @@ def check_ollivier_class(facts: GraphFacts) -> CheckResult:
             elif miss >= 2 and k > 0:
                 problems.append(f"{tag}: {miss} missing partners but "
                                 f"kappa = {k} > 0")
-    return _result("ollivier-class", seen, problems, "no classified edges")
+        return problems if seen else None
+
+    return _result("ollivier-class",
+                   *_by_class(facts.vertices, facts.vertex_class, at),
+                   "no classified edges")
 
 
 def check_cd_vs_ollivier(facts: GraphFacts) -> CheckResult:
@@ -517,19 +599,18 @@ def check_cd_vs_ollivier(facts: GraphFacts) -> CheckResult:
     if not applicable:
         return _result("cd-vs-ollivier", False, [],
                        "needs a regular graph free of triangles and 2x3 bicliques")
-    kmap = _kappa_map(facts)
-    problems = []
-    seen = False
-    for vf in facts.vertices:
+
+    def at(vf: VertexFact) -> list[str] | None:
         if not vf.safe:
-            continue
-        seen = True
-        kappas = {y: kmap[(vf.vertex, y)]
+            return None
+        kappas = {y: _edge_fact(facts, vf.vertex, y).kappa
                   for y in facts.graph.neighbors(vf.vertex)}
-        ok, viol = cd_ollivier_consistency(vf.rho, kappas)
-        if not ok:
-            problems.extend(f"{facts.key} vertex {vf.label}: {v}" for v in viol)
-    return _result("cd-vs-ollivier", seen, problems, "no safe vertices")
+        _, viol = cd_ollivier_consistency(vf.rho, kappas)
+        return [f"{facts.key} vertex {vf.label}: {v}" for v in viol]
+
+    return _result("cd-vs-ollivier",
+                   *_by_class(facts.vertices, facts.vertex_class, at),
+                   "no safe vertices")
 
 
 def check_linkage_positive_cd(facts: GraphFacts) -> CheckResult:
@@ -538,24 +619,26 @@ def check_linkage_positive_cd(facts: GraphFacts) -> CheckResult:
     if not facts.triangle_free:
         return _result("linkage-positive-cd", False, [], "graph has triangles")
     tol = RHO_TOLERANCE
-    problems = []
-    seen = False
-    for vf in facts.vertices:
+
+    def at(vf: VertexFact) -> list[str] | None:
         if not vf.safe:
-            continue
-        seen = True
+            return None
         tag = f"{facts.key} vertex {vf.label}"
+        problems = []
         if vf.rho > 2 + tol:
             problems.append(f"{tag}: triangle-free but rho = {vf.rho!r} > 2")
         # the linkage equality needs the degree shared with all neighbors
         if effective_degree(facts.graph, vf.vertex) is None:
-            continue
+            return problems
         heavy = vf.min_linkage is None or vf.min_linkage >= Fraction(1, 2)
         if heavy and abs(vf.rho - 2) > tol:
             problems.append(
-                f"{tag}: every pair linkage >= 1/2 but rho = {vf.rho!r} != 2"
-            )
-    return _result("linkage-positive-cd", seen, problems, "no safe vertices")
+                f"{tag}: every pair linkage >= 1/2 but rho = {vf.rho!r} != 2")
+        return problems
+
+    return _result("linkage-positive-cd",
+                   *_by_class(facts.vertices, facts.vertex_class, at),
+                   "no safe vertices")
 
 
 def check_bipartite_transport(facts: GraphFacts) -> CheckResult:
@@ -563,19 +646,18 @@ def check_bipartite_transport(facts: GraphFacts) -> CheckResult:
     if not facts.triangle_free:
         return _result("bipartite-transport", False, [], "graph has triangles")
     g = facts.graph
-    problems = []
-    seen = False
-    for ef in facts.edges:
+
+    def at(ef: EdgeFact) -> list[str] | None:
         if not ef.decomposable:
-            continue
-        seen = True
+            return None
         d = g.degree(ef.x)
         if ef.kappa != Fraction(1, d):
-            problems.append(
-                f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
-                f"decomposition exists but kappa = {ef.kappa} != 1/{d}"
-            )
-    return _result("bipartite-transport", seen, problems,
+            return [f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
+                    f"decomposition exists but kappa = {ef.kappa} != 1/{d}"]
+        return []
+
+    return _result("bipartite-transport",
+                   *_by_class(facts.edges, facts.edge_class, at),
                    "no edge admits the decomposition")
 
 
@@ -584,53 +666,52 @@ def check_transport_upper_bound(facts: GraphFacts) -> CheckResult:
     if not facts.triangle_free:
         return _result("transport-upper-bound", False, [], "graph has triangles")
     g = facts.graph
-    problems = []
-    seen = False
-    for ef in facts.edges:
+
+    def at(ef: EdgeFact) -> list[str] | None:
         if ef.kappa is None:
-            continue
-        seen = True
+            return None
         dmax = max(g.degree(ef.x), g.degree(ef.y))
         if ef.kappa.numerator * dmax > ef.kappa.denominator:
-            problems.append(
-                f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
-                f"kappa = {ef.kappa} > {Fraction(1, dmax)}"
-            )
-    return _result("transport-upper-bound", seen, problems, "no safe edges")
+            return [f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
+                    f"kappa = {ef.kappa} > {Fraction(1, dmax)}"]
+        return []
+
+    return _result("transport-upper-bound",
+                   *_by_class(facts.edges, facts.edge_class, at),
+                   "no safe edges")
 
 
 def check_test_vectors(facts: GraphFacts) -> CheckResult:
     """Exact evaluations of the two class-certifying vectors."""
-    problems = []
-    seen = False
-    for vf in facts.vertices:
+
+    def at(vf: VertexFact) -> list[str] | None:
         tag = f"{facts.key} vertex {vf.label}"
         if vf.structure_class is StructureClass.ONE_UNLINKED:
-            seen = True
             if vf.flat_vector_value != 0:
-                problems.append(
-                    f"{tag}: flat vector evaluates to {vf.flat_vector_value}, not 0"
-                )
-        elif vf.structure_class is StructureClass.MULTI_UNLINKED:
-            seen = True
+                return [f"{tag}: flat vector evaluates to "
+                        f"{vf.flat_vector_value}, not 0"]
+            return []
+        if vf.structure_class is StructureClass.MULTI_UNLINKED:
             if (vf.negative_vector_value is None
                     or vf.negative_vector_value > -2 * vf.degree):
-                problems.append(
-                    f"{tag}: negative vector evaluates to "
-                    f"{vf.negative_vector_value}, needs <= {-2 * vf.degree}"
-                )
-    return _result("test-vector-certificates", seen, problems,
+                return [f"{tag}: negative vector evaluates to "
+                        f"{vf.negative_vector_value}, needs <= {-2 * vf.degree}"]
+            return []
+        return None
+
+    return _result("test-vector-certificates",
+                   *_by_class(facts.vertices, facts.vertex_class, at),
                    "no flat or negative class vertices")
 
 
 def check_witness_bounds(facts: GraphFacts) -> CheckResult:
     """Constructed plans and potentials must bracket the exact kappa."""
     g = facts.graph
-    kmap = _kappa_map(facts)
     problems = []
     seen = False
     for x, y in facts.deep_edges:
-        k = kmap.get((x, y))
+        ef = _edge_fact(facts, x, y)
+        k = ef.kappa if ef is not None else None
         if k is None:
             continue
         tag = f"{facts.key} edge ({g.label(x)}, {g.label(y)})"
@@ -700,19 +781,18 @@ def check_duality(facts: GraphFacts) -> CheckResult:
 def check_quantization(facts: GraphFacts) -> CheckResult:
     """kappa times twice the degree lcm is an integer on every edge."""
     g = facts.graph
-    problems = []
-    seen = False
-    for ef in facts.edges:
+
+    def at(ef: EdgeFact) -> list[str] | None:
         if ef.kappa is None:
-            continue
-        seen = True
+            return None
         grain = 2 * math.lcm(g.degree(ef.x), g.degree(ef.y))
         if grain % ef.kappa.denominator:
-            problems.append(
-                f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
-                f"kappa = {ef.kappa} not a multiple of 1/{grain}"
-            )
-    return _result("quantization", seen, problems, "no safe edges")
+            return [f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
+                    f"kappa = {ef.kappa} not a multiple of 1/{grain}"]
+        return []
+
+    return _result("quantization", *_by_class(facts.edges, facts.edge_class, at),
+                   "no safe edges")
 
 
 def diameter_bounds(g: Graph, dia: int, kstar: Fraction, regular: int | None):
@@ -734,15 +814,23 @@ def diameter_bounds(g: Graph, dia: int, kstar: Fraction, regular: int | None):
     return [(name, f"{dia} <= {cap}", dia <= cap) for name, cap in caps]
 
 
+def min_edge_kappa(facts: GraphFacts) -> Fraction | None:
+    """kappa*, the least edge curvature, read once per edge class; None
+    when the graph has no edge or an edge the sweep skipped."""
+    kappas = [facts.edges[i].kappa for i in dict.fromkeys(facts.edge_class)]
+    if not kappas or any(k is None for k in kappas):
+        return None
+    return min(kappas)
+
+
 def check_diameter_bounds(facts: GraphFacts) -> CheckResult:
     """Positive curvature everywhere caps the diameter."""
     if facts.truncated:
         return _result("diameter-bounds", False, [],
                        "truncated graph stands in for an infinite one")
-    kappas = [ef.kappa for ef in facts.edges]
-    if not kappas or any(k is None for k in kappas):
+    kstar = min_edge_kappa(facts)
+    if kstar is None:
         return _result("diameter-bounds", False, [], "edge curvatures incomplete")
-    kstar = min(kappas)
     if kstar <= 0:
         return _result("diameter-bounds", False, [],
                        f"minimum edge curvature {kstar} <= 0; bound vacuous")

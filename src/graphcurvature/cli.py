@@ -15,9 +15,10 @@ import sys
 import time
 
 from .bakry_emery import cd_curvature
-from .checks import diameter_bounds, gather_facts, run_checks
+from .checks import diameter_bounds, gather_facts, min_edge_kappa, run_checks
 from .classify import classify_vertex
 from .corpus import (
+    CorpusItem,
     build_item,
     canonical_key,
     default_corpus_specs,
@@ -32,7 +33,7 @@ from .graphs import (
     render_graph,
     save_graph,
 )
-from .ollivier import kappa_detail, ollivier_kappa
+from .ollivier import kappa_detail
 from .report import (
     CurvatureReport,
     EdgeRow,
@@ -189,8 +190,9 @@ def cmd_diameter_bound(ns) -> int:
     dia = diameter(g)
     if dia is None:
         raise GraphError(f"{g.name} is disconnected; no finite diameter")
-    kappas = [(x, y, ollivier_kappa(g, x, y)) for x, y in g.edges]
-    kstar = min(k for _, _, k in kappas)
+    # every edge of an untruncated graph is transport-safe
+    item = CorpusItem(canonical_key(ns.source), g, ())
+    kstar = min_edge_kappa(gather_facts(item))
     bounds = diameter_bounds(g, dia, kstar, is_regular(g))
     ok = all(holds for _, _, holds in bounds)
     if ns.format == "json":

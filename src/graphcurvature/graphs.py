@@ -14,8 +14,9 @@ from a file carries none.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 
 
 class GraphError(ValueError):
@@ -338,26 +339,20 @@ def contains_k23(g: Graph) -> bool:
 
     That is exactly a complete bipartite 2x3 subgraph, the obstruction the
     linkage analysis cares about.  Subgraph, not induced: extra edges among
-    the five vertices do not matter.
+    the five vertices do not matter.  Counts the neighbor pairs of every
+    vertex in C, a batch of vertices at a time, batches doubling from 16,
+    and stops after the first batch that brings a pair to three.
     """
     if g._k23 is None:
-        counts: dict[tuple[int, int], int] = {}
+        rows = tuple(g._adj.values())
+        counts: Counter[tuple[int, int]] = Counter()
+        start, size = 0, 16
         found = False
-        for w in g.vertices:
-            ns = g.neighbors(w)
-            if found:
-                break
-            for i in range(len(ns)):
-                for j in range(i + 1, len(ns)):
-                    pair = (ns[i], ns[j])
-                    c = counts.get(pair, 0) + 1
-                    if c >= 3:
-                        found = True
-                        break
-                    counts[pair] = c
-                else:
-                    continue
-                break
+        while start < len(rows) and not found:
+            counts.update(chain.from_iterable(
+                map(combinations, rows[start:start + size], repeat(2))))
+            found = max(counts.values(), default=0) >= 3
+            start, size = start + size, 2 * size
         g._k23 = found
     return g._k23
 
@@ -384,13 +379,15 @@ class LocalBall:
 
 def extract_ball(g: Graph, x: int) -> LocalBall:
     """The two-ball at x; refuses, naming x's label, a vertex less than
-    two steps inside a truncation boundary or an isolated one, so that
-    every curvature read off the ball is defined and trustworthy."""
+    two steps inside a truncation boundary, one the truncation center
+    cannot reach, or an isolated one, so that every curvature read off
+    the ball is defined and trustworthy."""
     if not g.two_ball_complete(x):
-        raise GraphError(
-            f"refusing to probe {g.label(x)}: its two-ball crosses the "
-            f"truncation boundary, so curvature there would be unreliable"
-        )
+        where = ("it is not connected to the truncation center"
+                 if g.distance_to_center(x) is None else
+                 "its two-ball crosses the truncation boundary")
+        raise GraphError(f"refusing to probe {g.label(x)}: {where}, so "
+                         f"curvature there would be unreliable")
     s1 = g.neighbors(x)
     if not s1:
         raise GraphError(f"refusing to probe {g.label(x)}: it is isolated, "

@@ -59,15 +59,17 @@ class TransportProblem:
     distances, 0 to 3, from `_move_lengths`.  Rows and columns come in
     `_order`'s canonical order, ties by vertex id, and supply, demand and
     cost are tuples, so the problem is its own memo key.  An edge whose
-    transport neighborhood a truncation boundary may cut is refused.
+    transport neighborhood a truncation boundary may cut, or that the
+    truncation center cannot reach, is refused.
     """
 
     def __init__(self, g: Graph, x: int, y: int):
         if not g.transport_neighborhood_complete(x, y):
-            raise GraphError(
-                f"refusing to probe edge ({g.label(x)}, {g.label(y)}): the "
-                f"transport neighborhood crosses the truncation boundary"
-            )
+            where = ("it is not connected to the truncation center"
+                     if g.distance_to_center(x) is None else
+                     "the transport neighborhood crosses the truncation boundary")
+            raise GraphError(f"refusing to probe edge ({g.label(x)}, "
+                             f"{g.label(y)}): {where}")
         nx, ny = g.neighbors(x), g.neighbors(y)
         lcm = math.lcm(len(nx), len(ny))
         sources = sorted((x, *nx))

@@ -15,21 +15,26 @@ from graphcurvature.checks import GraphFacts, gather_facts, run_checks
 from graphcurvature.corpus import build_item, default_corpus_specs
 
 
-def _bump_first(rows, field, delta):
-    rows = list(rows)
-    i = next(i for i, r in enumerate(rows) if getattr(r, field) is not None)
-    rows[i] = replace(rows[i], **{field: getattr(rows[i], field) + delta})
-    return tuple(rows)
+def _bump_first_class(rows, classes, field, delta):
+    """rows with `field` raised by delta at every row of the class of the
+    first row where it is set, so that all rows of a class still agree."""
+    first = next(i for i, r in enumerate(rows) if getattr(r, field) is not None)
+    return tuple(
+        replace(r, **{field: getattr(r, field) + delta})
+        if c == classes[first] else r
+        for r, c in zip(rows, classes))
 
 
 def perturbed(facts: GraphFacts, kind: str) -> GraphFacts:
     """facts with the first gathered kappa raised by 1/7 (kind "kappa") or
-    the first rho by 0.25 (kind "rho"): a failing report for the checks,
-    the renderers and the command line failure path to handle."""
+    the first rho by 0.25 (kind "rho"), on every row of its class: a
+    failing report for the checks, the renderers and the command line
+    failure path to handle."""
     if kind == "kappa":
-        return replace(facts, edges=_bump_first(facts.edges, "kappa",
-                                                Fraction(1, 7)))
-    return replace(facts, vertices=_bump_first(facts.vertices, "rho", 0.25))
+        return replace(facts, edges=_bump_first_class(
+            facts.edges, facts.edge_class, "kappa", Fraction(1, 7)))
+    return replace(facts, vertices=_bump_first_class(
+        facts.vertices, facts.vertex_class, "rho", 0.25))
 
 
 @pytest.fixture(scope="session")

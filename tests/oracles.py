@@ -31,17 +31,31 @@ from fractions import Fraction
 
 import numpy as np
 
-from graphcurvature.bakry_emery import cd_curvature, gamma2_form
-from graphcurvature.checks import EdgeFact, VertexFact
+from graphcurvature.bakry_emery import RHO_TOLERANCE, cd_curvature, gamma2_form
+from graphcurvature.checks import (
+    CheckResult,
+    EdgeFact,
+    VertexFact,
+    check_duality,
+    check_witness_bounds,
+    diameter_bounds,
+)
 from graphcurvature.classify import (
     LinkProfile,
     StructureClass,
     bipartite_decomposition,
+    cd_ollivier_consistency,
     classify_vertex,
     flat_test_vector,
     negative_test_vector,
 )
-from graphcurvature.graphs import bfs_distances, contains_k3, extract_ball
+from graphcurvature.graphs import (
+    bfs_distances,
+    contains_k3,
+    diameter,
+    effective_degree,
+    extract_ball,
+)
 from graphcurvature.ollivier import (
     _dual_certificate,
     _min_cost_flow,
@@ -406,3 +420,226 @@ def oracle_diameter(g) -> int | None:
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+def oracle_contains_k23(g) -> bool:
+    """Whether two vertices share three neighbors, pair by pair."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    return any(len(adj[u] & adj[v]) >= 3
+               for i, u in enumerate(g.vertices) for v in g.vertices[i + 1:])
+
+
+def _result(name, applicable, problems, note=""):
+    if not applicable:
+        return CheckResult(name, False, True, (note,) if note else ())
+    return CheckResult(name, True, not problems, tuple(problems))
+
+
+def _kappa_map(facts):
+    out = {}
+    for ef in facts.edges:
+        if ef.kappa is not None:
+            out[(ef.x, ef.y)] = ef.kappa
+            out[(ef.y, ef.x)] = ef.kappa
+    return out
+
+
+def _cd_class(facts):
+    tol = RHO_TOLERANCE
+    problems = []
+    seen = False
+    for vf in facts.vertices:
+        cls = vf.structure_class
+        if cls is None or cls is StructureClass.INAPPLICABLE:
+            continue
+        seen = True
+        tag = f"{facts.key} vertex {vf.label}"
+        if cls is StructureClass.FULLY_LINKED and abs(vf.rho - 2) > tol:
+            problems.append(f"{tag}: fully linked but rho = {vf.rho!r}")
+        elif cls is StructureClass.ONE_UNLINKED and abs(vf.rho) > tol:
+            problems.append(f"{tag}: one unlinked but rho = {vf.rho!r}")
+        elif cls is StructureClass.MULTI_UNLINKED:
+            bound = -2 / (vf.degree - 1)
+            if vf.rho >= -tol or vf.rho > bound + tol:
+                problems.append(
+                    f"{tag}: multi unlinked but rho = {vf.rho!r} "
+                    f"(needs < 0 and <= {bound})"
+                )
+    return _result("cd-class", seen, problems, "no classified vertices")
+
+
+def _ollivier_class(facts):
+    kmap = _kappa_map(facts)
+    problems = []
+    seen = False
+    for vf in facts.vertices:
+        cls = vf.structure_class
+        if cls is None or cls is StructureClass.INAPPLICABLE:
+            continue
+        for y, miss in sorted(vf.nonlink_counts.items()):
+            k = kmap.get((vf.vertex, y))
+            if k is None:
+                continue
+            seen = True
+            tag = f"{facts.key} edge ({vf.label}, {facts.graph.label(y)})"
+            if miss == 0 and k != Fraction(1, vf.degree):
+                problems.append(f"{tag}: all partners linked but kappa = {k} "
+                                f"!= 1/{vf.degree}")
+            elif miss == 1 and k < 0:
+                problems.append(f"{tag}: one missing partner but kappa = {k} < 0")
+            elif miss >= 2 and k > 0:
+                problems.append(f"{tag}: {miss} missing partners but "
+                                f"kappa = {k} > 0")
+    return _result("ollivier-class", seen, problems, "no classified edges")
+
+
+def _cd_vs_ollivier(facts):
+    applicable = (facts.regular is not None and facts.triangle_free
+                  and facts.biclique_free and not facts.truncated)
+    if not applicable:
+        return _result("cd-vs-ollivier", False, [],
+                       "needs a regular graph free of triangles and 2x3 bicliques")
+    kmap = _kappa_map(facts)
+    problems = []
+    seen = False
+    for vf in facts.vertices:
+        if not vf.safe:
+            continue
+        seen = True
+        kappas = {y: kmap[(vf.vertex, y)]
+                  for y in facts.graph.neighbors(vf.vertex)}
+        ok, viol = cd_ollivier_consistency(vf.rho, kappas)
+        if not ok:
+            problems.extend(f"{facts.key} vertex {vf.label}: {v}" for v in viol)
+    return _result("cd-vs-ollivier", seen, problems, "no safe vertices")
+
+
+def _linkage_positive_cd(facts):
+    if not facts.triangle_free:
+        return _result("linkage-positive-cd", False, [], "graph has triangles")
+    tol = RHO_TOLERANCE
+    problems = []
+    seen = False
+    for vf in facts.vertices:
+        if not vf.safe:
+            continue
+        seen = True
+        tag = f"{facts.key} vertex {vf.label}"
+        if vf.rho > 2 + tol:
+            problems.append(f"{tag}: triangle-free but rho = {vf.rho!r} > 2")
+        if effective_degree(facts.graph, vf.vertex) is None:
+            continue
+        heavy = vf.min_linkage is None or vf.min_linkage >= Fraction(1, 2)
+        if heavy and abs(vf.rho - 2) > tol:
+            problems.append(
+                f"{tag}: every pair linkage >= 1/2 but rho = {vf.rho!r} != 2"
+            )
+    return _result("linkage-positive-cd", seen, problems, "no safe vertices")
+
+
+def _bipartite_transport(facts):
+    if not facts.triangle_free:
+        return _result("bipartite-transport", False, [], "graph has triangles")
+    g = facts.graph
+    problems = []
+    seen = False
+    for ef in facts.edges:
+        if not ef.decomposable:
+            continue
+        seen = True
+        d = g.degree(ef.x)
+        if ef.kappa != Fraction(1, d):
+            problems.append(
+                f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
+                f"decomposition exists but kappa = {ef.kappa} != 1/{d}"
+            )
+    return _result("bipartite-transport", seen, problems,
+                   "no edge admits the decomposition")
+
+
+def _transport_upper_bound(facts):
+    if not facts.triangle_free:
+        return _result("transport-upper-bound", False, [], "graph has triangles")
+    g = facts.graph
+    problems = []
+    seen = False
+    for ef in facts.edges:
+        if ef.kappa is None:
+            continue
+        seen = True
+        dmax = max(g.degree(ef.x), g.degree(ef.y))
+        if ef.kappa.numerator * dmax > ef.kappa.denominator:
+            problems.append(
+                f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
+                f"kappa = {ef.kappa} > {Fraction(1, dmax)}"
+            )
+    return _result("transport-upper-bound", seen, problems, "no safe edges")
+
+
+def _test_vectors(facts):
+    problems = []
+    seen = False
+    for vf in facts.vertices:
+        tag = f"{facts.key} vertex {vf.label}"
+        if vf.structure_class is StructureClass.ONE_UNLINKED:
+            seen = True
+            if vf.flat_vector_value != 0:
+                problems.append(
+                    f"{tag}: flat vector evaluates to {vf.flat_vector_value}, not 0"
+                )
+        elif vf.structure_class is StructureClass.MULTI_UNLINKED:
+            seen = True
+            if (vf.negative_vector_value is None
+                    or vf.negative_vector_value > -2 * vf.degree):
+                problems.append(
+                    f"{tag}: negative vector evaluates to "
+                    f"{vf.negative_vector_value}, needs <= {-2 * vf.degree}"
+                )
+    return _result("test-vector-certificates", seen, problems,
+                   "no flat or negative class vertices")
+
+
+def _quantization(facts):
+    g = facts.graph
+    problems = []
+    seen = False
+    for ef in facts.edges:
+        if ef.kappa is None:
+            continue
+        seen = True
+        grain = 2 * math.lcm(g.degree(ef.x), g.degree(ef.y))
+        if grain % ef.kappa.denominator:
+            problems.append(
+                f"{facts.key} edge ({g.label(ef.x)}, {g.label(ef.y)}): "
+                f"kappa = {ef.kappa} not a multiple of 1/{grain}"
+            )
+    return _result("quantization", seen, problems, "no safe edges")
+
+
+def _diameter_bounds(facts):
+    if facts.truncated:
+        return _result("diameter-bounds", False, [],
+                       "truncated graph stands in for an infinite one")
+    kappas = [ef.kappa for ef in facts.edges]
+    if not kappas or any(k is None for k in kappas):
+        return _result("diameter-bounds", False, [], "edge curvatures incomplete")
+    kstar = min(kappas)
+    if kstar <= 0:
+        return _result("diameter-bounds", False, [],
+                       f"minimum edge curvature {kstar} <= 0; bound vacuous")
+    dia = diameter(facts.graph)
+    if dia is None:
+        return _result("diameter-bounds", False, [], "graph is disconnected")
+    problems = [f"{facts.key}: {name} violated: {stmt}"
+                for name, stmt, holds in diameter_bounds(
+                    facts.graph, dia, kstar, facts.regular) if not holds]
+    return _result("diameter-bounds", True, problems)
+
+
+def checks_one_by_one(facts) -> list[CheckResult]:
+    """checks.run_checks with every statement replayed at every vertex
+    and edge."""
+    return [chk(facts) for chk in (
+        _cd_class, _ollivier_class, _cd_vs_ollivier, _linkage_positive_cd,
+        _bipartite_transport, _transport_upper_bound, _test_vectors,
+        check_witness_bounds, check_duality, _quantization, _diameter_bounds)]

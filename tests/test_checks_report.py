@@ -18,7 +18,13 @@ from graphcurvature.checks import (
 )
 from graphcurvature.corpus import CorpusItem, build_item
 from graphcurvature.families import complete_graph
-from graphcurvature.graphs import Graph, GraphError, Truncation, extract_ball
+from graphcurvature.graphs import (
+    Graph,
+    GraphError,
+    Truncation,
+    effective_degree,
+    extract_ball,
+)
 from graphcurvature.report import (
     CheckRow,
     CurvatureReport,
@@ -29,7 +35,12 @@ from graphcurvature.report import (
 )
 
 from conftest import perturbed
-from oracles import edge_facts_one_by_one, orbit_roots, vertex_facts_one_by_one
+from oracles import (
+    checks_one_by_one,
+    edge_facts_one_by_one,
+    orbit_roots,
+    vertex_facts_one_by_one,
+)
 
 CHECK_NAMES = [
     "cd-class",
@@ -266,19 +277,24 @@ class TestVertexMemo:
     @given(st.data())
     def test_random_graphs_match_one_by_one(self, data):
         # a random graph, an isomorphic copy under a random renaming, and
-        # ids shuffled over both: the copies share every refined class
+        # ids shuffled over both: the copies share every refined class;
+        # at times a truncation cuts some edges of swept vertices
         n = data.draw(st.integers(1, 8), label="n")
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
                           if pairs else st.just([]), label="edges")
         ids = data.draw(st.permutations(range(2 * n)), label="ids")
         copy = data.draw(st.permutations(range(n)), label="copy")
+        truncation = data.draw(st.none() | st.builds(
+            Truncation, st.integers(0, 2 * n - 1), st.integers(0, 6)),
+            label="truncation")
         both = [(ids[u], ids[v]) for u, v in edges]
         both += [(ids[n + copy[u]], ids[n + copy[v]]) for u, v in edges]
-        g = Graph(range(2 * n), both)
-        facts = gather_facts(CorpusItem("random", g, ()))
+        g = Graph(range(2 * n), both, truncation=truncation)
+        facts = gather_facts(CorpusItem("random", g, g.edges[:1]))
         assert facts.vertices == vertex_facts_one_by_one(g)
         assert facts.edges == edge_facts_one_by_one(g)
+        assert_checks_match_one_by_one(facts)
 
 
 class TestSymmetries:
@@ -377,6 +393,85 @@ class TestEdgeMemo:
         facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
         assert len(facts.edges) == 768
         assert len(built) == 4
+
+
+def assert_classes_hold_equal_facts(facts):
+    """Every fact a check reads is equal across each class: an edge's
+    kappa, decomposition and end degrees, and a vertex's own facts with
+    the non-link count and kappa it sees at each neighbor, as a multiset.
+    The rows the sweep skipped form one class, which no check reads."""
+    g = facts.graph
+    kappa = {}
+    for ef in facts.edges:
+        kappa[(ef.x, ef.y)] = kappa[(ef.y, ef.x)] = ef.kappa
+
+    def edge_view(ef):
+        if not ef.safe:
+            return None
+        return (ef.kappa, ef.decomposable,
+                sorted((g.degree(ef.x), g.degree(ef.y))))
+
+    def vertex_view(vf):
+        if not vf.safe:
+            return None
+        counts = vf.nonlink_counts or {}
+        seen = sorted(((counts.get(y), kappa[(vf.vertex, y)])
+                       for y in g.neighbors(vf.vertex)),
+                      key=lambda t: (t[0] is None, t[0], t[1] is None, t[1]))
+        return (vf.rho, vf.structure_class, vf.N, vf.degree, vf.min_linkage,
+                vf.flat_vector_value, vf.negative_vector_value,
+                effective_degree(g, vf.vertex), seen)
+
+    for rows, classes, view in ((facts.edges, facts.edge_class, edge_view),
+                                (facts.vertices, facts.vertex_class,
+                                 vertex_view)):
+        for row, c in zip(rows, classes):
+            assert view(row) == view(rows[c]), (facts.key, row, rows[c])
+
+
+def assert_checks_match_one_by_one(facts):
+    """run_checks equals the element-by-element replay on facts and on
+    both perturbations of them, detail for detail, and the perturbations
+    keep every class's facts equal."""
+    assert_classes_hold_equal_facts(facts)
+    assert run_checks(facts) == checks_one_by_one(facts), facts.key
+    for kind, rows in (("kappa", facts.edges), ("rho", facts.vertices)):
+        if any(getattr(r, kind) is not None for r in rows):
+            bad = perturbed(facts, kind)
+            assert_classes_hold_equal_facts(bad)
+            assert run_checks(bad) == checks_one_by_one(bad), (facts.key, kind)
+
+
+class TestChecksPerClass:
+    def test_corpus_matches_one_by_one(self, corpus_facts, corpus_checks):
+        for key, facts in corpus_facts.items():
+            assert corpus_checks[key] == checks_one_by_one(facts), key
+            assert_checks_match_one_by_one(facts)
+
+    @pytest.mark.parametrize("spec", [
+        "transpositions:5", "hypercube:8", "flip:8",
+        *(f"lattice:{d}:{r}" for d in (1, 2, 3) for r in (3, 4, 5)),
+        *(f"tree:{d}:{r}" for d in (3, 4, 5) for r in (3, 4, 5)),
+    ])
+    def test_graph_matches_one_by_one(self, spec):
+        assert_checks_match_one_by_one(gather_facts(build_item(spec)))
+
+    def test_class_verdicts_read_each_class_once(self, monkeypatch):
+        # 2,048 vertices of one class and 11,264 edges of eleven, one per
+        # coordinate: the sign comparison runs at one vertex alone
+        calls = []
+        consistency = checks.cd_ollivier_consistency
+
+        def counting(rho, kappas):
+            calls.append(len(kappas))
+            return consistency(rho, kappas)
+
+        monkeypatch.setattr(checks, "cd_ollivier_consistency", counting)
+        facts = gather_facts(build_item("hypercube:11"))
+        assert len(set(facts.vertex_class)) == 1
+        assert len(set(facts.edge_class)) == 11
+        assert all_passed(run_checks(facts))
+        assert calls == [11]
 
 
 class TestFaultInjection:

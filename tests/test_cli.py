@@ -148,6 +148,29 @@ class TestCurvatureCommand:
         assert "refusing to probe a:" in err
         assert "5" not in err
 
+    @pytest.mark.parametrize("probe, refusal", [
+        (("--vertex", "a"), "refusing to probe a: it is not connected to "
+                            "the truncation center"),
+        (("--edge", "a,b"), "refusing to probe edge (a, b): it is not "
+                            "connected to the truncation center"),
+    ])
+    def test_unreachable_edge_refusal_names_the_center(
+            self, capsys, tmp_path, probe, refusal):
+        # a-b is an edge of its own, away from the truncated 5-cycle
+        p = tmp_path / "unreachable-edge.json"
+        p.write_text(json.dumps({
+            "vertices": [0, 1, 2, 3, 4, 5, 6],
+            "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [5, 6]],
+            "labels": {"5": "a", "6": "b"},
+            "truncation": {"center": 0, "radius": 5},
+        }))
+        code, out, err = run_cli(capsys, "curvature", f"file:{p}", *probe)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert refusal in err
+        assert "boundary" not in err
+
 
 class TestVerifyCommand:
     SMALL = ["hypercube:2..3", "cycle:5", "star:3"]

@@ -38,7 +38,7 @@ from graphcurvature.graphs import (
 )
 from graphcurvature.ollivier import kappa_lower_witness
 
-from oracles import oracle_diameter
+from oracles import oracle_contains_k23, oracle_diameter
 
 
 @st.composite
@@ -166,6 +166,29 @@ class TestQueries:
         assert not contains_k23(petersen())
         assert contains_k23(complete_bipartite(3))
         assert not contains_k23(star(6))  # leaves share only the center
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    @example(Graph([], []))
+    @example(Graph([5], []))
+    def test_k23_matches_pair_intersections(self, g):
+        assert contains_k23(g) == oracle_contains_k23(g)
+
+    def test_k23_found_in_a_late_batch(self):
+        # the one K_{2,3} hides behind 200 vertices of a long path, past
+        # the first batches of the pair count
+        edges = [(i, i + 1) for i in range(199)]
+        edges += [(a, b) for a in (300, 301) for b in (302, 303, 304)]
+        g = Graph(list(range(200)) + list(range(300, 305)), edges)
+        assert contains_k23(g) and oracle_contains_k23(g)
+        assert not contains_k23(Graph(range(200), edges[:199]))
+
+    def test_k23_matches_pair_intersections_on_corpus(self, corpus_items):
+        cases = [item.graph for item in corpus_items.values()]
+        cases += [parse_graph_spec(s) for s in
+                  ("hypercube:7", "transpositions:5", "flip:8")]
+        for g in cases:
+            assert contains_k23(g) == oracle_contains_k23(g), g.name
 
 
 class TestDiameter:

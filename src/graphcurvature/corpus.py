@@ -133,9 +133,13 @@ def _default_probe_edges(g: Graph) -> tuple[tuple[int, int], ...]:
 def build_item(spec: str) -> CorpusItem:
     g = parse_graph_spec(spec)
     key = canonical_key(spec)
-    if key.startswith("zigzag:hypercube:"):
+    name, _, factors = key.partition(":")
+    first, _, second = factors.partition(",")
+    if (name == "zigzag" and canonical_key(first).startswith("hypercube:")
+            and canonical_key(second).startswith("cycle:")):
         # probe the worked-out vertex (all-zero word, first cycle vertex)
-        # and its edge two steps around the cycle after a coordinate flip
+        # and its edge two steps around the cycle after a coordinate flip;
+        # other second factors name their vertices otherwise
         n1 = len(g.labels[g.vertices[0]].split(",")[0].strip("("))
         x1 = g.resolve_vertex("(" + "0" * n1 + ",1)")
         b = g.resolve_vertex("(" + "01" + "0" * (n1 - 2) + ",3)")

@@ -37,6 +37,13 @@ class Truncation:
     host_degree: int | None = None
 
 
+def _require_id(v) -> None:
+    """Refuse a vertex id or edge endpoint that is not an int; a bool or
+    a float equal to an id would otherwise pass for it."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise GraphError(f"vertex id {v!r} is not an integer")
+
+
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise GraphError(f"self-loop at vertex {u}")
@@ -67,8 +74,7 @@ class Graph:
     ):
         seen: set[int] = set()
         for v in vertices:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise GraphError(f"vertex id {v!r} is not an integer")
+            _require_id(v)
             if v in seen:
                 raise GraphError(f"duplicate vertex id {v}")
             seen.add(v)
@@ -80,6 +86,8 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge {e!r} is not a pair") from None
+            _require_id(u)
+            _require_id(v)
             if u not in seen or v not in seen:
                 raise GraphError(f"edge ({u}, {v}) has an unknown endpoint")
             pair = _normalize_edge(u, v)

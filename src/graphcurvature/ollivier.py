@@ -14,9 +14,8 @@ sides.  Each problem lays its rows and columns out in a canonical order,
 so its supplies, demands and costs are themselves the key under which a
 graph keeps the solution, and every edge that poses the same problem
 reuses it index for index: a symmetric graph is solved once per kind of
-edge.  `ollivier_kappa` returns the certified fraction alone;
-`wasserstein` and `kappa_detail` also build the plan and certificate
-objects.
+edge.  `wasserstein` returns the distance with its plan and certificate,
+and `ollivier_kappa` is `kappa_detail`'s certified fraction.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
-from .classify import bipartite_decomposition
+from .classify import bipartite_decomposition, edge_partners
 from .graphs import (
     Graph,
     GraphError,
@@ -331,14 +330,6 @@ def _solve(tp: TransportProblem):
     return solved
 
 
-def _certified_cost(tp: TransportProblem) -> int:
-    """The optimal cost in units of tp.scale, certified on this edge,
-    without the plan and certificate objects."""
-    cells, pot = _solve(tp)
-    return _dual_certificate(tp.sources, tp.targets, tp.cost, tp.supply,
-                             tp.demand, cells, pot)[0]
-
-
 def wasserstein(tp: TransportProblem) -> KappaResult:
     """Exact transport distance across tp's edge, with the curvature it
     gives and the matching plan and dual certificate."""
@@ -467,21 +458,11 @@ def kappa_detail(g: Graph, x: int, y: int) -> KappaResult:
 
 
 def ollivier_kappa(g: Graph, x: int, y: int) -> Fraction:
-    """Exact edge curvature, certified like `kappa_detail`'s but without
-    building the plan and certificate objects."""
-    tp = TransportProblem(g, x, y)
-    return Fraction(tp.scale - _certified_cost(tp), tp.scale)
+    """Exact edge curvature, certified by `kappa_detail`."""
+    return kappa_detail(g, x, y).kappa
 
 
 # -- structure-driven witnesses --------------------------------------------
-
-
-def _partners(g: Graph, x: int, y: int) -> dict[int, list[int]]:
-    """Each neighbor v of x other than y mapped to the sorted vertices
-    other than x that link it to y: `link_profile`'s links[(v, y)]."""
-    adj = g.neighbor_sets()
-    beside_y = adj[y] - {x}
-    return {v: sorted(adj[v] & beside_y) for v in g.neighbors(x) if v != y}
 
 
 def _plan(g: Graph, x: int, y: int, d: int, moves) -> TransportPlan:
@@ -510,7 +491,7 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
     triangle and no 2x3 biclique the partners are unique and distinct, so
     the routing is a matching.  Cost is at most 1, giving kappa >= 0.
     """
-    partners = _partners(g, x, y)
+    partners = edge_partners(g, x, y)
     if sum(not zs for zs in partners.values()) > 1:
         return None
     moves, used, leftover = [], set(), None
@@ -518,8 +499,9 @@ def _linked_partner_plan(g: Graph, x: int, y: int, d: int):
         if not zs:
             leftover = v
             continue
-        used.add(zs[0])
-        moves.append((v, zs[0]))
+        z = min(zs)
+        used.add(z)
+        moves.append((v, z))
     if leftover is not None:
         # equal degrees leave exactly one neighbor of y unmatched
         free = next(u for u in g.neighbors(y) if u != x and u not in used)
@@ -574,7 +556,7 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
     dy = effective_degree(g, y)
     if dx is None or dx != dy or contains_k3(g) or contains_k23(g):
         return None
-    partners = _partners(g, x, y)
+    partners = edge_partners(g, x, y)
     if sum(not zs for zs in partners.values()) < 2:
         return None
     linking = set().union(*partners.values())
@@ -595,5 +577,4 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
     tp = TransportProblem(g, x, y)
     dual = Fraction(sum(u * values[t] for t, u in tp.nu)
                     - sum(u * values[s] for s, u in tp.mu), tp.scale)
-    exact = Fraction(_certified_cost(tp), tp.scale)
-    return LipschitzCertificate(values, dual, exact - dual)
+    return LipschitzCertificate(values, dual, wasserstein(tp).wasserstein - dual)

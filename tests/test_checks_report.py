@@ -191,9 +191,29 @@ class TestVertexMemo:
         assert len(facts.vertices) == 384
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("spec, relabelled", [
+        ("complete-bipartite:6", 1), ("tree:5:4", 1), ("star:8", 2)])
+    def test_one_relabelling_per_positional_adjacency(
+            self, monkeypatch, spec, relabelled):
+        # the positional key holds the ball's adjacency by position alone,
+        # so roots whose balls match position for position share one
+        # relabelling, wherever the base's id falls among its neighbors':
+        # one for all leaves of the star and one for its centre
+        calls = []
+
+        def counting(key):
+            calls.append(key)
+            return relabel(key)
+
+        relabel = checks._relabel
+        monkeypatch.setattr(checks, "_relabel", counting)
+        gather_facts(build_item(spec))
+        assert len(calls) == relabelled
+
     def test_one_eigensolve_per_sphere1_labelling(self, monkeypatch):
-        # the 128 positional classes of hypercube:8 all give their sphere1
-        # the same labels, so they share one permuted reduced matrix
+        # hypercube:8 is one orbit of its declared symmetries, and the
+        # labels carried to every vertex permute the root's reduced matrix
+        # into the same array
         calls = []
 
         def counting(form):

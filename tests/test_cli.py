@@ -256,6 +256,49 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2  # csv carries no timing, so byte-identical
 
+    @pytest.mark.parametrize("spec", [
+        "zigzag:hypercube:4,complete-bipartite:2",
+        "zigzag:hypercube:6,complete:6",
+        "zigzag:hypercube:2,path:2",
+    ])
+    def test_zigzag_beside_a_cycle_factor_verifies(self, capsys, spec):
+        # the worked-out probe edge names cycle vertices; other second
+        # factors take the default probe edge
+        code, _, err = run_cli(capsys, "verify", spec, "--format", "csv")
+        assert (code, err) == (0, "")
+
+    def test_pool_never_outnumbers_specs(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            # records the pool size and runs the work in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        code, _, _ = run_cli(capsys, "verify", "cycle:4..5", "--jobs", "8")
+        assert code == 0 and sizes == [2]
+        code, _, _ = run_cli(capsys, "verify", "cycle:5", "--jobs", "8")
+        assert code == 0 and sizes == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_refused(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "cycle:5", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
     @pytest.mark.parametrize("doc", [
         {"vertices": [0, 1, 2], "edges": [[0, 1]]},
         {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [2, 3]]},
@@ -377,6 +420,42 @@ class TestDiameterBoundCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no edges" in err
+
+
+class TestGraphInput:
+    @pytest.mark.parametrize("endpoint", [1.0, True])
+    def test_non_integer_endpoint_refused(self, capsys, tmp_path, endpoint):
+        # 1.0 and true equal the id 1 but are not vertex ids
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, endpoint]]}))
+        for argv in (["curvature", f"file:{p}", "--all", "--format", "csv"],
+                     ["gen", f"file:{p}"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: vertex id {endpoint!r} is not an integer\n"
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sets(st.tuples(st.integers(-2, 9), st.integers(-2, 9))
+                   .filter(lambda e: e[0] < e[1]), min_size=1, max_size=14))
+    def test_edge_list_round_trip(self, capsys, tmp_path, edges):
+        # written by gen as an edge list and read back through file:, the
+        # graph keeps its vertices and edges, and both sweeps run clean;
+        # an edge list has no isolated vertices, so none are drawn
+        vertices = sorted({v for e in edges for v in e})
+        src = tmp_path / "fuzz.json"
+        src.write_text(json.dumps({"vertices": vertices,
+                                   "edges": [list(e) for e in edges]}))
+        target = tmp_path / "fuzz.edges"
+        code, _, err = run_cli(capsys, "gen", f"file:{src}", "--format",
+                               "edgelist", "--out", str(target))
+        assert (code, err) == (0, ""), edges
+        g = load_graph(target)
+        assert list(g.vertices) == vertices and set(g.edges) == edges
+        for argv in (["verify", f"file:{target}", "--format", "csv"],
+                     ["curvature", f"file:{target}", "--all", "--format", "csv"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), (argv, edges)
 
 
 class TestGenCommand:

@@ -88,6 +88,14 @@ class TestConstruction:
         with pytest.raises(GraphError, match="not an integer"):
             Graph([0, True], [])
 
+    def test_non_integer_endpoint_rejected(self):
+        # each equals the id 1 and would pass the unknown-endpoint test
+        for bad in (1.0, True):
+            with pytest.raises(GraphError, match="not an integer"):
+                Graph([0, 1], [(0, bad)])
+            with pytest.raises(GraphError, match="not an integer"):
+                Graph([0, 1], [(bad, 0)])
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             Graph([0, 1], [(0, 0)])

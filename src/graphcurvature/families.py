@@ -302,22 +302,21 @@ def interchange_graph(h: Graph) -> Graph:
 # -- polygon triangulations ------------------------------------------------
 
 
-def _flip_neighbors(n: int, tri: frozenset, edge_set: set) -> list[frozenset]:
+def _flip_neighbors(n: int, tri: frozenset) -> list[frozenset]:
+    """The triangulations one flip away from tri, one per diagonal."""
+    adj = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
+    for a, b in tri:
+        adj[a].add(b)
+        adj[b].add(a)
     out = []
     for a, b in sorted(tri):
-        present = edge_set | tri
-        apexes = [
-            c for c in range(n)
-            if c != a and c != b
-            and (min(a, c), max(a, c)) in present
-            and (min(b, c), max(b, c)) in present
-        ]
-        # convex position: exactly one triangle on each side of the diagonal
+        # convex position: the diagonal's two triangles have its only
+        # common neighbors as apexes
+        apexes = adj[a] & adj[b]
         if len(apexes) != 2:
             raise GraphError(f"triangulation invariant broken at diagonal ({a},{b})")
         c, d = sorted(apexes)
-        flipped = (tri - {(a, b)}) | {(min(c, d), max(c, d))}
-        out.append(frozenset(flipped))
+        out.append((tri - {(a, b)}) | {(c, d)})
     return out
 
 
@@ -332,26 +331,18 @@ def flip_graph(n: int) -> Graph:
     """
     if n < 4:
         raise GraphError("flip graph needs n >= 4")
-    boundary = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
     fan = frozenset((0, j) for j in range(2, n - 1))
-    seen = {fan}
-    frontier = [fan]
-    while frontier:
-        nxt = []
-        for tri in frontier:
-            for other in _flip_neighbors(n, tri, boundary):
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    order = sorted(seen, key=lambda tri: sorted(tri))
+    flips = {}
+    todo = [fan]
+    while todo:
+        tri = todo.pop()
+        if tri not in flips:
+            flips[tri] = _flip_neighbors(n, tri)
+            todo.extend(flips[tri])
+    order = sorted(flips, key=lambda tri: sorted(tri))
     index = {tri: i for i, tri in enumerate(order)}
-    edges = set()
-    for tri, i in index.items():
-        for other in _flip_neighbors(n, tri, boundary):
-            j = index[other]
-            if i < j:
-                edges.add((i, j))
+    edges = {(i, j) for tri, i in index.items()
+             for j in map(index.__getitem__, flips[tri]) if i < j}
     labels = {
         i: ".".join(f"{a}{b}" if n <= 10 else f"{a}-{b}" for a, b in sorted(tri))
         for tri, i in index.items()

@@ -346,43 +346,85 @@ def wasserstein(tp: TransportProblem) -> KappaResult:
     return KappaResult(tp.x, tp.y, 1 - distance, distance, plan, cert)
 
 
+def _cone(g: Graph, values, limit, until=()) -> dict:
+    """F(v) = min over valued s of values[s] + d(s, v), for every vertex v
+    with F(v) <= limit.
+
+    One unit-step multi-source search.  It settles whole levels of equal
+    value, least value first, comparing the values exactly, so int and
+    Fraction values both work; a level is expanded only while the next
+    one stays within the limit.  With `until`, the search stops once
+    every vertex in it is settled.
+    """
+    levels: dict = {}
+    for s, f in values.items():
+        levels.setdefault(f, []).append(s)
+    wanted = set(until)
+    adj = g.neighbor_sets()
+    cone: dict = {}
+    while levels:
+        f = min(levels)
+        fresh = [v for v in dict.fromkeys(levels.pop(f)) if v not in cone]
+        for v in fresh:
+            cone[v] = f
+        if until:
+            wanted.difference_update(fresh)
+            if not wanted:
+                break
+        if fresh and f + 1 <= limit:
+            step = levels.setdefault(f + 1, [])
+            for v in fresh:
+                step.extend(adj[v])
+    return cone
+
+
 def validate_plan(g: Graph, x: int, y: int, plan: TransportPlan) -> Fraction:
     """Recompute marginals and cost of a plan across edge (x, y); raises on
     any mismatch.
 
     Shares nothing with TransportProblem's arithmetic: the marginals come
     from the lazy definition (1/2 at the endpoint, 1/(2d) at each
-    neighbor) and each move's length from a breadth-first search, cut at
-    radius 3 because every move runs from N[x] to N[y].  Returns the
-    recomputed exact cost.
+    neighbor), and each move's length from a search of the graph from its
+    source that stops once all of that source's plan targets are found,
+    at radius 3 at most because every move runs from N[x] to N[y].
+    Masses are summed exactly in integers over their common denominator.
+    Returns the recomputed exact cost.
     """
+    g.require_edge(x, y)
+    dx, dy = g.degree(x), g.degree(y)
+    den = math.lcm(2 * dx, 2 * dy, *(m.denominator for _, _, m in plan.flows))
 
-    def lazy(v):
-        masses = dict.fromkeys(g.neighbors(v), Fraction(1, 2 * g.degree(v)))
-        masses[v] = Fraction(1, 2)
+    def lazy(v, d):
+        masses = dict.fromkeys(g.neighbors(v), den // (2 * d))
+        masses[v] = den // 2
         return masses
 
-    mu, nu = lazy(x), lazy(y)
-    out: dict[int, Fraction] = {}
-    into: dict[int, Fraction] = {}
-    lengths: dict[int, dict[int, int]] = {}
-    cost = Fraction(0)
+    mu, nu = lazy(x, dx), lazy(y, dy)
+    targets: dict[int, set[int]] = {}
     for s, t, mass in plan.flows:
         if mass <= 0:
             raise GraphError(f"plan carries nonpositive mass {mass} on {s}->{t}")
         if s not in mu or t not in nu:
             raise GraphError(f"plan routes mass outside the supports: {s}->{t}")
-        if s not in lengths:
-            lengths[s] = bfs_distances(g, s, radius=3)
-        out[s] = out.get(s, Fraction(0)) + mass
-        into[t] = into.get(t, Fraction(0)) + mass
-        cost += mass * lengths[s][t]
+        targets.setdefault(s, set()).add(t)
+    lengths = {s: _cone(g, {s: 0}, 3, ts) for s, ts in targets.items()}
+    out = dict.fromkeys(mu, 0)
+    into = dict.fromkeys(nu, 0)
+    cost = 0
+    for s, t, mass in plan.flows:
+        units = mass.numerator * (den // mass.denominator)
+        out[s] += units
+        into[t] += units
+        cost += units * lengths[s][t]
     for s, m in mu.items():
-        if out.get(s, Fraction(0)) != m:
-            raise GraphError(f"row marginal at {s}: {out.get(s, 0)} != {m}")
+        if out[s] != m:
+            raise GraphError(f"row marginal at {s}: {Fraction(out[s], den)} != "
+                             f"{Fraction(m, den)}")
     for t, m in nu.items():
-        if into.get(t, Fraction(0)) != m:
-            raise GraphError(f"column marginal at {t}: {into.get(t, 0)} != {m}")
+        if into[t] != m:
+            raise GraphError(f"column marginal at {t}: {Fraction(into[t], den)} "
+                             f"!= {Fraction(m, den)}")
+    cost = Fraction(cost, den)
     if cost != plan.total_cost:
         raise GraphError(f"plan cost {plan.total_cost} recomputes to {cost}")
     return cost
@@ -392,15 +434,25 @@ def certificate_violations(g: Graph, values) -> list[str]:
     """Pairs of valued vertices whose difference exceeds graph distance.
 
     The values must be ints or Fractions, so that each difference is exact
-    as it stands; every potential the package builds is int-valued.  No
-    two values differ by more than the spread, the largest value less
-    the least, so no pair farther apart than that can violate the bound
-    and each search stops at that radius.
+    as it stands; every potential the package builds is int-valued.  The
+    values are 1-Lipschitz exactly when the cone min over s of
+    f(s) + d(s, p) (`_cone`, cut at the largest value) gives back f(s) at
+    every valued s, so one search decides a sound certificate.  Only a
+    failing one is walked pair by pair to name its violations: no two
+    values differ by more than the spread, the largest value less the
+    least, so each pair search stops at that radius.
     """
     keys = sorted(values)
     if not keys:
         return []
-    radius = math.floor(max(values.values()) - min(values.values()))
+    for p in keys:
+        if p not in g:
+            raise GraphError(f"unknown vertex {p}")
+    top = max(values.values())
+    cone = _cone(g, values, top)
+    if all(cone[p] == f for p, f in values.items()):
+        return []
+    radius = math.floor(top - min(values.values()))
     problems = []
     for i, p in enumerate(keys):
         dists = bfs_distances(g, p, radius=radius)
@@ -423,28 +475,24 @@ def extend_certificate(g: Graph, cert: LipschitzCertificate,
     1-Lipschitz and agrees with the certificate on its own support.  The
     support must lie in the closed neighborhoods of x and y, as an edge
     certificate's does; then every point of either two-ball is within
-    distance 4 of every support point, so radius-4 cones are exact.
+    distance 4 of every support point, so one `_cone` cut at the least
+    value plus 4 covers both two-balls exactly.
     """
+    g.require_edge(x, y)
     near = {x, y, *g.neighbors(x), *g.neighbors(y)}
     for s in cert.values:
         if s not in near:
             raise GraphError(f"certificate point {s} lies outside the "
                              f"neighborhoods of {x} and {y}")
     domain = set(bfs_distances(g, x, radius=2)) | set(bfs_distances(g, y, radius=2))
-    cones = {s: bfs_distances(g, s, radius=4) for s in cert.values}
-    out: dict[int, int] = {}
-    for p in sorted(domain):
-        best = None
-        for s, f in cert.values.items():
-            if p in cones[s]:
-                c = f + cones[s][p]
-                if best is None or c < best:
-                    best = c
-        if best is None:
-            raise GraphError(f"extension target {p} unreachable from the support")
-        out[p] = best
+    cone = _cone(g, cert.values, min(cert.values.values(), default=0) + 4,
+                 domain)
+    if not domain <= cone.keys():
+        raise GraphError(f"extension target {min(domain - cone.keys())} "
+                         f"unreachable from the support")
+    out = {p: cone[p] for p in sorted(domain)}
     for s, f in cert.values.items():
-        if s in out and out[s] != f:
+        if out[s] != f:
             raise GraphError(f"internal: extension moved f({s}) from {f} to {out[s]}")
     return out
 

@@ -22,6 +22,7 @@ from graphcurvature.graphs import (
     Graph,
     GraphError,
     Truncation,
+    bfs_distances,
     effective_degree,
     extract_ball,
 )
@@ -413,6 +414,26 @@ class TestEdgeMemo:
         facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
         assert len(facts.edges) == 768
         assert len(built) == 4
+
+
+class TestDeepChecks:
+    def test_few_searches_per_deep_edge(self, monkeypatch):
+        # the two radius-2 domains of the upper witness and of the
+        # extension; every other distance comes from one bounded search
+        facts = gather_facts(build_item("hypercube:8"))
+        calls = []
+
+        def counting(g, source, radius=None):
+            calls.append(source)
+            return bfs_distances(g, source, radius)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphcurvature") and hasattr(module, "bfs_distances"):
+                monkeypatch.setattr(module, "bfs_distances", counting)
+        results = [checks.check_duality(facts), checks.check_witness_bounds(facts)]
+        assert all(r.applicable and r.passed for r in results)
+        assert facts.deep_edges
+        assert len(calls) <= 4 * len(facts.deep_edges)
 
 
 def assert_classes_hold_equal_facts(facts):

@@ -254,6 +254,29 @@ class TestFlipGraphs:
         assert len(g.vertices) == count
         assert is_regular(g) == n - 3
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_flips_are_the_one_diagonal_swaps(self, n):
+        # every set of n-3 pairwise non-crossing diagonals is a
+        # triangulation, and two triangulations are one flip apart exactly
+        # when each has one diagonal the other lacks
+        def cross(d, e):
+            (a, b), (c, f) = d, e
+            return a < c < b < f or c < a < f < b
+
+        diagonals = [(a, b) for a, b in itertools.combinations(range(n), 2)
+                     if 1 < b - a < n - 1]
+        triangulations = {
+            frozenset(ds) for ds in itertools.combinations(diagonals, n - 3)
+            if not any(cross(d, e) for d, e in itertools.combinations(ds, 2))}
+        g = flip_graph(n)
+        sets = {v: frozenset((int(d[0]), int(d[1]))
+                             for d in g.label(v).split(".") if d)
+                for v in g.vertices}
+        assert sorted(sets.values(), key=sorted) == sorted(triangulations,
+                                                           key=sorted)
+        for u, v in itertools.combinations(g.vertices, 2):
+            assert g.has_edge(u, v) == (len(sets[u] - sets[v]) == 1), (u, v)
+
     def test_flip_5_is_a_cycle(self):
         g = flip_graph(5)
         assert is_regular(g) == 2

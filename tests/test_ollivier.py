@@ -26,6 +26,7 @@ from graphcurvature.families import (
 )
 from graphcurvature.graphs import Graph, GraphError, bfs_distances
 from graphcurvature.ollivier import (
+    LipschitzCertificate,
     TransportPlan,
     TransportProblem,
     certificate_violations,
@@ -54,6 +55,20 @@ def lazy_masses(g, v):
 
 def as_fractions(measure, scale):
     return {p: Fraction(units, scale) for p, units in measure}
+
+
+def all_pairs_violations(g, values):
+    """certificate_violations' messages from a full search per point."""
+    expected = []
+    keys = sorted(values)
+    for i, p in enumerate(keys):
+        dist = bfs_distances(g, p)
+        for q in keys[i + 1:]:
+            spread = abs(values[p] - values[q])
+            if q in dist and spread > dist[q]:
+                expected.append(f"|f({p}) - f({q})| = {spread} "
+                                f"> distance {dist[q]}")
+    return expected
 
 
 def safe_edges(g):
@@ -265,6 +280,21 @@ class TestPlanValidation:
         with pytest.raises(GraphError, match="nonpositive"):
             validate_plan(g, 0, 1, TransportPlan(flows, plan.total_cost))
 
+    def test_prices_a_length_three_move(self):
+        # 7 - 0 - 1 - 2 is the shortest way around cycle:8
+        g = cycle(8)
+        q = Fraction(1, 4)
+        flows = ((0, 0, q), (0, 1, q), (1, 1, q), (7, 2, q))
+        assert validate_plan(g, 0, 1, TransportPlan(flows, Fraction(1))) == 1
+        with pytest.raises(GraphError, match="recomputes to 1$"):
+            validate_plan(g, 0, 1, TransportPlan(flows, Fraction(3, 4)))
+
+    def test_refuses_a_non_edge(self):
+        g = path_graph(8)
+        plan = kappa_detail(g, 0, 1).plan
+        with pytest.raises(GraphError, match=r"\(0, 7\) is not an edge"):
+            validate_plan(g, 0, 7, plan)
+
     def test_detects_offsupport_route(self):
         g, tp = self._problem()
         plan = wasserstein(tp).plan
@@ -294,16 +324,36 @@ class TestCertificates:
                 points = rng.sample(g.vertices, min(8, len(g.vertices)))
                 values = {p: Fraction(rng.randint(0, 12), rng.choice((1, 2)))
                           for p in points}
-                expected = []
-                keys = sorted(values)
-                for i, p in enumerate(keys):
-                    dist = bfs_distances(g, p)
-                    for q in keys[i + 1:]:
-                        spread = abs(values[p] - values[q])
-                        if q in dist and spread > dist[q]:
-                            expected.append(f"|f({p}) - f({q})| = {spread} "
-                                            f"> distance {dist[q]}")
-                assert certificate_violations(g, values) == expected
+                assert certificate_violations(g, values) == \
+                    all_pairs_violations(g, values)
+
+    def test_raised_extension_names_its_pairs(self):
+        # one value of a sound extension raised by 2 breaks the bound, and
+        # only a failing certificate is walked in pairs to name it
+        g = petersen()
+        ext = extend_certificate(g, kappa_detail(g, 0, 1).certificate, 0, 1)
+        ext[max(ext)] += 2
+        bad = certificate_violations(g, ext)
+        assert bad == all_pairs_violations(g, ext)
+        assert bad
+
+    def test_fraction_extension_names_its_pairs(self):
+        g = cycle(7)
+        ext = extend_certificate(g, kappa_detail(g, 0, 1).certificate, 0, 1)
+        values = {p: Fraction(2 * f + 1, 2) for p, f in ext.items()}
+        assert certificate_violations(g, values) == []
+        values[3] -= Fraction(5, 2)
+        bad = certificate_violations(g, values)
+        assert bad == all_pairs_violations(g, values)
+        assert bad
+
+    def test_unknown_vertex_refused(self):
+        # also where the unknown point holds the largest value, which the
+        # search never expands
+        g = path_graph(4)
+        for values in ({0: 0, 9: 0}, {0: 0, 9: 5}, {9: Fraction(1, 2)}):
+            with pytest.raises(GraphError, match="unknown vertex 9"):
+                certificate_violations(g, values)
 
     def test_extension_covers_and_agrees(self):
         g = petersen()
@@ -315,6 +365,30 @@ class TestCertificates:
         domain = set(bfs_distances(g, 0, radius=2)) | set(
             bfs_distances(g, 1, radius=2))
         assert set(ext) == domain
+
+    @pytest.mark.parametrize("spec", ["petersen", "cycle:7", "hypercube:4",
+                                      "tree:3:5", "flip:6"])
+    def test_extension_is_the_brute_force_cone(self, spec):
+        g = parse_graph_spec(spec)
+        edges = safe_edges(g)
+        assert edges
+        for x, y in edges:
+            cert = kappa_detail(g, x, y).certificate
+            dist = {s: bfs_distances(g, s) for s in cert.values}
+            domain = set(bfs_distances(g, x, radius=2)) | set(
+                bfs_distances(g, y, radius=2))
+            assert extend_certificate(g, cert, x, y) == {
+                p: min(f + dist[s][p] for s, f in cert.values.items())
+                for p in domain}
+
+    def test_extension_refuses_a_non_edge(self):
+        # the support lies in N[0] and N[7], but the radius-4 argument
+        # needs an edge
+        g = path_graph(8)
+        cert = LipschitzCertificate({0: 0, 1: 1, 6: 1, 7: 0}, Fraction(0),
+                                    Fraction(0))
+        with pytest.raises(GraphError, match=r"\(0, 7\) is not an edge"):
+            extend_certificate(g, cert, 0, 7)
 
 
 KAPPA_CASES = [

@@ -5,16 +5,17 @@ matrix indices and report rows come out in a reproducible order, and as
 frozensets, built on first use, for edge and distance tests.  A Graph
 may carry a Truncation record saying it is a radius-limited piece of a
 larger regular host; the predicates that decide whether a curvature
-evaluation near the cut boundary is trustworthy live here as well.  A
-family may also declare symmetries, permutations of the vertex ids that
-it claims are automorphisms; they are not serialised, so a graph read
-from a file carries none.
+evaluation near the cut boundary is trustworthy live here as well, as
+does `bfs_distances`, the package's one graph search.  A family may also
+declare symmetries, permutations of the vertex ids that it claims are
+automorphisms; they are not serialised, so a graph read from a file
+carries none.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 
@@ -197,7 +198,7 @@ class Graph:
         if self.truncation is None:
             return 0
         if self._center_dist is None:
-            self._center_dist = bfs_distances(self, self.truncation.center)
+            self._center_dist = bfs_distances(self, {self.truncation.center: 0})
         return self._center_dist.get(v)
 
     def _within_center(self, v: int, radius: int) -> bool:
@@ -239,21 +240,38 @@ class Graph:
 # -- traversal helpers ----------------------------------------------------
 
 
-def bfs_distances(g: Graph, source: int, radius: int | None = None) -> dict[int, int]:
-    """Distances from source, optionally cut off at the given radius."""
-    if source not in g:
-        raise GraphError(f"unknown vertex {source}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        if radius is not None and d >= radius:
-            continue
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = d + 1
-                queue.append(w)
+def bfs_distances(g: Graph, starts, radius=None, until=()) -> dict:
+    """F(v) = min over start s of starts[s] + d(s, v), for every vertex v
+    the starts reach with F(v) <= radius (no cut when radius is None).
+
+    `starts` maps each start vertex to its value; {v: 0} gives the
+    distances from v.  One unit-step search settles whole levels of equal
+    value, least first, comparing values exactly, so ints and Fractions
+    both work; a level is expanded only while the next stays within
+    radius.  With `until`, the search stops once all of it is settled.
+    An unknown start is refused, also one that is never expanded.
+    """
+    levels: dict = {}
+    for s, f in starts.items():
+        if s not in g:
+            raise GraphError(f"unknown vertex {s}")
+        if radius is None or f <= radius:
+            levels.setdefault(f, []).append(s)
+    adj = g._adj
+    wanted = set(until)
+    dist: dict = {}
+    while levels:
+        f = min(levels)
+        fresh = {v: f for v in levels.pop(f) if v not in dist}
+        dist.update(fresh)
+        if until:
+            wanted.difference_update(fresh)
+            if not wanted:
+                break
+        if fresh and (radius is None or f + 1 <= radius):
+            step = levels.setdefault(f + 1, [])
+            for v in fresh:
+                step.extend(adj[v])
     return dist
 
 
@@ -264,12 +282,12 @@ _DIAMETER_BATCH = 4096
 def diameter(g: Graph) -> int | None:
     """Largest pairwise distance, or None when the graph is disconnected.
 
-    One BFS from the first vertex decides connectivity.  A connected graph
-    then runs a multi-source bit-parallel BFS (Then et al., "The More the
-    Merrier", PVLDB 2014) over batches of at most 4,096 sources: each
-    vertex holds a Python int whose bit i says source i is within the
-    current level, and one level ORs every vertex's int with its
-    neighbours' ints.  The levels taken until every int is full are the
+    One `bfs_distances` search from the first vertex decides
+    connectivity.  A connected graph then runs a multi-source bit-parallel
+    BFS (Then et al., "The More the Merrier", PVLDB 2014) over batches of
+    at most 4,096 sources: each vertex holds a Python int whose bit i says
+    source i is within the current level, and one level ORs every vertex's
+    int with its neighbours' ints.  The levels taken until every int is full are the
     largest eccentricity among the batch's sources.  A pass holds two
     lists of V ints of at most 4,096 bits, so memory stays at about
     V x 1 KB whatever the graph's size.
@@ -277,7 +295,7 @@ def diameter(g: Graph) -> int | None:
     n = len(g.vertices)
     if n <= 1:
         return 0
-    if len(bfs_distances(g, g.vertices[0])) < n:
+    if len(bfs_distances(g, {g.vertices[0]: 0})) < n:
         return None
     index = {v: i for i, v in enumerate(g.vertices)}
     adjacency = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
@@ -447,9 +465,11 @@ def _parse_json_graph(text: str, name: str) -> Graph:
     for key, lab in raw_elabels.items():
         try:
             u, v = (int(t) for t in key.split(","))
-            edge_labels[(u, v)] = int(lab)
-        except (TypeError, ValueError):
+        except ValueError:
             raise GraphError(f"edge label key {key!r} is not a \"u,v\" pair") from None
+        if not isinstance(lab, int) or isinstance(lab, bool):
+            raise GraphError(f"edge label {lab!r} at key {key!r} is not an integer")
+        edge_labels[(u, v)] = lab
     truncation = None
     raw_trunc = obj.get("truncation")
     if raw_trunc is not None:

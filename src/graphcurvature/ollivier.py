@@ -16,6 +16,9 @@ graph keeps the solution, and every edge that poses the same problem
 reuses it index for index: a symmetric graph is solved once per kind of
 edge.  `wasserstein` returns the distance with its plan and certificate,
 and `ollivier_kappa` is `kappa_detail`'s certified fraction.
+`validate_plan`, `certificate_violations` and `extend_certificate` read
+distances from `graphs.bfs_distances`, never from `_move_lengths`, and
+name vertices by label.
 """
 
 from __future__ import annotations
@@ -346,47 +349,15 @@ def wasserstein(tp: TransportProblem) -> KappaResult:
     return KappaResult(tp.x, tp.y, 1 - distance, distance, plan, cert)
 
 
-def _cone(g: Graph, values, limit, until=()) -> dict:
-    """F(v) = min over valued s of values[s] + d(s, v), for every vertex v
-    with F(v) <= limit.
-
-    One unit-step multi-source search.  It settles whole levels of equal
-    value, least value first, comparing the values exactly, so int and
-    Fraction values both work; a level is expanded only while the next
-    one stays within the limit.  With `until`, the search stops once
-    every vertex in it is settled.
-    """
-    levels: dict = {}
-    for s, f in values.items():
-        levels.setdefault(f, []).append(s)
-    wanted = set(until)
-    adj = g.neighbor_sets()
-    cone: dict = {}
-    while levels:
-        f = min(levels)
-        fresh = [v for v in dict.fromkeys(levels.pop(f)) if v not in cone]
-        for v in fresh:
-            cone[v] = f
-        if until:
-            wanted.difference_update(fresh)
-            if not wanted:
-                break
-        if fresh and f + 1 <= limit:
-            step = levels.setdefault(f + 1, [])
-            for v in fresh:
-                step.extend(adj[v])
-    return cone
-
-
 def validate_plan(g: Graph, x: int, y: int, plan: TransportPlan) -> Fraction:
     """Recompute marginals and cost of a plan across edge (x, y); raises on
     any mismatch.
 
     Shares nothing with TransportProblem's arithmetic: the marginals come
     from the lazy definition (1/2 at the endpoint, 1/(2d) at each
-    neighbor), and each move's length from a search of the graph from its
-    source that stops once all of that source's plan targets are found,
-    at radius 3 at most because every move runs from N[x] to N[y].
+    neighbor), and each move's length from a `bfs_distances` search from
+    its source that stops once all of that source's plan targets are
+    found, at radius 3 at most because every move runs from N[x] to N[y].
     Masses are summed exactly in integers over their common denominator.
     Returns the recomputed exact cost.
     """
@@ -403,11 +374,13 @@ def validate_plan(g: Graph, x: int, y: int, plan: TransportPlan) -> Fraction:
     targets: dict[int, set[int]] = {}
     for s, t, mass in plan.flows:
         if mass <= 0:
-            raise GraphError(f"plan carries nonpositive mass {mass} on {s}->{t}")
+            raise GraphError(f"plan carries nonpositive mass {mass} on "
+                             f"{g.label(s)}->{g.label(t)}")
         if s not in mu or t not in nu:
-            raise GraphError(f"plan routes mass outside the supports: {s}->{t}")
+            raise GraphError(f"plan routes mass outside the supports: "
+                             f"{g.label(s)}->{g.label(t)}")
         targets.setdefault(s, set()).add(t)
-    lengths = {s: _cone(g, {s: 0}, 3, ts) for s, ts in targets.items()}
+    lengths = {s: bfs_distances(g, {s: 0}, 3, ts) for s, ts in targets.items()}
     out = dict.fromkeys(mu, 0)
     into = dict.fromkeys(nu, 0)
     cost = 0
@@ -418,12 +391,12 @@ def validate_plan(g: Graph, x: int, y: int, plan: TransportPlan) -> Fraction:
         cost += units * lengths[s][t]
     for s, m in mu.items():
         if out[s] != m:
-            raise GraphError(f"row marginal at {s}: {Fraction(out[s], den)} != "
-                             f"{Fraction(m, den)}")
+            raise GraphError(f"row marginal at {g.label(s)}: "
+                             f"{Fraction(out[s], den)} != {Fraction(m, den)}")
     for t, m in nu.items():
         if into[t] != m:
-            raise GraphError(f"column marginal at {t}: {Fraction(into[t], den)} "
-                             f"!= {Fraction(m, den)}")
+            raise GraphError(f"column marginal at {g.label(t)}: "
+                             f"{Fraction(into[t], den)} != {Fraction(m, den)}")
     cost = Fraction(cost, den)
     if cost != plan.total_cost:
         raise GraphError(f"plan cost {plan.total_cost} recomputes to {cost}")
@@ -436,34 +409,31 @@ def certificate_violations(g: Graph, values) -> list[str]:
     The values must be ints or Fractions, so that each difference is exact
     as it stands; every potential the package builds is int-valued.  The
     values are 1-Lipschitz exactly when the cone min over s of
-    f(s) + d(s, p) (`_cone`, cut at the largest value) gives back f(s) at
-    every valued s, so one search decides a sound certificate.  Only a
-    failing one is walked pair by pair to name its violations: no two
-    values differ by more than the spread, the largest value less the
-    least, so each pair search stops at that radius.
+    f(s) + d(s, p), one `bfs_distances` search from all valued points cut
+    at the largest value, gives back f(s) at every valued s, so one search
+    decides a sound certificate; it also refuses an unknown point.  Only a
+    failing one is walked pair by pair to name its violations, by label:
+    no two values differ by more than the spread, the largest value less
+    the least, so each pair search stops at that radius.
     """
-    keys = sorted(values)
-    if not keys:
+    if not values:
         return []
-    for p in keys:
-        if p not in g:
-            raise GraphError(f"unknown vertex {p}")
     top = max(values.values())
-    cone = _cone(g, values, top)
+    cone = bfs_distances(g, values, top)
     if all(cone[p] == f for p, f in values.items()):
         return []
+    keys = sorted(values)
     radius = math.floor(top - min(values.values()))
     problems = []
     for i, p in enumerate(keys):
-        dists = bfs_distances(g, p, radius=radius)
+        dists = bfs_distances(g, {p: 0}, radius)
         for q in keys[i + 1:]:
             if q not in dists:
                 continue
             spread = abs(values[p] - values[q])
             if spread > dists[q]:
-                problems.append(
-                    f"|f({p}) - f({q})| = {spread} > distance {dists[q]}"
-                )
+                problems.append(f"|f({g.label(p)}) - f({g.label(q)})| = "
+                                f"{spread} > distance {dists[q]}")
     return problems
 
 
@@ -472,28 +442,32 @@ def extend_certificate(g: Graph, cert: LipschitzCertificate,
     """Extend the potential to both two-balls by the minimal cone rule.
 
     f(p) = min over support s of f(s) + d(s, p).  The extension stays
-    1-Lipschitz and agrees with the certificate on its own support.  The
-    support must lie in the closed neighborhoods of x and y, as an edge
-    certificate's does; then every point of either two-ball is within
-    distance 4 of every support point, so one `_cone` cut at the least
-    value plus 4 covers both two-balls exactly.
+    1-Lipschitz and agrees with the certificate on its own support.  One
+    `bfs_distances` search from both endpoints gives both two-balls and,
+    within distance 1, the closed neighborhoods of x and y.  The support
+    must lie in those, as an edge certificate's does; then every point of
+    either two-ball is within distance 4 of every support point, so one
+    search from the support, cut at the least value plus 4, covers both
+    two-balls exactly.
     """
     g.require_edge(x, y)
-    near = {x, y, *g.neighbors(x), *g.neighbors(y)}
+    domain = bfs_distances(g, {x: 0, y: 0}, 2)
     for s in cert.values:
-        if s not in near:
-            raise GraphError(f"certificate point {s} lies outside the "
-                             f"neighborhoods of {x} and {y}")
-    domain = set(bfs_distances(g, x, radius=2)) | set(bfs_distances(g, y, radius=2))
-    cone = _cone(g, cert.values, min(cert.values.values(), default=0) + 4,
-                 domain)
-    if not domain <= cone.keys():
-        raise GraphError(f"extension target {min(domain - cone.keys())} "
+        if domain.get(s, 2) > 1:
+            raise GraphError(f"certificate point {g.label(s)} lies outside "
+                             f"the neighborhoods of {g.label(x)} and "
+                             f"{g.label(y)}")
+    cone = bfs_distances(g, cert.values,
+                         min(cert.values.values(), default=0) + 4, domain)
+    missing = domain.keys() - cone.keys()
+    if missing:
+        raise GraphError(f"extension target {g.label(min(missing))} "
                          f"unreachable from the support")
     out = {p: cone[p] for p in sorted(domain)}
     for s, f in cert.values.items():
         if out[s] != f:
-            raise GraphError(f"internal: extension moved f({s}) from {f} to {out[s]}")
+            raise GraphError(f"internal: extension moved f({g.label(s)}) "
+                             f"from {f} to {out[s]}")
     return out
 
 
@@ -615,8 +589,7 @@ def kappa_upper_witness(g: Graph, x: int, y: int) -> LipschitzCertificate | None
         if u == x:
             continue
         values[u] = 1 if u in linking else 2
-    domain = set(bfs_distances(g, x, radius=2)) | set(bfs_distances(g, y, radius=2))
-    for p in sorted(domain):
+    for p in sorted(bfs_distances(g, {x: 0, y: 0}, 2)):
         if p not in values:
             values[p] = 1
     bad = certificate_violations(g, values)

@@ -15,18 +15,20 @@ neighborhoods) to the package's flow and integer certificate, so the
 transport oracle can check more than the edge problems the package
 itself builds.  The decomposition oracle finds the biclique classes
 across an edge by Galois closures, where the package groups neighbors.
-The diameter oracle runs the package's single-source BFS from every
-vertex, where the package runs one bit-parallel multi-source BFS.  The
-orbit oracle merges each vertex with its images under the declared
-symmetries in a union-find, where the package searches breadth first.  The
-link-profile oracle recounts each joining vertex's first-sphere
-neighbors for every pair and adds the linkage weights one `Fraction` at
-a time.
+`bfs` is a plain single-source breadth-first search of its own, the
+reference for the package's one multi-source search, `bfs_distances`;
+the diameter oracle runs it from every vertex, where the package runs
+one bit-parallel multi-source BFS.  The orbit oracle merges each vertex
+with its images under the declared symmetries in a union-find, where
+the package searches breadth first.  The link-profile oracle recounts
+each joining vertex's first-sphere neighbors for every pair and adds
+the linkage weights one `Fraction` at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +52,6 @@ from graphcurvature.classify import (
     negative_test_vector,
 )
 from graphcurvature.graphs import (
-    bfs_distances,
     contains_k3,
     diameter,
     effective_degree,
@@ -61,6 +62,22 @@ from graphcurvature.ollivier import (
     _min_cost_flow,
     ollivier_kappa,
 )
+
+
+def bfs(g, source, radius=None) -> dict:
+    """Distances from source, optionally cut off at radius, by a plain
+    breadth-first search over g.neighbors."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        if radius is not None and dist[v] >= radius:
+            continue
+        for w in g.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def oracle_wasserstein(cost, supply, demand) -> Fraction:
@@ -130,7 +147,7 @@ def solve_integer_transport(g, mu, nu):
     total_mu, total_nu = sum(mu.values()), sum(nu.values())
     scale = math.lcm(total_mu, total_nu)
     sources, targets = sorted(mu), sorted(nu)
-    cost = [[bfs_distances(g, s)[t] for t in targets] for s in sources]
+    cost = [[bfs(g, s)[t] for t in targets] for s in sources]
     supply = [mu[s] * (scale // total_mu) for s in sources]
     demand = [nu[t] * (scale // total_nu) for t in targets]
     flow, pot = _min_cost_flow(cost, supply, demand)
@@ -415,7 +432,7 @@ def oracle_diameter(g) -> int | None:
     n = len(g.vertices)
     best = 0
     for v in g.vertices:
-        dist = bfs_distances(g, v)
+        dist = bfs(g, v)
         if len(dist) < n:
             return None
         best = max(best, max(dist.values()))

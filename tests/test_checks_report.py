@@ -418,14 +418,18 @@ class TestEdgeMemo:
 
 class TestDeepChecks:
     def test_few_searches_per_deep_edge(self, monkeypatch):
-        # the two radius-2 domains of the upper witness and of the
-        # extension; every other distance comes from one bounded search
+        # every distance the deep checks read comes from a bounded search:
+        # on hypercube:8, one per source of the solver's plan and of the
+        # lower witness in validate_plan (9 each), one for the extension's
+        # two-balls, one for its cone, and one certificate_violations each
+        # on the certificate and on the extension; no edge there has an
+        # upper witness
         facts = gather_facts(build_item("hypercube:8"))
-        calls = []
+        radii = []
 
-        def counting(g, source, radius=None):
-            calls.append(source)
-            return bfs_distances(g, source, radius)
+        def counting(g, starts, radius=None, until=()):
+            radii.append(radius)
+            return bfs_distances(g, starts, radius, until)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("graphcurvature") and hasattr(module, "bfs_distances"):
@@ -433,7 +437,8 @@ class TestDeepChecks:
         results = [checks.check_duality(facts), checks.check_witness_bounds(facts)]
         assert all(r.applicable and r.passed for r in results)
         assert facts.deep_edges
-        assert len(calls) <= 4 * len(facts.deep_edges)
+        assert None not in radii
+        assert len(radii) == 22 * len(facts.deep_edges)
 
 
 def assert_classes_hold_equal_facts(facts):

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,6 +16,8 @@ from graphcurvature.cli import main
 from graphcurvature.graphs import load_graph
 
 from conftest import perturbed
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def unreachable_json(tmp_path):
@@ -434,6 +438,18 @@ class TestGraphInput:
             assert (code, out) == (2, ""), argv
             assert err == f"error: vertex id {endpoint!r} is not an integer\n"
 
+    @pytest.mark.parametrize("label", [1.7, True, "2", None])
+    def test_non_integer_edge_label_refused(self, capsys, tmp_path, label):
+        # 1.7 and true once loaded as 1 and "2" as 2; null was blamed on
+        # the key
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]],
+                                 "edge_labels": {"0,1": label}}))
+        code, out, err = run_cli(capsys, "gen", f"file:{p}")
+        assert (code, out) == (2, "")
+        assert err == (f"error: edge label {label!r} at key '0,1' is not "
+                       f"an integer\n")
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sets(st.tuples(st.integers(-2, 9), st.integers(-2, 9))
@@ -488,8 +504,11 @@ class TestGenCommand:
 
 class TestEntryPoint:
     def test_console_script_help(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "graphcurvature", "--help"],
-            capture_output=True, text=True)
+            env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         assert "curvature" in proc.stdout

@@ -1,6 +1,7 @@
 """Graph container, traversal, truncation gating, and serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,7 +39,7 @@ from graphcurvature.graphs import (
 )
 from graphcurvature.ollivier import kappa_lower_witness
 
-from oracles import oracle_contains_k23, oracle_diameter
+from oracles import bfs, oracle_contains_k23, oracle_diameter
 
 
 @st.composite
@@ -141,13 +142,13 @@ class TestQueries:
 
     def test_bfs_distances_cycle(self):
         g = cycle(5)
-        dist = bfs_distances(g, 0, radius=2)
+        dist = bfs_distances(g, {0: 0}, 2)
         assert dist == {0: 0, 1: 1, 4: 1, 2: 2, 3: 2}
 
     def test_bfs_radius_cuts(self):
         g = path_graph(6)
-        assert set(bfs_distances(g, 0, radius=1)) == {0, 1}
-        assert bfs_distances(g, 0)[5] == 5
+        assert set(bfs_distances(g, {0: 0}, 1)) == {0, 1}
+        assert bfs_distances(g, {0: 0})[5] == 5
 
     def test_neighbor_sets_match_neighbors(self):
         g = star(4)
@@ -197,6 +198,71 @@ class TestQueries:
                   ("hypercube:7", "transpositions:5", "flip:8")]
         for g in cases:
             assert contains_k23(g) == oracle_contains_k23(g), g.name
+
+
+@st.composite
+def searches(draw):
+    """A nonempty small graph, start values (ints, or Fractions in halves
+    and thirds) on some of its vertices, a radius or None, and some
+    vertices to search until."""
+    g = draw(small_graphs().filter(lambda g: g.vertices))
+    points = st.sampled_from(g.vertices)
+    value = st.one_of(st.integers(0, 6), st.builds(
+        Fraction, st.integers(0, 18), st.sampled_from((2, 3))))
+    starts = draw(st.dictionaries(points, value, min_size=1, max_size=4))
+    radius = draw(st.one_of(st.none(), st.integers(0, 8), st.builds(
+        Fraction, st.integers(0, 24), st.sampled_from((2, 3)))))
+    until = draw(st.sets(points, max_size=4))
+    return g, starts, radius, until
+
+
+def cone(g, starts, radius):
+    """min over start s of starts[s] + d(s, v) at every vertex v some start
+    reaches, kept where it is at most radius, from one oracle BFS per
+    start."""
+    best = {}
+    for s, f in starts.items():
+        for v, d in bfs(g, s).items():
+            if v not in best or f + d < best[v]:
+                best[v] = f + d
+    return {v: f for v, f in best.items() if radius is None or f <= radius}
+
+
+class TestSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(searches())
+    def test_values_match_the_oracle_cone(self, case):
+        g, starts, radius, _ = case
+        assert bfs_distances(g, starts, radius) == cone(g, starts, radius)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs().filter(lambda g: g.vertices), st.data())
+    def test_unbounded_search_covers_the_component(self, g, data):
+        s = data.draw(st.sampled_from(g.vertices))
+        assert bfs_distances(g, {s: 0}) == bfs(g, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(searches())
+    def test_until_settles_its_vertices_exactly(self, case):
+        # the search may stop early, but every vertex it returns has its
+        # full value, and every until vertex within radius is returned
+        g, starts, radius, until = case
+        full = cone(g, starts, radius)
+        found = bfs_distances(g, starts, radius, until)
+        assert found.items() <= full.items()
+        assert {u for u in until if u in full} <= found.keys()
+
+    @settings(max_examples=100, deadline=None)
+    @given(searches())
+    def test_unknown_start_refused(self, case):
+        # also one valued at the radius, or above it, which is never
+        # expanded
+        g, starts, _, _ = case
+        top = max(starts.values())
+        unknown = max(g.vertices) + 1
+        for f in (0, top, top + 1):
+            with pytest.raises(GraphError, match=f"^unknown vertex {unknown}$"):
+                bfs_distances(g, {**starts, unknown: f}, top)
 
 
 class TestDiameter:

@@ -24,7 +24,7 @@ from graphcurvature.families import (
     transposition_cayley,
     zigzag,
 )
-from graphcurvature.graphs import Graph, GraphError, bfs_distances
+from graphcurvature.graphs import Graph, GraphError
 from graphcurvature.ollivier import (
     LipschitzCertificate,
     TransportPlan,
@@ -41,6 +41,7 @@ from graphcurvature.ollivier import (
 
 from oracles import (
     bellman_ford_potential,
+    bfs,
     oracle_wasserstein,
     solve_integer_transport,
 )
@@ -62,13 +63,18 @@ def all_pairs_violations(g, values):
     expected = []
     keys = sorted(values)
     for i, p in enumerate(keys):
-        dist = bfs_distances(g, p)
+        dist = bfs(g, p)
         for q in keys[i + 1:]:
             spread = abs(values[p] - values[q])
             if q in dist and spread > dist[q]:
-                expected.append(f"|f({p}) - f({q})| = {spread} "
-                                f"> distance {dist[q]}")
+                expected.append(f"|f({g.label(p)}) - f({g.label(q)})| = "
+                                f"{spread} > distance {dist[q]}")
     return expected
+
+
+def two_balls(g, x, y):
+    """The vertices within distance 2 of x or of y."""
+    return set(bfs(g, x, radius=2)) | set(bfs(g, y, radius=2))
 
 
 def safe_edges(g):
@@ -158,7 +164,7 @@ class TestCorpusCertificates:
                 assert as_fractions(tp.mu, tp.scale) == lazy_masses(g, x)
                 assert as_fractions(tp.nu, tp.scale) == lazy_masses(g, y)
                 # every support point lies within 3 of every other
-                dist = {p: bfs_distances(g, p, radius=3)
+                dist = {p: bfs(g, p, radius=3)
                         for p in {*tp.sources, *tp.targets}}
                 assert tp.cost == tuple(tuple(dist[s][t] for t in tp.targets)
                                         for s in tp.sources)
@@ -295,6 +301,19 @@ class TestPlanValidation:
         with pytest.raises(GraphError, match=r"\(0, 7\) is not an edge"):
             validate_plan(g, 0, 7, plan)
 
+    def test_failures_name_labels(self):
+        g = petersen()
+        plan = kappa_detail(g, 0, 1).plan
+        outside = plan.flows + ((7, 7, Fraction(1, 100)),)
+        with pytest.raises(GraphError, match=r"^plan routes mass outside "
+                                             r"the supports: i2->i2$"):
+            validate_plan(g, 0, 1, TransportPlan(outside, plan.total_cost))
+        flows = list(plan.flows)
+        s, t, m = flows[0]
+        flows[0] = (s, t, m / 2)
+        with pytest.raises(GraphError, match=r"^row marginal at o0: "):
+            validate_plan(g, 0, 1, TransportPlan(tuple(flows), plan.total_cost))
+
     def test_detects_offsupport_route(self):
         g, tp = self._problem()
         plan = wasserstein(tp).plan
@@ -347,6 +366,11 @@ class TestCertificates:
         assert bad == all_pairs_violations(g, values)
         assert bad
 
+    def test_violations_name_labels(self):
+        g = petersen()
+        assert certificate_violations(g, {0: 0, 7: 5}) == [
+            "|f(o0) - f(i2)| = 5 > distance 2"]
+
     def test_unknown_vertex_refused(self):
         # also where the unknown point holds the largest value, which the
         # search never expands
@@ -362,9 +386,7 @@ class TestCertificates:
         for s, f in res.certificate.values.items():
             assert ext[s] == f
         assert certificate_violations(g, ext) == []
-        domain = set(bfs_distances(g, 0, radius=2)) | set(
-            bfs_distances(g, 1, radius=2))
-        assert set(ext) == domain
+        assert set(ext) == two_balls(g, 0, 1)
 
     @pytest.mark.parametrize("spec", ["petersen", "cycle:7", "hypercube:4",
                                       "tree:3:5", "flip:6"])
@@ -374,12 +396,18 @@ class TestCertificates:
         assert edges
         for x, y in edges:
             cert = kappa_detail(g, x, y).certificate
-            dist = {s: bfs_distances(g, s) for s in cert.values}
-            domain = set(bfs_distances(g, x, radius=2)) | set(
-                bfs_distances(g, y, radius=2))
+            dist = {s: bfs(g, s) for s in cert.values}
             assert extend_certificate(g, cert, x, y) == {
                 p: min(f + dist[s][p] for s, f in cert.values.items())
-                for p in domain}
+                for p in two_balls(g, x, y)}
+
+    def test_extension_refusal_names_labels(self):
+        g = petersen()
+        cert = kappa_detail(g, 0, 1).certificate
+        with pytest.raises(GraphError, match=r"^certificate point o1 lies "
+                                             r"outside the neighborhoods of "
+                                             r"i0 and i2$"):
+            extend_certificate(g, cert, 5, 7)
 
     def test_extension_refuses_a_non_edge(self):
         # the support lies in N[0] and N[7], but the radius-4 argument
@@ -535,6 +563,32 @@ class TestWitnesses:
     def test_no_upper_witness_when_fully_linked(self):
         g = hypercube(3)
         assert kappa_upper_witness(g, 0, 1) is None
+
+    def test_one_problem_gives_equal_witnesses(self):
+        # the edges of a graph that pose one canonical transport problem
+        # get witnesses of equal value: the lower witness's cost and the
+        # upper witness's dual value, or None for both
+        specs = ["petersen", "dodecahedron", "flip:6", "tree:4:4",
+                 "lattice:2:4", "lattice:3:4", "hypercube:5",
+                 "zigzag:hypercube:6,cycle:6", "cycle:7", "star:5",
+                 "complete-bipartite:4", "interchange:paths:2+1"]
+        seen = {}
+        edges = 0
+        for spec in specs:
+            g = parse_graph_spec(spec)
+            for u, v in safe_edges(g):
+                for x, y in ((u, v), (v, u)):
+                    tp = TransportProblem(g, x, y)
+                    lower = kappa_lower_witness(g, x, y)
+                    upper = kappa_upper_witness(g, x, y)
+                    values = (None if lower is None else lower.total_cost,
+                              None if upper is None else upper.dual_value)
+                    key = (spec, tp.supply, tp.demand, tp.cost)
+                    assert seen.setdefault(key, (values, spec, x, y))[0] \
+                        == values, (spec, x, y, seen[key])
+                    edges += 1
+        assert edges == 2056
+        assert len(seen) == 19
 
     def test_upper_witness_soundness_sample(self):
         for g, a, b in ((petersen(), "o0", "o1"),

@@ -36,12 +36,13 @@ from .graphs import (
 from .ollivier import kappa_detail
 from .report import (
     CurvatureReport,
-    EdgeRow,
-    VertexRow,
-    format_fraction,
+    Section,
+    edge_cells,
+    section,
     to_csv,
     to_json,
     to_table,
+    vertex_cells,
 )
 
 
@@ -87,29 +88,27 @@ def _render_report(report: CurvatureReport, fmt: str) -> str:
 
 def cmd_curvature(ns) -> int:
     key = canonical_key(ns.source)
-    report = CurvatureReport()
     t0 = time.perf_counter()
     if ns.all:
         facts = gather_facts(build_item(ns.source))
-        report.add_facts(facts, run_checks(facts))
+        sec = section(facts, run_checks(facts))
     elif ns.vertex is not None:
         g = parse_graph_spec(ns.source)
         x = g.resolve_vertex(ns.vertex)
         ball = extract_ball(g, x)
         res = cd_curvature(ball)
         verdict = classify_vertex(g, ball)
-        report.vertices.append(VertexRow(
-            key, g.label(x), True, res.rho, str(verdict.structure_class),
-            verdict.N,
-        ))
+        cells = vertex_cells(res.rho, verdict.structure_class, verdict.N)
+        sec = Section(key, [(g.label(x), True, *cells)], [], [])
     else:
         g = parse_graph_spec(ns.source)
         a, b = _split_edge_arg(ns.edge)
         x = g.resolve_vertex(a)
         y = g.resolve_vertex(b)
-        res = kappa_detail(g, x, y)
-        report.edges.append(EdgeRow(key, g.label(x), g.label(y), True, res.kappa))
-    report.timing["seconds"] = round(time.perf_counter() - t0, 6)
+        cells = edge_cells(kappa_detail(g, x, y).kappa)
+        sec = Section(key, [], [(g.label(x), g.label(y), True, *cells)], [])
+    report = CurvatureReport(
+        [sec], {"seconds": round(time.perf_counter() - t0, 6)})
     _emit(_render_report(report, ns.format), ns.out)
     return 0
 
@@ -122,13 +121,12 @@ def _safe_filename(key: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", key)
 
 
-def _verify_one(spec: str) -> tuple[str, CurvatureReport, float]:
+def _verify_one(spec: str) -> tuple[Section, float]:
     t0 = time.perf_counter()
     item = build_item(spec)
     facts = gather_facts(item)
     results = run_checks(facts)
-    fragment = CurvatureReport()
-    fragment.add_facts(facts, results)
+    sec = section(facts, results)
     if not all(r.passed for r in results) and _artifact_dir():
         base = os.path.join(_artifact_dir(), _safe_filename(item.key))
         os.makedirs(_artifact_dir(), exist_ok=True)
@@ -145,7 +143,7 @@ def _verify_one(spec: str) -> tuple[str, CurvatureReport, float]:
                 fh, indent=2, sort_keys=True,
             )
             fh.write("\n")
-    return item.key, fragment, time.perf_counter() - t0
+    return sec, time.perf_counter() - t0
 
 
 def cmd_verify(ns) -> int:
@@ -168,14 +166,12 @@ def cmd_verify(ns) -> int:
             outcomes = list(pool.map(_verify_one, specs))
     else:
         outcomes = [_verify_one(spec) for spec in specs]
-    report = CurvatureReport()
-    for key, fragment, elapsed in outcomes:
-        report.vertices.extend(fragment.vertices)
-        report.edges.extend(fragment.edges)
-        report.checks.extend(fragment.checks)
-        report.timing[key] = round(elapsed, 6)
+    report = CurvatureReport(
+        [sec for sec, _ in outcomes],
+        {sec.graph: round(elapsed, 6) for sec, elapsed in outcomes})
     _emit(_render_report(report, ns.format), ns.out)
-    failed = [c for c in report.checks if c.applicable and not c.passed]
+    failed = [c for sec in report.sections for c in sec.checks
+              if c.applicable and not c.passed]
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)
         return 1
@@ -200,12 +196,13 @@ def cmd_diameter_bound(ns) -> int:
     kstar = min_edge_kappa(gather_facts(item))
     bounds = diameter_bounds(g, dia, kstar, is_regular(g))
     ok = all(holds for _, _, holds in bounds)
+    kappa, decimal = edge_cells(kstar)
     if ns.format == "json":
         doc = {
             "graph": canonical_key(ns.source),
             "diameter": dia,
-            "kappa_star": format_fraction(kstar),
-            "kappa_star_decimal": f"{float(kstar):.15g}",
+            "kappa_star": kappa,
+            "kappa_star_decimal": decimal,
             "bounds": [
                 {"name": name, "statement": stmt, "holds": holds}
                 for name, stmt, holds in bounds
@@ -216,7 +213,7 @@ def cmd_diameter_bound(ns) -> int:
         lines = [
             f"graph: {canonical_key(ns.source)}",
             f"diameter: {dia}",
-            f"kappa*: {format_fraction(kstar)} = {float(kstar):.15g}",
+            f"kappa*: {kappa} = {decimal}",
         ]
         if not bounds:
             lines.append("bounds: not applicable (kappa* <= 0)")

@@ -15,6 +15,7 @@ carries none.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
@@ -43,6 +44,18 @@ def _require_id(v) -> None:
     a float equal to an id would otherwise pass for it."""
     if not isinstance(v, int) or isinstance(v, bool):
         raise GraphError(f"vertex id {v!r} is not an integer")
+
+
+_ID_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _parse_id(token: str) -> int:
+    """The vertex id a text token spells, raising ValueError unless it is
+    -?[0-9]+; int() alone takes blanks, underscores, a plus sign and
+    non-ASCII digits, so "1_0" would name vertex 10."""
+    if not _ID_TEXT.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -182,7 +195,7 @@ class Graph:
         if token in self._label_to_vertex:
             return self._label_to_vertex[token]
         try:
-            v = int(token)
+            v = _parse_id(token)
         except ValueError:
             v = None
         if v is not None and v in self._adj:
@@ -455,8 +468,8 @@ def _parse_json_graph(text: str, name: str) -> Graph:
         raise GraphError('"labels" must map vertex ids to strings')
     for key, lab in raw_labels.items():
         try:
-            labels[int(key)] = lab
-        except (TypeError, ValueError):
+            labels[_parse_id(key)] = lab
+        except ValueError:
             raise GraphError(f"label key {key!r} is not a vertex id") from None
     edge_labels: dict[tuple[int, int], int] = {}
     raw_elabels = obj.get("edge_labels", {})
@@ -464,7 +477,7 @@ def _parse_json_graph(text: str, name: str) -> Graph:
         raise GraphError('"edge_labels" must map "u,v" keys to integers')
     for key, lab in raw_elabels.items():
         try:
-            u, v = (int(t) for t in key.split(","))
+            u, v = map(_parse_id, key.split(","))
         except ValueError:
             raise GraphError(f"edge label key {key!r} is not a \"u,v\" pair") from None
         if not isinstance(lab, int) or isinstance(lab, bool):
@@ -499,7 +512,7 @@ def _parse_edge_list(text: str, name: str) -> Graph:
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected two vertex ids, got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _parse_id(parts[0]), _parse_id(parts[1])
         except ValueError:
             raise GraphError(f"line {lineno}: vertex ids must be integers, got {raw!r}") from None
         vertices.update((u, v))

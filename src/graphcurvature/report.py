@@ -1,9 +1,14 @@
-"""Report rows and their table/CSV/JSON renderings.
+"""Report sections and their table/CSV/JSON renderings.
 
-Edge curvatures are serialized as exact fraction strings "p/q" next to a
-15-significant-digit decimal, so a reader of the output can decide signs
-at zero exactly.  Timing lives in its own field and never influences row
-content; re-running an identical corpus reproduces every non-timing byte.
+A report is one `Section` per graph: its vertex and edge rows with every
+value already text, and its check results.  `section` formats each value
+once per vertex or edge class, because rows of one class hold equal
+facts; `vertex_cells` and `edge_cells` are the only places where `rho`
+and `kappa` become text.  Edge curvatures are serialized as exact
+fraction strings "p/q" next to a 15-significant-digit decimal, so a
+reader of the output can decide signs at zero exactly.  Timing lives in
+its own field and never influences row content; re-running an identical
+corpus reproduces every non-timing byte.
 """
 
 from __future__ import annotations
@@ -15,95 +20,85 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .checks import CheckResult, GraphFacts
+from .classify import StructureClass
 
 
 def _dec(value: float) -> str:
     return f"{value:.15g}"
 
 
-def format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+def vertex_cells(rho: float | None, structure_class: StructureClass | None,
+                 N: int | None) -> tuple[str | None, str | None, int | None]:
+    """The rho, class and N cells of a vertex row; None where unset."""
+    return (None if rho is None else _dec(rho),
+            None if structure_class is None else str(structure_class), N)
+
+
+def edge_cells(kappa: Fraction | None) -> tuple[str | None, str | None]:
+    """The exact "p/q" (p alone when q is 1) and decimal kappa cells of an
+    edge row; None where the edge was skipped."""
+    if kappa is None:
+        return None, None
+    return str(kappa), _dec(float(kappa))
 
 
 @dataclass(frozen=True)
-class VertexRow:
+class Section:
+    """One graph's rows, each value already text.
+
+    Vertex rows are (label, safe, rho, class, N), edge rows are
+    (x label, y label, safe, kappa "p/q", kappa decimal), with None in the
+    value cells of a skipped row.
+    """
+
     graph: str
-    vertex: str
-    safe: bool
-    rho: float | None
-    structure_class: str | None
-    N: int | None
+    vertices: list[tuple[str, bool, str | None, str | None, int | None]]
+    edges: list[tuple[str, str, bool, str | None, str | None]]
+    checks: list[CheckResult]
 
 
-@dataclass(frozen=True)
-class EdgeRow:
-    graph: str
-    x: str
-    y: str
-    safe: bool
-    kappa: Fraction | None
-
-    @property
-    def kappa_str(self) -> str:
-        return format_fraction(self.kappa) if self.kappa is not None else ""
-
-    @property
-    def kappa_decimal(self) -> str:
-        return _dec(float(self.kappa)) if self.kappa is not None else ""
-
-
-@dataclass(frozen=True)
-class CheckRow:
-    graph: str
-    name: str
-    applicable: bool
-    passed: bool
-    details: tuple[str, ...]
+def section(facts: GraphFacts, results: list[CheckResult]) -> Section:
+    """The section of one graph, formatting each class's values once."""
+    vcells = {}
+    for c in dict.fromkeys(facts.vertex_class):
+        vf = facts.vertices[c]
+        vcells[c] = vertex_cells(vf.rho, vf.structure_class, vf.N)
+    ecells = {c: edge_cells(facts.edges[c].kappa)
+              for c in dict.fromkeys(facts.edge_class)}
+    label = facts.graph.label
+    return Section(
+        facts.key,
+        [(vf.label, vf.safe, *vcells[c])
+         for vf, c in zip(facts.vertices, facts.vertex_class)],
+        [(label(ef.x), label(ef.y), ef.safe, *ecells[c])
+         for ef, c in zip(facts.edges, facts.edge_class)],
+        results,
+    )
 
 
 @dataclass
 class CurvatureReport:
-    vertices: list[VertexRow] = field(default_factory=list)
-    edges: list[EdgeRow] = field(default_factory=list)
-    checks: list[CheckRow] = field(default_factory=list)
+    sections: list[Section] = field(default_factory=list)
     timing: dict[str, float] = field(default_factory=dict)
-
-    def add_facts(self, facts: GraphFacts, results: list[CheckResult]) -> None:
-        g = facts.graph
-        for vf in facts.vertices:
-            self.vertices.append(VertexRow(
-                facts.key, vf.label, vf.safe, vf.rho,
-                str(vf.structure_class) if vf.structure_class else None,
-                vf.N,
-            ))
-        for ef in facts.edges:
-            self.edges.append(EdgeRow(
-                facts.key, g.label(ef.x), g.label(ef.y), ef.safe, ef.kappa,
-            ))
-        for r in results:
-            self.checks.append(CheckRow(
-                facts.key, r.name, r.applicable, r.passed, r.details,
-            ))
 
 
 def to_json(report: CurvatureReport) -> str:
+    sections = report.sections
     doc = {
         "vertices": [
-            {"graph": r.graph, "vertex": r.vertex, "safe": r.safe,
-             "rho": _dec(r.rho) if r.rho is not None else None,
-             "class": r.structure_class, "N": r.N}
-            for r in report.vertices
+            {"graph": s.graph, "vertex": v, "safe": safe, "rho": rho,
+             "class": cls, "N": n}
+            for s in sections for v, safe, rho, cls, n in s.vertices
         ],
         "edges": [
-            {"graph": r.graph, "x": r.x, "y": r.y, "safe": r.safe,
-             "kappa": r.kappa_str or None,
-             "kappa_decimal": r.kappa_decimal or None}
-            for r in report.edges
+            {"graph": s.graph, "x": x, "y": y, "safe": safe,
+             "kappa": kappa, "kappa_decimal": decimal}
+            for s in sections for x, y, safe, kappa, decimal in s.edges
         ],
         "checks": [
-            {"graph": r.graph, "check": r.name, "applicable": r.applicable,
+            {"graph": s.graph, "check": r.name, "applicable": r.applicable,
              "passed": r.passed, "details": list(r.details)}
-            for r in report.checks
+            for s in sections for r in s.checks
         ],
         "timing": report.timing,
     }
@@ -118,51 +113,43 @@ def to_csv(report: CurvatureReport) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CSV_HEADER)
-    for r in report.vertices:
-        w.writerow(["vertex", r.graph, r.vertex, "", int(r.safe),
-                    _dec(r.rho) if r.rho is not None else "",
-                    r.structure_class or "", "" if r.N is None else r.N,
-                    "", "", "", "", ""])
-    for r in report.edges:
-        w.writerow(["edge", r.graph, r.x, r.y, int(r.safe), "", "", "",
-                    r.kappa_str, r.kappa_decimal, "", "", ""])
-    for r in report.checks:
-        w.writerow(["check", r.graph, r.name, "", "", "", "", "", "", "",
-                    int(r.applicable), int(r.passed), "; ".join(r.details)])
+    sections = report.sections
+    for s in sections:
+        w.writerows(["vertex", s.graph, v, "", int(safe), rho or "",
+                     cls or "", "" if n is None else n, "", "", "", "", ""]
+                    for v, safe, rho, cls, n in s.vertices)
+    for s in sections:
+        w.writerows(["edge", s.graph, x, y, int(safe), "", "", "",
+                     kappa or "", decimal or "", "", "", ""]
+                    for x, y, safe, kappa, decimal in s.edges)
+    for s in sections:
+        w.writerows(["check", s.graph, r.name, "", "", "", "", "", "", "",
+                     int(r.applicable), int(r.passed), "; ".join(r.details)]
+                    for r in s.checks)
     return buf.getvalue()
 
 
 def to_table(report: CurvatureReport) -> str:
     lines = []
-    graphs = []
-    for r in report.vertices + report.edges + report.checks:
-        if r.graph not in graphs:
-            graphs.append(r.graph)
-    for key in graphs:
-        lines.append(f"== {key} ==")
-        vrows = [r for r in report.vertices if r.graph == key]
-        if vrows:
+    for s in report.sections:
+        lines.append(f"== {s.graph} ==")
+        if s.vertices:
             lines.append(f"  {'vertex':<18} {'rho':>22} {'class':<16} {'N':>3}")
-            for r in vrows:
-                rho = _dec(r.rho) if r.rho is not None else "(skipped)"
+            for v, _, rho, cls, n in s.vertices:
                 lines.append(
-                    f"  {r.vertex:<18} {rho:>22} "
-                    f"{r.structure_class or '-':<16} "
-                    f"{'-' if r.N is None else r.N:>3}"
+                    f"  {v:<18} {rho or '(skipped)':>22} {cls or '-':<16} "
+                    f"{'-' if n is None else n:>3}"
                 )
-        erows = [r for r in report.edges if r.graph == key]
-        if erows:
+        if s.edges:
             lines.append(f"  {'edge':<30} {'kappa':>12} {'decimal':>22}")
-            for r in erows:
-                if r.kappa is None:
-                    lines.append(f"  ({r.x}, {r.y}) skipped: truncation boundary")
+            for x, y, _, kappa, decimal in s.edges:
+                if kappa is None:
+                    lines.append(f"  ({x}, {y}) skipped: truncation boundary")
                 else:
                     lines.append(
-                        f"  {f'({r.x}, {r.y})':<30} {r.kappa_str:>12} "
-                        f"{r.kappa_decimal:>22}"
+                        f"  {f'({x}, {y})':<30} {kappa:>12} {decimal:>22}"
                     )
-        crows = [r for r in report.checks if r.graph == key]
-        for r in crows:
+        for r in s.checks:
             if not r.applicable:
                 status = "n/a "
             else:

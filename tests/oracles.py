@@ -22,7 +22,9 @@ one bit-parallel multi-source BFS.  The orbit oracle merges each vertex
 with its images under the declared symmetries in a union-find, where
 the package searches breadth first.  The link-profile oracle recounts
 each joining vertex's first-sphere neighbors for every pair and adds
-the linkage weights one `Fraction` at a time.
+the linkage weights one `Fraction` at a time.  The section oracle
+formats every report row from its own fact, where the package formats
+each class's values once.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from graphcurvature.graphs import (
     effective_degree,
     extract_ball,
 )
+from graphcurvature.report import Section
 from graphcurvature.ollivier import (
     _dual_certificate,
     _min_cost_flow,
@@ -660,3 +663,21 @@ def checks_one_by_one(facts) -> list[CheckResult]:
         _cd_class, _ollivier_class, _cd_vs_ollivier, _linkage_positive_cd,
         _bipartite_transport, _transport_upper_bound, _test_vectors,
         check_witness_bounds, check_duality, _quantization, _diameter_bounds)]
+
+
+def section_one_by_one(facts, results) -> Section:
+    """report.section with every vertex and edge row formatted from its
+    own fact."""
+    label = facts.graph.label
+    vertices = [
+        (vf.label, vf.safe,
+         None if vf.rho is None else f"{vf.rho:.15g}",
+         None if vf.structure_class is None else vf.structure_class.value,
+         vf.N)
+        for vf in facts.vertices]
+    edges = [
+        (label(ef.x), label(ef.y), ef.safe,
+         None if ef.kappa is None else str(ef.kappa),
+         None if ef.kappa is None else f"{float(ef.kappa):.15g}")
+        for ef in facts.edges]
+    return Section(facts.key, vertices, edges, list(results))

@@ -13,6 +13,7 @@ from graphcurvature import checks, ollivier
 from graphcurvature.bakry_emery import gamma2_form, lowest_eigenvalue
 from graphcurvature.checks import (
     ALL_CHECKS,
+    CheckResult,
     gather_facts,
     run_checks,
 )
@@ -27,9 +28,10 @@ from graphcurvature.graphs import (
     extract_ball,
 )
 from graphcurvature.report import (
-    CheckRow,
     CurvatureReport,
-    format_fraction,
+    Section,
+    edge_cells,
+    section,
     to_csv,
     to_json,
     to_table,
@@ -40,6 +42,7 @@ from oracles import (
     checks_one_by_one,
     edge_facts_one_by_one,
     orbit_roots,
+    section_one_by_one,
     vertex_facts_one_by_one,
 )
 
@@ -520,6 +523,30 @@ class TestChecksPerClass:
         assert calls == [11]
 
 
+def assert_section_matches_one_by_one(facts, results):
+    """report.section equals the row-by-row oracle on facts and on both
+    perturbations of them."""
+    assert section(facts, results) == section_one_by_one(facts, results), \
+        facts.key
+    for kind, rows in (("kappa", facts.edges), ("rho", facts.vertices)):
+        if any(getattr(r, kind) is not None for r in rows):
+            bad = perturbed(facts, kind)
+            assert section(bad, results) == \
+                section_one_by_one(bad, results), (facts.key, kind)
+
+
+class TestSectionPerClass:
+    def test_corpus_matches_one_by_one(self, corpus_facts, corpus_checks):
+        for key, facts in corpus_facts.items():
+            assert_section_matches_one_by_one(facts, corpus_checks[key])
+
+    @pytest.mark.parametrize("spec", ["transpositions:5", "hypercube:8",
+                                      "flip:8"])
+    def test_graph_matches_one_by_one(self, spec):
+        facts = gather_facts(build_item(spec))
+        assert_section_matches_one_by_one(facts, run_checks(facts))
+
+
 class TestFaultInjection:
     def test_kappa_fault_caught(self):
         facts = perturbed(gather_facts(build_item("hypercube:3")), "kappa")
@@ -537,18 +564,22 @@ class TestFaultInjection:
 
 class TestFractions:
     def test_format_fraction(self):
-        assert format_fraction(Fraction(1, 4)) == "1/4"
-        assert format_fraction(Fraction(-3, 7)) == "-3/7"
-        assert format_fraction(Fraction(2)) == "2"
+        assert edge_cells(Fraction(1, 4)) == ("1/4", "0.25")
+        assert edge_cells(Fraction(-3, 7)) == ("-3/7", "-0.428571428571429")
+        assert edge_cells(Fraction(2)) == ("2", "2")
+        assert edge_cells(None) == (None, None)
+
+
+def gathered(*specs):
+    return [gather_facts(build_item(spec)) for spec in specs]
 
 
 def build_report(*specs, perturb=None):
     rep = CurvatureReport()
-    for spec in specs:
-        facts = gather_facts(build_item(spec))
+    for facts in gathered(*specs):
         if perturb is not None:
             facts = perturbed(facts, perturb)
-        rep.add_facts(facts, run_checks(facts))
+        rep.sections.append(section(facts, run_checks(facts)))
     return rep
 
 
@@ -563,6 +594,7 @@ def csv_rows(report, kind):
 class TestReportSerialization:
     def test_json_round_trip(self):
         rep = build_report("cycle:5", "star:3")
+        facts = gathered("cycle:5", "star:3")
         doc = json.loads(to_json(rep))
         assert [r["kappa"] for r in doc["edges"]] == ["1/4"] * 5 + ["1/3"] * 3
         assert [r["kappa_decimal"] for r in doc["edges"]] == \
@@ -571,36 +603,41 @@ class TestReportSerialization:
                ["one-unlinked"] * 5 + ["inapplicable"] * 4
         # 15 significant digits, even for the float noise at the star center
         assert [r["rho"] for r in doc["vertices"]] == \
-               [f"{r.rho:.15g}" for r in rep.vertices]
+               [f"{vf.rho:.15g}" for f in facts for vf in f.vertices]
         assert [r["rho"] for r in doc["vertices"]][-3:] == ["1", "1", "1"]
         assert [(r["check"], r["applicable"], r["passed"])
                 for r in doc["checks"]] == \
-               [(r.name, r.applicable, r.passed) for r in rep.checks]
+               [(r.name, r.applicable, r.passed)
+                for f in facts for r in run_checks(f)]
         assert ("witness-bounds", False, True) in \
                [(r["check"], r["applicable"], r["passed"])
                 for r in doc["checks"] if r["graph"] == "star:3"]
 
     def test_csv_round_trip(self):
         rep = build_report("cycle:5", "tree:3:4")
+        facts = gathered("cycle:5", "tree:3:4")
         vertices = csv_rows(rep, "vertex")
         assert [(r[0], r[1], r[3]) for r in vertices] == \
-               [(r.graph, r.vertex, str(int(r.safe))) for r in rep.vertices]
+               [(f.key, vf.label, str(int(vf.safe)))
+                for f in facts for vf in f.vertices]
         # skipped vertices keep their row with every value empty
         skipped = [r for r in vertices if r[3] == "0"]
         assert skipped and all(r[4:7] == ["", "", ""] for r in skipped)
         assert {r[4] for r in vertices if r[0] == "tree:3:4" and r[3] == "1"} \
             == {"-1"}
         edges = csv_rows(rep, "edge")
-        assert [r[7] for r in edges] == [r.kappa_str for r in rep.edges]
+        assert [r[7] for r in edges] == \
+               ["" if ef.kappa is None else edge_cells(ef.kappa)[0]
+                for f in facts for ef in f.edges]
         assert {r[7] for r in edges if r[0] == "cycle:5"} == {"1/4"}
         checks = csv_rows(rep, "check")
         assert [(r[1], r[9], r[10]) for r in checks] == \
                [(r.name, str(int(r.applicable)), str(int(r.passed)))
-                for r in rep.checks]
+                for f in facts for r in run_checks(f)]
 
     def test_csv_joins_details_in_one_cell(self):
-        rep = CurvatureReport(checks=[CheckRow(
-            "g", "duality", True, False, ("gap 1/2 on (0, 1)", "plan off"))])
+        rep = CurvatureReport([Section("g", [], [], [CheckResult(
+            "duality", True, False, ("gap 1/2 on (0, 1)", "plan off"))])])
         (row,) = csv_rows(rep, "check")
         assert row[-1] == "gap 1/2 on (0, 1); plan off"
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -252,13 +253,29 @@ class TestVerifyCommand:
         _, out, _ = run_cli(capsys, "verify", "hypercube:2", "gen:hypercube:2")
         assert out.count("== hypercube:2 ==") == 1
 
-    def test_parallel_matches_sequential(self, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_parallel_matches_sequential(self, capsys, fmt):
         code1, out1, _ = run_cli(
-            capsys, "verify", *self.SMALL, "--format", "csv")
+            capsys, "verify", *self.SMALL, "--format", fmt)
         code2, out2, _ = run_cli(
-            capsys, "verify", *self.SMALL, "--format", "csv", "--jobs", "3")
+            capsys, "verify", *self.SMALL, "--format", fmt, "--jobs", "3")
         assert code1 == code2 == 0
-        assert out1 == out2  # csv carries no timing, so byte-identical
+        assert out1 == out2  # neither carries timing, so byte-identical
+
+    def test_worker_result_holds_no_graph_or_fact(self):
+        # a --jobs worker sends back text rows and check results, never a
+        # Graph or a fact
+        found = set()
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                found.add((module, name))
+                return super().find_class(module, name)
+
+        Recording(io.BytesIO(pickle.dumps(cli._verify_one("petersen")))).load()
+        assert {c for c in found if c[0].startswith("graphcurvature")} == {
+            ("graphcurvature.report", "Section"),
+            ("graphcurvature.checks", "CheckResult")}
 
     @pytest.mark.parametrize("spec", [
         "zigzag:hypercube:4,complete-bipartite:2",
@@ -449,6 +466,39 @@ class TestGraphInput:
         assert (code, out) == (2, "")
         assert err == (f"error: edge label {label!r} at key '0,1' is not "
                        f"an integer\n")
+
+    @pytest.mark.parametrize("where", ["labels", "edge_labels", "edge list",
+                                       "--vertex"])
+    @pytest.mark.parametrize("token", ["1_0", " 0 ", "+3", "٣"])
+    def test_ids_must_spell_a_vertex(self, capsys, tmp_path, token, where):
+        # int() reads each token as an id: "1_0" once loaded as vertex 10
+        # and " 0 " as vertex 0, and both were written back under those ids;
+        # --vertex 1_0 probed vertex 10
+        if where == "--vertex":
+            code, out, err = run_cli(capsys, "curvature", "gen:cycle:12",
+                                     "--vertex", token)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: no vertex matches {token!r}")
+            return
+        if where == "edge list":
+            p = tmp_path / "g.edges"
+            p.write_text(f"1 3\n1 {token}\n")
+            named = f"1 {token}"
+        else:
+            p = tmp_path / "g.json"
+            named = token if where == "labels" else f"1,{token}"
+            p.write_text(json.dumps({
+                "vertices": [0, 1, 3, 10], "edges": [[0, 1], [1, 3], [1, 10]],
+                where: {named: "a" if where == "labels" else 3}}))
+        code, out, err = run_cli(capsys, "gen", f"file:{p}")
+        if where == "edge list" and token == " 0 ":
+            # blanks separate the ids of an edge list line
+            assert (code, err) == (0, "")
+            assert json.loads(out)["edges"] == [[0, 1], [1, 3]]
+            return
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(named) in err
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -59,12 +59,12 @@ from graphcurvature.graphs import (
     effective_degree,
     extract_ball,
 )
-from graphcurvature.report import Section
 from graphcurvature.ollivier import (
     _dual_certificate,
     _min_cost_flow,
     ollivier_kappa,
 )
+from graphcurvature.report import Section
 
 
 def bfs(g, source, radius=None) -> dict:

@@ -1,11 +1,14 @@
 """Curvature-dimension (CD) curvature at a vertex.
 
-The pipeline is exact until the last step: the doubled Gamma2 form is
-assembled over the punctured two-ball as an integer matrix with an
-integer scale (the only fractions in it are halves), second neighbor
-variables are eliminated by a Schur complement that stays in integers,
-and only the final smallest-eigenvalue extraction (`eigh`) is floating
-point.
+The doubled Gamma2 form is assembled over the punctured two-ball as an
+integer matrix with an integer scale (the only fractions in it are
+halves), and second neighbor variables are eliminated by a Schur
+complement that stays in integers.  rho is the least eigenvalue of the
+reduced matrix.  `cd_curvature` returns it as a float from one `eigh`;
+`certify_rho` takes that float as an estimate and settles rho in
+integer arithmetic: `rho_sign` decides the sign of rho - r for any
+rational r by fraction-free elimination, which brackets rho on the
+15-significant-digit decimal grid and decides each class threshold.
 
 The form fixes f(base) = 0; the operators are translation invariant, so
 nothing is lost, and the Gamma form becomes half the identity on the
@@ -16,17 +19,12 @@ symmetric one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import GraphError, LocalBall
-
-# rho comes out of a float eigensolve, so the class statements (rho = 2,
-# rho = 0, rho <= -2/(d-1)) compare it with this fixed slack
-RHO_TOLERANCE = 1e-9
-
 
 class QuadraticForm:
     """Symmetric form matrix / scale, indexed by an ordered vertex list.
@@ -184,3 +182,153 @@ def lowest_eigenvalue(form: QuadraticForm) -> float:
     give the same bits.
     """
     return float(np.linalg.eigh(form.as_array())[0][0])
+
+
+def rho_sign(form: QuadraticForm, r) -> int:
+    """The sign of rho - r, exactly, for the least eigenvalue rho of
+    form.matrix / form.scale and a rational r.
+
+    With r = num / den, rho >= r exactly when A = den M - num scale I is
+    positive semidefinite, and rho > r exactly when A is positive
+    definite.  Fraction-free symmetric elimination (Bareiss) decides
+    which in Python ints: each step pivots on the largest remaining
+    diagonal entry, and every entry after it is the Schur complement's
+    entry times the pivot before, a positive number, so the division is
+    exact and the signs are the Schur complement's.  A negative pivot
+    means A is not semidefinite; a zero pivot means the rest is
+    semidefinite, and A singular, only where the rest is all zero.
+    """
+    r = Fraction(r)
+    shift = r.numerator * form.scale
+    a = [[r.denominator * x for x in row] for row in form.matrix]
+    for i, row in enumerate(a):
+        row[i] -= shift
+    live = list(range(len(a)))
+    prev = 1
+    while live:
+        k = max(live, key=lambda i: a[i][i])
+        p = a[k][k]
+        if p <= 0:
+            return -1 if p < 0 or any(a[i][j] for i in live for j in live) else 0
+        live.remove(k)
+        ak = a[k]
+        for n, i in enumerate(live):
+            ai = a[i]
+            c = ai[k]
+            for j in live[n:]:
+                ai[j] = a[j][i] = (p * ai[j] - c * ak[j]) // prev
+        prev = p
+    return 1
+
+
+@dataclass(frozen=True)
+class CertifiedRho:
+    """rho settled exactly against its reduced form.
+
+    value is rho correctly rounded to 15 significant digits, ties to
+    even, held as the float nearest that decimal, so f"{value:.15g}"
+    prints the decimal itself; exact is rho where a test met it and None
+    elsewhere.  rho lies strictly between low and high, or equals both
+    where it is exact.  Certificates are equal when they print and pin
+    down the same rho.
+    """
+
+    value: float
+    exact: Fraction | None
+    low: Fraction = field(compare=False)
+    high: Fraction = field(compare=False)
+    form: QuadraticForm = field(compare=False, repr=False)
+    # threshold -> sign of rho - threshold, each decided once
+    signs: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def sign(self, r) -> int:
+        """The sign of rho - r, read off the bracket where it excludes r
+        and else decided by one exact test."""
+        r = Fraction(r)
+        known = self.signs.get(r)
+        if known is None:
+            if self.exact is not None:
+                known = (self.exact > r) - (self.exact < r)
+            elif r <= self.low:
+                known = 1
+            elif r >= self.high:
+                known = -1
+            else:
+                known = rho_sign(self.form, r)
+            self.signs[r] = known
+        return known
+
+
+def _decade(x: Fraction) -> int:
+    """The e with 10^e <= |x| < 10^(e + 1), for x != 0."""
+    x = abs(x)
+    e = math.floor(math.log10(x))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def _bracket(test, j: int) -> tuple[int, int]:
+    """(lo, lo + 1) with test(lo) > 0 > test(lo + 1), or (i, i) with
+    test(i) = 0, for a test that falls from positive to negative as its
+    argument rises: steps from j that double until the sign changes,
+    then bisection."""
+    lo = hi = None
+    step = 1
+    while True:
+        s = test(j)
+        if s == 0:
+            return j, j
+        if s > 0:
+            lo = j
+        else:
+            hi = j
+        if hi is None:
+            j, step = lo + step, 2 * step
+        elif lo is None:
+            j, step = hi - step, 2 * step
+        elif hi - lo > 1:
+            j = (lo + hi) // 2
+        else:
+            return lo, hi
+
+
+def certify_rho(form: QuadraticForm) -> CertifiedRho:
+    """rho of a reduced form, correctly rounded and exactly bracketed.
+
+    The sign comes first, so rho = 0 is exact and prints 0.  Otherwise
+    one eigh gives an estimate x.  In the decade e of rho, with h half a
+    unit in the 15th significant digit (10^(e - 14) / 2), rho is
+    bracketed between neighbouring multiples of h, or met on one, by
+    exact tests that start at the grid point nearest x, widen
+    geometrically and then bisect; the estimate steers the search and
+    may be off by any number of units.  The even multiple of the bracket
+    is the correctly rounded value.  When the bracket falls outside the
+    decade of e, the search restarts in the decade the bracket names.
+    """
+    zero = Fraction(0)
+    sign = rho_sign(form, zero)
+    if sign == 0:
+        return CertifiedRho(0.0, zero, zero, zero, form, {zero: 0})
+    x = Fraction(lowest_eigenvalue(form))
+    if x == 0 or (x > 0) != (sign > 0):
+        # float noise around a tiny rho: its size is the best guess left
+        x = -x if x else Fraction(sign)
+    while True:
+        e = _decade(x)
+        h = Fraction(10) ** (e - 14) / 2
+        lo, hi = _bracket(lambda j: rho_sign(form, j * h), 2 * round(x / (2 * h)))
+        if lo == hi and lo % 2:
+            # rho is a tie: of the mantissas k and k + 1, take the even one
+            k = (lo - 1) // 2
+            k += k % 2
+        else:
+            # the even one of lo and hi is the nearest grid point
+            k = (lo + lo % 2) // 2
+        if min(abs(lo), abs(hi)) >= 2 * 10 ** 14 and abs(k) <= 10 ** 15:
+            break
+        x = (lo + hi) * h / 2
+    return CertifiedRho(float(f"{k}e{e - 14}"), lo * h if lo == hi else None,
+                        lo * h, hi * h, form, {zero: sign})

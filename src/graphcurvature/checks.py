@@ -11,11 +11,11 @@ vertex takes its parent's class with its sphere1 labels carried through
 the symmetry.  The positional key renumbers a root's ball by position;
 only a key not seen before is relabelled by individualise and refine,
 and the relabelled ball is the class key.  The Gamma2 form, its
-reduction and the class verdict are computed once per relabelled class;
-each vertex then reads its rho off the reduced matrix permuted into its
-own order, the same array it would have built itself, with one
-eigensolve per distinct permuted matrix, and its non-link counts and
-test vectors likewise.  The edge problem across (x, y) lives inside the
+reduction, the class verdict and rho are computed once per relabelled
+class: rho is certified from one eigensolve and exact tests, with its
+class thresholds decided there, and shared by every vertex of the
+class; each vertex reads its non-link counts and test vectors off the
+class in its own sphere1 order.  The edge problem across (x, y) lives inside the
 two-ball of x, and x is a swept vertex wherever the edge is
 transport-safe, so the edge takes the kappa of the first edge from a
 vertex of the same relabelled class to a neighbor of the same label,
@@ -27,8 +27,8 @@ answer it computes.
 The sweep also sorts its rows into classes of equal facts.  An edge
 class joins the keys (class of x, label of y) and (class of y, label of
 x) of every edge, since both name its kappa.  A vertex class shares the
-refined class, the exact rho and test-vector values and, in a truncated
-graph, which of its labels lead to unsafe edges.  run_checks then
+refined class, and with it rho, the exact test-vector values and, in a
+truncated graph, which of its labels lead to unsafe edges.  run_checks then
 replays every applicable classification, linkage, decomposition, duality
 and diameter statement against those facts and reports violations.  A
 per-element statement is decided at the first row of each class, which
@@ -46,11 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bakry_emery import (
-    RHO_TOLERANCE,
-    QuadraticForm,
+    CertifiedRho,
+    certify_rho,
     eliminate_second_neighbors,
     gamma2_form,
-    lowest_eigenvalue,
 )
 from .classify import (
     StructureClass,
@@ -89,7 +88,7 @@ class VertexFact:
     label: str
     degree: int
     safe: bool
-    rho: float | None
+    rho: CertifiedRho | None
     structure_class: StructureClass | None
     N: int | None
     nonlink_counts: dict[int, int] | None
@@ -132,7 +131,8 @@ class _TwoBall:
     """One refined class of two-balls, solved once at its first vertex.
 
     Holds the exact work that equal relabelled two-balls share: the
-    doubled Gamma2 form, its reduction to sphere1, the class verdict and
+    doubled Gamma2 form, rho certified from its reduction to sphere1 with
+    the class thresholds 2, 0 and -2/(d-1) decided, the class verdict and
     its link profile.  `values` reads the vertex facts of any ball of the
     class off them, given where that ball's sphere1 order sends each label.
     """
@@ -140,7 +140,10 @@ class _TwoBall:
     def __init__(self, g: Graph, ball: LocalBall, labels: tuple[int, ...]):
         self.ball = ball
         self.form = gamma2_form(ball)
-        self.reduced = eliminate_second_neighbors(self.form, ball)
+        self.rho = certify_rho(eliminate_second_neighbors(self.form, ball))
+        d = len(ball.sphere1)
+        for r in (2, 0, *([Fraction(-2, d - 1)] if d > 1 else [])):
+            self.rho.sign(r)
         self.verdict = verdict = classify_vertex(g, ball)
         self.min_linkage = None
         if verdict.profile is not None and verdict.profile.linkage:
@@ -149,8 +152,6 @@ class _TwoBall:
         self.slot = {lab: i for i, lab in enumerate(labels)}
         # sphere1 labels -> the vertex facts of values
         self.by_labels: dict[tuple[int, ...], tuple] = {}
-        # reduced matrix permuted into some order, as rows -> its rho
-        self.rhos: dict[tuple[tuple[int, ...], ...], float] = {}
         # chosen pair or neighbor -> exact value of its test vector
         self.vector_values: dict = {}
 
@@ -159,24 +160,14 @@ class _TwoBall:
         and the flat and negative test-vector values at a ball of this
         class whose sphere1 vertices carry `labels`, in its own order.
 
-        rho is the eigensolve of the reduced matrix permuted into that
-        order, the very array the ball itself would build, so it keeps its
-        bits; labellings that permute it into the same matrix share one
-        eigensolve.  The test vectors are the ones that order picks,
-        moved here and evaluated exactly once per class and choice; the
-        linkage facts stand wherever g is triangle-free.
+        rho is the class's own.  The test vectors are the ones that order
+        picks, moved here and evaluated exactly once per class and choice;
+        the linkage facts stand wherever g is triangle-free.
         """
         known = self.by_labels.get(labels)
         if known is not None:
             return known
-        slots = [self.slot[lab] for lab in labels]
-        red = self.reduced.matrix
-        order = tuple(self.ball.sphere1[i] for i in slots)
-        matrix = tuple(tuple(red[i][j] for j in slots) for i in slots)
-        rho = self.rhos.get(matrix)
-        if rho is None:
-            rho = self.rhos[matrix] = lowest_eigenvalue(
-                QuadraticForm(order, matrix, self.reduced.scale))
+        order = tuple(self.ball.sphere1[self.slot[lab]] for lab in labels)
         cls, profile = self.verdict.structure_class, self.verdict.profile
         counts = flat_val = neg_val = None
         if profile is not None:
@@ -188,7 +179,7 @@ class _TwoBall:
                 neg_val = self._vector_value(
                     negative_test_vector, profile.first_deficient(order))
         known = self.by_labels[labels] = (
-            rho, cls, self.verdict.N, counts, self.min_linkage, flat_val,
+            self.rho, cls, self.verdict.N, counts, self.min_linkage, flat_val,
             neg_val)
         return known
 
@@ -469,7 +460,7 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         # the refined class fixes every other fact and the kappa at each
         # label, but not which edges are transport-safe
         vertex_class.append(key_row.setdefault(
-            (kind, rho, flat_val, neg_val,
+            (kind, flat_val, neg_val,
              frozenset(cut[x]) if x in cut else None), i))
     return GraphFacts(
         item.key, g, is_regular(g), triangle_free, not contains_k23(g),
@@ -527,23 +518,23 @@ def _edge_fact(facts: GraphFacts, x: int, y: int) -> EdgeFact | None:
 
 
 def check_cd_class(facts: GraphFacts) -> CheckResult:
-    """Class verdict versus the spectral curvature value."""
-    tol = RHO_TOLERANCE
+    """Class verdict versus the spectral curvature value, decided exactly."""
 
     def at(vf: VertexFact) -> list[str] | None:
         cls = vf.structure_class
         if cls is None or cls is StructureClass.INAPPLICABLE:
             return None
         tag = f"{facts.key} vertex {vf.label}"
-        if cls is StructureClass.FULLY_LINKED and abs(vf.rho - 2) > tol:
-            return [f"{tag}: fully linked but rho = {vf.rho!r}"]
-        if cls is StructureClass.ONE_UNLINKED and abs(vf.rho) > tol:
-            return [f"{tag}: one unlinked but rho = {vf.rho!r}"]
+        rho = vf.rho
+        if cls is StructureClass.FULLY_LINKED and rho.sign(2):
+            return [f"{tag}: fully linked but rho = {rho.value!r}"]
+        if cls is StructureClass.ONE_UNLINKED and rho.sign(0):
+            return [f"{tag}: one unlinked but rho = {rho.value!r}"]
         if cls is StructureClass.MULTI_UNLINKED:
-            bound = -2 / (vf.degree - 1)
-            if vf.rho >= -tol or vf.rho > bound + tol:
-                return [f"{tag}: multi unlinked but rho = {vf.rho!r} "
-                        f"(needs < 0 and <= {bound})"]
+            bound = Fraction(-2, vf.degree - 1)
+            if rho.sign(0) >= 0 or rho.sign(bound) > 0:
+                return [f"{tag}: multi unlinked but rho = {rho.value!r} "
+                        f"(needs < 0 and <= {float(bound)})"]
         return []
 
     return _result("cd-class", *_by_class(facts.vertices, facts.vertex_class, at),
@@ -591,8 +582,9 @@ def check_cd_vs_ollivier(facts: GraphFacts) -> CheckResult:
     def at(vf: VertexFact) -> list[str] | None:
         if not vf.safe:
             return None
-        kappas = {y: _edge_fact(facts, vf.vertex, y).kappa
-                  for y in facts.graph.neighbors(vf.vertex)}
+        g = facts.graph
+        kappas = {g.label(y): _edge_fact(facts, vf.vertex, y).kappa
+                  for y in g.neighbors(vf.vertex)}
         _, viol = cd_ollivier_consistency(vf.rho, kappas)
         return [f"{facts.key} vertex {vf.label}: {v}" for v in viol]
 
@@ -606,22 +598,22 @@ def check_linkage_positive_cd(facts: GraphFacts) -> CheckResult:
     vertices when every neighbor pair carries linkage weight >= 1/2."""
     if not facts.triangle_free:
         return _result("linkage-positive-cd", False, [], "graph has triangles")
-    tol = RHO_TOLERANCE
 
     def at(vf: VertexFact) -> list[str] | None:
         if not vf.safe:
             return None
         tag = f"{facts.key} vertex {vf.label}"
         problems = []
-        if vf.rho > 2 + tol:
-            problems.append(f"{tag}: triangle-free but rho = {vf.rho!r} > 2")
+        if vf.rho.sign(2) > 0:
+            problems.append(
+                f"{tag}: triangle-free but rho = {vf.rho.value!r} > 2")
         # the linkage equality needs the degree shared with all neighbors
         if effective_degree(facts.graph, vf.vertex) is None:
             return problems
         heavy = vf.min_linkage is None or vf.min_linkage >= Fraction(1, 2)
-        if heavy and abs(vf.rho - 2) > tol:
-            problems.append(
-                f"{tag}: every pair linkage >= 1/2 but rho = {vf.rho!r} != 2")
+        if heavy and vf.rho.sign(2):
+            problems.append(f"{tag}: every pair linkage >= 1/2 but "
+                            f"rho = {vf.rho.value!r} != 2")
         return problems
 
     return _result("linkage-positive-cd",

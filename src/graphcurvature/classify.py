@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .bakry_emery import RHO_TOLERANCE, second_neighbor_minimizer
+from .bakry_emery import CertifiedRho, second_neighbor_minimizer
 from .graphs import (
     Graph,
     GraphError,
@@ -154,30 +154,32 @@ def classify_vertex(g: Graph, ball: LocalBall) -> ClassVerdict:
                         profile)
 
 
-def cd_ollivier_consistency(rho: float, kappas):
+def cd_ollivier_consistency(rho: CertifiedRho, kappas):
     """Directional sign relations between the two curvatures at a vertex.
 
-    kappas maps each probed neighbor to its exact edge curvature.  Only
-    the sound directions are checked; strictly positive edge curvatures do
-    not force positive CD curvature (the 5-cycle is flat with every edge
-    curvature 1/4), so no converse is asserted.
+    kappas maps each probed neighbor, by the name the problems should
+    give it, to its exact edge curvature; the problems follow its order.
+    The sign of rho is decided exactly.  Only the sound directions are
+    checked; strictly positive edge curvatures do not force positive CD
+    curvature (the 5-cycle is flat with every edge curvature 1/4), so no
+    converse is asserted.
 
     Returns (ok, list of violation strings).
     """
-    tol = RHO_TOLERANCE
+    sign = rho.sign(0)
     problems = []
-    items = sorted(kappas.items())
-    if rho > tol:
+    items = kappas.items()
+    if sign > 0:
         for y, k in items:
             if k <= 0:
-                problems.append(f"cd {rho:.6g} > 0 but kappa(.,{y}) = {k} <= 0")
-    if rho >= -tol:
+                problems.append(f"cd {rho.value:.6g} > 0 but kappa(.,{y}) = {k} <= 0")
+    if sign >= 0:
         for y, k in items:
             if k < 0:
-                problems.append(f"cd {rho:.6g} >= 0 but kappa(.,{y}) = {k} < 0")
-    if rho < -tol and items:
-        if min(k for _, k in items) > 0:
-            problems.append(f"cd {rho:.6g} < 0 but every probed kappa is positive")
+                problems.append(f"cd {rho.value:.6g} >= 0 but kappa(.,{y}) = {k} < 0")
+    if sign < 0 and items:
+        if min(kappas.values()) > 0:
+            problems.append(f"cd {rho.value:.6g} < 0 but every probed kappa is positive")
     return (not problems, problems)
 
 

@@ -14,7 +14,7 @@ import re
 import sys
 import time
 
-from .bakry_emery import cd_curvature
+from .bakry_emery import certify_rho, eliminate_second_neighbors, gamma2_form
 from .checks import diameter_bounds, gather_facts, min_edge_kappa, run_checks
 from .classify import classify_vertex
 from .corpus import (
@@ -96,9 +96,9 @@ def cmd_curvature(ns) -> int:
         g = parse_graph_spec(ns.source)
         x = g.resolve_vertex(ns.vertex)
         ball = extract_ball(g, x)
-        res = cd_curvature(ball)
+        rho = certify_rho(eliminate_second_neighbors(gamma2_form(ball), ball))
         verdict = classify_vertex(g, ball)
-        cells = vertex_cells(res.rho, verdict.structure_class, verdict.N)
+        cells = vertex_cells(rho, verdict.structure_class, verdict.N)
         sec = Section(key, [(g.label(x), True, *cells)], [], [])
     else:
         g = parse_graph_spec(ns.source)

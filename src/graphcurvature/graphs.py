@@ -476,10 +476,14 @@ def _parse_json_graph(text: str, name: str) -> Graph:
     if not isinstance(raw_elabels, dict):
         raise GraphError('"edge_labels" must map "u,v" keys to integers')
     for key, lab in raw_elabels.items():
+        pair = key.split(",")
+        if len(pair) != 2:
+            raise GraphError(f"edge label key {key!r} is not a \"u,v\" pair")
         try:
-            u, v = map(_parse_id, key.split(","))
-        except ValueError:
-            raise GraphError(f"edge label key {key!r} is not a \"u,v\" pair") from None
+            u, v = map(_parse_id, pair)
+        except ValueError as exc:
+            raise GraphError(f"edge label key {key!r}: {exc.args[0]!r} is "
+                             f"not a vertex id") from None
         if not isinstance(lab, int) or isinstance(lab, bool):
             raise GraphError(f"edge label {lab!r} at key {key!r} is not an integer")
         edge_labels[(u, v)] = lab

@@ -4,9 +4,11 @@ A report is one `Section` per graph: its vertex and edge rows with every
 value already text, and its check results.  `section` formats each value
 once per vertex or edge class, because rows of one class hold equal
 facts; `vertex_cells` and `edge_cells` are the only places where `rho`
-and `kappa` become text.  Edge curvatures are serialized as exact
-fraction strings "p/q" next to a 15-significant-digit decimal, so a
-reader of the output can decide signs at zero exactly.  Timing lives in
+and `kappa` become text.  rho prints correctly rounded to 15
+significant digits, and exactly 0 where it is 0.  Edge curvatures are
+serialized as exact fraction strings "p/q" next to a
+15-significant-digit decimal, so a reader of the output can decide signs
+at zero exactly.  Timing lives in
 its own field and never influences row content; re-running an identical
 corpus reproduces every non-timing byte.
 """
@@ -19,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bakry_emery import CertifiedRho
 from .checks import CheckResult, GraphFacts
 from .classify import StructureClass
 
@@ -27,10 +30,12 @@ def _dec(value: float) -> str:
     return f"{value:.15g}"
 
 
-def vertex_cells(rho: float | None, structure_class: StructureClass | None,
+def vertex_cells(rho: CertifiedRho | None,
+                 structure_class: StructureClass | None,
                  N: int | None) -> tuple[str | None, str | None, int | None]:
-    """The rho, class and N cells of a vertex row; None where unset."""
-    return (None if rho is None else _dec(rho),
+    """The rho, class and N cells of a vertex row; None where unset.  rho
+    prints its correctly rounded 15 significant digits."""
+    return (None if rho is None else _dec(rho.value),
             None if structure_class is None else str(structure_class), N)
 
 

@@ -15,6 +15,9 @@ neighborhoods) to the package's flow and integer certificate, so the
 transport oracle can check more than the edge problems the package
 itself builds.  The decomposition oracle finds the biclique classes
 across an edge by Galois closures, where the package groups neighbors.
+The rho oracle decides the sign of rho - r by Sylvester's minor
+criteria, each minor a Fraction Gaussian elimination, where the package
+runs one fraction-free elimination with diagonal pivoting.
 `bfs` is a plain single-source breadth-first search of its own, the
 reference for the package's one multi-source search, `bfs_distances`;
 the diameter oracle runs it from every vertex, where the package runs
@@ -32,10 +35,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from graphcurvature.bakry_emery import RHO_TOLERANCE, cd_curvature, gamma2_form
+from graphcurvature.bakry_emery import (
+    certify_rho,
+    eliminate_second_neighbors,
+    gamma2_form,
+)
 from graphcurvature.checks import (
     CheckResult,
     EdgeFact,
@@ -289,9 +297,54 @@ def fraction_schur(ball, matrix) -> list[list[Fraction]]:
     return red
 
 
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix of Fractions by Gaussian
+    elimination with row swaps."""
+    a = [list(map(Fraction, row)) for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            if f:
+                for j in range(c, n):
+                    a[i][j] -= f * a[c][j]
+    return det
+
+
+def fraction_rho_sign(matrix, scale, r) -> int:
+    """The sign of rho - r for the least eigenvalue rho of matrix / scale,
+    by Sylvester's criteria on A = matrix / scale - r I in Fractions: rho
+    > r when every leading principal minor of A is positive, and rho >= r
+    when every principal minor is non-negative.  It takes 2^n minors, so
+    it is for small matrices only."""
+    n = len(matrix)
+    a = [[Fraction(x, scale) - (r if i == j else 0) for j, x in enumerate(row)]
+         for i, row in enumerate(matrix)]
+
+    def minor(keep):
+        return fraction_det([[a[i][j] for j in keep] for i in keep])
+
+    if all(minor(range(k)) > 0 for k in range(1, n + 1)):
+        return 1
+    if all(minor(keep) >= 0 for k in range(1, n + 1)
+           for keep in combinations(range(n), k)):
+        return 0
+    return -1
+
+
 def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
     """The vertex facts of checks.gather_facts, each computed from its own
-    two-ball with no reuse between vertices."""
+    two-ball with no reuse between vertices: rho is certified from the
+    vertex's own reduced form, where the sweep certifies it once per
+    class."""
     vfacts = []
     for x in g.vertices:
         if not g.two_ball_complete(x) or g.degree(x) == 0:
@@ -300,7 +353,7 @@ def vertex_facts_one_by_one(g) -> tuple[VertexFact, ...]:
             continue
         ball = extract_ball(g, x)
         form = gamma2_form(ball)
-        rho = cd_curvature(ball).rho
+        rho = certify_rho(eliminate_second_neighbors(form, ball))
         verdict = classify_vertex(g, ball)
         profile = verdict.profile
         min_linkage = None
@@ -465,7 +518,6 @@ def _kappa_map(facts):
 
 
 def _cd_class(facts):
-    tol = RHO_TOLERANCE
     problems = []
     seen = False
     for vf in facts.vertices:
@@ -474,16 +526,17 @@ def _cd_class(facts):
             continue
         seen = True
         tag = f"{facts.key} vertex {vf.label}"
-        if cls is StructureClass.FULLY_LINKED and abs(vf.rho - 2) > tol:
-            problems.append(f"{tag}: fully linked but rho = {vf.rho!r}")
-        elif cls is StructureClass.ONE_UNLINKED and abs(vf.rho) > tol:
-            problems.append(f"{tag}: one unlinked but rho = {vf.rho!r}")
+        rho = vf.rho
+        if cls is StructureClass.FULLY_LINKED and rho.sign(2) != 0:
+            problems.append(f"{tag}: fully linked but rho = {rho.value!r}")
+        elif cls is StructureClass.ONE_UNLINKED and rho.sign(0) != 0:
+            problems.append(f"{tag}: one unlinked but rho = {rho.value!r}")
         elif cls is StructureClass.MULTI_UNLINKED:
-            bound = -2 / (vf.degree - 1)
-            if vf.rho >= -tol or vf.rho > bound + tol:
+            bound = Fraction(-2, vf.degree - 1)
+            if not (rho.sign(0) < 0 and rho.sign(bound) <= 0):
                 problems.append(
-                    f"{tag}: multi unlinked but rho = {vf.rho!r} "
-                    f"(needs < 0 and <= {bound})"
+                    f"{tag}: multi unlinked but rho = {rho.value!r} "
+                    f"(needs < 0 and <= {float(bound)})"
                 )
     return _result("cd-class", seen, problems, "no classified vertices")
 
@@ -526,8 +579,8 @@ def _cd_vs_ollivier(facts):
         if not vf.safe:
             continue
         seen = True
-        kappas = {y: kmap[(vf.vertex, y)]
-                  for y in facts.graph.neighbors(vf.vertex)}
+        g = facts.graph
+        kappas = {g.label(y): kmap[(vf.vertex, y)] for y in g.neighbors(vf.vertex)}
         ok, viol = cd_ollivier_consistency(vf.rho, kappas)
         if not ok:
             problems.extend(f"{facts.key} vertex {vf.label}: {v}" for v in viol)
@@ -537,7 +590,6 @@ def _cd_vs_ollivier(facts):
 def _linkage_positive_cd(facts):
     if not facts.triangle_free:
         return _result("linkage-positive-cd", False, [], "graph has triangles")
-    tol = RHO_TOLERANCE
     problems = []
     seen = False
     for vf in facts.vertices:
@@ -545,14 +597,16 @@ def _linkage_positive_cd(facts):
             continue
         seen = True
         tag = f"{facts.key} vertex {vf.label}"
-        if vf.rho > 2 + tol:
-            problems.append(f"{tag}: triangle-free but rho = {vf.rho!r} > 2")
+        if vf.rho.sign(2) > 0:
+            problems.append(
+                f"{tag}: triangle-free but rho = {vf.rho.value!r} > 2")
         if effective_degree(facts.graph, vf.vertex) is None:
             continue
         heavy = vf.min_linkage is None or vf.min_linkage >= Fraction(1, 2)
-        if heavy and abs(vf.rho - 2) > tol:
+        if heavy and vf.rho.sign(2) != 0:
             problems.append(
-                f"{tag}: every pair linkage >= 1/2 but rho = {vf.rho!r} != 2"
+                f"{tag}: every pair linkage >= 1/2 but "
+                f"rho = {vf.rho.value!r} != 2"
             )
     return _result("linkage-positive-cd", seen, problems, "no safe vertices")
 
@@ -671,7 +725,7 @@ def section_one_by_one(facts, results) -> Section:
     label = facts.graph.label
     vertices = [
         (vf.label, vf.safe,
-         None if vf.rho is None else f"{vf.rho:.15g}",
+         None if vf.rho is None else f"{vf.rho.value:.15g}",
          None if vf.structure_class is None else vf.structure_class.value,
          vf.N)
         for vf in facts.vertices]

@@ -29,7 +29,6 @@ from oracles import oracle_wasserstein, rayleigh_minimum, solve_integer_transpor
 
 ONE = StructureClass.ONE_UNLINKED
 MULTI = StructureClass.MULTI_UNLINKED
-TOL = 1e-9
 
 # the terminal-summary hook in conftest replays these after the run
 VERDICTS: list[str] = []
@@ -60,8 +59,8 @@ def test_criterion_01_hypercubes(corpus_facts):
     for d in range(2, 7):
         facts = corpus_facts[f"hypercube:{d}"]
         for vf in facts.vertices:
-            if abs(vf.rho - 2) > TOL:
-                problems.append(f"d={d} vertex {vf.label}: rho = {vf.rho!r}")
+            if vf.rho.sign(2):
+                problems.append(f"d={d} vertex {vf.label}: rho = {vf.rho.value!r}")
         for ef in facts.edges:
             if ef.kappa != Fraction(1, d):
                 problems.append(f"d={d} edge: kappa = {ef.kappa} != 1/{d}")
@@ -73,8 +72,8 @@ def test_criterion_02_complete_bipartite(corpus_facts):
     for n in range(2, 7):
         facts = corpus_facts[f"complete-bipartite:{n}"]
         for vf in facts.vertices:
-            if abs(vf.rho - 2) > TOL:
-                problems.append(f"n={n} vertex {vf.label}: rho = {vf.rho!r}")
+            if vf.rho.sign(2):
+                problems.append(f"n={n} vertex {vf.label}: rho = {vf.rho.value!r}")
         for ef in facts.edges:
             if ef.kappa != Fraction(1, n):
                 problems.append(f"n={n} edge: kappa = {ef.kappa} != 1/{n}")
@@ -90,9 +89,9 @@ def test_criterion_03_zigzag_counterexample(corpus_items, corpus_facts):
         item = corpus_items[key]
         g = facts.graph
         for vf in facts.vertices:
-            if not vf.rho < -TOL:
-                problems.append(f"{key} vertex {vf.label}: rho = {vf.rho!r} "
-                                "does not break CD(0, inf)")
+            if vf.rho.sign(0) >= 0:
+                problems.append(f"{key} vertex {vf.label}: rho = "
+                                f"{vf.rho.value!r} does not break CD(0, inf)")
                 break
         (x1, b), = item.deep_edges
         kappa = _kmap(facts).get((x1, b))
@@ -120,8 +119,8 @@ def test_criterion_04_flat_class(corpus_facts):
         if not safe_vertices:
             problems.append(f"{key}: no probe-safe vertices")
         for vf in safe_vertices:
-            if abs(vf.rho) > TOL:
-                problems.append(f"{key} vertex {vf.label}: rho = {vf.rho!r}")
+            if vf.rho.sign(0):
+                problems.append(f"{key} vertex {vf.label}: rho = {vf.rho.value!r}")
         for ef in facts.edges:
             if ef.kappa is not None and ef.kappa < 0:
                 problems.append(f"{key} edge: kappa = {ef.kappa} < 0")
@@ -139,9 +138,9 @@ def test_criterion_05_negative_class(corpus_facts):
                 "dodecahedron", "flip:6", "adjacent-transpositions:4"):
         facts = corpus_facts[key]
         for vf in facts.vertices:
-            if vf.safe and not vf.rho < -TOL:
-                problems.append(f"{key} vertex {vf.label}: rho = {vf.rho!r} "
-                                "not negative")
+            if vf.safe and vf.rho.sign(0) >= 0:
+                problems.append(f"{key} vertex {vf.label}: rho = "
+                                f"{vf.rho.value!r} not negative")
         kappas = [ef.kappa for ef in facts.edges if ef.kappa is not None]
         if not kappas or min(kappas) > 0:
             problems.append(f"{key}: min kappa {min(kappas, default=None)} "
@@ -182,8 +181,8 @@ def test_criterion_07_transposition_cayley(corpus_facts):
     problems = []
     facts = corpus_facts["transpositions:4"]
     for vf in facts.vertices:
-        if abs(vf.rho - 2) > TOL:
-            problems.append(f"S4 vertex {vf.label}: rho = {vf.rho!r}")
+        if vf.rho.sign(2):
+            problems.append(f"S4 vertex {vf.label}: rho = {vf.rho.value!r}")
     for ef in facts.edges:
         if ef.kappa != Fraction(1, 6):
             problems.append(f"S4 edge: kappa = {ef.kappa} != 1/6")
@@ -202,8 +201,8 @@ def test_criterion_07_transposition_cayley(corpus_facts):
     if len(g3.vertices) != len(k33.graph.vertices):
         problems.append("vertex counts differ")
     for a, b in ((tc3, k33),):
-        rhos_a = sorted(round(vf.rho, 9) for vf in a.vertices)
-        rhos_b = sorted(round(vf.rho, 9) for vf in b.vertices)
+        rhos_a = sorted(vf.rho.value for vf in a.vertices)
+        rhos_b = sorted(vf.rho.value for vf in b.vertices)
         if rhos_a != rhos_b:
             problems.append(f"rho multisets differ: {rhos_a} vs {rhos_b}")
         kap_a = sorted(ef.kappa for ef in a.edges)
@@ -249,7 +248,7 @@ def test_criterion_09_sign_consistency(corpus_facts):
         applied.append(key)
         kmap = _kmap(facts)
         for vf in facts.vertices:
-            kappas = {y: kmap[(vf.vertex, y)]
+            kappas = {facts.graph.label(y): kmap[(vf.vertex, y)]
                       for y in facts.graph.neighbors(vf.vertex)}
             ok, viol = cd_ollivier_consistency(vf.rho, kappas)
             if not ok:
@@ -287,9 +286,9 @@ def test_criterion_10_positive_structure_sweep(corpus_facts):
             if vf.min_linkage is None or vf.min_linkage < Fraction(1, 2):
                 problems.append(f"{key} vertex {vf.label}: linkage "
                                 f"{vf.min_linkage} below 1/2")
-            elif abs(vf.rho - 2) > TOL:
+            elif vf.rho.sign(2):
                 problems.append(f"{key} vertex {vf.label}: heavy linkage "
-                                f"but rho = {vf.rho!r}")
+                                f"but rho = {vf.rho.value!r}")
     if decomposed_edges < 100:
         problems.append(f"only {decomposed_edges} decomposed edges probed")
     _verdict(10, f"biclique decompositions force kappa = 1/d on "
@@ -339,9 +338,9 @@ def test_criterion_11_independent_oracles(corpus_facts):
             ball = extract_ball(facts.graph, vf.vertex)
             red = eliminate_second_neighbors(gamma2_form(ball), ball)
             slow = rayleigh_minimum(red.as_array(), restarts=100, seed=balls)
-            if abs(slow - vf.rho) > 1e-6:
-                problems.append(f"{key} {vf.label}: eigensolve {vf.rho!r} vs "
-                                f"gradient descent {slow!r}")
+            if abs(slow - vf.rho.value) > 1e-6:
+                problems.append(f"{key} {vf.label}: certified rho "
+                                f"{vf.rho.value!r} vs gradient descent {slow!r}")
         if balls >= 60:
             break
     if trials < 200 or balls < 50:

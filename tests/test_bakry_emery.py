@@ -1,15 +1,21 @@
 """Vertex curvature: form assembly, elimination, eigenvalue, certificates."""
 
 import random
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphcurvature import bakry_emery
 from graphcurvature.bakry_emery import (
-    RHO_TOLERANCE,
+    QuadraticForm,
     cd_curvature,
+    certify_rho,
     eliminate_second_neighbors,
     gamma2_form,
+    rho_sign,
     second_neighbor_minimizer,
 )
 from graphcurvature.classify import link_profile
@@ -29,9 +35,9 @@ from graphcurvature.families import (
     star,
     transposition_cayley,
 )
-from graphcurvature.graphs import GraphError, extract_ball
+from graphcurvature.graphs import Graph, GraphError, extract_ball
 
-from oracles import fraction_gamma2, fraction_schur
+from oracles import fraction_gamma2, fraction_rho_sign, fraction_schur
 
 
 def slow_gamma(g, f, x):
@@ -186,10 +192,13 @@ class TestCurvatureValues:
             assert res.rho == pytest.approx(2 - d, abs=1e-9)
 
     def test_threshold_behavior(self):
-        rho = cd_curvature(extract_ball(hypercube(3), 0)).rho
-        assert rho >= 2.0 - RHO_TOLERANCE
-        assert not rho >= 2.1 - RHO_TOLERANCE
-        assert rho >= -5.0 - RHO_TOLERANCE
+        # rho = 2 at the cube, decided exactly on both sides
+        ball = extract_ball(hypercube(3), 0)
+        red = eliminate_second_neighbors(gamma2_form(ball), ball)
+        assert rho_sign(red, 2) == 0
+        assert rho_sign(red, Fraction(21, 10)) == -1
+        assert rho_sign(red, Fraction(19, 10)) == 1
+        assert rho_sign(red, -5) == 1
 
     def test_isolated_vertex_rejected(self):
         from graphcurvature.graphs import Graph
@@ -257,3 +266,160 @@ class TestLinkageAssembly:
                 else:
                     expect = 1 - 2 * profile.linkage[(min(v, w), max(v, w))]
                 assert got == expect
+
+
+def reduced(g, x):
+    ball = extract_ball(g, x)
+    return eliminate_second_neighbors(gamma2_form(ball), ball)
+
+
+@st.composite
+def small_forms(draw):
+    """(form, r): a symmetric integer matrix of size 1 to 5 over a scale,
+    and a rational r.  Half are any symmetric matrix; half are G^T G - cI
+    for an integer G of at most n rows, singular at c when G has fewer,
+    and r is often that eigenvalue c / scale exactly."""
+    n = draw(st.integers(1, 5))
+    scale = draw(st.integers(1, 6))
+    r = draw(st.fractions(-6, 6, max_denominator=8))
+    if draw(st.booleans()):
+        upper = {(i, j): draw(st.integers(-4, 4))
+                 for i in range(n) for j in range(i, n)}
+        m = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        rows = [[draw(st.integers(-2, 2)) for _ in range(n)]
+                for _ in range(draw(st.integers(0, n)))]
+        c = draw(st.integers(-3, 3))
+        m = [[sum(row[i] * row[j] for row in rows) - (c if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        if draw(st.booleans()):
+            r = Fraction(-c, scale)
+    return QuadraticForm(range(n), m, scale), r
+
+
+def assert_certified(form):
+    """certify_rho's bracket, exact value and rounding against the
+    Fraction oracle."""
+    rho = certify_rho(form)
+    sign = lambda r: fraction_rho_sign(form.matrix, form.scale, r)  # noqa: E731
+    if rho.exact is not None:
+        assert rho.low == rho.exact == rho.high
+        assert sign(rho.exact) == 0
+    else:
+        assert sign(rho.low) == 1 and sign(rho.high) == -1
+    text = f"{rho.value:.15g}"
+    assert text != "-0"
+    printed = Fraction(Decimal(text))
+    if printed == 0:
+        assert sign(0) == 0
+    else:
+        # within half a unit in the 15th significant digit of the printed
+        # decimal, on both sides
+        exp = Decimal(text).adjusted()
+        h = Fraction(10) ** (exp - 14) / 2
+        assert sign(printed - h) >= 0 and sign(printed + h) <= 0
+    return rho
+
+
+class TestCertifiedRho:
+    @settings(max_examples=300, deadline=None)
+    @given(small_forms())
+    def test_sign_matches_fraction_oracle(self, case):
+        form, r = case
+        assert rho_sign(form, r) == fraction_rho_sign(form.matrix, form.scale, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_forms())
+    def test_bracket_matches_fraction_oracle(self, case):
+        form, r = case
+        rho = assert_certified(form)
+        assert rho.sign(r) == fraction_rho_sign(form.matrix, form.scale, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_balls_match_fraction_oracle(self, data):
+        # every vertex with a complete two-ball in a random graph on up
+        # to 7 vertices: the bracket and the class thresholds
+        n = data.draw(st.integers(2, 7), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   min_size=1), label="edges")
+        g = Graph(range(n), edges)
+        for x in g.vertices:
+            if g.degree(x) == 0:
+                continue
+            form = reduced(g, x)
+            rho = assert_certified(form)
+            d = g.degree(x)
+            for r in (2, 0, *([Fraction(-2, d - 1)] if d > 1 else [])):
+                assert rho.sign(r) == \
+                    fraction_rho_sign(form.matrix, form.scale, r), (edges, x, r)
+
+    @pytest.mark.parametrize("spec, r", [("complete-bipartite:3", 2),
+                                         ("cycle:5", 0)])
+    def test_nudging_one_entry_flips_the_decision(self, spec, r):
+        # rho = r exactly; one scaled diagonal entry up or down by 1 moves
+        # rho off r to either side, and the class statement with it
+        form = reduced(parse_graph_spec(spec), 0)
+        assert rho_sign(form, r) == 0
+        for step in (1, -1):
+            m = [row[:] for row in form.matrix]
+            m[0][0] += step
+            nudged = QuadraticForm(form.index, m, form.scale)
+            assert rho_sign(nudged, r) == step
+            rho = certify_rho(nudged)
+            assert rho.exact is None and rho.sign(r) == step
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_complete_bipartite_is_exactly_two(self, n):
+        rho = certify_rho(reduced(complete_bipartite(n), 0))
+        assert rho.exact == 2 and rho.sign(2) == 0 and rho.value == 2.0
+
+    def test_star_centre_is_exactly_zero(self):
+        # the reduced matrix is [[2, 2, 2]] * 3 over 2, so rho = 0, where
+        # eigh gives -4.5e-16
+        form = reduced(star(3), 0)
+        assert cd_curvature(extract_ball(star(3), 0)).rho != 0
+        rho = certify_rho(form)
+        assert rho.exact == 0 and rho.sign(0) == 0
+        assert f"{rho.value:.15g}" == "0"
+
+    def test_estimate_off_by_many_units(self):
+        # a triple eigenvalue: eigh gives -0.17579566188594062 but rho is
+        # -0.17579566188592046..., about forty half units away
+        g = parse_graph_spec("zigzag:hypercube:6,complete:6")
+        rho = certify_rho(reduced(g, 0))
+        assert f"{rho.value:.15g}" == "-0.17579566188592"
+        assert rho.low <= Fraction("-0.17579566188592") <= rho.high
+        assert rho.high - rho.low == Fraction(5, 10 ** 16)
+
+    def test_rounding_ties_go_to_even(self):
+        # rho = 1.000000000000005 exactly, halfway between two 15-digit
+        # decimals, and -1.000000000000015 likewise
+        for num, want in ((10 ** 15 + 5, "1"),
+                          (-10 ** 15 - 15, "-1.00000000000002")):
+            rho = certify_rho(QuadraticForm((0,), [[num]], 10 ** 15))
+            assert rho.exact == Fraction(num, 10 ** 15)
+            assert f"{rho.value:.15g}" == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(num=st.one_of(st.integers(-10 ** 18, 10 ** 18),
+                         st.builds(lambda k, d: 10 ** k + d,
+                                   st.integers(0, 18), st.integers(-60, 60))),
+           scale=st.one_of(st.integers(1, 10 ** 18),
+                           st.builds(lambda k: 10 ** k, st.integers(0, 18))),
+           skew=st.sampled_from([1.0, 1 + 1e-12, 1.001, 10.0, 0.01, -1.0, 0.0]))
+    def test_rounds_like_decimal_from_any_estimate(self, num, scale, skew):
+        # rho = num / scale exactly; the estimate is skewed, of the wrong
+        # sign or zero, and the printed value is still Decimal's correctly
+        # rounded quotient, across decade boundaries too
+        form = QuadraticForm((0,), [[num]], scale)
+        estimate = bakry_emery.lowest_eigenvalue(form) * skew
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bakry_emery, "lowest_eigenvalue", lambda form: estimate)
+            rho = certify_rho(form)
+        want = Context(prec=15, rounding=ROUND_HALF_EVEN).divide(num, scale)
+        assert rho.value == float(want)
+        assert rho.exact in (None, Fraction(num, scale))
+        if want == Fraction(num, scale):
+            assert rho.exact == want

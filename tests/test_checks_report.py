@@ -4,13 +4,14 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcurvature import checks, ollivier
-from graphcurvature.bakry_emery import gamma2_form, lowest_eigenvalue
+from graphcurvature import bakry_emery, checks, ollivier
+from graphcurvature.bakry_emery import gamma2_form
 from graphcurvature.checks import (
     ALL_CHECKS,
     CheckResult,
@@ -37,7 +38,7 @@ from graphcurvature.report import (
     to_table,
 )
 
-from conftest import perturbed
+from conftest import exact_rho, perturbed
 from oracles import (
     checks_one_by_one,
     edge_facts_one_by_one,
@@ -214,20 +215,32 @@ class TestVertexMemo:
         gather_facts(build_item(spec))
         assert len(calls) == relabelled
 
-    def test_one_eigensolve_per_sphere1_labelling(self, monkeypatch):
-        # hypercube:8 is one orbit of its declared symmetries, and the
-        # labels carried to every vertex permute the root's reduced matrix
-        # into the same array
+    @pytest.mark.parametrize("spec, classes", [
+        ("hypercube:8", 1), ("transpositions:5", 1), ("flip:8", 4)])
+    def test_one_eigensolve_per_refined_class(self, monkeypatch, spec, classes):
+        # rho is certified once per refined class, from one eigh estimate,
+        # and every vertex of the class shares that certificate; the
+        # dense-sweep graphs have no class with rho = 0, which needs none
         calls = []
+        estimate = bakry_emery.lowest_eigenvalue
 
         def counting(form):
             calls.append(form.index)
-            return lowest_eigenvalue(form)
+            return estimate(form)
 
-        monkeypatch.setattr(checks, "lowest_eigenvalue", counting)
-        facts = gather_facts(build_item("hypercube:8"))
-        assert len(facts.vertices) == 256
-        assert len(calls) == 1
+        monkeypatch.setattr(bakry_emery, "lowest_eigenvalue", counting)
+        facts = gather_facts(build_item(spec))
+        shared = {id(vf.rho) for vf in facts.vertices if vf.safe}
+        assert len(calls) == len(shared) == classes
+
+    @pytest.mark.parametrize("spec, classes", [
+        ("transpositions:5", 1), ("hypercube:8", 1), ("flip:8", 7)])
+    def test_vertex_classes_do_not_split_on_rho_bits(self, spec, classes):
+        # the float rho of each sphere1 labelling once split
+        # transpositions:5 into 9 vertex classes, from 2.0 to
+        # 2.0000000000000036; the certified rho is the refined class's own
+        facts = gather_facts(build_item(spec))
+        assert len(set(facts.vertex_class)) == classes
 
     @staticmethod
     def _count_balls(monkeypatch):
@@ -294,8 +307,8 @@ class TestVertexMemo:
         assert facts.vertices == vertex_facts_one_by_one(g)
         assert facts.edges == edge_facts_one_by_one(g)
         at = {vf.vertex: vf for vf in facts.vertices}
-        assert at[0].rho == pytest.approx(0.5)
-        assert at[10].rho == pytest.approx(-1.5)
+        assert at[0].rho.exact == Fraction(1, 2)
+        assert at[10].rho.exact == Fraction(-3, 2)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -560,6 +573,23 @@ class TestFaultInjection:
         res = by_name(run_checks(facts))
         failing = {n for n, r in res.items() if not r.passed}
         assert failing == {"cd-class", "linkage-positive-cd"}
+        assert all(vf.rho.exact == Fraction(9, 4) for vf in facts.vertices)
+
+    def test_cd_vs_ollivier_names_labels(self):
+        # a positive rho injected at every vertex: each detail names the
+        # neighbor by its label, as every other check does, and not by
+        # its internal id (12 here)
+        facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
+        g = facts.graph
+        bad = replace(facts, vertices=tuple(
+            replace(vf, rho=exact_rho(Fraction(1, 2))) for vf in facts.vertices))
+        result = checks.check_cd_vs_ollivier(bad)
+        assert not result.passed
+        assert g.label(12) == "(010000,1)"
+        assert result.details[0] == (
+            "zigzag:hypercube:6,cycle:6 vertex (000000,1): cd 0.5 > 0 but "
+            "kappa(.,(010000,1)) = 0 <= 0")
+        assert all("kappa(.,(" in d for d in result.details if "kappa(." in d)
 
 
 class TestFractions:
@@ -601,10 +631,11 @@ class TestReportSerialization:
                ["0.25"] * 5 + ["0.333333333333333"] * 3
         assert [r["class"] for r in doc["vertices"]] == \
                ["one-unlinked"] * 5 + ["inapplicable"] * 4
-        # 15 significant digits, even for the float noise at the star center
+        # correctly rounded to 15 significant digits, and exactly 0 at the
+        # star center, where eigh gives -4.5e-16
         assert [r["rho"] for r in doc["vertices"]] == \
-               [f"{vf.rho:.15g}" for f in facts for vf in f.vertices]
-        assert [r["rho"] for r in doc["vertices"]][-3:] == ["1", "1", "1"]
+               [f"{vf.rho.value:.15g}" for f in facts for vf in f.vertices]
+        assert [r["rho"] for r in doc["vertices"]][-4:] == ["0", "1", "1", "1"]
         assert [(r["check"], r["applicable"], r["passed"])
                 for r in doc["checks"]] == \
                [(r.name, r.applicable, r.passed)
@@ -612,6 +643,18 @@ class TestReportSerialization:
         assert ("witness-bounds", False, True) in \
                [(r["check"], r["applicable"], r["passed"])
                 for r in doc["checks"] if r["graph"] == "star:3"]
+
+    def test_no_rho_prints_minus_zero(self, corpus_facts, corpus_checks):
+        # rho = 0 is decided before any eigensolve, so it prints 0, and a
+        # nonzero rho prints a nonzero decimal
+        sections = [section(f, corpus_checks[key])
+                    for key, f in corpus_facts.items()]
+        sections += [section(f, run_checks(f)) for f in gathered(
+            "transpositions:5", "hypercube:8", "flip:8")]
+        cells = [rho for s in sections for _, _, rho, _, _ in s.vertices]
+        assert "0" in cells
+        assert not [c for c in cells
+                    if c is not None and c.startswith("-") and float(c) == 0]
 
     def test_csv_round_trip(self):
         rep = build_report("cycle:5", "tree:3:4")

@@ -35,6 +35,7 @@ from graphcurvature.families import (
 )
 from graphcurvature.graphs import Graph, GraphError, extract_ball
 
+from conftest import exact_rho
 from oracles import oracle_bipartite_decomposition, oracle_link_profile
 
 
@@ -180,28 +181,40 @@ class TestClassifyVertex:
 
 class TestConsistency:
     def test_positive_demands_positive(self):
-        ok, problems = cd_ollivier_consistency(2.0, {1: Fraction(1, 4)})
+        ok, problems = cd_ollivier_consistency(exact_rho(2), {1: Fraction(1, 4)})
         assert ok
-        ok, problems = cd_ollivier_consistency(2.0, {1: Fraction(0)})
+        ok, problems = cd_ollivier_consistency(exact_rho(2), {1: Fraction(0)})
         assert not ok and "<= 0" in problems[0]
 
     def test_flat_allows_positive_kappa(self):
         # the 5-cycle: rho = 0 yet every edge curvature is strictly positive
-        ok, _ = cd_ollivier_consistency(0.0, {1: Fraction(1, 4), 4: Fraction(1, 4)})
+        ok, _ = cd_ollivier_consistency(exact_rho(0),
+                                        {1: Fraction(1, 4), 4: Fraction(1, 4)})
         assert ok
 
     def test_flat_rejects_negative_kappa(self):
-        ok, problems = cd_ollivier_consistency(0.0, {1: Fraction(-1, 3)})
+        ok, problems = cd_ollivier_consistency(exact_rho(0), {1: Fraction(-1, 3)})
         assert not ok and len(problems) == 1
 
     def test_negative_needs_some_nonpositive(self):
-        ok, problems = cd_ollivier_consistency(-1.0, {1: Fraction(1, 6), 2: Fraction(0)})
+        ok, problems = cd_ollivier_consistency(
+            exact_rho(-1), {1: Fraction(1, 6), 2: Fraction(0)})
         assert ok
-        ok, problems = cd_ollivier_consistency(-1.0, {1: Fraction(1, 6), 2: Fraction(1, 6)})
+        ok, problems = cd_ollivier_consistency(
+            exact_rho(-1), {1: Fraction(1, 6), 2: Fraction(1, 6)})
         assert not ok
 
     def test_empty_kappas_trivially_ok(self):
-        assert cd_ollivier_consistency(-2.0, {})[0]
+        assert cd_ollivier_consistency(exact_rho(-2), {})[0]
+
+    def test_sign_is_exact_near_zero(self):
+        # 1e-12 is no tolerance's zero: positive rho needs positive kappa
+        ok, problems = cd_ollivier_consistency(exact_rho(Fraction(1, 10 ** 12)),
+                                               {"a": Fraction(0)})
+        assert not ok
+        assert problems == ["cd 1e-12 > 0 but kappa(.,a) = 0 <= 0"]
+        assert cd_ollivier_consistency(exact_rho(Fraction(-1, 10 ** 12)),
+                                       {"a": Fraction(0)})[0]
 
 
 @st.composite

@@ -55,6 +55,32 @@ class TestCurvatureCommand:
         assert "-1" in out
         assert "multi-unlinked" in out
 
+    @pytest.mark.parametrize("spec, rhos", [
+        ("zigzag:hypercube:6,cycle:6", {"-1.4142135623731"}),
+        ("zigzag:hypercube:6,complete:6", {"-0.17579566188592"}),
+        ("star:3", {"0", "1"}),
+        ("flip:8", {"-3", "-2.30277563773199", "-2.17008648662603",
+                    "-1.61803398874989"}),
+    ])
+    def test_vertex_probe_prints_its_all_row(self, capsys, spec, rhos):
+        # rho prints one correctly rounded string per refined class, and
+        # --vertex prints the one its --all row prints: -sqrt(2) once
+        # printed as -1.4142135623731 and -1.41421356237309 by vertex
+        # order, and the triple eigenvalue of the complete:6 zigzag as 35
+        # strings, none correctly rounded
+        code, out, _ = run_cli(capsys, "curvature", f"gen:{spec}", "--all",
+                               "--format", "csv")
+        assert code == 0
+        rows = {r[2]: r[5] for r in csv.reader(io.StringIO(out))
+                if r[0] == "vertex"}
+        assert set(rows.values()) == rhos
+        for label in list(rows)[::max(1, len(rows) // 6)]:
+            code, out, _ = run_cli(capsys, "curvature", f"gen:{spec}",
+                                   "--vertex", label, "--format", "csv")
+            assert code == 0
+            (row,) = [r for r in csv.reader(io.StringIO(out)) if r[0] == "vertex"]
+            assert row[5] == rows[label], label
+
     def test_edge_probe_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "curvature", "gen:cycle:5", "--edge", "1,2")
@@ -499,6 +525,22 @@ class TestGraphInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(named) in err
+
+    @pytest.mark.parametrize("key, message", [
+        ("1,+3", "edge label key '1,+3': '+3' is not a vertex id"),
+        ("1_0,3", "edge label key '1_0,3': '1_0' is not a vertex id"),
+        ("1,2,3", "edge label key '1,2,3' is not a \"u,v\" pair"),
+        ("13", "edge label key '13' is not a \"u,v\" pair"),
+    ])
+    def test_edge_label_key_names_what_is_wrong(self, capsys, tmp_path, key,
+                                                message):
+        # a misspelt id in a pair was once blamed on the pair's shape
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": [0, 1, 3],
+                                 "edges": [[0, 1], [1, 3]],
+                                 "edge_labels": {key: 3}}))
+        code, out, err = run_cli(capsys, "gen", f"file:{p}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -101,6 +101,25 @@ def test_traced_layers_resolve():
     assert tracer.absent == []
 
 
+def test_traced_eigh_counts_one_per_refined_class(capsys):
+    # the tracer counts eigh by proxying bakry_emery's numpy, so an eigh
+    # called from anywhere else would read 0 calls with every layer
+    # present; the dense-sweep graphs have 1, 1 and 4 refined classes
+    tracing = load_perfbench("tracing")
+    from graphcurvature.cli import main
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for spec in ("transpositions:5", "hypercube:8", "flip:8"):
+            assert main(["curvature", f"gen:{spec}", "--all",
+                         "--format", "csv"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.absent == []
+    assert tracer.metrics()["bakry_emery.eigh.calls"] == 6
+
+
 def test_verify_rows_match_the_benchmark_reference(capsys):
     # the benchmark's output gate, run here over every graph it holds, so
     # a changed row fails tier-1 and not only a benchmark run

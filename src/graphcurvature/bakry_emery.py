@@ -7,8 +7,8 @@ complement that stays in integers.  rho is the least eigenvalue of the
 reduced matrix.  `cd_curvature` returns it as a float from one `eigh`;
 `certify_rho` takes that float as an estimate and settles rho in
 integer arithmetic: `rho_sign` decides the sign of rho - r for any
-rational r by fraction-free elimination, which brackets rho on the
-15-significant-digit decimal grid and decides each class threshold.
+rational r by fraction-free elimination, and those signs bracket rho on
+the 15-significant-digit decimal grid and decide each class threshold.
 
 The form fixes f(base) = 0; the operators are translation invariant, so
 nothing is lost, and the Gamma form becomes half the identity on the
@@ -239,7 +239,8 @@ class CertifiedRho:
     high: Fraction = field(compare=False)
     form: QuadraticForm = field(compare=False, repr=False)
     # threshold -> sign of rho - threshold, each decided once
-    signs: dict = field(default_factory=dict, compare=False, repr=False)
+    signs: dict[Fraction, int] = field(default_factory=dict, compare=False,
+                                       repr=False)
 
     def sign(self, r) -> int:
         """The sign of rho - r, read off the bracket where it excludes r

@@ -15,8 +15,8 @@ reduction, the class verdict and rho are computed once per relabelled
 class: rho is certified from one eigensolve and exact tests, with its
 class thresholds decided there, and shared by every vertex of the
 class; each vertex reads its non-link counts and test vectors off the
-class in its own sphere1 order.  The edge problem across (x, y) lives inside the
-two-ball of x, and x is a swept vertex wherever the edge is
+class in its own sphere1 order.  The edge problem across (x, y) lives
+inside the two-ball of x, and x is a swept vertex wherever the edge is
 transport-safe, so the edge takes the kappa of the first edge from a
 vertex of the same relabelled class to a neighbor of the same label,
 and on a triangle-free graph whether the biclique decomposition across
@@ -28,8 +28,8 @@ The sweep also sorts its rows into classes of equal facts.  An edge
 class joins the keys (class of x, label of y) and (class of y, label of
 x) of every edge, since both name its kappa.  A vertex class shares the
 refined class, and with it rho, the exact test-vector values and, in a
-truncated graph, which of its labels lead to unsafe edges.  run_checks then
-replays every applicable classification, linkage, decomposition, duality
+truncated graph, which of its labels lead to unsafe edges.  run_checks
+then replays every applicable classification, linkage, decomposition, duality
 and diameter statement against those facts and reports violations.  A
 per-element statement is decided at the first row of each class, which
 also reads that vertex's own edges for the kappa at each label; only

@@ -230,8 +230,11 @@ class TestVertexMemo:
 
         monkeypatch.setattr(bakry_emery, "lowest_eigenvalue", counting)
         facts = gather_facts(build_item(spec))
-        shared = {id(vf.rho) for vf in facts.vertices if vf.safe}
+        shared = {id(vf.rho): vf for vf in facts.vertices if vf.safe}
         assert len(calls) == len(shared) == classes
+        # the class thresholds are decided with the certificate
+        for vf in shared.values():
+            assert {0, 2, Fraction(-2, vf.degree - 1)} <= set(vf.rho.signs)
 
     @pytest.mark.parametrize("spec, classes", [
         ("transpositions:5", 1), ("hypercube:8", 1), ("flip:8", 7)])

@@ -5,10 +5,11 @@ integer matrix with an integer scale (the only fractions in it are
 halves), and second neighbor variables are eliminated by a Schur
 complement that stays in integers.  rho is the least eigenvalue of the
 reduced matrix.  `cd_curvature` returns it as a float from one `eigh`;
-`certify_rho` takes that float as an estimate and settles rho in
-integer arithmetic: `rho_sign` decides the sign of rho - r for any
-rational r by fraction-free elimination, and those signs bracket rho on
-the 15-significant-digit decimal grid and decide each class threshold.
+`certify_rho` starts from the same `eigh`, at the exact Rayleigh quotient
+of its eigenvector, an upper bound on rho, and settles rho in integer
+arithmetic: `rho_sign` decides the sign of rho - r for any rational r by
+fraction-free elimination, and those signs bracket rho on the
+15-significant-digit decimal grid and decide each class threshold.
 
 The form fixes f(base) = 0; the operators are translation invariant, so
 nothing is lost, and the Gamma form becomes half the identity on the
@@ -181,7 +182,28 @@ def lowest_eigenvalue(form: QuadraticForm) -> float:
     The entries are rounded once, so equal integer matrices and scales
     give the same bits.
     """
-    return float(np.linalg.eigh(form.as_array())[0][0])
+    return lowest_eigenpair(form)[0]
+
+
+def lowest_eigenpair(form: QuadraticForm) -> tuple[float, list[float]]:
+    """lowest_eigenvalue and a unit eigenvector for it, from the same
+    eigensolve."""
+    values, vectors = np.linalg.eigh(form.as_array())
+    return float(values[0]), vectors[:, 0].tolist()
+
+
+def rayleigh_bound(form: QuadraticForm, vector) -> Fraction | None:
+    """An exact upper bound on rho: the Rayleigh quotient of `vector`
+    rounded to integers at scale 2^53, f^T M f / (scale f^T f), which no
+    nonzero f takes below the least eigenvalue.  None when the vector
+    rounds to zero."""
+    f = [round(c * 2.0 ** 53) for c in vector]
+    norm = sum(a * a for a in f)
+    if not norm:
+        return None
+    top = sum(a * sum(m * b for m, b in zip(row, f))
+              for a, row in zip(f, form.matrix) if a)
+    return Fraction(top, norm * form.scale)
 
 
 def rho_sign(form: QuadraticForm, r) -> int:
@@ -300,27 +322,41 @@ def certify_rho(form: QuadraticForm) -> CertifiedRho:
     """rho of a reduced form, correctly rounded and exactly bracketed.
 
     The sign comes first, so rho = 0 is exact and prints 0.  Otherwise
-    one eigh gives an estimate x.  In the decade e of rho, with h half a
-    unit in the 15th significant digit (10^(e - 14) / 2), rho is
-    bracketed between neighbouring multiples of h, or met on one, by
-    exact tests that start at the grid point nearest x, widen
-    geometrically and then bisect; the estimate steers the search and
-    may be off by any number of units.  The even multiple of the bracket
-    is the correctly rounded value.  When the bracket falls outside the
-    decade of e, the search restarts in the decade the bracket names.
+    one eigh gives an estimate x and an eigenvector, whose exact Rayleigh
+    quotient is an upper bound on rho (rayleigh_bound); where that bound
+    lies on rho's side of 0 it is the estimate, so a float eigenvalue
+    many units off, as at a multiple eigenvalue, costs nothing.  In the
+    decade e of x, with h half a unit in the 15th significant digit
+    (10^(e - 14) / 2), rho is bracketed between neighbouring multiples of
+    h, or met on one, by exact tests that start at the grid point at or
+    below x, widen geometrically and then bisect; a grid point above the
+    bound needs no test.  The estimate steers the search and may be off
+    by any number of units.  The even multiple of the bracket is the
+    correctly rounded value.  When the bracket falls outside the decade
+    of e, the search restarts in the decade the bracket names.
     """
     zero = Fraction(0)
     sign = rho_sign(form, zero)
     if sign == 0:
         return CertifiedRho(0.0, zero, zero, zero, form, {zero: 0})
-    x = Fraction(lowest_eigenvalue(form))
-    if x == 0 or (x > 0) != (sign > 0):
-        # float noise around a tiny rho: its size is the best guess left
-        x = -x if x else Fraction(sign)
+    estimate, vector = lowest_eigenpair(form)
+    bound = rayleigh_bound(form, vector)
+    if bound is not None and (bound < 0 or sign > 0):
+        x = bound
+    else:
+        x = Fraction(estimate)
+        if x == 0 or (x > 0) != (sign > 0):
+            # float noise around a tiny rho: its size is the best guess left
+            x = -x if x else Fraction(sign)
+
+    def test(j: int) -> int:
+        r = j * h
+        return -1 if bound is not None and r > bound else rho_sign(form, r)
+
     while True:
         e = _decade(x)
         h = Fraction(10) ** (e - 14) / 2
-        lo, hi = _bracket(lambda j: rho_sign(form, j * h), 2 * round(x / (2 * h)))
+        lo, hi = _bracket(test, math.floor(x / h))
         if lo == hi and lo % 2:
             # rho is a tie: of the mantissas k and k + 1, take the even one
             k = (lo - 1) // 2

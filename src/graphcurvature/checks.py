@@ -28,20 +28,26 @@ The sweep also sorts its rows into classes of equal facts.  An edge
 class joins the keys (class of x, label of y) and (class of y, label of
 x) of every edge, since both name its kappa.  A vertex class shares the
 refined class, and with it rho, the exact test-vector values and, in a
-truncated graph, which of its labels lead to unsafe edges.  run_checks
-then replays every applicable classification, linkage, decomposition, duality
-and diameter statement against those facts and reports violations.  A
-per-element statement is decided at the first row of each class, which
-also reads that vertex's own edges for the kappa at each label; only
-when a class fails does the check walk every row, so each violation
-still names its vertex or edge, in row order.  kappa* for the diameter
-bounds is the least kappa over the edge classes.
+truncated graph, which of its labels lead to unsafe edges.  A row costs
+the sweep a class lookup and a label: the edge pass walks each vertex's
+sorted neighbor row once, a per-vertex cursor giving the label back, and
+GraphFacts holds its rows as views, VertexRows and EdgeRows, that build
+a row's VertexFact or EdgeFact from its class data when it is read.
+run_checks then replays every applicable classification, linkage,
+decomposition, duality and diameter statement against those facts and
+reports violations.  A per-element statement is decided at the first row
+of each class, which also reads that vertex's own edges for the kappa at
+each label; only when a class fails does the check walk every row, so
+each violation still names its vertex or edge, in row order.  kappa* for
+the diameter bounds is the least kappa over the edge classes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,6 +114,68 @@ class EdgeFact:
     decomposable: bool | None
 
 
+class VertexRows(Sequence):
+    """The vertex facts of a sweep, one row per vertex of g, each built
+    when it is read.
+
+    vals[i] is the `_TwoBall.values` result at g.vertices[i], shared by
+    the rows of its class and labelling, or None where the sweep skipped
+    the vertex; the row adds the vertex's own id, label, degree and
+    non-link count dict.
+    """
+
+    def __init__(self, g: Graph, vals: list[tuple | None]):
+        self._g = g
+        self._vals = vals
+
+    def __len__(self) -> int:
+        return len(self._vals)
+
+    def __getitem__(self, i: int) -> VertexFact:
+        i = operator.index(i)
+        return self._fact(self._g.vertices[i], self._vals[i])
+
+    def __iter__(self) -> Iterator[VertexFact]:
+        return map(self._fact, self._g.vertices, self._vals)
+
+    def _fact(self, x: int, vals: tuple | None) -> VertexFact:
+        g = self._g
+        if vals is None:
+            return VertexFact(x, g.label(x), g.degree(x), False,
+                              None, None, None, None, None, None, None)
+        rho, cls, n, counts, min_linkage, flat_val, neg_val = vals
+        if counts is not None:
+            counts = dict(zip(g.neighbors(x), counts))
+        return VertexFact(x, g.label(x), g.degree(x), True, rho, cls, n,
+                          counts, min_linkage, flat_val, neg_val)
+
+
+class EdgeRows(Sequence):
+    """The edge facts of a sweep, one row per edge of g, each built when
+    it is read: row i is the edge edges[i] with the safety, kappa and
+    decomposability cells[classes[i]] of its class."""
+
+    def __init__(self, edges: tuple[tuple[int, int], ...],
+                 classes: tuple[int, ...],
+                 cells: dict[int, tuple[bool, Fraction | None, bool | None]]):
+        self._edges = edges
+        self._classes = classes
+        self._cells = cells
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __getitem__(self, i: int) -> EdgeFact:
+        i = operator.index(i)
+        x, y = self._edges[i]
+        return EdgeFact(x, y, *self._cells[self._classes[i]])
+
+    def __iter__(self) -> Iterator[EdgeFact]:
+        cells = self._cells
+        return (EdgeFact(x, y, *cells[c])
+                for (x, y), c in zip(self._edges, self._classes))
+
+
 @dataclass(frozen=True)
 class GraphFacts:
     key: str
@@ -116,8 +184,10 @@ class GraphFacts:
     triangle_free: bool
     biclique_free: bool
     truncated: bool
-    vertices: tuple[VertexFact, ...]
-    edges: tuple[EdgeFact, ...]
+    # the facts row by row, in g.vertices and g.edges order: VertexRows
+    # and EdgeRows from a sweep, or any sequence of facts
+    vertices: Sequence[VertexFact]
+    edges: Sequence[EdgeFact]
     deep_edges: tuple[tuple[int, int], ...]
     # for each row, the index of the first row of its class: rows of one
     # class hold equal facts and see equal kappas at equal labels, so a
@@ -376,7 +446,7 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         if up is not None:
             p, s = up
             kind, labels = ball_class[p]
-            carried = dict(zip((s[w] for w in g.neighbors(p)), labels))
+            carried = dict(zip(map(s.__getitem__, g.neighbors(p)), labels))
             ball_class[x] = (kind, tuple(map(carried.__getitem__,
                                              g.neighbors(x))))
             continue
@@ -391,82 +461,103 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             known = memo[key] = (kind, labels)
         ball_class[x] = known
 
-    def label_in(u: int, w: int) -> tuple[_TwoBall, int]:
-        # the refined class of u and the label of its neighbor w
-        kind, labels = ball_class[u]
-        return kind, labels[bisect_left(g.neighbors(u), w)]
-
-    efacts = []
-    # (refined class of x, label of y in the two-ball of x) -> kappa(x, y)
-    # and whether the biclique decomposition across it exists, both read
-    # inside that two-ball; adjacent vertices differ by at most one in
-    # their distance from the truncation center, so both ends of a
-    # transport-safe edge are classed
-    edge_memo: dict[tuple[_TwoBall, int], tuple[Fraction, bool | None]] = {}
-    # the key of each edge row, None at an unsafe edge, and the first row
-    # of each key
-    edge_keys: list[tuple[_TwoBall, int] | None] = []
-    first_row: dict[tuple[_TwoBall, int] | None, int] = {}
+    # an edge key is (refined class of x, label of y in the two-ball of x),
+    # numbered base[class] + label; its kappa and whether the biclique
+    # decomposition across it exists are read inside that two-ball, once
+    # per key.  Adjacent vertices differ by at most one in their distance
+    # from the truncation center, so both ends of a transport-safe edge
+    # are classed
+    base: dict[_TwoBall, int] = {}
+    keys = 0
+    for kind in kinds.values():
+        base[kind] = keys
+        keys += len(kind.slot) + 1
+    # classed vertex -> its key base and its sphere1 labels
+    at = {x: (base[kind], labels) for x, (kind, labels) in ball_class.items()}
+    solved: dict[int, tuple[Fraction, bool | None]] = {}
+    # key of each edge row, -1 at a transport-unsafe edge, and first row
+    # of each key, in row order
+    row_key: list[int] = []
+    first_row: dict[int, int] = {}
     # the key from y names the same kappa, so an edge class is a class of
     # the union-find that joins the keys from both ends of each edge
-    up: dict[tuple[_TwoBall, int], tuple[_TwoBall, int]] = {}
-    # classed vertex -> labels of its transport-unsafe edges
+    up: dict[int, int] = {}
+    joined: set[tuple[int, int]] = set()
+    # classed vertex -> keys of its transport-unsafe edges
     cut: dict[int, set[int]] = {}
-    for i, (x, y) in enumerate(g.edges):
-        if not g.transport_neighborhood_complete(x, y):
-            efacts.append(EdgeFact(x, y, False, None, None))
-            edge_keys.append(None)
-            first_row.setdefault(None, i)
-            for u, w in ((x, y), (y, x)):
-                if u in ball_class:
-                    cut.setdefault(u, set()).add(label_in(u, w)[1])
-            continue
-        key = label_in(x, y)
-        known = edge_memo.get(key)
-        if known is None:
-            known = edge_memo[key] = (
-                ollivier_kappa(g, x, y),
-                bipartite_decomposition(g, x, y) is not None
-                if triangle_free else None)
-            first_row[key] = i
-        efacts.append(EdgeFact(x, y, True, *known))
-        edge_keys.append(key)
-        back = label_in(y, x)
-        if back != key:
-            a, b = _root(up, key), _root(up, back)
-            if a != b:
-                up[b] = a
-    # first_row runs in row order, so each root meets its first row first
-    root_row: dict = {}
-    edge_class = {key: root_row.setdefault(_root(up, key), i)
-                  for key, i in first_row.items()}
-    vfacts = []
-    vertex_class = []
+    anchor = (None if g.truncation is None
+              else {v: g.transport_anchor(v) for v in g.vertices})
+    # g.edges runs x by x through the sorted rows of g.neighbors, and the
+    # neighbors of y below y come by in rising order, so the number of
+    # them passed so far is the position of x in the row of y
+    cursor = dict.fromkeys(g.vertices, 0)
+    for x in g.vertices:
+        nbrs = g.neighbors(x)
+        off, labels = at.get(x, (0, ()))
+        for j in range(cursor[x], len(nbrs)):
+            y = nbrs[j]
+            i = cursor[y]
+            cursor[y] = i + 1
+            if anchor is not None and not (anchor[x] or anchor[y]):
+                first_row.setdefault(-1, len(row_key))
+                row_key.append(-1)
+                for u, pos in ((x, j), (y, i)):
+                    if u in at:
+                        u_off, u_labels = at[u]
+                        cut.setdefault(u, set()).add(u_off + u_labels[pos])
+                continue
+            k = off + labels[j]
+            if k not in solved:
+                solved[k] = (ollivier_kappa(g, x, y),
+                             bipartite_decomposition(g, x, y) is not None
+                             if triangle_free else None)
+                first_row[k] = len(row_key)
+            row_key.append(k)
+            y_off, y_labels = at[y]
+            back = y_off + y_labels[i]
+            if back != k and (k, back) not in joined:
+                joined.add((k, back))
+                a, b = _root(up, k), _root(up, back)
+                if a != b:
+                    up[b] = a
+    # first_row runs in row order, so each root meets its first row first;
+    # the keys of a class name one kappa and one decomposition
+    root_row: dict[int, int] = {}
+    class_row = {k: root_row.setdefault(_root(up, k), i)
+                 for k, i in first_row.items()}
+    edge_class = tuple(map(class_row.__getitem__, row_key))
+    edge_cells = {i: (True, *solved[k]) if k >= 0 else (False, None, None)
+                  for k, i in first_row.items() if class_row[k] == i}
+
+    vals: list[tuple | None] = []
+    vertex_class: list[int] = []
+    # values() returns one tuple per class and labelling, so its refined
+    # class and test-vector values are hashed once per tuple: id of the
+    # tuple -> index of those facts
+    part: dict[int, int] = {}
+    parts: dict[tuple, int] = {}
     key_row: dict = {}
     for i, x in enumerate(g.vertices):
-        if x not in ball_class:
-            vfacts.append(VertexFact(x, g.label(x), g.degree(x), False,
-                                     None, None, None, None, None, None, None))
+        known = ball_class.get(x)
+        if known is None:
+            vals.append(None)
             vertex_class.append(key_row.setdefault(None, i))
             continue
-        kind, labels = ball_class[x]
-        rho, cls, n, counts, min_linkage, flat_val, neg_val = kind.values(labels)
-        if counts is not None:
-            counts = dict(zip(g.neighbors(x), counts))
-        vfacts.append(VertexFact(
-            x, g.label(x), g.degree(x), True, rho, cls, n, counts,
-            min_linkage, flat_val, neg_val,
-        ))
+        kind, labels = known
+        v = kind.values(labels)
+        vals.append(v)
+        p = part.get(id(v))
+        if p is None:
+            p = part[id(v)] = parts.setdefault((kind, v[5], v[6]), len(parts))
         # the refined class fixes every other fact and the kappa at each
         # label, but not which edges are transport-safe
         vertex_class.append(key_row.setdefault(
-            (kind, flat_val, neg_val,
-             frozenset(cut[x]) if x in cut else None), i))
+            p if x not in cut else (p, frozenset(cut[x])), i))
     return GraphFacts(
         item.key, g, is_regular(g), triangle_free, not contains_k23(g),
-        g.truncation is not None, tuple(vfacts), tuple(efacts),
-        item.deep_edges, tuple(vertex_class),
-        tuple(map(edge_class.__getitem__, edge_keys)),
+        g.truncation is not None, VertexRows(g, vals),
+        EdgeRows(g.edges, edge_class, edge_cells), item.deep_edges,
+        tuple(vertex_class), edge_class,
     )
 
 

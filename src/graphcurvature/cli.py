@@ -36,6 +36,7 @@ from .graphs import (
 from .ollivier import kappa_detail
 from .report import (
     CurvatureReport,
+    Rows,
     Section,
     edge_cells,
     section,
@@ -99,14 +100,16 @@ def cmd_curvature(ns) -> int:
         rho = certify_rho(eliminate_second_neighbors(gamma2_form(ball), ball))
         verdict = classify_vertex(g, ball)
         cells = vertex_cells(rho, verdict.structure_class, verdict.N)
-        sec = Section(key, [(g.label(x), True, *cells)], [], [])
+        sec = Section(key, {x: g.label(x)},
+                      Rows((x,), (0,), {0: (True, *cells)}), Rows(), [])
     else:
         g = parse_graph_spec(ns.source)
         a, b = _split_edge_arg(ns.edge)
         x = g.resolve_vertex(a)
         y = g.resolve_vertex(b)
         cells = edge_cells(kappa_detail(g, x, y).kappa)
-        sec = Section(key, [], [(g.label(x), g.label(y), True, *cells)], [])
+        sec = Section(key, {x: g.label(x), y: g.label(y)}, Rows(),
+                      Rows(((x, y),), (0,), {0: (True, *cells)}), [])
     report = CurvatureReport(
         [sec], {"seconds": round(time.perf_counter() - t0, 6)})
     _emit(_render_report(report, ns.format), ns.out)

@@ -242,12 +242,17 @@ class Graph:
         any interior edge to exist).
         """
         self.require_edge(x, y)
-        if self.truncation is None:
+        return self.transport_anchor(x) or self.transport_anchor(y)
+
+    def transport_anchor(self, v: int) -> bool:
+        """Whether every edge at v is transport-safe: always on an
+        untruncated graph, and else when the truncation radius is at least
+        4 and v lies within radius - 3 of its center.  An edge is
+        transport-safe exactly when one of its ends is an anchor."""
+        t = self.truncation
+        if t is None:
             return True
-        if self.truncation.radius < 4:
-            return False
-        margin = self.truncation.radius - 3
-        return self._within_center(x, margin) or self._within_center(y, margin)
+        return t.radius >= 4 and self._within_center(v, t.radius - 3)
 
 
 # -- traversal helpers ----------------------------------------------------

@@ -1,16 +1,20 @@
 """Report sections and their table/CSV/JSON renderings.
 
-A report is one `Section` per graph: its vertex and edge rows with every
-value already text, and its check results.  `section` formats each value
-once per vertex or edge class, because rows of one class hold equal
-facts; `vertex_cells` and `edge_cells` are the only places where `rho`
-and `kappa` become text.  rho prints correctly rounded to 15
+A report is one `Section` per graph: its check results and its vertex
+and edge rows, each row a vertex or an edge and the index of its class,
+with each class's value cells held once as text.  `section` formats
+each value once per vertex or edge class, because rows of one class
+hold equal facts; `vertex_cells` and `edge_cells` are the only places
+where `rho` and `kappa` become text.  rho prints correctly rounded to 15
 significant digits, and exactly 0 where it is 0.  Edge curvatures are
 serialized as exact fraction strings "p/q" next to a
 15-significant-digit decimal, so a reader of the output can decide signs
-at zero exactly.  Timing lives in
-its own field and never influences row content; re-running an identical
-corpus reproduces every non-timing byte.
+at zero exactly.  The table and JSON renderers read the rows through
+`Section.vertex_rows` and `edge_rows`; `to_csv` quotes each distinct
+label and each class's cells once, through the csv module, and joins
+each row from them.  Timing lives in its own field and never influences
+row content; re-running an identical corpus reproduces every non-timing
+byte.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,18 +53,43 @@ def edge_cells(kappa: Fraction | None) -> tuple[str | None, str | None]:
 
 
 @dataclass(frozen=True)
-class Section:
-    """One graph's rows, each value already text.
+class Rows:
+    """Report rows of one kind, each naming the value cells of its class.
 
-    Vertex rows are (label, safe, rho, class, N), edge rows are
-    (x label, y label, safe, kappa "p/q", kappa decimal), with None in the
-    value cells of a skipped row.
+    Row i is keys[i], a vertex or an (x, y) edge, and its value cells are
+    cells[classes[i]]: (safe, rho, class, N) for a vertex and (safe,
+    kappa "p/q", kappa decimal) for an edge, every value already text and
+    None in a skipped row.
     """
 
+    keys: Sequence = ()
+    classes: Sequence[int] = ()
+    cells: Mapping[int, tuple] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Section:
+    """One graph's rows and check results; labels holds the text of each
+    vertex the rows name."""
+
     graph: str
-    vertices: list[tuple[str, bool, str | None, str | None, int | None]]
-    edges: list[tuple[str, str, bool, str | None, str | None]]
+    labels: Mapping[int, str]
+    vertices: Rows
+    edges: Rows
     checks: list[CheckResult]
+
+    def vertex_rows(self) -> Iterator[tuple]:
+        """(label, safe, rho, class, N) for each vertex row."""
+        labels, cells = self.labels, self.vertices.cells
+        return ((labels[v], *cells[c])
+                for v, c in zip(self.vertices.keys, self.vertices.classes))
+
+    def edge_rows(self) -> Iterator[tuple]:
+        """(x label, y label, safe, kappa "p/q", kappa decimal) for each
+        edge row."""
+        labels, cells = self.labels, self.edges.cells
+        return ((labels[x], labels[y], *cells[c])
+                for (x, y), c in zip(self.edges.keys, self.edges.classes))
 
 
 def section(facts: GraphFacts, results: list[CheckResult]) -> Section:
@@ -67,18 +97,16 @@ def section(facts: GraphFacts, results: list[CheckResult]) -> Section:
     vcells = {}
     for c in dict.fromkeys(facts.vertex_class):
         vf = facts.vertices[c]
-        vcells[c] = vertex_cells(vf.rho, vf.structure_class, vf.N)
-    ecells = {c: edge_cells(facts.edges[c].kappa)
-              for c in dict.fromkeys(facts.edge_class)}
-    label = facts.graph.label
+        vcells[c] = (vf.safe, *vertex_cells(vf.rho, vf.structure_class, vf.N))
+    ecells = {}
+    for c in dict.fromkeys(facts.edge_class):
+        ef = facts.edges[c]
+        ecells[c] = (ef.safe, *edge_cells(ef.kappa))
+    g = facts.graph
     return Section(
-        facts.key,
-        [(vf.label, vf.safe, *vcells[c])
-         for vf, c in zip(facts.vertices, facts.vertex_class)],
-        [(label(ef.x), label(ef.y), ef.safe, *ecells[c])
-         for ef, c in zip(facts.edges, facts.edge_class)],
-        results,
-    )
+        facts.key, dict(zip(g.vertices, map(g.label, g.vertices))),
+        Rows(g.vertices, facts.vertex_class, vcells),
+        Rows(g.edges, facts.edge_class, ecells), results)
 
 
 @dataclass
@@ -93,12 +121,12 @@ def to_json(report: CurvatureReport) -> str:
         "vertices": [
             {"graph": s.graph, "vertex": v, "safe": safe, "rho": rho,
              "class": cls, "N": n}
-            for s in sections for v, safe, rho, cls, n in s.vertices
+            for s in sections for v, safe, rho, cls, n in s.vertex_rows()
         ],
         "edges": [
             {"graph": s.graph, "x": x, "y": y, "safe": safe,
              "kappa": kappa, "kappa_decimal": decimal}
-            for s in sections for x, y, safe, kappa, decimal in s.edges
+            for s in sections for x, y, safe, kappa, decimal in s.edge_rows()
         ],
         "checks": [
             {"graph": s.graph, "check": r.name, "applicable": r.applicable,
@@ -114,19 +142,64 @@ _CSV_HEADER = ["kind", "graph", "a", "b", "safe", "rho", "class", "N",
                "kappa", "kappa_decimal", "applicable", "passed", "details"]
 
 
-def to_csv(report: CurvatureReport) -> str:
+def _csv_writer(buf: io.StringIO):
+    """The one csv dialect of every report row: the module's default,
+    rows ending in a bare newline."""
+    return csv.writer(buf, lineterminator="\n")
+
+
+def _csv_fields(fields: list[str]) -> list[str]:
+    """Each field as the csv module writes it inside a row of several.
+
+    One row of all of them, ended by an empty field, decides whether any
+    needs quoting: none does when it reads as their plain join.  Only
+    then is each written again, before an empty field, which adds the
+    ",\n" cut off here."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    w = _csv_writer(buf)
+    w.writerow([*fields, ""])
+    if buf.getvalue() == ",".join(fields) + ",\n":
+        return fields
+    quoted = []
+    for f in fields:
+        buf.seek(0)
+        buf.truncate()
+        w.writerow([f, ""])
+        quoted.append(buf.getvalue()[:-2])
+    return quoted
+
+
+def _csv_tail(fields: list) -> str:
+    """The cells of a row after its labels, each written as csv writes it."""
+    return "," + ",".join(_csv_fields(["" if f is None else str(f)
+                                        for f in fields]))
+
+
+def to_csv(report: CurvatureReport) -> str:
+    """The report as CSV rows, byte for byte what one csv.writer row per
+    vertex, edge and check writes: each distinct label, graph name and
+    class tail is quoted once and each vertex or edge row is joined from
+    them."""
+    buf = io.StringIO()
+    w = _csv_writer(buf)
     w.writerow(_CSV_HEADER)
     sections = report.sections
-    for s in sections:
-        w.writerows(["vertex", s.graph, v, "", int(safe), rho or "",
-                     cls or "", "" if n is None else n, "", "", "", "", ""]
-                    for v, safe, rho, cls, n in s.vertices)
-    for s in sections:
-        w.writerows(["edge", s.graph, x, y, int(safe), "", "", "",
-                     kappa or "", decimal or "", "", "", ""]
-                    for x, y, safe, kappa, decimal in s.edges)
+    quoted = [(_csv_fields([s.graph])[0],
+               dict(zip(s.labels, _csv_fields(list(s.labels.values())))))
+              for s in sections]
+    for s, (graph, labels) in zip(sections, quoted):
+        rows = s.vertices
+        tails = {c: _csv_tail(["", int(safe), rho, cls, n, "", "", "", "", ""])
+                 for c, (safe, rho, cls, n) in rows.cells.items()}
+        buf.write("".join([f"vertex,{graph},{labels[v]}{tails[c]}\n"
+                           for v, c in zip(rows.keys, rows.classes)]))
+    for s, (graph, labels) in zip(sections, quoted):
+        rows = s.edges
+        tails = {c: _csv_tail([int(safe), "", "", "", kappa, decimal,
+                               "", "", ""])
+                 for c, (safe, kappa, decimal) in rows.cells.items()}
+        buf.write("".join([f"edge,{graph},{labels[x]},{labels[y]}{tails[c]}\n"
+                           for (x, y), c in zip(rows.keys, rows.classes)]))
     for s in sections:
         w.writerows(["check", s.graph, r.name, "", "", "", "", "", "", "",
                      int(r.applicable), int(r.passed), "; ".join(r.details)]
@@ -138,16 +211,16 @@ def to_table(report: CurvatureReport) -> str:
     lines = []
     for s in report.sections:
         lines.append(f"== {s.graph} ==")
-        if s.vertices:
+        if s.vertices.keys:
             lines.append(f"  {'vertex':<18} {'rho':>22} {'class':<16} {'N':>3}")
-            for v, _, rho, cls, n in s.vertices:
+            for v, _, rho, cls, n in s.vertex_rows():
                 lines.append(
                     f"  {v:<18} {rho or '(skipped)':>22} {cls or '-':<16} "
                     f"{'-' if n is None else n:>3}"
                 )
-        if s.edges:
+        if s.edges.keys:
             lines.append(f"  {'edge':<30} {'kappa':>12} {'decimal':>22}")
-            for x, y, _, kappa, decimal in s.edges:
+            for x, y, _, kappa, decimal in s.edge_rows():
                 if kappa is None:
                     lines.append(f"  ({x}, {y}) skipped: truncation boundary")
                 else:

@@ -27,11 +27,15 @@ the package searches breadth first.  The link-profile oracle recounts
 each joining vertex's first-sphere neighbors for every pair and adds
 the linkage weights one `Fraction` at a time.  The section oracle
 formats every report row from its own fact, where the package formats
-each class's values once.
+each class's values once, and the CSV oracle writes one csv.writer row
+per report row, where the package quotes each label and each class's
+cells once.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import deque
 from fractions import Fraction
@@ -72,7 +76,6 @@ from graphcurvature.ollivier import (
     _min_cost_flow,
     ollivier_kappa,
 )
-from graphcurvature.report import Section
 
 
 def bfs(g, source, radius=None) -> dict:
@@ -719,9 +722,9 @@ def checks_one_by_one(facts) -> list[CheckResult]:
         check_witness_bounds, check_duality, _quantization, _diameter_bounds)]
 
 
-def section_one_by_one(facts, results) -> Section:
-    """report.section with every vertex and edge row formatted from its
-    own fact."""
+def section_one_by_one(facts, results) -> tuple:
+    """report.section's graph, vertex rows, edge rows and checks, with
+    every vertex and edge row formatted from its own fact."""
     label = facts.graph.label
     vertices = [
         (vf.label, vf.safe,
@@ -734,4 +737,27 @@ def section_one_by_one(facts, results) -> Section:
          None if ef.kappa is None else str(ef.kappa),
          None if ef.kappa is None else f"{float(ef.kappa):.15g}")
         for ef in facts.edges]
-    return Section(facts.key, vertices, edges, list(results))
+    return facts.key, vertices, edges, list(results)
+
+
+def csv_one_by_one(report) -> str:
+    """report.to_csv with one csv.writer row per vertex, edge and check,
+    read off the section row iterators."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["kind", "graph", "a", "b", "safe", "rho", "class", "N",
+                "kappa", "kappa_decimal", "applicable", "passed", "details"])
+    sections = report.sections
+    for s in sections:
+        w.writerows(["vertex", s.graph, v, "", int(safe), rho or "",
+                     cls or "", "" if n is None else n, "", "", "", "", ""]
+                    for v, safe, rho, cls, n in s.vertex_rows())
+    for s in sections:
+        w.writerows(["edge", s.graph, x, y, int(safe), "", "", "",
+                     kappa or "", decimal or "", "", "", ""]
+                    for x, y, safe, kappa, decimal in s.edge_rows())
+    for s in sections:
+        w.writerows(["check", s.graph, r.name, "", "", "", "", "", "", "",
+                     int(r.applicable), int(r.passed), "; ".join(r.details)]
+                    for r in s.checks)
+    return buf.getvalue()

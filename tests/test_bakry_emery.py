@@ -15,6 +15,7 @@ from graphcurvature.bakry_emery import (
     certify_rho,
     eliminate_second_neighbors,
     gamma2_form,
+    rayleigh_bound,
     rho_sign,
     second_neighbor_minimizer,
 )
@@ -393,6 +394,37 @@ class TestCertifiedRho:
         assert rho.low <= Fraction("-0.17579566188592") <= rho.high
         assert rho.high - rho.low == Fraction(5, 10 ** 16)
 
+    def test_rayleigh_seed_takes_few_exact_tests(self, monkeypatch):
+        # the triple eigenvalue of test_estimate_off_by_many_units: eigh
+        # is about forty half units off and took 13 exact tests, where
+        # the eigenvector's Rayleigh quotient lands within one half unit
+        g = parse_graph_spec("zigzag:hypercube:6,complete:6")
+        form = reduced(g, 0)
+        calls = []
+        sign = bakry_emery.rho_sign
+
+        def counting(form, r):
+            calls.append(r)
+            return sign(form, r)
+
+        monkeypatch.setattr(bakry_emery, "rho_sign", counting)
+        rho = certify_rho(form)
+        d = g.degree(0)
+        for r in (2, 0, Fraction(-2, d - 1)):
+            rho.sign(r)
+        assert f"{rho.value:.15g}" == "-0.17579566188592"
+        assert len(calls) <= 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_forms(), st.lists(st.floats(-4, 4), min_size=5, max_size=5))
+    def test_rayleigh_bound_is_an_upper_bound(self, case, vector):
+        form, _ = case
+        bound = rayleigh_bound(form, vector[:len(form.index)])
+        if bound is None:
+            assert all(round(c * 2.0 ** 53) == 0 for c in vector[:len(form.index)])
+        else:
+            assert fraction_rho_sign(form.matrix, form.scale, bound) <= 0
+
     def test_rounding_ties_go_to_even(self):
         # rho = 1.000000000000005 exactly, halfway between two 15-digit
         # decimals, and -1.000000000000015 likewise
@@ -408,15 +440,19 @@ class TestCertifiedRho:
                                    st.integers(0, 18), st.integers(-60, 60))),
            scale=st.one_of(st.integers(1, 10 ** 18),
                            st.builds(lambda k: 10 ** k, st.integers(0, 18))),
-           skew=st.sampled_from([1.0, 1 + 1e-12, 1.001, 10.0, 0.01, -1.0, 0.0]))
-    def test_rounds_like_decimal_from_any_estimate(self, num, scale, skew):
+           skew=st.sampled_from([1.0, 1 + 1e-12, 1.001, 10.0, 0.01, -1.0, 0.0]),
+           vector=st.sampled_from([1.0, -0.5, 1e-300, 0.0]))
+    def test_rounds_like_decimal_from_any_estimate(self, num, scale, skew,
+                                                   vector):
         # rho = num / scale exactly; the estimate is skewed, of the wrong
         # sign or zero, and the printed value is still Decimal's correctly
-        # rounded quotient, across decade boundaries too
+        # rounded quotient, across decade boundaries too; an eigenvector
+        # that rounds to zero leaves the estimate alone to steer
         form = QuadraticForm((0,), [[num]], scale)
         estimate = bakry_emery.lowest_eigenvalue(form) * skew
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bakry_emery, "lowest_eigenvalue", lambda form: estimate)
+            mp.setattr(bakry_emery, "lowest_eigenpair",
+                       lambda form: (estimate, [vector]))
             rho = certify_rho(form)
         want = Context(prec=15, rounding=ROUND_HALF_EVEN).divide(num, scale)
         assert rho.value == float(want)

@@ -30,6 +30,7 @@ from graphcurvature.graphs import (
 )
 from graphcurvature.report import (
     CurvatureReport,
+    Rows,
     Section,
     edge_cells,
     section,
@@ -41,6 +42,7 @@ from graphcurvature.report import (
 from conftest import exact_rho, perturbed
 from oracles import (
     checks_one_by_one,
+    csv_one_by_one,
     edge_facts_one_by_one,
     orbit_roots,
     section_one_by_one,
@@ -171,7 +173,7 @@ class TestVertexMemo:
             sweeps.append((spec, item.graph, gather_facts(item)))
         for key, g, facts in sweeps:
             expect = vertex_facts_one_by_one(g)
-            got = facts.vertices
+            got = tuple(facts.vertices)
             assert got == expect, key
             # same neighbor order in every non-link count dict
             assert [list(vf.nonlink_counts or ()) for vf in got] == \
@@ -222,13 +224,13 @@ class TestVertexMemo:
         # and every vertex of the class shares that certificate; the
         # dense-sweep graphs have no class with rho = 0, which needs none
         calls = []
-        estimate = bakry_emery.lowest_eigenvalue
+        estimate = bakry_emery.lowest_eigenpair
 
         def counting(form):
             calls.append(form.index)
             return estimate(form)
 
-        monkeypatch.setattr(bakry_emery, "lowest_eigenvalue", counting)
+        monkeypatch.setattr(bakry_emery, "lowest_eigenpair", counting)
         facts = gather_facts(build_item(spec))
         shared = {id(vf.rho): vf for vf in facts.vertices if vf.safe}
         assert len(calls) == len(shared) == classes
@@ -288,7 +290,7 @@ class TestVertexMemo:
              (10, 11), (10, 12), (11, 13), (11, 14), (12, 15), (12, 16)],
         )
         facts = gather_facts(CorpusItem("two-shapes", g, ()))
-        assert facts.vertices == vertex_facts_one_by_one(g)
+        assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
         at = {vf.vertex: vf for vf in facts.vertices}
         assert at[0].nonlink_counts == {1: 0, 2: 0}
         assert at[10].nonlink_counts == {11: 1, 12: 1}
@@ -307,8 +309,8 @@ class TestVertexMemo:
             + [(11, 12), (12, 13), (11, 13), (14, 15), (15, 16), (14, 16)],
         )
         facts = gather_facts(CorpusItem("wheel-and-cone", g, ()))
-        assert facts.vertices == vertex_facts_one_by_one(g)
-        assert facts.edges == edge_facts_one_by_one(g)
+        assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
+        assert tuple(facts.edges) == edge_facts_one_by_one(g)
         at = {vf.vertex: vf for vf in facts.vertices}
         assert at[0].rho.exact == Fraction(1, 2)
         assert at[10].rho.exact == Fraction(-3, 2)
@@ -332,8 +334,8 @@ class TestVertexMemo:
         both += [(ids[n + copy[u]], ids[n + copy[v]]) for u, v in edges]
         g = Graph(range(2 * n), both, truncation=truncation)
         facts = gather_facts(CorpusItem("random", g, g.edges[:1]))
-        assert facts.vertices == vertex_facts_one_by_one(g)
-        assert facts.edges == edge_facts_one_by_one(g)
+        assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
+        assert tuple(facts.edges) == edge_facts_one_by_one(g)
         assert_checks_match_one_by_one(facts)
 
 
@@ -390,8 +392,53 @@ class TestSymmetries:
         item.graph.symmetries = item.graph.symmetries[:2]
         facts = gather_facts(item)
         assert len(orbit_roots(item.graph)) == 8
-        assert facts.vertices == vertex_facts_one_by_one(item.graph)
-        assert facts.edges == edge_facts_one_by_one(item.graph)
+        assert tuple(facts.vertices) == vertex_facts_one_by_one(item.graph)
+        assert tuple(facts.edges) == edge_facts_one_by_one(item.graph)
+
+
+class TestRowViews:
+    def test_rows_index_like_tuples(self):
+        facts = gather_facts(build_item("hypercube:3"))
+        for rows, n in ((facts.vertices, 8), (facts.edges, 12)):
+            whole = tuple(rows)
+            assert len(rows) == len(whole) == n
+            assert [rows[i] for i in range(-n, n)] == list(whole + whole)
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    rows[i]
+            assert list(rows) == list(iter(rows)) == list(whole)
+
+    @pytest.mark.parametrize("spec", ["lattice:2:5", "edge+point"])
+    def test_rows_match_one_by_one(self, spec):
+        # a truncated lattice, whose unsafe edges cut some classed
+        # vertices, and an isolated vertex
+        if spec == "edge+point":
+            item = CorpusItem(spec, Graph(range(3), [(0, 1)]), ((0, 1),))
+        else:
+            item = build_item(spec)
+        facts = gather_facts(item)
+        assert tuple(facts.vertices) == vertex_facts_one_by_one(item.graph)
+        assert tuple(facts.edges) == edge_facts_one_by_one(item.graph)
+        assert_checks_match_one_by_one(facts)
+        assert not all(vf.safe for vf in facts.vertices)
+        if item.graph.truncation is not None:
+            assert not all(ef.safe for ef in facts.edges)
+
+    def test_verify_builds_few_fact_records(self, monkeypatch, capsys):
+        # a row's fact is built when a check or the report reads it, and
+        # they read one row per class but for a failing class; the
+        # default corpus has 3,722 vertex rows and 6,719 edge rows
+        built = []
+        for cls in (checks.VertexFact, checks.EdgeFact):
+            def counting(fact, *args, init=cls.__init__):
+                built.append(type(fact))
+                init(fact, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        from graphcurvature.cli import main
+        assert main(["verify", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert (out.count("\nvertex,"), out.count("\nedge,")) == (3722, 6719)
+        assert 0 < len(built) < 1500
 
 
 class TestEdgeMemo:
@@ -399,11 +446,11 @@ class TestEdgeMemo:
         # repeated edges are no longer certified one by one in a sweep, so
         # every kappa is compared with its own certified ollivier_kappa
         for key, item in corpus_items.items():
-            assert corpus_facts[key].edges == \
+            assert tuple(corpus_facts[key].edges) == \
                    edge_facts_one_by_one(item.graph), key
         for spec in ("transpositions:5", "hypercube:8", "flip:8"):
             item = build_item(spec)
-            assert gather_facts(item).edges == \
+            assert tuple(gather_facts(item).edges) == \
                    edge_facts_one_by_one(item.graph), spec
 
     def test_second_sphere_edges_split_edge_classes(self):
@@ -416,8 +463,8 @@ class TestEdgeMemo:
              (10, 11), (10, 12), (11, 13), (12, 14), (13, 14)],
         )
         facts = gather_facts(CorpusItem("path-and-cycle", g, ()))
-        assert facts.vertices == vertex_facts_one_by_one(g)
-        assert facts.edges == edge_facts_one_by_one(g)
+        assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
+        assert tuple(facts.edges) == edge_facts_one_by_one(g)
         kappa = {(ef.x, ef.y): ef.kappa for ef in facts.edges}
         assert kappa[(0, 1)] != kappa[(10, 11)]
 
@@ -539,15 +586,21 @@ class TestChecksPerClass:
         assert calls == [11]
 
 
+def section_rows(sec):
+    """The graph, vertex rows, edge rows and checks of a section."""
+    return (sec.graph, list(sec.vertex_rows()), list(sec.edge_rows()),
+            sec.checks)
+
+
 def assert_section_matches_one_by_one(facts, results):
     """report.section equals the row-by-row oracle on facts and on both
     perturbations of them."""
-    assert section(facts, results) == section_one_by_one(facts, results), \
-        facts.key
+    assert section_rows(section(facts, results)) == \
+        section_one_by_one(facts, results), facts.key
     for kind, rows in (("kappa", facts.edges), ("rho", facts.vertices)):
         if any(getattr(r, kind) is not None for r in rows):
             bad = perturbed(facts, kind)
-            assert section(bad, results) == \
+            assert section_rows(section(bad, results)) == \
                 section_one_by_one(bad, results), (facts.key, kind)
 
 
@@ -654,7 +707,7 @@ class TestReportSerialization:
                     for key, f in corpus_facts.items()]
         sections += [section(f, run_checks(f)) for f in gathered(
             "transpositions:5", "hypercube:8", "flip:8")]
-        cells = [rho for s in sections for _, _, rho, _, _ in s.vertices]
+        cells = [rho for s in sections for _, _, rho, _, _ in s.vertex_rows()]
         assert "0" in cells
         assert not [c for c in cells
                     if c is not None and c.startswith("-") and float(c) == 0]
@@ -681,8 +734,44 @@ class TestReportSerialization:
                [(r.name, str(int(r.applicable)), str(int(r.passed)))
                 for f in facts for r in run_checks(f)]
 
+    def test_csv_matches_row_by_row_writer(self, tmp_path):
+        # labels the csv module must quote, or must not: a comma, a quote,
+        # a carriage return, a newline, a leading space, non-ASCII text
+        # and the empty string, on a truncated cycle with skipped rows
+        # and an isolated vertex; the check details hold a comma and a
+        # quote
+        labels = ["a,b", 'say "hi"', "cr\rhere", "line\nbreak", " lead",
+                  "ünïcødé", "", "plain"]
+        doc = {"vertices": list(range(9)),
+               "edges": [[i, (i + 1) % 8] for i in range(8)],
+               "labels": {str(i): lab for i, lab in enumerate(labels)},
+               "truncation": {"center": 0, "radius": 4}}
+        path = tmp_path / "odd, labels.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        facts = gathered(f"file:{path}")[0]
+        assert facts.graph.label(8) == "8" and facts.graph.degree(8) == 0
+        results = run_checks(facts) + [CheckResult(
+            "duality", True, False, ('gap 1/2 on ("a,b", x)', "plan, off"))]
+        rep = CurvatureReport([section(facts, results),
+                               *build_report("zigzag:hypercube:4,cycle:4",
+                                             "cycle:5").sections])
+        text = to_csv(rep)
+        assert text == csv_one_by_one(rep)
+        # quoted where the writer quotes; with "\n" ending each row it
+        # leaves a lone "\r" bare
+        graph = '"file:' + str(path).replace('"', '""') + '"'
+        for cell in ('"a,b"', '"say ""hi"""', 'cr\rhere', '"line\nbreak"',
+                     ' lead', 'ünïcødé'):
+            assert f"\nvertex,{graph},{cell},," in text
+        assert f"\nvertex,{graph},,,1," in text
+        assert f"\nvertex,{graph},8,,0,,,,,,,,\n" in text
+        assert f"\nedge,{graph},\"a,b\",\"say \"\"hi\"\"\",1,,,,0,0," in text
+        assert f"\nedge,{graph}," + '"line\nbreak", lead,0,,,,,,,,\n' in text
+        assert (f'\ncheck,{graph},duality,,,,,,,,1,0,'
+                f'"gap 1/2 on (""a,b"", x); plan, off"\n') in text
+
     def test_csv_joins_details_in_one_cell(self):
-        rep = CurvatureReport([Section("g", [], [], [CheckResult(
+        rep = CurvatureReport([Section("g", {}, Rows(), Rows(), [CheckResult(
             "duality", True, False, ("gap 1/2 on (0, 1)", "plan off"))])])
         (row,) = csv_rows(rep, "check")
         assert row[-1] == "gap 1/2 on (0, 1); plan off"

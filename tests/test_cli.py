@@ -301,6 +301,7 @@ class TestVerifyCommand:
         Recording(io.BytesIO(pickle.dumps(cli._verify_one("petersen")))).load()
         assert {c for c in found if c[0].startswith("graphcurvature")} == {
             ("graphcurvature.report", "Section"),
+            ("graphcurvature.report", "Rows"),
             ("graphcurvature.checks", "CheckResult")}
 
     @pytest.mark.parametrize("spec", [

@@ -120,6 +120,25 @@ def test_traced_eigh_counts_one_per_refined_class(capsys):
     assert tracer.metrics()["bakry_emery.eigh.calls"] == 6
 
 
+def test_traced_corpus_verify_sees_the_moved_layers(capsys):
+    # the corpus-verify workload under the tracer: the sweep and the CSV
+    # renderer stay where the tracer wraps them, once per graph and once
+    # per report
+    tracing = load_perfbench("tracing")
+    from graphcurvature.cli import main
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "--jobs", "1", "--format", "csv"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.absent == []
+    metrics = tracer.metrics()
+    assert metrics["checks.gather_facts.calls"] == 47
+    assert metrics["report.to_csv.calls"] == 1
+
+
 def test_verify_rows_match_the_benchmark_reference(capsys):
     # the benchmark's output gate, run here over every graph it holds, so
     # a changed row fails tier-1 and not only a benchmark run

@@ -182,11 +182,11 @@ def lowest_eigenvalue(form: QuadraticForm) -> float:
     The entries are rounded once, so equal integer matrices and scales
     give the same bits.
     """
-    return lowest_eigenpair(form)[0]
+    return float(np.linalg.eigh(form.as_array())[0][0])
 
 
 def lowest_eigenpair(form: QuadraticForm) -> tuple[float, list[float]]:
-    """lowest_eigenvalue and a unit eigenvector for it, from the same
+    """lowest_eigenvalue and a unit eigenvector for it, from one
     eigensolve."""
     values, vectors = np.linalg.eigh(form.as_array())
     return float(values[0]), vectors[:, 0].tolist()

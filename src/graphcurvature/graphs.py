@@ -242,6 +242,8 @@ class Graph:
         any interior edge to exist).
         """
         self.require_edge(x, y)
+        if self.truncation is None:
+            return True
         return self.transport_anchor(x) or self.transport_anchor(y)
 
     def transport_anchor(self, v: int) -> bool:

@@ -25,21 +25,22 @@ solved or certified one by one; ollivier_kappa still certifies every
 answer it computes.
 
 The sweep also sorts its rows into classes of equal facts.  An edge
-class joins the keys (class of x, label of y) and (class of y, label of
-x) of every edge, since both name its kappa.  A vertex class shares the
+class is every edge row with the same safety, kappa, decomposability
+and sorted pair of end degrees, which is all a check reads of an edge;
+the transport-unsafe rows form one class.  A vertex class shares the
 refined class, and with it rho, the exact test-vector values and, in a
 truncated graph, which of its labels lead to unsafe edges.  A row costs
 the sweep a class lookup and a label: the edge pass walks each vertex's
-sorted neighbor row once, a per-vertex cursor giving the label back, and
-GraphFacts holds its rows as views, VertexRows and EdgeRows, that build
-a row's VertexFact or EdgeFact from its class data when it is read.
-run_checks then replays every applicable classification, linkage,
-decomposition, duality and diameter statement against those facts and
-reports violations.  A per-element statement is decided at the first row
-of each class, which also reads that vertex's own edges for the kappa at
-each label; only when a class fails does the check walk every row, so
-each violation still names its vertex or edge, in row order.  kappa* for
-the diameter bounds is the least kappa over the edge classes.
+sorted neighbor row once, and GraphFacts holds its rows as views,
+VertexRows and EdgeRows, that build a row's VertexFact or EdgeFact from
+its class data when it is read.  run_checks then replays every
+applicable classification, linkage, decomposition, duality and diameter
+statement against those facts and reports violations.  A per-element
+statement is decided at the first row of each class, which also reads
+that vertex's own edges for the kappa at each label; only when a class
+fails does the check walk every row, so each violation still names its
+vertex or edge, in row order.  kappa* for the diameter bounds is the
+least kappa over the edge classes.
 """
 
 from __future__ import annotations
@@ -189,10 +190,12 @@ class GraphFacts:
     vertices: Sequence[VertexFact]
     edges: Sequence[EdgeFact]
     deep_edges: tuple[tuple[int, int], ...]
-    # for each row, the index of the first row of its class: rows of one
-    # class hold equal facts and see equal kappas at equal labels, so a
-    # check decided at the first row of each class is decided at every
-    # row; the rows the sweep skips form one class
+    # for each row, the index of the first row of its class: the rows of
+    # an edge class hold equal safety, kappa and decomposability and equal
+    # sorted end degrees, and the rows of a vertex class equal facts and
+    # equal kappas at equal labels, so a check decided at the first row of
+    # each class is decided at every row; the rows the sweep skips form
+    # one class
     vertex_class: tuple[int, ...]
     edge_class: tuple[int, ...]
 
@@ -461,12 +464,12 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             known = memo[key] = (kind, labels)
         ball_class[x] = known
 
-    # an edge key is (refined class of x, label of y in the two-ball of x),
-    # numbered base[class] + label; its kappa and whether the biclique
-    # decomposition across it exists are read inside that two-ball, once
-    # per key.  Adjacent vertices differ by at most one in their distance
-    # from the truncation center, so both ends of a transport-safe edge
-    # are classed
+    # an edge key is (refined class of x, label of y in the two-ball of x)
+    # for x < y, numbered base[class] + label; its kappa and whether the
+    # biclique decomposition across it exists are read inside that
+    # two-ball, once per key.  Adjacent vertices differ by at most one in
+    # their distance from the truncation center, so both ends of a
+    # transport-safe edge are classed
     base: dict[_TwoBall, int] = {}
     keys = 0
     for kind in kinds.values():
@@ -474,60 +477,34 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         keys += len(kind.slot) + 1
     # classed vertex -> its key base and its sphere1 labels
     at = {x: (base[kind], labels) for x, (kind, labels) in ball_class.items()}
-    solved: dict[int, tuple[Fraction, bool | None]] = {}
-    # key of each edge row, -1 at a transport-unsafe edge, and first row
-    # of each key, in row order
-    row_key: list[int] = []
-    first_row: dict[int, int] = {}
-    # the key from y names the same kappa, so an edge class is a class of
-    # the union-find that joins the keys from both ends of each edge
-    up: dict[int, int] = {}
-    joined: set[tuple[int, int]] = set()
-    # classed vertex -> keys of its transport-unsafe edges
-    cut: dict[int, set[int]] = {}
     anchor = (None if g.truncation is None
               else {v: g.transport_anchor(v) for v in g.vertices})
-    # g.edges runs x by x through the sorted rows of g.neighbors, and the
-    # neighbors of y below y come by in rising order, so the number of
-    # them passed so far is the position of x in the row of y
-    cursor = dict.fromkeys(g.vertices, 0)
+    # an edge class is every row with equal (safe, kappa, decomposable)
+    # cells and equal sorted end degrees, which is all a check reads of an
+    # edge; the transport-unsafe rows are one class.  Those values -> the
+    # first row of their class, and edge key -> the first row of its class
+    first_row: dict[tuple, int] = {}
+    key_row: dict[int, int] = {}
+    row_class: list[int] = []
     for x in g.vertices:
-        nbrs = g.neighbors(x)
         off, labels = at.get(x, (0, ()))
-        for j in range(cursor[x], len(nbrs)):
-            y = nbrs[j]
-            i = cursor[y]
-            cursor[y] = i + 1
+        for j, y in enumerate(g.neighbors(x)):
+            if y < x:
+                continue
             if anchor is not None and not (anchor[x] or anchor[y]):
-                first_row.setdefault(-1, len(row_key))
-                row_key.append(-1)
-                for u, pos in ((x, j), (y, i)):
-                    if u in at:
-                        u_off, u_labels = at[u]
-                        cut.setdefault(u, set()).add(u_off + u_labels[pos])
+                row_class.append(first_row.setdefault((False, None, None),
+                                                      len(row_class)))
                 continue
             k = off + labels[j]
-            if k not in solved:
-                solved[k] = (ollivier_kappa(g, x, y),
-                             bipartite_decomposition(g, x, y) is not None
-                             if triangle_free else None)
-                first_row[k] = len(row_key)
-            row_key.append(k)
-            y_off, y_labels = at[y]
-            back = y_off + y_labels[i]
-            if back != k and (k, back) not in joined:
-                joined.add((k, back))
-                a, b = _root(up, k), _root(up, back)
-                if a != b:
-                    up[b] = a
-    # first_row runs in row order, so each root meets its first row first;
-    # the keys of a class name one kappa and one decomposition
-    root_row: dict[int, int] = {}
-    class_row = {k: root_row.setdefault(_root(up, k), i)
-                 for k, i in first_row.items()}
-    edge_class = tuple(map(class_row.__getitem__, row_key))
-    edge_cells = {i: (True, *solved[k]) if k >= 0 else (False, None, None)
-                  for k, i in first_row.items() if class_row[k] == i}
+            c = key_row.get(k)
+            if c is None:
+                c = key_row[k] = first_row.setdefault(
+                    (True, ollivier_kappa(g, x, y),
+                     bipartite_decomposition(g, x, y) is not None
+                     if triangle_free else None,
+                     *sorted((g.degree(x), g.degree(y)))), len(row_class))
+            row_class.append(c)
+    edge_cells = {c: view[:3] for view, c in first_row.items()}
 
     vals: list[tuple | None] = []
     vertex_class: list[int] = []
@@ -536,12 +513,12 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
     # tuple -> index of those facts
     part: dict[int, int] = {}
     parts: dict[tuple, int] = {}
-    key_row: dict = {}
+    row_of: dict = {}
     for i, x in enumerate(g.vertices):
         known = ball_class.get(x)
         if known is None:
             vals.append(None)
-            vertex_class.append(key_row.setdefault(None, i))
+            vertex_class.append(row_of.setdefault(None, i))
             continue
         kind, labels = known
         v = kind.values(labels)
@@ -550,22 +527,20 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         if p is None:
             p = part[id(v)] = parts.setdefault((kind, v[5], v[6]), len(parts))
         # the refined class fixes every other fact and the kappa at each
-        # label, but not which edges are transport-safe
-        vertex_class.append(key_row.setdefault(
-            p if x not in cut else (p, frozenset(cut[x])), i))
+        # label, but not which labels lead to transport-unsafe edges
+        if anchor is not None and not anchor[x]:
+            cut = frozenset(lab for y, lab in zip(g.neighbors(x), labels)
+                            if not anchor[y])
+            if cut:
+                p = (p, cut)
+        vertex_class.append(row_of.setdefault(p, i))
+    edge_class = tuple(row_class)
     return GraphFacts(
         item.key, g, is_regular(g), triangle_free, not contains_k23(g),
         g.truncation is not None, VertexRows(g, vals),
         EdgeRows(g.edges, edge_class, edge_cells), item.deep_edges,
         tuple(vertex_class), edge_class,
     )
-
-
-def _root(up: dict, key):
-    """The key that names the union-find class of key."""
-    while key in up:
-        key = up[key]
-    return key
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,8 @@ class Graph:
                 raise GraphError(f"truncation center {truncation.center} is not a vertex")
             if truncation.radius < 0:
                 raise GraphError("truncation radius must be nonnegative")
+            if truncation.host_degree is not None and truncation.host_degree < 0:
+                raise GraphError("truncation host degree must be nonnegative")
         self.truncation = truncation
         self.name = name
         self.symmetries: tuple[tuple[int, ...], ...] = ()

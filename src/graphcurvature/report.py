@@ -12,7 +12,8 @@ serialized as exact fraction strings "p/q" next to a
 at zero exactly.  The table and JSON renderers read the rows through
 `Section.vertex_rows` and `edge_rows`; `to_csv` quotes each distinct
 label and each class's cells once, through the csv module, and joins
-each row from them.  Timing lives in its own field and never influences
+each row from them; a field holding a line break is quoted on every
+supported Python.  Timing lives in its own field and never influences
 row content; re-running an identical corpus reproduces every non-timing
 byte.
 """
@@ -142,30 +143,28 @@ _CSV_HEADER = ["kind", "graph", "a", "b", "safe", "rho", "class", "N",
                "kappa", "kappa_decimal", "applicable", "passed", "details"]
 
 
-def _csv_writer(buf: io.StringIO):
-    """The one csv dialect of every report row: the module's default,
-    rows ending in a bare newline."""
-    return csv.writer(buf, lineterminator="\n")
-
-
 def _csv_fields(fields: list[str]) -> list[str]:
-    """Each field as the csv module writes it inside a row of several.
+    """Each field as the csv module writes it inside a row of several, in
+    its default dialect, with a field holding "\r" or "\n" quoted.
 
-    One row of all of them, ended by an empty field, decides whether any
-    needs quoting: none does when it reads as their plain join.  Only
-    then is each written again, before an empty field, which adds the
-    ",\n" cut off here."""
+    Before Python 3.13 the module quotes a line break only when it is in
+    the line terminator, so rows are written here ending in "\r\n": a
+    bare "\r" in a label then reads back inside its field on every
+    supported Python, as 3.13 writes it.  One row of all the fields,
+    ended by an empty field, decides whether any needs quoting: none does
+    when it reads as their plain join.  Only then is each written again,
+    before an empty field, which adds the ",\r\n" cut off here."""
     buf = io.StringIO()
-    w = _csv_writer(buf)
+    w = csv.writer(buf, lineterminator="\r\n")
     w.writerow([*fields, ""])
-    if buf.getvalue() == ",".join(fields) + ",\n":
+    if buf.getvalue() == ",".join(fields) + ",\r\n":
         return fields
     quoted = []
     for f in fields:
         buf.seek(0)
         buf.truncate()
         w.writerow([f, ""])
-        quoted.append(buf.getvalue()[:-2])
+        quoted.append(buf.getvalue()[:-3])
     return quoted
 
 
@@ -177,12 +176,11 @@ def _csv_tail(fields: list) -> str:
 
 def to_csv(report: CurvatureReport) -> str:
     """The report as CSV rows, byte for byte what one csv.writer row per
-    vertex, edge and check writes: each distinct label, graph name and
-    class tail is quoted once and each vertex or edge row is joined from
-    them."""
+    vertex, edge and check writes, each row ended by "\n": each distinct
+    label, graph name and class tail is quoted once and each vertex or
+    edge row is joined from them."""
     buf = io.StringIO()
-    w = _csv_writer(buf)
-    w.writerow(_CSV_HEADER)
+    buf.write(",".join(_csv_fields(_CSV_HEADER)) + "\n")
     sections = report.sections
     quoted = [(_csv_fields([s.graph])[0],
                dict(zip(s.labels, _csv_fields(list(s.labels.values())))))
@@ -200,10 +198,12 @@ def to_csv(report: CurvatureReport) -> str:
                  for c, (safe, kappa, decimal) in rows.cells.items()}
         buf.write("".join([f"edge,{graph},{labels[x]},{labels[y]}{tails[c]}\n"
                            for (x, y), c in zip(rows.keys, rows.classes)]))
-    for s in sections:
-        w.writerows(["check", s.graph, r.name, "", "", "", "", "", "", "",
-                     int(r.applicable), int(r.passed), "; ".join(r.details)]
-                    for r in s.checks)
+    for s, (graph, _) in zip(sections, quoted):
+        buf.write("".join([
+            f"check,{graph}" + _csv_tail([
+                r.name, "", "", "", "", "", "", "", int(r.applicable),
+                int(r.passed), "; ".join(r.details)]) + "\n"
+            for r in s.checks]))
     return buf.getvalue()
 
 

@@ -742,22 +742,27 @@ def section_one_by_one(facts, results) -> tuple:
 
 def csv_one_by_one(report) -> str:
     """report.to_csv with one csv.writer row per vertex, edge and check,
-    read off the section row iterators."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["kind", "graph", "a", "b", "safe", "rho", "class", "N",
-                "kappa", "kappa_decimal", "applicable", "passed", "details"])
+    read off the section row iterators.  Each row is written alone, ended
+    in "\r\n" so that the module quotes a field holding a bare "\r" on
+    every supported Python, and is then ended in "\n" instead."""
+    rows = [["kind", "graph", "a", "b", "safe", "rho", "class", "N",
+             "kappa", "kappa_decimal", "applicable", "passed", "details"]]
     sections = report.sections
     for s in sections:
-        w.writerows(["vertex", s.graph, v, "", int(safe), rho or "",
+        rows.extend(["vertex", s.graph, v, "", int(safe), rho or "",
                      cls or "", "" if n is None else n, "", "", "", "", ""]
                     for v, safe, rho, cls, n in s.vertex_rows())
     for s in sections:
-        w.writerows(["edge", s.graph, x, y, int(safe), "", "", "",
+        rows.extend(["edge", s.graph, x, y, int(safe), "", "", "",
                      kappa or "", decimal or "", "", "", ""]
                     for x, y, safe, kappa, decimal in s.edge_rows())
     for s in sections:
-        w.writerows(["check", s.graph, r.name, "", "", "", "", "", "", "",
+        rows.extend(["check", s.graph, r.name, "", "", "", "", "", "", "",
                      int(r.applicable), int(r.passed), "; ".join(r.details)]
                     for r in s.checks)
-    return buf.getvalue()
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)

@@ -554,23 +554,50 @@ def assert_checks_match_one_by_one(facts):
             assert run_checks(bad) == checks_one_by_one(bad), (facts.key, kind)
 
 
+def edge_class_count(facts):
+    """How many edge classes the rows call for: one per distinct kappa,
+    decomposability and sorted pair of end degrees over the safe rows,
+    and one more if any row is unsafe."""
+    g = facts.graph
+    return len({(ef.kappa, ef.decomposable,
+                 tuple(sorted((g.degree(ef.x), g.degree(ef.y)))))
+                if ef.safe else None for ef in facts.edges})
+
+
+SWEEP_SPECS = [
+    "transpositions:5", "hypercube:8", "flip:8",
+    *(f"lattice:{d}:{r}" for d in (1, 2, 3) for r in (3, 4, 5)),
+    *(f"tree:{d}:{r}" for d in (3, 4, 5) for r in (3, 4, 5)),
+]
+
+
 class TestChecksPerClass:
     def test_corpus_matches_one_by_one(self, corpus_facts, corpus_checks):
         for key, facts in corpus_facts.items():
             assert corpus_checks[key] == checks_one_by_one(facts), key
             assert_checks_match_one_by_one(facts)
 
-    @pytest.mark.parametrize("spec", [
-        "transpositions:5", "hypercube:8", "flip:8",
-        *(f"lattice:{d}:{r}" for d in (1, 2, 3) for r in (3, 4, 5)),
-        *(f"tree:{d}:{r}" for d in (3, 4, 5) for r in (3, 4, 5)),
-    ])
+    @pytest.mark.parametrize("spec", SWEEP_SPECS)
     def test_graph_matches_one_by_one(self, spec):
         assert_checks_match_one_by_one(gather_facts(build_item(spec)))
 
+    def test_corpus_edge_classes_are_maximal(self, corpus_facts):
+        # each class holds equal facts, so as many classes as distinct
+        # facts means rows of equal facts share one class
+        for key, facts in corpus_facts.items():
+            assert_classes_hold_equal_facts(facts)
+            assert len(set(facts.edge_class)) == edge_class_count(facts), key
+        assert sum(len(set(f.edge_class)) for f in corpus_facts.values()) == 59
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS)
+    def test_graph_edge_classes_are_maximal(self, spec):
+        facts = gather_facts(build_item(spec))
+        assert_classes_hold_equal_facts(facts)
+        assert len(set(facts.edge_class)) == edge_class_count(facts)
+
     def test_class_verdicts_read_each_class_once(self, monkeypatch):
-        # 2,048 vertices of one class and 11,264 edges of eleven, one per
-        # coordinate: the sign comparison runs at one vertex alone
+        # 2,048 vertices of one class and 11,264 edges of one: the sign
+        # comparison runs at one vertex alone
         calls = []
         consistency = checks.cd_ollivier_consistency
 
@@ -581,7 +608,7 @@ class TestChecksPerClass:
         monkeypatch.setattr(checks, "cd_ollivier_consistency", counting)
         facts = gather_facts(build_item("hypercube:11"))
         assert len(set(facts.vertex_class)) == 1
-        assert len(set(facts.edge_class)) == 11
+        assert len(set(facts.edge_class)) == 1
         assert all_passed(run_checks(facts))
         assert calls == [11]
 
@@ -618,11 +645,15 @@ class TestSectionPerClass:
 
 class TestFaultInjection:
     def test_kappa_fault_caught(self):
+        # hypercube:3 has one edge class, so every edge is raised to
+        # kappa = 10/21, and 1/kappa* < 3, its diameter
         facts = perturbed(gather_facts(build_item("hypercube:3")), "kappa")
         res = by_name(run_checks(facts))
         failing = {n for n, r in res.items() if not r.passed}
         assert failing == {"ollivier-class", "bipartite-transport",
-                          "transport-upper-bound", "quantization"}
+                          "transport-upper-bound", "quantization",
+                          "diameter-bounds"}
+        assert {ef.kappa for ef in facts.edges} == {Fraction(10, 21)}
 
     def test_rho_fault_caught(self):
         facts = perturbed(gather_facts(build_item("hypercube:3")), "rho")
@@ -675,6 +706,26 @@ def csv_rows(report, kind):
                        "kappa", "kappa_decimal", "applicable", "passed",
                        "details"]
     return [row[1:] for row in rows[1:] if row[0] == kind]
+
+
+# labels the csv module must quote, or must not: a comma, a quote, a
+# carriage return, a newline, a leading space, non-ASCII text and the
+# empty string
+ODD_LABELS = ["a,b", 'say "hi"', "cr\rhere", "line\nbreak", " lead",
+              "ünïcødé", "", "plain"]
+
+
+def odd_labels_file(tmp_path):
+    """A graph file of the 8-cycle labelled ODD_LABELS, truncated so that
+    some rows are skipped, and the isolated vertex 8, in a file whose
+    name holds a comma."""
+    doc = {"vertices": list(range(9)),
+           "edges": [[i, (i + 1) % 8] for i in range(8)],
+           "labels": {str(i): lab for i, lab in enumerate(ODD_LABELS)},
+           "truncation": {"center": 0, "radius": 4}}
+    path = tmp_path / "odd, labels.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 class TestReportSerialization:
@@ -735,19 +786,8 @@ class TestReportSerialization:
                 for f in facts for r in run_checks(f)]
 
     def test_csv_matches_row_by_row_writer(self, tmp_path):
-        # labels the csv module must quote, or must not: a comma, a quote,
-        # a carriage return, a newline, a leading space, non-ASCII text
-        # and the empty string, on a truncated cycle with skipped rows
-        # and an isolated vertex; the check details hold a comma and a
-        # quote
-        labels = ["a,b", 'say "hi"', "cr\rhere", "line\nbreak", " lead",
-                  "ünïcødé", "", "plain"]
-        doc = {"vertices": list(range(9)),
-               "edges": [[i, (i + 1) % 8] for i in range(8)],
-               "labels": {str(i): lab for i, lab in enumerate(labels)},
-               "truncation": {"center": 0, "radius": 4}}
-        path = tmp_path / "odd, labels.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        # the check details hold a comma and a quote
+        path = odd_labels_file(tmp_path)
         facts = gathered(f"file:{path}")[0]
         assert facts.graph.label(8) == "8" and facts.graph.degree(8) == 0
         results = run_checks(facts) + [CheckResult(
@@ -757,10 +797,10 @@ class TestReportSerialization:
                                              "cycle:5").sections])
         text = to_csv(rep)
         assert text == csv_one_by_one(rep)
-        # quoted where the writer quotes; with "\n" ending each row it
-        # leaves a lone "\r" bare
+        # quoted where the writer quotes, a lone "\r" too, as Python 3.13
+        # quotes it whatever ends the rows
         graph = '"file:' + str(path).replace('"', '""') + '"'
-        for cell in ('"a,b"', '"say ""hi"""', 'cr\rhere', '"line\nbreak"',
+        for cell in ('"a,b"', '"say ""hi"""', '"cr\rhere"', '"line\nbreak"',
                      ' lead', 'ünïcødé'):
             assert f"\nvertex,{graph},{cell},," in text
         assert f"\nvertex,{graph},,,1," in text
@@ -769,6 +809,16 @@ class TestReportSerialization:
         assert f"\nedge,{graph}," + '"line\nbreak", lead,0,,,,,,,,\n' in text
         assert (f'\ncheck,{graph},duality,,,,,,,,1,0,'
                 f'"gap 1/2 on (""a,b"", x); plan, off"\n') in text
+
+    def test_csv_reads_back_every_label(self, tmp_path):
+        path = odd_labels_file(tmp_path)
+        g = gathered(f"file:{path}")[0].graph
+        rep = build_report(f"file:{path}")
+        vertices = csv_rows(rep, "vertex")
+        assert [r[:2] for r in vertices] == \
+               [[f"file:{path}", lab] for lab in [*ODD_LABELS, "8"]]
+        assert [r[1:3] for r in csv_rows(rep, "edge")] == \
+               [[g.label(x), g.label(y)] for x, y in g.edges]
 
     def test_csv_joins_details_in_one_cell(self):
         rep = CurvatureReport([Section("g", {}, Rows(), Rows(), [CheckResult(

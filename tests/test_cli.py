@@ -248,9 +248,11 @@ class TestVerifyCommand:
         assert len(g.vertices) == 8
         doc = json.loads(violations_file.read_text())
         assert doc["spec"] == "hypercube:3"
+        # hypercube:3 has one edge class, so every edge is raised to
+        # kappa = 10/21, and 1/kappa* < 3, its diameter
         assert {v["check"] for v in doc["violations"]} == {
             "ollivier-class", "bipartite-transport",
-            "transport-upper-bound", "quantization"}
+            "transport-upper-bound", "quantization", "diameter-bounds"}
 
     def test_no_artifacts_without_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("CURVATURE_CORPUS_DIR", raising=False)

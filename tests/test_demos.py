@@ -137,6 +137,16 @@ def test_traced_corpus_verify_sees_the_moved_layers(capsys):
     metrics = tracer.metrics()
     assert metrics["checks.gather_facts.calls"] == 47
     assert metrics["report.to_csv.calls"] == 1
+    # the kernel work: the sweep solves once per edge key and certifies
+    # rho once per refined class, and the deep checks add their own
+    # solves, so a change to the classes that moves kernel work fails here
+    assert {name: metrics[f"{name}.calls"] for name in (
+        "ollivier.TransportProblem", "ollivier.wasserstein",
+        "ollivier._min_cost_flow", "classify.bipartite_decomposition",
+        "bakry_emery.eigh")} == {
+        "ollivier.TransportProblem": 219, "ollivier.wasserstein": 219,
+        "ollivier._min_cost_flow": 61, "classify.bipartite_decomposition": 179,
+        "bakry_emery.eigh": 40}
 
 
 def test_verify_rows_match_the_benchmark_reference(capsys):

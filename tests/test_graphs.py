@@ -446,6 +446,26 @@ class TestSerialization:
         with pytest.raises(GraphError, match=f'"{field}" must be an integer'):
             load_graph(p)
 
+    @pytest.mark.parametrize("field,name", [("radius", "radius"),
+                                            ("host_degree", "host degree")])
+    def test_truncation_fields_must_be_nonnegative(self, tmp_path, capsys,
+                                                   field, name):
+        from graphcurvature.cli import main
+        trunc = {"center": 0, "radius": 9, "host_degree": 1}
+        trunc[field] = -1
+        message = f"truncation {name} must be nonnegative"
+        with pytest.raises(GraphError, match=message):
+            Graph([0, 1], [(0, 1)], truncation=Truncation(**trunc))
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]],
+                                 "truncation": trunc}))
+        with pytest.raises(GraphError, match=message):
+            load_graph(p)
+        assert main(["verify", f"file:{p}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_json_dict_shape(self):
         d = graph_to_json_dict(cycle(4))
         assert set(d) >= {"vertices", "edges"}

@@ -40,7 +40,11 @@ statement is decided at the first row of each class, which also reads
 that vertex's own edges for the kappa at each label; only when a class
 fails does the check walk every row, so each violation still names its
 vertex or edge, in row order.  kappa* for the diameter bounds is the
-least kappa over the edge classes.
+least kappa over the edge classes.  The deep checks, witness-bounds and
+duality, sample the first edge of each transport-safe edge class:
+witness existence can differ between rows of one class, so a deep check
+states nothing about the other rows, and duality rebuilds the plan and
+certificate there and compares them with the kappa the report prints.
 """
 
 from __future__ import annotations
@@ -189,7 +193,6 @@ class GraphFacts:
     # and EdgeRows from a sweep, or any sequence of facts
     vertices: Sequence[VertexFact]
     edges: Sequence[EdgeFact]
-    deep_edges: tuple[tuple[int, int], ...]
     # for each row, the index of the first row of its class: the rows of
     # an edge class hold equal safety, kappa and decomposability and equal
     # sorted end degrees, and the rows of a vertex class equal facts and
@@ -538,8 +541,8 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
     return GraphFacts(
         item.key, g, is_regular(g), triangle_free, not contains_k23(g),
         g.truncation is not None, VertexRows(g, vals),
-        EdgeRows(g.edges, edge_class, edge_cells), item.deep_edges,
-        tuple(vertex_class), edge_class,
+        EdgeRows(g.edges, edge_class, edge_cells), tuple(vertex_class),
+        edge_class,
     )
 
 
@@ -575,12 +578,15 @@ def _by_class(rows, classes, at) -> tuple[bool, list[str]]:
     return seen, []
 
 
-def _edge_fact(facts: GraphFacts, x: int, y: int) -> EdgeFact | None:
-    """The fact row of edge (x, y), or None when it is no edge."""
-    pair = (x, y) if x < y else (y, x)
-    edges = facts.graph.edges
-    i = bisect_left(edges, pair)
-    return facts.edges[i] if i < len(edges) and edges[i] == pair else None
+def _edge_fact(facts: GraphFacts, x: int, y: int) -> EdgeFact:
+    """The fact row of edge (x, y), for a neighbor y of x."""
+    return facts.edges[bisect_left(facts.graph.edges,
+                                   (x, y) if x < y else (y, x))]
+
+
+def _class_edges(facts: GraphFacts) -> list[EdgeFact]:
+    """The first row of each edge class, in row order."""
+    return [facts.edges[i] for i in dict.fromkeys(facts.edge_class)]
 
 
 def check_cd_class(facts: GraphFacts) -> CheckResult:
@@ -751,13 +757,13 @@ def check_test_vectors(facts: GraphFacts) -> CheckResult:
 
 
 def check_witness_bounds(facts: GraphFacts) -> CheckResult:
-    """Constructed plans and potentials must bracket the exact kappa."""
+    """Constructed plans and potentials must bracket the exact kappa, at
+    the first edge of each transport-safe edge class."""
     g = facts.graph
     problems = []
     seen = False
-    for x, y in facts.deep_edges:
-        ef = _edge_fact(facts, x, y)
-        k = ef.kappa if ef is not None else None
+    for ef in _class_edges(facts):
+        x, y, k = ef.x, ef.y, ef.kappa
         if k is None:
             continue
         tag = f"{facts.key} edge ({g.label(x)}, {g.label(y)})"
@@ -789,17 +795,23 @@ def check_witness_bounds(facts: GraphFacts) -> CheckResult:
 
 
 def check_duality(facts: GraphFacts) -> CheckResult:
-    """Plan cost and potential value must meet exactly on probe edges."""
+    """At the first edge of each transport-safe edge class, the plan and
+    certificate rebuilt there meet exactly, and their distance W gives
+    the class's reported kappa as 1 - W."""
     g = facts.graph
     problems = []
     seen = False
-    for x, y in facts.deep_edges:
-        if not g.transport_neighborhood_complete(x, y):
+    for ef in _class_edges(facts):
+        x, y, k = ef.x, ef.y, ef.kappa
+        if k is None:
             continue
         seen = True
         tag = f"{facts.key} edge ({g.label(x)}, {g.label(y)})"
         detail = kappa_detail(g, x, y)
         dist, plan, cert = detail.wasserstein, detail.plan, detail.certificate
+        if k != 1 - dist:
+            problems.append(f"{tag}: reported kappa = {k} but the certified "
+                            f"distance {dist} gives {1 - dist}")
         try:
             cost = validate_plan(g, x, y, plan)
             if cost != dist:
@@ -858,7 +870,7 @@ def diameter_bounds(g: Graph, dia: int, kstar: Fraction, regular: int | None):
 def min_edge_kappa(facts: GraphFacts) -> Fraction | None:
     """kappa*, the least edge curvature, read once per edge class; None
     when the graph has no edge or an edge the sweep skipped."""
-    kappas = [facts.edges[i].kappa for i in dict.fromkeys(facts.edge_class)]
+    kappas = [ef.kappa for ef in _class_edges(facts)]
     if not kappas or any(k is None for k in kappas):
         return None
     return min(kappas)

@@ -195,7 +195,7 @@ def cmd_diameter_bound(ns) -> int:
     if dia is None:
         raise GraphError(f"{g.name} is disconnected; no finite diameter")
     # every edge of an untruncated graph is transport-safe
-    item = CorpusItem(canonical_key(ns.source), g, ())
+    item = CorpusItem(canonical_key(ns.source), g)
     kstar = min_edge_kappa(gather_facts(item))
     bounds = diameter_bounds(g, dia, kstar, is_regular(g))
     ok = all(holds for _, _, holds in bounds)

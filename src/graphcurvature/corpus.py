@@ -3,7 +3,10 @@
 Specs look like `gen:hypercube:4`, `cycle:5`, `file:graph.json`,
 `zigzag:hypercube:6,cycle:6`, or `interchange:paths:2+1`; integer ranges
 such as `hypercube:2..6` expand into one spec per value.  The default
-corpus is the graph family list the verification harness sweeps.
+corpus is the graph family list the verification harness sweeps.  A
+corpus item is a graph and its report key alone: what the checks examine
+follows from the classes of the sweep, so no family's vertex labels are
+spelled out here.
 """
 
 from __future__ import annotations
@@ -105,48 +108,20 @@ def parse_graph_spec(spec: str) -> Graph:
 
 @dataclass(frozen=True)
 class CorpusItem:
-    """A corpus graph plus the probe edges used for deep artifact checks.
+    """A corpus graph under the key its report rows go under.
 
-    Cheap sweeps (curvature per vertex/edge) cover everything reachable;
-    the expensive plan/certificate/witness machinery runs only on the
-    designated probe edges.
+    The checks choose what they examine from the sweep's classes: every
+    per-element statement reads the first row of each class, and the deep
+    plan, certificate and witness checks run at the first edge of each
+    transport-safe edge class.
     """
 
     key: str
     graph: Graph
-    deep_edges: tuple[tuple[int, int], ...]
-
-
-def _default_probe_edges(g: Graph) -> tuple[tuple[int, int], ...]:
-    """The first edge of an untruncated graph (every edge is transport-safe
-    there), else the first transport-safe edge at the truncation center;
-    none when there is no such edge."""
-    if g.truncation is None:
-        return g.edges[:1]
-    v0 = g.truncation.center
-    for y in g.neighbors(v0):
-        if g.transport_neighborhood_complete(v0, y):
-            return ((v0, y),)
-    return ()
 
 
 def build_item(spec: str) -> CorpusItem:
-    g = parse_graph_spec(spec)
-    key = canonical_key(spec)
-    name, _, factors = key.partition(":")
-    first, _, second = factors.partition(",")
-    if (name == "zigzag" and canonical_key(first).startswith("hypercube:")
-            and canonical_key(second).startswith("cycle:")):
-        # probe the worked-out vertex (all-zero word, first cycle vertex)
-        # and its edge two steps around the cycle after a coordinate flip;
-        # other second factors name their vertices otherwise
-        n1 = len(g.labels[g.vertices[0]].split(",")[0].strip("("))
-        x1 = g.resolve_vertex("(" + "0" * n1 + ",1)")
-        b = g.resolve_vertex("(" + "01" + "0" * (n1 - 2) + ",3)")
-        if not g.has_edge(x1, b):
-            raise GraphError("internal: zigzag probe edge missing")
-        return CorpusItem(key, g, ((x1, b),))
-    return CorpusItem(key, g, _default_probe_edges(g))
+    return CorpusItem(canonical_key(spec), parse_graph_spec(spec))
 
 
 DEFAULT_SPECS = [

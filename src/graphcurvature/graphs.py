@@ -125,6 +125,9 @@ class Graph:
                     raise GraphError(f"label for unknown vertex {v!r}")
                 if not isinstance(lab, str):
                     raise GraphError(f"label {lab!r} for vertex {v} is not a string")
+                # the csv module of Python 3.10 cannot write a NUL
+                if "\0" in lab:
+                    raise GraphError(f"label {lab!r} for vertex {v} holds a NUL")
                 if lab in rev:
                     raise GraphError(f"label {lab!r} used for vertices {rev[lab]} and {v}")
                 rev[lab] = v

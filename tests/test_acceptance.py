@@ -81,33 +81,35 @@ def test_criterion_02_complete_bipartite(corpus_facts):
              problems)
 
 
-def test_criterion_03_zigzag_counterexample(corpus_items, corpus_facts):
+def test_criterion_03_zigzag_counterexample(corpus_facts):
     problems = []
     for d in (6, 8):
         key = f"zigzag:hypercube:{d},cycle:{d}"
         facts = corpus_facts[key]
-        item = corpus_items[key]
         g = facts.graph
         for vf in facts.vertices:
             if vf.rho.sign(0) >= 0:
                 problems.append(f"{key} vertex {vf.label}: rho = "
                                 f"{vf.rho.value!r} does not break CD(0, inf)")
                 break
-        (x1, b), = item.deep_edges
+        # the worked-out edge: the all-zero word at the first cycle vertex,
+        # and two steps around the cycle after flipping the second bit
+        x1 = g.resolve_vertex(f"({'0' * d},1)")
+        b = g.resolve_vertex(f"(01{'0' * (d - 2)},3)")
         kappa = _kmap(facts).get((x1, b))
         if kappa != Fraction(-1, 4):
-            problems.append(f"{key} probe edge kappa = {kappa} != -1/4")
+            problems.append(f"{key} worked-out edge kappa = {kappa} != -1/4")
         vf = next(v for v in facts.vertices if v.vertex == x1)
         if vf.N != 2:
-            problems.append(f"{key} probe vertex N = {vf.N} != 2")
+            problems.append(f"{key} worked-out vertex N = {vf.N} != 2")
         counts = sorted(vf.nonlink_counts.values())
         if counts != [1, 1, 2, 2]:
             problems.append(f"{key} non-link counts {counts} != [1, 1, 2, 2]")
         if vf.nonlink_counts.get(b) != 2:
-            problems.append(f"{key} probe partner misses "
+            problems.append(f"{key} worked-out partner misses "
                             f"{vf.nonlink_counts.get(b)} != 2 links")
     _verdict(3, "zigzag products d=6,8 break CD(0, inf) with the "
-                "probe edge at kappa = -1/4 and N = 2", problems)
+                "worked-out edge at kappa = -1/4 and N = 2", problems)
 
 
 def test_criterion_04_flat_class(corpus_facts):

@@ -107,7 +107,7 @@ class TestCheckBattery:
 
     def test_triangle_graph_sidelines_triangle_free_checks(self):
         g = complete_graph(4)
-        item = CorpusItem("complete:4", g, ((0, 1),))
+        item = CorpusItem("complete:4", g)
         facts = gather_facts(item)
         res = by_name(run_checks(facts))
         assert all_passed(res.values())
@@ -139,7 +139,7 @@ class TestCheckBattery:
     def test_diameter_check_sits_out_on_disconnected_graphs(self):
         # two disjoint edges: kappa = 1 everywhere, yet no finite diameter
         g = Graph(range(4), [(0, 1), (2, 3)])
-        facts = gather_facts(CorpusItem("two-edges", g, ((0, 1),)))
+        facts = gather_facts(CorpusItem("two-edges", g))
         res = by_name(run_checks(facts))
         assert all_passed(res.values())
         assert not res["diameter-bounds"].applicable
@@ -147,7 +147,7 @@ class TestCheckBattery:
 
     def test_isolated_vertices_are_skipped(self):
         g = Graph(range(3), [(0, 1)])
-        facts = gather_facts(CorpusItem("edge+point", g, ((0, 1),)))
+        facts = gather_facts(CorpusItem("edge+point", g))
         isolated = facts.vertices[2]
         assert not isolated.safe and isolated.rho is None
         assert [vf.safe for vf in facts.vertices] == [True, True, False]
@@ -289,7 +289,7 @@ class TestVertexMemo:
             [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
              (10, 11), (10, 12), (11, 13), (11, 14), (12, 15), (12, 16)],
         )
-        facts = gather_facts(CorpusItem("two-shapes", g, ()))
+        facts = gather_facts(CorpusItem("two-shapes", g))
         assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
         at = {vf.vertex: vf for vf in facts.vertices}
         assert at[0].nonlink_counts == {1: 0, 2: 0}
@@ -308,7 +308,7 @@ class TestVertexMemo:
             + [(10, v) for v in range(11, 17)]
             + [(11, 12), (12, 13), (11, 13), (14, 15), (15, 16), (14, 16)],
         )
-        facts = gather_facts(CorpusItem("wheel-and-cone", g, ()))
+        facts = gather_facts(CorpusItem("wheel-and-cone", g))
         assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
         assert tuple(facts.edges) == edge_facts_one_by_one(g)
         at = {vf.vertex: vf for vf in facts.vertices}
@@ -333,7 +333,7 @@ class TestVertexMemo:
         both = [(ids[u], ids[v]) for u, v in edges]
         both += [(ids[n + copy[u]], ids[n + copy[v]]) for u, v in edges]
         g = Graph(range(2 * n), both, truncation=truncation)
-        facts = gather_facts(CorpusItem("random", g, g.edges[:1]))
+        facts = gather_facts(CorpusItem("random", g))
         assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
         assert tuple(facts.edges) == edge_facts_one_by_one(g)
         assert_checks_match_one_by_one(facts)
@@ -384,7 +384,7 @@ class TestSymmetries:
                   truncation=Truncation(0, 5))
         g.symmetries = (tuple((i + 1) % 6 for i in range(6)),)
         with pytest.raises(GraphError, match="internal"):
-            gather_facts(CorpusItem("rotated", g, ()))
+            gather_facts(CorpusItem("rotated", g))
 
     def test_intransitive_symmetries_match_one_by_one(self):
         # two of the five bit flips leave eight orbits, so eight roots
@@ -413,7 +413,7 @@ class TestRowViews:
         # a truncated lattice, whose unsafe edges cut some classed
         # vertices, and an isolated vertex
         if spec == "edge+point":
-            item = CorpusItem(spec, Graph(range(3), [(0, 1)]), ((0, 1),))
+            item = CorpusItem(spec, Graph(range(3), [(0, 1)]))
         else:
             item = build_item(spec)
         facts = gather_facts(item)
@@ -462,7 +462,7 @@ class TestEdgeMemo:
             [(0, 1), (0, 2), (1, 3), (2, 4),
              (10, 11), (10, 12), (11, 13), (12, 14), (13, 14)],
         )
-        facts = gather_facts(CorpusItem("path-and-cycle", g, ()))
+        facts = gather_facts(CorpusItem("path-and-cycle", g))
         assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
         assert tuple(facts.edges) == edge_facts_one_by_one(g)
         kappa = {(ef.x, ef.y): ef.kappa for ef in facts.edges}
@@ -502,9 +502,34 @@ class TestDeepChecks:
                 monkeypatch.setattr(module, "bfs_distances", counting)
         results = [checks.check_duality(facts), checks.check_witness_bounds(facts)]
         assert all(r.applicable and r.passed for r in results)
-        assert facts.deep_edges
+        # the deep checks run at the first edge of each safe edge class
+        safe = [i for i in dict.fromkeys(facts.edge_class)
+                if facts.edges[i].kappa is not None]
+        assert safe
         assert None not in radii
-        assert len(radii) == 22 * len(facts.deep_edges)
+        assert len(radii) == 22 * len(safe)
+
+    def test_duality_certifies_every_reported_class_kappa(self):
+        # a wrong kappa on the last safe edge class of flip:8, which no
+        # single probe edge reaches: duality's certificate at that class's
+        # first edge gives the true kappa, and the check names that edge
+        facts = gather_facts(build_item("flip:8"))
+        g = facts.graph
+        last = [i for i in dict.fromkeys(facts.edge_class)
+                if facts.edges[i].kappa is not None][-1]
+        cls = facts.edge_class[last]
+        bad = replace(facts, edges=tuple(
+            replace(ef, kappa=ef.kappa + Fraction(1, 7)) if c == cls else ef
+            for ef, c in zip(facts.edges, facts.edge_class)))
+        ef = facts.edges[last]
+        true = ef.kappa
+        result = checks.check_duality(bad)
+        assert not result.passed
+        assert result.details == (
+            f"flip:8 edge ({g.label(ef.x)}, {g.label(ef.y)}): reported "
+            f"kappa = {true + Fraction(1, 7)} but the certified distance "
+            f"{1 - true} gives {true}",)
+        assert checks.check_duality(facts).passed
 
 
 def assert_classes_hold_equal_facts(facts):
@@ -652,7 +677,7 @@ class TestFaultInjection:
         failing = {n for n, r in res.items() if not r.passed}
         assert failing == {"ollivier-class", "bipartite-transport",
                           "transport-upper-bound", "quantization",
-                          "diameter-bounds"}
+                          "diameter-bounds", "duality"}
         assert {ef.kappa for ef in facts.edges} == {Fraction(10, 21)}
 
     def test_rho_fault_caught(self):

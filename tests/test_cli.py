@@ -7,6 +7,8 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -252,7 +254,42 @@ class TestVerifyCommand:
         # kappa = 10/21, and 1/kappa* < 3, its diameter
         assert {v["check"] for v in doc["violations"]} == {
             "ollivier-class", "bipartite-transport",
-            "transport-upper-bound", "quantization", "diameter-bounds"}
+            "transport-upper-bound", "quantization", "diameter-bounds",
+            "duality"}
+
+    def test_artifact_replays_to_the_same_violations(
+            self, capsys, tmp_path, monkeypatch):
+        # kappa raised by 1/2 on the class of the worked-out zigzag edge:
+        # the deep checks follow the edge classes, not the spec, so the
+        # file: replay of the artifact examines the same edges and reports
+        # the same violations, detail for detail but for the graph's key
+        monkeypatch.setenv("CURVATURE_CORPUS_DIR", str(tmp_path))
+        gather = cli.gather_facts
+
+        def raised(item):
+            facts = gather(item)
+            g = facts.graph
+            pair = sorted(map(g.resolve_vertex, ("(000000,1)", "(010000,3)")))
+            worked = facts.edge_class[g.edges.index(tuple(pair))]
+            return replace(facts, edges=tuple(
+                replace(ef, kappa=ef.kappa + Fraction(1, 2)) if c == worked
+                else ef for ef, c in zip(facts.edges, facts.edge_class)))
+
+        monkeypatch.setattr(cli, "gather_facts", raised)
+        spec = "zigzag:hypercube:6,cycle:6"
+        graph_file = tmp_path / "zigzag_hypercube_6_cycle_6.json"
+        found = []
+        for source in (spec, f"file:{graph_file}"):
+            code, _, _ = run_cli(capsys, "verify", source)
+            assert code == 1, source
+            name = cli._safe_filename(source) + ".violations.json"
+            doc = json.loads((tmp_path / name).read_text())
+            found.append([(v["check"], [d.replace(source, "<graph>", 1)
+                                        for d in v["details"]])
+                          for v in doc["violations"]])
+        assert [c for c, _ in found[0]] == [
+            "ollivier-class", "witness-bounds", "duality"]
+        assert found[1] == found[0]
 
     def test_no_artifacts_without_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("CURVATURE_CORPUS_DIR", raising=False)
@@ -312,8 +349,8 @@ class TestVerifyCommand:
         "zigzag:hypercube:2,path:2",
     ])
     def test_zigzag_beside_a_cycle_factor_verifies(self, capsys, spec):
-        # the worked-out probe edge names cycle vertices; other second
-        # factors take the default probe edge
+        # zigzag products over second factors other than a cycle verify
+        # too: nothing in the corpus layer reads a factor's labels
         code, _, err = run_cli(capsys, "verify", spec, "--format", "csv")
         assert (code, err) == (0, "")
 
@@ -353,7 +390,8 @@ class TestVerifyCommand:
         {"vertices": [0, 1, 2], "edges": [[0, 1]]},
         {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [2, 3]]},
         {"vertices": [], "edges": []},
-        # a 4-cycle beside an isolated first vertex still has a probe edge
+        # a 4-cycle beside an isolated first vertex still has a safe edge
+        # class for the deep checks
         {"vertices": [0, 1, 2, 3, 4],
          "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
     ], ids=["isolated-vertex", "two-edges", "empty", "isolated-first-vertex"])
@@ -370,7 +408,8 @@ class TestVerifyCommand:
                 # nothing to examine, so no check applies
                 assert not any(c["applicable"] for c in checks), argv
             if doc["edges"]:
-                # any edge is a probe edge for the deep transport checks
+                # every edge of an untruncated graph is transport-safe, so
+                # the deep transport checks apply
                 (duality,) = [c for c in checks if c["check"] == "duality"]
                 assert duality["applicable"] and duality["passed"], argv
 
@@ -495,6 +534,19 @@ class TestGraphInput:
         assert (code, out) == (2, "")
         assert err == (f"error: edge label {label!r} at key '0,1' is not "
                        f"an integer\n")
+
+    def test_nul_in_label_refused(self, capsys, tmp_path):
+        # the csv module of Python 3.10 raised on a NUL in a label, so
+        # verify --format csv ended in a traceback there
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]],
+                                 "labels": {"0": "a\u0000b", "1": "c"}}))
+        for argv in (["verify", f"file:{p}", "--format", "csv"],
+                     ["gen", f"file:{p}"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == ("error: label 'a\\x00b' for vertex 0 holds a "
+                           "NUL\n"), argv
 
     @pytest.mark.parametrize("where", ["labels", "edge_labels", "edge list",
                                        "--vertex"])

@@ -113,6 +113,10 @@ class TestConstruction:
         with pytest.raises(GraphError, match="used for vertices"):
             Graph([0, 1], [(0, 1)], labels={0: "a", 1: "a"})
 
+    def test_nul_in_label_rejected(self):
+        with pytest.raises(GraphError, match="holds a NUL"):
+            Graph([0, 1], [(0, 1)], labels={0: "a\0b", 1: "c"})
+
     def test_edge_label_requires_edge(self):
         with pytest.raises(GraphError, match="missing edge"):
             Graph([0, 1, 2], [(0, 1)], edge_labels={(1, 2): 0})

@@ -4,13 +4,15 @@ gather_facts sweeps a corpus graph: spectral curvature and class at every
 non-isolated vertex whose two-ball is complete, exact edge curvature
 wherever the transport neighborhood is complete.  Both curvatures depend
 on the two-ball alone, so the sweep sorts the vertices into classes of
-isomorphic two-balls, in three tiers.  The graph's declared symmetries
-are verified first and split the vertices into orbits; only the root of
-an orbit, its smallest id, has its two-ball built, and every other
-vertex takes its parent's class with its sphere1 labels carried through
-the symmetry.  The positional key renumbers a root's ball by position;
-only a key not seen before is relabelled by individualise and refine,
-and the relabelled ball is the class key.  The Gamma2 form, its
+isomorphic two-balls, in three tiers.  The graph's orbit map
+(graphs.orbit_parents), which verifies its declared symmetries once per
+graph and which the triangle, 2x3 biclique and diameter scans read as
+well, splits the vertices into orbits; only the root of an orbit, its
+smallest id, has its two-ball built, and every other vertex takes its
+parent's class with its sphere1 labels carried through the symmetry.
+The positional key renumbers a root's ball by position; only a key not
+seen before is relabelled by individualise and refine, and the
+relabelled ball is the class key.  The Gamma2 form, its
 reduction, the class verdict and rho are computed once per relabelled
 class: rho is certified from one eigensolve and exact tests, with its
 class thresholds decided there, and shared by every vertex of the
@@ -37,14 +39,15 @@ its class data when it is read.  run_checks then replays every
 applicable classification, linkage, decomposition, duality and diameter
 statement against those facts and reports violations.  A per-element
 statement is decided at the first row of each class, which also reads
-that vertex's own edges for the kappa at each label; only when a class
-fails does the check walk every row, so each violation still names its
-vertex or edge, in row order.  kappa* for the diameter bounds is the
-least kappa over the edge classes.  The deep checks, witness-bounds and
-duality, sample the first edge of each transport-safe edge class:
-witness existence can differ between rows of one class, so a deep check
-states nothing about the other rows, and duality rebuilds the plan and
-certificate there and compares them with the kappa the report prints.
+the kappa at each label of that vertex's own edges, each through its
+edge class; only when a class fails does the check walk every row, so
+each violation still names its vertex or edge, in row order.  kappa*
+for the diameter bounds is the least kappa over the edge classes.  The
+deep checks, witness-bounds and duality, sample the first edge of each
+transport-safe edge class: witness existence can differ between rows of
+one class, so a deep check states nothing about the other rows, and
+duality rebuilds the plan and certificate there and compares them with
+the kappa the report prints.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .graphs import (
     effective_degree,
     extract_ball,
     is_regular,
+    orbit_parents,
 )
 from .ollivier import (
     certificate_violations,
@@ -399,45 +403,10 @@ def _relabel(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (key[0], n, *codes), tuple(where[1:d + 1])
 
 
-def _orbit_parents(g: Graph) -> dict[int, tuple[int, tuple[int, ...]] | None]:
-    """Every vertex of g, parents first, mapped to None at the root of its
-    orbit under g.symmetries and else to a parent p and a symmetry s
-    with s[p] the vertex.
-
-    Each declared symmetry is verified first, in O(m): it must permute
-    range(n), map every edge to an edge and fix any truncation center,
-    so that it keeps every two-ball and its safety.  A breadth-first
-    search over the symmetries starts from each vertex not yet reached,
-    in id order, so each orbit is rooted at its smallest id.  Without
-    symmetries every vertex is a root.
-    """
-    n = len(g.vertices)
-    adj = g.neighbor_sets()
-    center = g.truncation.center if g.truncation is not None else None
-    for s in g.symmetries:
-        if (g.vertices != tuple(range(n)) or sorted(s) != list(range(n))
-                or (center is not None and s[center] != center)
-                or not all(s[v] in adj[s[u]] for u, v in g.edges)):
-            raise GraphError(f"internal: a declared symmetry of "
-                             f"{g.name or 'the graph'} is not an automorphism")
-    parents: dict[int, tuple[int, tuple[int, ...]] | None] = {}
-    for root in g.vertices:
-        if root in parents:
-            continue
-        parents[root] = None
-        queue = [root]
-        for p in queue:
-            for s in g.symmetries:
-                x = s[p]
-                if x not in parents:
-                    parents[x] = (p, s)
-                    queue.append(x)
-    return parents
-
-
 def gather_facts(item: CorpusItem) -> GraphFacts:
     """Sweep one corpus graph."""
     g = item.graph
+    parents = orbit_parents(g)
     triangle_free = not contains_k3(g)
     # three tiers: an orbit root's two-ball alone is built, its positional
     # key finds its refined class and sphere1 labels, and only a new
@@ -446,7 +415,7 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
     memo: dict[tuple[int, ...], tuple[_TwoBall, tuple[int, ...]]] = {}
     kinds: dict[tuple[int, ...], _TwoBall] = {}
     ball_class: dict[int, tuple[_TwoBall, tuple[int, ...]]] = {}
-    for x, up in _orbit_parents(g).items():
+    for x, up in parents.items():
         if not g.two_ball_complete(x) or g.degree(x) == 0:
             continue
         if up is not None:
@@ -578,10 +547,20 @@ def _by_class(rows, classes, at) -> tuple[bool, list[str]]:
     return seen, []
 
 
-def _edge_fact(facts: GraphFacts, x: int, y: int) -> EdgeFact:
-    """The fact row of edge (x, y), for a neighbor y of x."""
-    return facts.edges[bisect_left(facts.graph.edges,
-                                   (x, y) if x < y else (y, x))]
+def _edge_kappas(facts: GraphFacts):
+    """A lookup of the kappa of edge (x, y), for a neighbor y of x, read
+    through one map from each edge class to the kappa of its first row,
+    filled as classes are asked for."""
+    edges, classes, rows = facts.graph.edges, facts.edge_class, facts.edges
+    known: dict[int, Fraction | None] = {}
+
+    def kappa(x: int, y: int) -> Fraction | None:
+        c = classes[bisect_left(edges, (x, y) if x < y else (y, x))]
+        if c not in known:
+            known[c] = rows[c].kappa
+        return known[c]
+
+    return kappa
 
 
 def _class_edges(facts: GraphFacts) -> list[EdgeFact]:
@@ -615,6 +594,7 @@ def check_cd_class(facts: GraphFacts) -> CheckResult:
 
 def check_ollivier_class(facts: GraphFacts) -> CheckResult:
     """Per-neighbor edge curvature signs forced by the non-link counts."""
+    kappa = _edge_kappas(facts)
 
     def at(vf: VertexFact) -> list[str] | None:
         cls = vf.structure_class
@@ -623,7 +603,7 @@ def check_ollivier_class(facts: GraphFacts) -> CheckResult:
         problems = []
         seen = False
         for y, miss in sorted(vf.nonlink_counts.items()):
-            k = _edge_fact(facts, vf.vertex, y).kappa
+            k = kappa(vf.vertex, y)
             if k is None:
                 continue
             seen = True
@@ -650,12 +630,13 @@ def check_cd_vs_ollivier(facts: GraphFacts) -> CheckResult:
     if not applicable:
         return _result("cd-vs-ollivier", False, [],
                        "needs a regular graph free of triangles and 2x3 bicliques")
+    kappa = _edge_kappas(facts)
 
     def at(vf: VertexFact) -> list[str] | None:
         if not vf.safe:
             return None
         g = facts.graph
-        kappas = {g.label(y): _edge_fact(facts, vf.vertex, y).kappa
+        kappas = {g.label(y): kappa(vf.vertex, y)
                   for y in g.neighbors(vf.vertex)}
         _, viol = cd_ollivier_consistency(vf.rho, kappas)
         return [f"{facts.key} vertex {vf.label}: {v}" for v in viol]

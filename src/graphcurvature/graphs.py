@@ -9,7 +9,12 @@ evaluation near the cut boundary is trustworthy live here as well, as
 does `bfs_distances`, the package's one graph search.  A family may also
 declare symmetries, permutations of the vertex ids that it claims are
 automorphisms; they are not serialised, so a graph read from a file
-carries none.
+carries none.  `orbit_parents` verifies them, once per assignment, and
+splits the vertices into orbits; it is the one place anything reads
+them.  The whole-graph predicates `contains_k3`, `contains_k23` and
+`diameter` scan from the orbit roots alone, since an automorphism maps
+each triangle, 2x3 biclique and eccentricity onto one seen from a root;
+on a graph without symmetries every vertex is a root.
 """
 
 from __future__ import annotations
@@ -73,8 +78,8 @@ class Graph:
 
     `symmetries` holds permutations of range(n), as tuples, that the
     family which built the graph claims are automorphisms; it is empty
-    unless a family sets it after construction.  checks.gather_facts
-    verifies each one before it uses it.
+    unless a family sets it after construction.  orbit_parents verifies
+    each one before anything reads it.
     """
 
     def __init__(
@@ -154,6 +159,8 @@ class Graph:
         self.symmetries: tuple[tuple[int, ...], ...] = ()
 
         self._center_dist: dict[int, int] | None = None
+        # (the symmetries tuple, its verified orbit_parents map, the roots)
+        self._orbits: tuple | None = None
         self._k3: bool | None = None
         self._k23: bool | None = None
         self._regular = _UNKNOWN  # common degree or None, set by is_regular
@@ -262,6 +269,66 @@ class Graph:
         return t.radius >= 4 and self._within_center(v, t.radius - 3)
 
 
+# -- declared symmetries --------------------------------------------------
+
+
+def _verify_symmetries(g: Graph) -> None:
+    """Refuse the graph unless each declared symmetry, in O(m), permutes
+    range(n), maps every edge to an edge and fixes any truncation center,
+    so that it keeps every two-ball and its safety."""
+    n = len(g.vertices)
+    adj = g.neighbor_sets()
+    center = g.truncation.center if g.truncation is not None else None
+    for s in g.symmetries:
+        if (g.vertices != tuple(range(n)) or sorted(s) != list(range(n))
+                or (center is not None and s[center] != center)
+                or not all(s[v] in adj[s[u]] for u, v in g.edges)):
+            raise GraphError(f"internal: a declared symmetry of "
+                             f"{g.name or 'the graph'} is not an automorphism")
+
+
+def orbit_parents(g: Graph) -> dict[int, tuple[int, tuple[int, ...]] | None]:
+    """Every vertex of g, parents first, mapped to None at the root of its
+    orbit under g.symmetries and else to a parent p and a symmetry s
+    with s[p] the vertex.
+
+    The symmetries are verified first (_verify_symmetries).  A
+    breadth-first search over them starts from each vertex not yet
+    reached, in id order, so each orbit is rooted at its smallest id and
+    the roots come in increasing order.  Without symmetries every vertex
+    is a root.  The map is cached on the graph with the tuple it was
+    built from, so a later assignment to g.symmetries is verified and
+    walked afresh.
+    """
+    cached = g._orbits
+    if cached is not None and cached[0] is g.symmetries:
+        return cached[1]
+    _verify_symmetries(g)
+    parents: dict[int, tuple[int, tuple[int, ...]] | None] = {}
+    roots = []
+    for root in g.vertices:
+        if root in parents:
+            continue
+        parents[root] = None
+        roots.append(root)
+        queue = [root]
+        for p in queue:
+            for s in g.symmetries:
+                x = s[p]
+                if x not in parents:
+                    parents[x] = (p, s)
+                    queue.append(x)
+    g._orbits = (g.symmetries, parents, roots)
+    return parents
+
+
+def _orbit_roots(g: Graph) -> list[int]:
+    """The root of each orbit, in increasing order, from the same cache:
+    every call verifies a newly assigned g.symmetries first."""
+    orbit_parents(g)
+    return g._orbits[2]
+
+
 # -- traversal helpers ----------------------------------------------------
 
 
@@ -309,14 +376,17 @@ def diameter(g: Graph) -> int | None:
 
     One `bfs_distances` search from the first vertex decides
     connectivity.  A connected graph then runs a multi-source bit-parallel
-    BFS (Then et al., "The More the Merrier", PVLDB 2014) over batches of
-    at most 4,096 sources: each vertex holds a Python int whose bit i says
-    source i is within the current level, and one level ORs every vertex's
-    int with its neighbours' ints.  The levels taken until every int is full are the
-    largest eccentricity among the batch's sources.  A pass holds two
-    lists of V ints of at most 4,096 bits, so memory stays at about
-    V x 1 KB whatever the graph's size.
+    BFS (Then et al., "The More the Merrier", PVLDB 2014) from the orbit
+    roots alone, over batches of at most 4,096 sources: each vertex holds
+    a Python int whose bit i says source i is within the current level,
+    and one level ORs every vertex's int with its neighbours' ints.  The
+    levels taken until every int is full are the largest eccentricity
+    among the batch's sources.  An automorphism keeps eccentricity, so
+    the largest over the roots is the largest over all vertices.  A pass
+    holds two lists of V ints of at most 4,096 bits, so memory stays at
+    about V x 1 KB whatever the graph's size.
     """
+    roots = _orbit_roots(g)
     n = len(g.vertices)
     if n <= 1:
         return 0
@@ -325,12 +395,12 @@ def diameter(g: Graph) -> int | None:
     index = {v: i for i, v in enumerate(g.vertices)}
     adjacency = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
     best = 0
-    for start in range(0, n, _DIAMETER_BATCH):
-        stop = min(start + _DIAMETER_BATCH, n)
-        full = (1 << (stop - start)) - 1
+    for start in range(0, len(roots), _DIAMETER_BATCH):
+        batch = roots[start:start + _DIAMETER_BATCH]
+        full = (1 << len(batch)) - 1
         reach = [0] * n
-        for i in range(start, stop):
-            reach[i] = 1 << (i - start)
+        for bit, r in enumerate(batch):
+            reach[index[r]] = 1 << bit
         levels = 0
         while reach.count(full) < n:
             nxt = []
@@ -378,10 +448,20 @@ def effective_degree(g: Graph, x: int) -> int | None:
 
 
 def contains_k3(g: Graph) -> bool:
-    """Whether any triangle exists (cached on the graph)."""
+    """Whether any triangle exists (cached on the graph).
+
+    Tests the edges (r, v), r < v, at each orbit root r for a common
+    neighbor.  That is complete: an automorphism maps the triangle vertex
+    whose orbit root is least onto that root r, and the other two onto
+    ids above r.  When every vertex is a root those edges are g.edges,
+    read as they are.
+    """
+    roots = _orbit_roots(g)
     if g._k3 is None:
         adj = g.neighbor_sets()
-        g._k3 = any(not adj[u].isdisjoint(adj[v]) for u, v in g.edges)
+        edges = (g.edges if len(roots) == len(g.vertices) else
+                 [(r, v) for r in roots for v in g._adj[r] if v > r])
+        g._k3 = any(not adj[u].isdisjoint(adj[v]) for u, v in edges)
     return g._k3
 
 
@@ -390,12 +470,23 @@ def contains_k23(g: Graph) -> bool:
 
     That is exactly a complete bipartite 2x3 subgraph, the obstruction the
     linkage analysis cares about.  Subgraph, not induced: extra edges among
-    the five vertices do not matter.  Counts the neighbor pairs of every
-    vertex in C, a batch of vertices at a time, batches doubling from 16,
-    and stops after the first batch that brings a pair to three.
+    the five vertices do not matter.  Counts the neighbor pairs in the
+    rows of the orbit roots' neighbors, in id order, a batch of rows at a
+    time, batches doubling from 16, and stops after the first batch that
+    brings a pair to three.  A pair counted three times has three common
+    neighbors, and the count is complete: an automorphism maps one vertex
+    of the biclique's 2-side onto its root, and its three common
+    neighbors onto neighbors of that root.  When every vertex is a root
+    every row is counted, as an isolated vertex's empty row adds no pair.
     """
+    roots = _orbit_roots(g)
     if g._k23 is None:
-        rows = tuple(g._adj.values())
+        if len(roots) == len(g.vertices):
+            rows = tuple(g._adj.values())
+        else:
+            adj = g.neighbor_sets()
+            rows = [g._adj[w]
+                    for w in sorted(set().union(*(adj[r] for r in roots)))]
         counts: Counter[tuple[int, int]] = Counter()
         start, size = 0, 16
         found = False

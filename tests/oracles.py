@@ -498,6 +498,14 @@ def oracle_diameter(g) -> int | None:
     return best
 
 
+def oracle_contains_k3(g) -> bool:
+    """Whether two neighbors of some vertex are adjacent, vertex by
+    vertex and pair by pair."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    return any(c in adj[b] for a in g.vertices
+               for b, c in combinations(g.neighbors(a), 2))
+
+
 def oracle_contains_k23(g) -> bool:
     """Whether two vertices share three neighbors, pair by pair."""
     adj = {v: set(g.neighbors(v)) for v in g.vertices}

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -25,8 +26,12 @@ from graphcurvature.graphs import (
     GraphError,
     Truncation,
     bfs_distances,
+    contains_k3,
+    contains_k23,
+    diameter,
     effective_degree,
     extract_ball,
+    orbit_parents,
 )
 from graphcurvature.report import (
     CurvatureReport,
@@ -44,6 +49,9 @@ from oracles import (
     checks_one_by_one,
     csv_one_by_one,
     edge_facts_one_by_one,
+    oracle_contains_k3,
+    oracle_contains_k23,
+    oracle_diameter,
     orbit_roots,
     section_one_by_one,
     vertex_facts_one_by_one,
@@ -358,7 +366,7 @@ class TestSymmetries:
     def test_declared_symmetries_verify(self, spec):
         g = build_item(spec).graph
         assert g.symmetries
-        parents = checks._orbit_parents(g)
+        parents = orbit_parents(g)
         roots = [x for x, up in parents.items() if up is None]
         assert roots == orbit_roots(g)
         assert len(roots) == self.DECLARED[spec]
@@ -394,6 +402,107 @@ class TestSymmetries:
         assert len(orbit_roots(item.graph)) == 8
         assert tuple(facts.vertices) == vertex_facts_one_by_one(item.graph)
         assert tuple(facts.edges) == edge_facts_one_by_one(item.graph)
+
+
+def wrong_swap(g: Graph) -> None:
+    """Declare one more symmetry on hypercube:4 that swaps 0 and 3, two
+    vertices at distance two with different neighborhoods."""
+    swap = list(range(16))
+    swap[0], swap[3] = 3, 0
+    g.symmetries += (tuple(swap),)
+
+
+def assert_root_scans_match(g: Graph) -> None:
+    assert contains_k3(g) == oracle_contains_k3(g), g.name
+    assert contains_k23(g) == oracle_contains_k23(g), g.name
+    assert diameter(g) == oracle_diameter(g), g.name
+
+
+class TestRootScans:
+    """contains_k3, contains_k23 and diameter scan from the orbit roots;
+    with symmetries declared they must still match the brute-force
+    oracles, which read no symmetry."""
+
+    def test_seeded_circulants(self):
+        # Z_n with random steps, the rotation and the reflection i -> -i
+        # declared: one orbit, so every scan starts at vertex 0 alone
+        answers = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(3, 24)
+            steps = rng.sample(range(1, n // 2 + 1),
+                               rng.randint(1, min(4, n // 2)))
+            g = Graph(range(n), {tuple(sorted((i, (i + s) % n)))
+                                 for i in range(n) for s in steps},
+                      name=f"circulant {n} {sorted(steps)}")
+            g.symmetries = (tuple((i + 1) % n for i in range(n)),
+                            tuple(-i % n for i in range(n)))
+            assert len(orbit_roots(g)) == 1
+            assert_root_scans_match(g)
+            answers.add((contains_k3(g), contains_k23(g),
+                         diameter(g) is None))
+        # triangles, 2x3 bicliques and disconnected circulants all occur,
+        # and so do graphs free of both obstructions
+        assert {k3 for k3, _, _ in answers} == {True, False}
+        assert {k23 for _, k23, _ in answers} == {True, False}
+        assert {split for _, _, split in answers} == {True, False}
+        assert (False, False, False) in answers
+
+    @pytest.mark.parametrize("first_two", [False, True],
+                             ids=["all generators", "first two"])
+    @pytest.mark.parametrize("spec", sorted(TestSymmetries.DECLARED))
+    def test_declared_families(self, spec, first_two):
+        g = build_item(spec).graph
+        if first_two:
+            g.symmetries = g.symmetries[:2]
+        assert_root_scans_match(g)
+
+    def test_k23_with_both_sides_declared(self):
+        # the swap of the 2-side and a rotation of the 3-side leave the
+        # roots 0 and 2; the pair (0, 1) is counted only in the rows of
+        # 2, 3 and 4, none of them a root
+        g = Graph(range(5), [(a, b) for a in (0, 1) for b in (2, 3, 4)],
+                  name="K_{2,3}")
+        g.symmetries = ((1, 0, 2, 3, 4), (0, 1, 3, 4, 2))
+        assert orbit_roots(g) == [0, 2]
+        assert contains_k23(g)
+        assert_root_scans_match(g)
+
+
+class TestUnverifiedSymmetries:
+    @pytest.mark.parametrize("predicate", [contains_k3, contains_k23, diameter],
+                             ids=lambda f: f.__name__)
+    def test_each_predicate_refuses_a_wrong_symmetry(self, predicate):
+        g = build_item("hypercube:4").graph
+        wrong_swap(g)
+        with pytest.raises(GraphError, match="internal: .* not an automorphism"):
+            predicate(g)
+
+    def test_reassigned_symmetries_are_read(self):
+        # the sweep and every predicate first read all five bit flips;
+        # two of them leave eight orbits, and a wrong swap is refused
+        # by every reader though their answers are cached
+        item = build_item("hypercube:5")
+        g = item.graph
+        gather_facts(item)
+        assert diameter(g) == 5
+        assert len([x for x, up in orbit_parents(g).items() if up is None]) == 1
+        g.symmetries = g.symmetries[:2]
+        roots = [x for x, up in orbit_parents(g).items() if up is None]
+        assert roots == orbit_roots(g) and len(roots) == 8
+        assert_root_scans_match(g)
+        facts = gather_facts(item)
+        assert tuple(facts.vertices) == vertex_facts_one_by_one(g)
+        assert tuple(facts.edges) == edge_facts_one_by_one(g)
+        item = build_item("hypercube:4")
+        g = item.graph
+        gather_facts(item)
+        assert_root_scans_match(g)
+        wrong_swap(g)
+        for read in (orbit_parents, contains_k3, contains_k23, diameter,
+                     lambda g: gather_facts(item)):
+            with pytest.raises(GraphError, match="internal: .* not an automorphism"):
+                read(g)
 
 
 class TestRowViews:

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphcurvature import cli
 from graphcurvature.cli import main
-from graphcurvature.graphs import load_graph
+from graphcurvature.corpus import default_corpus_specs
+from graphcurvature.graphs import _verify_symmetries, load_graph, orbit_parents
 
 from conftest import perturbed
 
@@ -455,6 +457,35 @@ class TestVerifyCommand:
                     argv, edges, err)
             else:
                 assert err == "", (argv, edges)
+
+    def test_each_graph_verifies_its_symmetries_once(self, capsys, monkeypatch):
+        # the sweep, contains_k3, contains_k23 and diameter all read the
+        # orbit map, yet each graph's declared symmetries are verified
+        # once over a default-corpus run
+        verified, reads = Counter(), Counter()
+        kept = []  # every graph stays alive, so no id is reused
+
+        def counting_verify(g):
+            verified[id(g)] += 1
+            kept.append(g)
+            _verify_symmetries(g)
+
+        def counting_walk(g):
+            reads[id(g)] += 1
+            return orbit_parents(g)
+
+        monkeypatch.setattr("graphcurvature.graphs._verify_symmetries",
+                            counting_verify)
+        for module in ("graphs", "checks"):
+            monkeypatch.setattr(f"graphcurvature.{module}.orbit_parents",
+                                counting_walk)
+        code, _, err = run_cli(capsys, "verify", "--jobs", "1",
+                               "--format", "csv")
+        assert code == 0 and err == ""
+        assert len(verified) == len(default_corpus_specs())
+        assert set(verified.values()) == {1}
+        assert reads.keys() == verified.keys()
+        assert min(reads.values()) >= 3
 
     def test_json_differs_only_in_timing(self, capsys):
         _, out1, _ = run_cli(

@@ -549,18 +549,11 @@ def _by_class(rows, classes, at) -> tuple[bool, list[str]]:
 
 def _edge_kappas(facts: GraphFacts):
     """A lookup of the kappa of edge (x, y), for a neighbor y of x, read
-    through one map from each edge class to the kappa of its first row,
-    filled as classes are asked for."""
-    edges, classes, rows = facts.graph.edges, facts.edge_class, facts.edges
-    known: dict[int, Fraction | None] = {}
-
-    def kappa(x: int, y: int) -> Fraction | None:
-        c = classes[bisect_left(edges, (x, y) if x < y else (y, x))]
-        if c not in known:
-            known[c] = rows[c].kappa
-        return known[c]
-
-    return kappa
+    through one map from each edge class to the kappa of its first row."""
+    edges, classes = facts.graph.edges, facts.edge_class
+    kappa_of = {i: facts.edges[i].kappa for i in dict.fromkeys(classes)}
+    return lambda x, y: kappa_of[
+        classes[bisect_left(edges, (x, y) if x < y else (y, x))]]
 
 
 def _class_edges(facts: GraphFacts) -> list[EdgeFact]:

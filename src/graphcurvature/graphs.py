@@ -453,15 +453,13 @@ def contains_k3(g: Graph) -> bool:
     Tests the edges (r, v), r < v, at each orbit root r for a common
     neighbor.  That is complete: an automorphism maps the triangle vertex
     whose orbit root is least onto that root r, and the other two onto
-    ids above r.  When every vertex is a root those edges are g.edges,
-    read as they are.
+    ids above r.  When every vertex is a root those edges are g.edges.
     """
     roots = _orbit_roots(g)
     if g._k3 is None:
         adj = g.neighbor_sets()
-        edges = (g.edges if len(roots) == len(g.vertices) else
-                 [(r, v) for r in roots for v in g._adj[r] if v > r])
-        g._k3 = any(not adj[u].isdisjoint(adj[v]) for u, v in edges)
+        g._k3 = any(not adj[r].isdisjoint(adj[v])
+                    for r in roots for v in g._adj[r] if v > r)
     return g._k3
 
 
@@ -477,16 +475,12 @@ def contains_k23(g: Graph) -> bool:
     neighbors, and the count is complete: an automorphism maps one vertex
     of the biclique's 2-side onto its root, and its three common
     neighbors onto neighbors of that root.  When every vertex is a root
-    every row is counted, as an isolated vertex's empty row adds no pair.
+    every row is counted but an isolated vertex's, which adds no pair.
     """
     roots = _orbit_roots(g)
     if g._k23 is None:
-        if len(roots) == len(g.vertices):
-            rows = tuple(g._adj.values())
-        else:
-            adj = g.neighbor_sets()
-            rows = [g._adj[w]
-                    for w in sorted(set().union(*(adj[r] for r in roots)))]
+        adj = g.neighbor_sets()
+        rows = [g._adj[w] for w in sorted(set().union(*(adj[r] for r in roots)))]
         counts: Counter[tuple[int, int]] = Counter()
         start, size = 0, 16
         found = False

@@ -173,21 +173,16 @@ def cd_curvature(ball: LocalBall) -> CdResult:
     extract_ball refuses it.
     """
     form = gamma2_form(ball)
-    return CdResult(lowest_eigenvalue(eliminate_second_neighbors(form, ball)))
+    return CdResult(lowest_eigenpair(eliminate_second_neighbors(form, ball))[0])
 
 
-def lowest_eigenvalue(form: QuadraticForm) -> float:
-    """Smallest eigenvalue of form.matrix / form.scale, by a float eigensolve.
+def lowest_eigenpair(form: QuadraticForm) -> tuple[float, list[float]]:
+    """Smallest eigenvalue of form.matrix / form.scale and a unit
+    eigenvector for it, from one float eigensolve.
 
     The entries are rounded once, so equal integer matrices and scales
     give the same bits.
     """
-    return float(np.linalg.eigh(form.as_array())[0][0])
-
-
-def lowest_eigenpair(form: QuadraticForm) -> tuple[float, list[float]]:
-    """lowest_eigenvalue and a unit eigenvector for it, from one
-    eigensolve."""
     values, vectors = np.linalg.eigh(form.as_array())
     return float(values[0]), vectors[:, 0].tolist()
 

@@ -32,22 +32,25 @@ and sorted pair of end degrees, which is all a check reads of an edge;
 the transport-unsafe rows form one class.  A vertex class shares the
 refined class, and with it rho, the exact test-vector values and, in a
 truncated graph, which of its labels lead to unsafe edges.  A row costs
-the sweep a class lookup and a label: the edge pass walks each vertex's
-sorted neighbor row once, and GraphFacts holds its rows as views,
-VertexRows and EdgeRows, that build a row's VertexFact or EdgeFact from
-its class data when it is read.  run_checks then replays every
+the sweep a class lookup and a label: one pass over the vertices builds
+each vertex's row and then the rows of its edges to larger neighbors,
+walking its sorted neighbor row once.  GraphFacts holds its rows as
+views, VertexRows and EdgeRows, that build a row's VertexFact or
+EdgeFact from its class data when it is read, and it reads the first
+row of each class, the class head, once.  run_checks then replays every
 applicable classification, linkage, decomposition, duality and diameter
 statement against those facts and reports violations.  A per-element
-statement is decided at the first row of each class, which also reads
-the kappa at each label of that vertex's own edges, each through its
-edge class; only when a class fails does the check walk every row, so
+statement is decided at each class head, which also reads the kappa at
+each label of that vertex's own edges off the heads of their edge
+classes; only when a class fails does the check walk every row, so
 each violation still names its vertex or edge, in row order.  kappa*
-for the diameter bounds is the least kappa over the edge classes.  The
-deep checks, witness-bounds and duality, sample the first edge of each
+for the diameter bounds is the least kappa over the edge heads.  The
+deep checks, witness-bounds and duality, sample the head of each
 transport-safe edge class: witness existence can differ between rows of
 one class, so a deep check states nothing about the other rows, and
 duality rebuilds the plan and certificate there and compares them with
-the kappa the report prints.
+the kappa the report prints.  The report formats each class from its
+head as well.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bakry_emery import (
@@ -205,6 +208,19 @@ class GraphFacts:
     # one class
     vertex_class: tuple[int, ...]
     edge_class: tuple[int, ...]
+    # the first row of each class, by its index, in row order: read once
+    # from the rows whenever a GraphFacts is made, dataclasses.replace
+    # included, so the checks and the report never build a class's
+    # record twice
+    vertex_heads: dict[int, VertexFact] = field(init=False, repr=False)
+    edge_heads: dict[int, EdgeFact] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for heads, rows, classes in (
+                ("vertex_heads", self.vertices, self.vertex_class),
+                ("edge_heads", self.edges, self.edge_class)):
+            object.__setattr__(self, heads,
+                               {i: rows[i] for i in dict.fromkeys(classes)})
 
 
 class _TwoBall:
@@ -437,47 +453,19 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         ball_class[x] = known
 
     # an edge key is (refined class of x, label of y in the two-ball of x)
-    # for x < y, numbered base[class] + label; its kappa and whether the
-    # biclique decomposition across it exists are read inside that
-    # two-ball, once per key.  Adjacent vertices differ by at most one in
-    # their distance from the truncation center, so both ends of a
-    # transport-safe edge are classed
-    base: dict[_TwoBall, int] = {}
-    keys = 0
-    for kind in kinds.values():
-        base[kind] = keys
-        keys += len(kind.slot) + 1
-    # classed vertex -> its key base and its sphere1 labels
-    at = {x: (base[kind], labels) for x, (kind, labels) in ball_class.items()}
+    # for x < y: its kappa and whether the biclique decomposition across
+    # it exists are read inside that two-ball, once per key.  Adjacent
+    # vertices differ by at most one in their distance from the truncation
+    # center, so both ends of a transport-safe edge are classed.  An edge
+    # class is every row with equal (safe, kappa, decomposable) cells and
+    # equal sorted end degrees, which is all a check reads of an edge; the
+    # transport-unsafe rows are one class.  Those values -> the first row
+    # of their class, and edge key -> the first row of its class
     anchor = (None if g.truncation is None
               else {v: g.transport_anchor(v) for v in g.vertices})
-    # an edge class is every row with equal (safe, kappa, decomposable)
-    # cells and equal sorted end degrees, which is all a check reads of an
-    # edge; the transport-unsafe rows are one class.  Those values -> the
-    # first row of their class, and edge key -> the first row of its class
     first_row: dict[tuple, int] = {}
-    key_row: dict[int, int] = {}
+    key_row: dict[tuple[_TwoBall, int], int] = {}
     row_class: list[int] = []
-    for x in g.vertices:
-        off, labels = at.get(x, (0, ()))
-        for j, y in enumerate(g.neighbors(x)):
-            if y < x:
-                continue
-            if anchor is not None and not (anchor[x] or anchor[y]):
-                row_class.append(first_row.setdefault((False, None, None),
-                                                      len(row_class)))
-                continue
-            k = off + labels[j]
-            c = key_row.get(k)
-            if c is None:
-                c = key_row[k] = first_row.setdefault(
-                    (True, ollivier_kappa(g, x, y),
-                     bipartite_decomposition(g, x, y) is not None
-                     if triangle_free else None,
-                     *sorted((g.degree(x), g.degree(y)))), len(row_class))
-            row_class.append(c)
-    edge_cells = {c: view[:3] for view, c in first_row.items()}
-
     vals: list[tuple | None] = []
     vertex_class: list[int] = []
     # values() returns one tuple per class and labelling, so its refined
@@ -487,25 +475,42 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
     parts: dict[tuple, int] = {}
     row_of: dict = {}
     for i, x in enumerate(g.vertices):
-        known = ball_class.get(x)
-        if known is None:
+        kind, labels = ball_class.get(x, (None, ()))
+        if kind is None:
             vals.append(None)
             vertex_class.append(row_of.setdefault(None, i))
-            continue
-        kind, labels = known
-        v = kind.values(labels)
-        vals.append(v)
-        p = part.get(id(v))
-        if p is None:
-            p = part[id(v)] = parts.setdefault((kind, v[5], v[6]), len(parts))
-        # the refined class fixes every other fact and the kappa at each
-        # label, but not which labels lead to transport-unsafe edges
-        if anchor is not None and not anchor[x]:
-            cut = frozenset(lab for y, lab in zip(g.neighbors(x), labels)
-                            if not anchor[y])
-            if cut:
-                p = (p, cut)
-        vertex_class.append(row_of.setdefault(p, i))
+        else:
+            v = kind.values(labels)
+            vals.append(v)
+            p = part.get(id(v))
+            if p is None:
+                p = part[id(v)] = parts.setdefault((kind, v[5], v[6]),
+                                                   len(parts))
+            # the refined class fixes every other fact and the kappa at
+            # each label, but not which labels lead to transport-unsafe edges
+            if anchor is not None and not anchor[x]:
+                cut = frozenset(lab for y, lab in zip(g.neighbors(x), labels)
+                                if not anchor[y])
+                if cut:
+                    p = (p, cut)
+            vertex_class.append(row_of.setdefault(p, i))
+        for j, y in enumerate(g.neighbors(x)):
+            if y < x:
+                continue
+            if anchor is not None and not (anchor[x] or anchor[y]):
+                row_class.append(first_row.setdefault((False, None, None),
+                                                      len(row_class)))
+                continue
+            k = (kind, labels[j])
+            c = key_row.get(k)
+            if c is None:
+                c = key_row[k] = first_row.setdefault(
+                    (True, ollivier_kappa(g, x, y),
+                     bipartite_decomposition(g, x, y) is not None
+                     if triangle_free else None,
+                     *sorted((g.degree(x), g.degree(y)))), len(row_class))
+            row_class.append(c)
+    edge_cells = {c: view[:3] for view, c in first_row.items()}
     edge_class = tuple(row_class)
     return GraphFacts(
         item.key, g, is_regular(g), triangle_free, not contains_k23(g),
@@ -530,17 +535,17 @@ def _result(name: str, applicable: bool, problems: list[str],
     return CheckResult(name, True, not problems, tuple(problems))
 
 
-def _by_class(rows, classes, at) -> tuple[bool, list[str]]:
+def _by_class(rows, heads, at) -> tuple[bool, list[str]]:
     """Whether `at` examines any row, and the problems it finds.
 
     `at` returns None at a row it does not examine and else the list of
     problems there.  Rows of one class hold equal facts, so `at` runs at
-    the first row of each class alone; only when one of those fails does
-    it run at every row, so that each failing row is named, in order.
+    the head of each class alone; only when one of those fails does it
+    run at every row, so that each failing row is named, in order.
     """
     seen = False
-    for i in dict.fromkeys(classes):
-        problems = at(rows[i])
+    for head in heads.values():
+        problems = at(head)
         if problems:
             return True, [p for row in rows for p in at(row) or ()]
         seen = seen or problems is not None
@@ -549,16 +554,11 @@ def _by_class(rows, classes, at) -> tuple[bool, list[str]]:
 
 def _edge_kappas(facts: GraphFacts):
     """A lookup of the kappa of edge (x, y), for a neighbor y of x, read
-    through one map from each edge class to the kappa of its first row."""
-    edges, classes = facts.graph.edges, facts.edge_class
-    kappa_of = {i: facts.edges[i].kappa for i in dict.fromkeys(classes)}
-    return lambda x, y: kappa_of[
-        classes[bisect_left(edges, (x, y) if x < y else (y, x))]]
-
-
-def _class_edges(facts: GraphFacts) -> list[EdgeFact]:
-    """The first row of each edge class, in row order."""
-    return [facts.edges[i] for i in dict.fromkeys(facts.edge_class)]
+    off the head of its edge class."""
+    edges, classes, heads = (facts.graph.edges, facts.edge_class,
+                             facts.edge_heads)
+    return lambda x, y: heads[
+        classes[bisect_left(edges, (x, y) if x < y else (y, x))]].kappa
 
 
 def check_cd_class(facts: GraphFacts) -> CheckResult:
@@ -581,7 +581,7 @@ def check_cd_class(facts: GraphFacts) -> CheckResult:
                         f"(needs < 0 and <= {float(bound)})"]
         return []
 
-    return _result("cd-class", *_by_class(facts.vertices, facts.vertex_class, at),
+    return _result("cd-class", *_by_class(facts.vertices, facts.vertex_heads, at),
                    "no classified vertices")
 
 
@@ -612,7 +612,7 @@ def check_ollivier_class(facts: GraphFacts) -> CheckResult:
         return problems if seen else None
 
     return _result("ollivier-class",
-                   *_by_class(facts.vertices, facts.vertex_class, at),
+                   *_by_class(facts.vertices, facts.vertex_heads, at),
                    "no classified edges")
 
 
@@ -635,7 +635,7 @@ def check_cd_vs_ollivier(facts: GraphFacts) -> CheckResult:
         return [f"{facts.key} vertex {vf.label}: {v}" for v in viol]
 
     return _result("cd-vs-ollivier",
-                   *_by_class(facts.vertices, facts.vertex_class, at),
+                   *_by_class(facts.vertices, facts.vertex_heads, at),
                    "no safe vertices")
 
 
@@ -663,7 +663,7 @@ def check_linkage_positive_cd(facts: GraphFacts) -> CheckResult:
         return problems
 
     return _result("linkage-positive-cd",
-                   *_by_class(facts.vertices, facts.vertex_class, at),
+                   *_by_class(facts.vertices, facts.vertex_heads, at),
                    "no safe vertices")
 
 
@@ -683,7 +683,7 @@ def check_bipartite_transport(facts: GraphFacts) -> CheckResult:
         return []
 
     return _result("bipartite-transport",
-                   *_by_class(facts.edges, facts.edge_class, at),
+                   *_by_class(facts.edges, facts.edge_heads, at),
                    "no edge admits the decomposition")
 
 
@@ -703,7 +703,7 @@ def check_transport_upper_bound(facts: GraphFacts) -> CheckResult:
         return []
 
     return _result("transport-upper-bound",
-                   *_by_class(facts.edges, facts.edge_class, at),
+                   *_by_class(facts.edges, facts.edge_heads, at),
                    "no safe edges")
 
 
@@ -726,7 +726,7 @@ def check_test_vectors(facts: GraphFacts) -> CheckResult:
         return None
 
     return _result("test-vector-certificates",
-                   *_by_class(facts.vertices, facts.vertex_class, at),
+                   *_by_class(facts.vertices, facts.vertex_heads, at),
                    "no flat or negative class vertices")
 
 
@@ -736,7 +736,7 @@ def check_witness_bounds(facts: GraphFacts) -> CheckResult:
     g = facts.graph
     problems = []
     seen = False
-    for ef in _class_edges(facts):
+    for ef in facts.edge_heads.values():
         x, y, k = ef.x, ef.y, ef.kappa
         if k is None:
             continue
@@ -775,7 +775,7 @@ def check_duality(facts: GraphFacts) -> CheckResult:
     g = facts.graph
     problems = []
     seen = False
-    for ef in _class_edges(facts):
+    for ef in facts.edge_heads.values():
         x, y, k = ef.x, ef.y, ef.kappa
         if k is None:
             continue
@@ -818,7 +818,7 @@ def check_quantization(facts: GraphFacts) -> CheckResult:
                     f"kappa = {ef.kappa} not a multiple of 1/{grain}"]
         return []
 
-    return _result("quantization", *_by_class(facts.edges, facts.edge_class, at),
+    return _result("quantization", *_by_class(facts.edges, facts.edge_heads, at),
                    "no safe edges")
 
 
@@ -844,7 +844,7 @@ def diameter_bounds(g: Graph, dia: int, kstar: Fraction, regular: int | None):
 def min_edge_kappa(facts: GraphFacts) -> Fraction | None:
     """kappa*, the least edge curvature, read once per edge class; None
     when the graph has no edge or an edge the sweep skipped."""
-    kappas = [ef.kappa for ef in _class_edges(facts)]
+    kappas = [ef.kappa for ef in facts.edge_heads.values()]
     if not kappas or any(k is None for k in kappas):
         return None
     return min(kappas)

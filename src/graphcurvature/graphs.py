@@ -375,27 +375,32 @@ def diameter(g: Graph) -> int | None:
     """Largest pairwise distance, or None when the graph is disconnected.
 
     One `bfs_distances` search from the first vertex decides
-    connectivity.  A connected graph then runs a multi-source bit-parallel
-    BFS (Then et al., "The More the Merrier", PVLDB 2014) from the orbit
-    roots alone, over batches of at most 4,096 sources: each vertex holds
-    a Python int whose bit i says source i is within the current level,
-    and one level ORs every vertex's int with its neighbours' ints.  The
-    levels taken until every int is full are the largest eccentricity
-    among the batch's sources.  An automorphism keeps eccentricity, so
-    the largest over the roots is the largest over all vertices.  A pass
-    holds two lists of V ints of at most 4,096 bits, so memory stays at
-    about V x 1 KB whatever the graph's size.
+    connectivity, and since that vertex is the first orbit root, it also
+    gives that root's eccentricity.  A connected graph with more orbits
+    then runs a multi-source bit-parallel BFS (Then et al., "The More the
+    Merrier", PVLDB 2014) from the other orbit roots alone, over batches
+    of at most 4,096 sources: each vertex holds a Python int whose bit i
+    says source i is within the current level, and one level ORs every
+    vertex's int with its neighbours' ints.  The levels taken until every
+    int is full are the largest eccentricity among the batch's sources.
+    An automorphism keeps eccentricity, so the largest over the roots is
+    the largest over all vertices; a vertex-transitive graph runs no
+    pass.  A pass holds two lists of V ints of at most 4,096 bits, so
+    memory stays at about V x 1 KB whatever the graph's size.
     """
     roots = _orbit_roots(g)
     n = len(g.vertices)
     if n <= 1:
         return 0
-    if len(bfs_distances(g, {g.vertices[0]: 0})) < n:
+    dist = bfs_distances(g, {roots[0]: 0})
+    if len(dist) < n:
         return None
+    best = max(dist.values())
+    if len(roots) == 1:
+        return best
     index = {v: i for i, v in enumerate(g.vertices)}
     adjacency = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
-    best = 0
-    for start in range(0, len(roots), _DIAMETER_BATCH):
+    for start in range(1, len(roots), _DIAMETER_BATCH):
         batch = roots[start:start + _DIAMETER_BATCH]
         full = (1 << len(batch)) - 1
         reach = [0] * n

@@ -95,14 +95,10 @@ class Section:
 
 def section(facts: GraphFacts, results: list[CheckResult]) -> Section:
     """The section of one graph, formatting each class's values once."""
-    vcells = {}
-    for c in dict.fromkeys(facts.vertex_class):
-        vf = facts.vertices[c]
-        vcells[c] = (vf.safe, *vertex_cells(vf.rho, vf.structure_class, vf.N))
-    ecells = {}
-    for c in dict.fromkeys(facts.edge_class):
-        ef = facts.edges[c]
-        ecells[c] = (ef.safe, *edge_cells(ef.kappa))
+    vcells = {c: (vf.safe, *vertex_cells(vf.rho, vf.structure_class, vf.N))
+              for c, vf in facts.vertex_heads.items()}
+    ecells = {c: (ef.safe, *edge_cells(ef.kappa))
+              for c, ef in facts.edge_heads.items()}
     g = facts.graph
     return Section(
         facts.key, dict(zip(g.vertices, map(g.label, g.vertices))),

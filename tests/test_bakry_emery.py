@@ -449,7 +449,7 @@ class TestCertifiedRho:
         # rounded quotient, across decade boundaries too; an eigenvector
         # that rounds to zero leaves the estimate alone to steer
         form = QuadraticForm((0,), [[num]], scale)
-        estimate = bakry_emery.lowest_eigenvalue(form) * skew
+        estimate = bakry_emery.lowest_eigenpair(form)[0] * skew
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bakry_emery, "lowest_eigenpair",
                        lambda form: (estimate, [vector]))

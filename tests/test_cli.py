@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphcurvature import cli
+from graphcurvature.checks import EdgeFact, VertexFact, gather_facts
 from graphcurvature.cli import main
 from graphcurvature.corpus import default_corpus_specs
 from graphcurvature.graphs import _verify_symmetries, load_graph, orbit_parents
@@ -486,6 +487,37 @@ class TestVerifyCommand:
         assert set(verified.values()) == {1}
         assert reads.keys() == verified.keys()
         assert min(reads.values()) >= 3
+
+    def test_one_fact_record_per_class(self, capsys, monkeypatch):
+        # with every check passing, the checks and the report read each
+        # class through its head, so a default-corpus run builds one
+        # VertexFact per vertex class and one EdgeFact per edge class
+        built, swept = Counter(), []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args):
+                built[cls.__name__] += 1
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        def sweep(item):
+            facts = gather_facts(item)
+            swept.append(facts)
+            return facts
+
+        counting(VertexFact)
+        counting(EdgeFact)
+        monkeypatch.setattr(cli, "gather_facts", sweep)
+        code, _, err = run_cli(capsys, "verify", "--jobs", "1",
+                               "--format", "csv")
+        assert code == 0 and err == ""
+        assert len(swept) == len(default_corpus_specs())
+        assert built["VertexFact"] == sum(
+            len(set(f.vertex_class)) for f in swept) == 91
+        assert built["EdgeFact"] == sum(
+            len(set(f.edge_class)) for f in swept) == 59
 
     def test_json_differs_only_in_timing(self, capsys):
         _, out1, _ = run_cli(

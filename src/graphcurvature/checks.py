@@ -212,8 +212,10 @@ class GraphFacts:
     # from the rows whenever a GraphFacts is made, dataclasses.replace
     # included, so the checks and the report never build a class's
     # record twice
-    vertex_heads: dict[int, VertexFact] = field(init=False, repr=False)
-    edge_heads: dict[int, EdgeFact] = field(init=False, repr=False)
+    vertex_heads: dict[int, VertexFact] = field(init=False, repr=False,
+                                                compare=False)
+    edge_heads: dict[int, EdgeFact] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         for heads, rows, classes in (

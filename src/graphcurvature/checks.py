@@ -8,15 +8,16 @@ isomorphic two-balls, in three tiers.  The graph's orbit map
 (graphs.orbit_parents), which verifies its declared symmetries once per
 graph and which the triangle, 2x3 biclique and diameter scans read as
 well, splits the vertices into orbits; only the root of an orbit, its
-smallest id, has its two-ball built, and every other vertex takes its
-parent's class with its sphere1 labels carried through the symmetry.
-The positional key renumbers a root's ball by position; only a key not
-seen before is relabelled by individualise and refine, and the
-relabelled ball is the class key.  The Gamma2 form, its
-reduction, the class verdict and rho are computed once per relabelled
-class: rho is certified from one eigensolve and exact tests, with its
-class thresholds decided there, and shared by every vertex of the
-class; each vertex reads its non-link counts and test vectors off the
+smallest id, is keyed, and every other vertex takes its parent's class
+with its sphere1 labels carried through the symmetry.  The positional
+key renumbers a root's ball by position, read off the graph's rows with
+no LocalBall; only a key not seen before is relabelled by individualise
+and refine, and the relabelled ball is the class key.  Only the first
+root of a new relabelled class has its two-ball built, and the Gamma2
+form, its reduction, the class verdict and rho are computed from it
+once per class: rho is certified from one eigensolve and exact tests,
+with its class thresholds decided there, and shared by every vertex of
+the class; each vertex reads its non-link counts and test vectors off the
 class in its own sphere1 order.  The edge problem across (x, y) lives
 inside the two-ball of x, and x is a swept vertex wherever the edge is
 transport-safe, so the edge takes the kappa of the first edge from a
@@ -289,10 +290,10 @@ class _TwoBall:
         return self.vector_values[choice]
 
 
-def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
-    """The two-ball at ball.base with its vertices renumbered by position.
+def _ball_key(g: Graph, x: int) -> tuple[int, ...]:
+    """The two-ball at x with its vertices renumbered by position.
 
-    base becomes 0, sphere1 1..d and sphere2 the positions after that, each
+    x becomes 0, sphere1 1..d and sphere2 the positions after that, each
     sphere in its sorted order, so every ordering the kernels use survives
     the renumbering.  The key is the effective degree, the number n of
     ball vertices and the sorted codes i*n + j of the ball's edges (i, j),
@@ -301,22 +302,32 @@ def _ball_key(g: Graph, ball: LocalBall) -> tuple[int, ...]:
     the whole graph, not from the ball.  _relabel returns its class key in
     the same encoding.
 
-    The edges between two sphere2 vertices are read from the graph because
-    LocalBall drops them.  No vertex fact reads them, but the edge problem
-    across (base, y) does: a neighbor s of the base and a neighbor t of y
-    are at distance 2 when they share a neighbor, which may lie in
-    sphere2.  Equal keys therefore pose the same edge problem, up to
-    relabelling, at every neighbor position.
+    The key is read off the graph's rows in one pass, with no LocalBall:
+    a sphere1 row lies wholly in the ball, and a sphere2 row is
+    intersected with sphere2, the only part of the ball after it.  The
+    edges between two sphere2 vertices are in the key although LocalBall
+    drops them.  No vertex fact reads them, but the edge problem across
+    (x, y) does: a neighbor s of x and a neighbor t of y are at distance
+    2 when they share a neighbor, which may lie in sphere2.  Equal keys
+    therefore pose the same edge problem, up to relabelling, at every
+    neighbor position.
     """
-    pos = {ball.base: 0}
-    for v in ball.sphere1 + ball.sphere2:
-        pos[v] = len(pos)
-    n = len(pos)
     adj = g.neighbor_sets()
-    # a vertex outside the ball reads as position 0, which no j > i passes
-    codes = sorted(i * n + j for v, i in pos.items()
-                   for j in (pos.get(w, 0) for w in adj[v]) if j > i)
-    return (effective_degree(g, ball.base), n, *codes)
+    s1 = g.neighbors(x)
+    far = set().union(*map(adj.__getitem__, s1))
+    far.difference_update(s1)
+    far.discard(x)
+    s2 = sorted(far)
+    pos = dict(zip((x, *s1, *s2), range(len(s1) + len(s2) + 1)))
+    n = len(pos)
+    at = pos.__getitem__
+    codes = list(range(1, len(s1) + 1))
+    for i, v in enumerate(s1, 1):
+        codes.extend(i * n + j for j in map(at, g.neighbors(v)) if j > i)
+    for i, u in enumerate(s2, len(s1) + 1):
+        codes.extend(i * n + j for j in map(at, adj[u] & far) if j > i)
+    codes.sort()
+    return (effective_degree(g, x), n, *codes)
 
 
 def _refine(nbrs: list[list[int]], lab: list[int], where: list[int],
@@ -426,10 +437,11 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
     g = item.graph
     parents = orbit_parents(g)
     triangle_free = not contains_k3(g)
-    # three tiers: an orbit root's two-ball alone is built, its positional
-    # key finds its refined class and sphere1 labels, and only a new
-    # positional key is relabelled; every other vertex of the orbit takes
-    # its parent's class, with the labels carried through the symmetry
+    # three tiers: an orbit root's positional key, read off the graph,
+    # finds its refined class and sphere1 labels; only a new positional
+    # key is relabelled, and only a new refined class has its two-ball
+    # built.  Every other vertex of the orbit takes its parent's class,
+    # with the labels carried through the symmetry
     memo: dict[tuple[int, ...], tuple[_TwoBall, tuple[int, ...]]] = {}
     kinds: dict[tuple[int, ...], _TwoBall] = {}
     ball_class: dict[int, tuple[_TwoBall, tuple[int, ...]]] = {}
@@ -443,14 +455,13 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
             ball_class[x] = (kind, tuple(map(carried.__getitem__,
                                              g.neighbors(x))))
             continue
-        ball = extract_ball(g, x)
-        key = _ball_key(g, ball)
+        key = _ball_key(g, x)
         known = memo.get(key)
         if known is None:
             rkey, labels = _relabel(key)
             kind = kinds.get(rkey)
             if kind is None:
-                kind = kinds[rkey] = _TwoBall(g, ball, labels)
+                kind = kinds[rkey] = _TwoBall(g, extract_ball(g, x), labels)
             known = memo[key] = (kind, labels)
         ball_class[x] = known
 

@@ -388,20 +388,18 @@ def zigzag(g1: Graph, g2: Graph) -> Graph:
         if set(across[a]) != full:
             raise GraphError(f"vertex {a} of g1 is missing some edge labels")
 
-    edges = set()
-    for a in range(n1):
-        for x in range(n2):
-            for y in g2.neighbors(x):
-                b = across[a][y]
-                for z in g2.neighbors(y):
-                    p, q = a * n2 + x, b * n2 + z
-                    if p != q:
-                        edges.add((min(p, q), max(p, q)))
-    labels = {
-        a * n2 + x: f"({g1.label(a)},{g2.label(x)})"
-        for a in range(n1) for x in range(n2)
-    }
-    out = Graph(range(n1 * n2), sorted(edges), labels=labels,
+    # a g1 edge a < b labelled y joins (a, x) to (b, z) for every x and z
+    # next to y in g2, the 2-walks x ~ y ~ z; each edge arises once, as
+    # the label of a g1 edge is unique
+    edges = []
+    for (a, b), y in g1.edge_labels.items():
+        ring = g2.neighbors(y)
+        edges.extend(itertools.product([a * n2 + x for x in ring],
+                                       [b * n2 + z for z in ring]))
+    left = [g1.label(a) for a in range(n1)]
+    right = [g2.label(x) for x in range(n2)]
+    labels = dict(enumerate(f"({s},{t})" for s in left for t in right))
+    out = Graph(range(n1 * n2), edges, labels=labels,
                 name=f"zigzag-{g1.name or 'g1'}-{g2.name or 'g2'}")
     deg = is_regular(out)
     if deg != big_d * big_d:

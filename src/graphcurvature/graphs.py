@@ -3,18 +3,25 @@
 Vertices are integers.  Adjacency is kept in sorted tuples so traversals,
 matrix indices and report rows come out in a reproducible order, and as
 frozensets, built on first use, for edge and distance tests.  A Graph
+decides the validity of its input by whole-collection tests (sets of
+the ids and of their types, one normalising pass over the edges, set
+sizes and subset tests), and walks the input element by element only
+after one fails, to name its first fault.  Its rows come from the
+sorted edges with no sort of their own: each row receives its lower
+neighbors first, in increasing order, then its upper ones.  A Graph
 may carry a Truncation record saying it is a radius-limited piece of a
 larger regular host; the predicates that decide whether a curvature
 evaluation near the cut boundary is trustworthy live here as well, as
 does `bfs_distances`, the package's one graph search.  A family may also
 declare symmetries, permutations of the vertex ids that it claims are
 automorphisms; they are not serialised, so a graph read from a file
-carries none.  `orbit_parents` verifies them, once per assignment, and
-splits the vertices into orbits; it is the one place anything reads
-them.  The whole-graph predicates `contains_k3`, `contains_k23` and
-`diameter` scan from the orbit roots alone, since an automorphism maps
-each triangle, 2x3 biclique and eccentricity onto one seen from a root;
-on a graph without symmetries every vertex is a root.
+carries none.  `orbit_parents` verifies them, once per assignment and
+all at once in whole-array passes, and splits the vertices into orbits;
+it is the one place anything reads them.  The whole-graph predicates
+`contains_k3`, `contains_k23` and `diameter` scan from the orbit roots
+alone, since an automorphism maps each triangle, 2x3 biclique and
+eccentricity onto one seen from a root; on a graph without symmetries
+every vertex is a root.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -69,6 +78,87 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+# The loops below run only after a whole-collection test in
+# Graph.__init__ has failed: they walk the input in order, so the first
+# fault is the one named.
+
+
+def _all_ids(values) -> bool:
+    """Whether every value is an int and none a bool, by one set of their
+    types; _require_id decides the same per value."""
+    return all(issubclass(t, int) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
+def _bulk_edges(edges: tuple, ids: set[int]) -> set[tuple[int, int]] | None:
+    """The edges as (smaller, larger) pairs, or None unless every entry is
+    a pair of ids of `ids`, no pair is a loop and none repeats: one
+    normalising pass, then set sizes and a subset test."""
+    try:
+        pairs = [(u, v) if u < v else (v, u) for u, v in edges if u != v]
+    except (TypeError, ValueError):
+        return None
+    if len(pairs) != len(edges) or not _all_ids(chain.from_iterable(pairs)):
+        return None
+    edge_set = set(pairs)
+    if len(edge_set) != len(pairs) or not ids.issuperset(chain.from_iterable(pairs)):
+        return None
+    return edge_set
+
+
+def _checked_vertices(vertices: tuple) -> set[int]:
+    seen: set[int] = set()
+    for v in vertices:
+        _require_id(v)
+        if v in seen:
+            raise GraphError(f"duplicate vertex id {v}")
+        seen.add(v)
+    return seen
+
+
+def _checked_edges(edges: tuple, seen: set[int]) -> set[tuple[int, int]]:
+    edge_set: set[tuple[int, int]] = set()
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} is not a pair") from None
+        _require_id(u)
+        _require_id(v)
+        if u not in seen or v not in seen:
+            raise GraphError(f"edge ({u}, {v}) has an unknown endpoint")
+        pair = _normalize_edge(u, v)
+        if pair in edge_set:
+            raise GraphError(f"duplicate edge {pair}")
+        edge_set.add(pair)
+    return edge_set
+
+
+def _check_labels(labels: dict, seen: set[int]) -> None:
+    rev: dict[str, int] = {}
+    for v, lab in labels.items():
+        if v not in seen:
+            raise GraphError(f"label for unknown vertex {v!r}")
+        if not isinstance(lab, str):
+            raise GraphError(f"label {lab!r} for vertex {v} is not a string")
+        # the csv module of Python 3.10 cannot write a NUL
+        if "\0" in lab:
+            raise GraphError(f"label {lab!r} for vertex {v} holds a NUL")
+        if lab in rev:
+            raise GraphError(f"label {lab!r} used for vertices {rev[lab]} and {v}")
+        rev[lab] = v
+
+
+def _checked_edge_labels(edge_labels: dict, edge_set: set) -> dict:
+    out: dict[tuple[int, int], int] = {}
+    for e, lab in edge_labels.items():
+        pair = _normalize_edge(*e)
+        if pair not in edge_set:
+            raise GraphError(f"edge label on missing edge {pair}")
+        out[pair] = lab
+    return out
+
+
 # a cached graph property not yet computed, where None is a valid result
 _UNKNOWN = object()
 
@@ -91,61 +181,48 @@ class Graph:
         truncation: Truncation | None = None,
         name: str = "",
     ):
-        seen: set[int] = set()
-        for v in vertices:
-            _require_id(v)
-            if v in seen:
-                raise GraphError(f"duplicate vertex id {v}")
-            seen.add(v)
+        vertices = tuple(vertices)
+        seen = set(vertices) if _all_ids(vertices) else set()
+        if len(seen) != len(vertices):
+            seen = _checked_vertices(vertices)
         self.vertices: tuple[int, ...] = tuple(sorted(seen))
 
-        edge_set: set[tuple[int, int]] = set()
-        for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise GraphError(f"edge {e!r} is not a pair") from None
-            _require_id(u)
-            _require_id(v)
-            if u not in seen or v not in seen:
-                raise GraphError(f"edge ({u}, {v}) has an unknown endpoint")
-            pair = _normalize_edge(u, v)
-            if pair in edge_set:
-                raise GraphError(f"duplicate edge {pair}")
-            edge_set.add(pair)
+        edges = tuple(edges)
+        edge_set = _bulk_edges(edges, seen)
+        if edge_set is None:
+            edge_set = _checked_edges(edges, seen)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
 
+        # sorted edges reach each row its lower neighbors first, in
+        # increasing order, then its upper ones, so every row is sorted
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        self._adj = {v: tuple(ns) for v, ns in nbrs.items()}
         self._adj_sets: dict[int, frozenset[int]] | None = None
 
         self.labels: dict[int, str] = {}
         if labels:
-            rev: dict[str, int] = {}
-            for v, lab in labels.items():
-                if v not in seen:
-                    raise GraphError(f"label for unknown vertex {v!r}")
-                if not isinstance(lab, str):
-                    raise GraphError(f"label {lab!r} for vertex {v} is not a string")
-                # the csv module of Python 3.10 cannot write a NUL
-                if "\0" in lab:
-                    raise GraphError(f"label {lab!r} for vertex {v} holds a NUL")
-                if lab in rev:
-                    raise GraphError(f"label {lab!r} used for vertices {rev[lab]} and {v}")
-                rev[lab] = v
+            texts = list(labels.values())
+            if not (seen.issuperset(labels)
+                    and all(issubclass(t, str) for t in set(map(type, texts)))
+                    and "\0" not in "".join(texts)
+                    and len(set(texts)) == len(texts)):
+                _check_labels(labels, seen)
             self.labels = dict(labels)
         self._label_to_vertex = {lab: v for v, lab in self.labels.items()}
 
         self.edge_labels: dict[tuple[int, int], int] = {}
         if edge_labels:
-            for e, lab in edge_labels.items():
-                pair = _normalize_edge(*e)
-                if pair not in edge_set:
-                    raise GraphError(f"edge label on missing edge {pair}")
-                self.edge_labels[pair] = lab
+            try:
+                marked = {((u, v) if u < v else (v, u)): lab
+                          for (u, v), lab in edge_labels.items() if u != v}
+            except (TypeError, ValueError):
+                marked = {}
+            if len(marked) != len(edge_labels) or not edge_set.issuperset(marked):
+                marked = _checked_edge_labels(edge_labels, edge_set)
+            self.edge_labels = marked
 
         if truncation is not None:
             if truncation.center not in seen:
@@ -273,18 +350,41 @@ class Graph:
 
 
 def _verify_symmetries(g: Graph) -> None:
-    """Refuse the graph unless each declared symmetry, in O(m), permutes
-    range(n), maps every edge to an edge and fixes any truncation center,
-    so that it keeps every two-ball and its safety."""
+    """Refuse the graph unless each declared symmetry permutes range(n),
+    maps the edge set onto itself and fixes any truncation center, so
+    that it keeps every two-ball and its safety.  Any failure, a wrong
+    length or an id out of range included, raises the one internal
+    error."""
+    if g.symmetries and not _all_automorphisms(g):
+        raise GraphError(f"internal: a declared symmetry of "
+                         f"{g.name or 'the graph'} is not an automorphism")
+
+
+def _all_automorphisms(g: Graph) -> bool:
+    """Whether every declared symmetry passes, checked all at once in
+    whole-array passes: each row of their array, sorted, must be
+    range(n), and the images of the edges under each, as sorted integer
+    codes u*n + v with u < v, must be the codes of the edges themselves.
+    No id is used as an index before it is known to be in range."""
     n = len(g.vertices)
-    adj = g.neighbor_sets()
-    center = g.truncation.center if g.truncation is not None else None
-    for s in g.symmetries:
-        if (g.vertices != tuple(range(n)) or sorted(s) != list(range(n))
-                or (center is not None and s[center] != center)
-                or not all(s[v] in adj[s[u]] for u, v in g.edges)):
-            raise GraphError(f"internal: a declared symmetry of "
-                             f"{g.name or 'the graph'} is not an automorphism")
+    if g.vertices != tuple(range(n)) or any(len(s) != n for s in g.symmetries):
+        return False
+    perms = np.array(g.symmetries)
+    if n and perms.dtype.kind != "i":
+        return False
+    perms = perms.astype(np.int64, copy=False)
+    if not (np.sort(perms, axis=1) == np.arange(n)).all():
+        return False
+    t = g.truncation
+    if t is not None and any(s[t.center] != t.center for s in g.symmetries):
+        return False
+    ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
+                       2 * len(g.edges)).reshape(-1, 2)
+    u, v = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
+    images = np.minimum(u, v) * n + np.maximum(u, v)
+    images.sort(axis=1)
+    # g.edges is sorted, so its codes are too
+    return bool((images == ends[:, 0] * n + ends[:, 1]).all())
 
 
 def orbit_parents(g: Graph) -> dict[int, tuple[int, tuple[int, ...]] | None]:

@@ -23,7 +23,12 @@ reference for the package's one multi-source search, `bfs_distances`;
 the diameter oracle runs it from every vertex, where the package runs
 one bit-parallel multi-source BFS.  The orbit oracle merges each vertex
 with its images under the declared symmetries in a union-find, where
-the package searches breadth first.  The link-profile oracle recounts
+the package searches breadth first.  The zigzag oracle walks every
+2-walk from every vertex into an edge set and tests each lifted
+symmetry edge by edge, where the package emits the edges across each
+first-factor edge once; the ball-key oracle scans whole neighbor sets
+of an extracted two-ball, where the package reads the key off the
+graph's rows.  The link-profile oracle recounts
 each joining vertex's first-sphere neighbors for every pair and adds
 the linkage weights one `Fraction` at a time.  The section oracle
 formats every report row from its own fact, where the package formats
@@ -66,6 +71,7 @@ from graphcurvature.classify import (
     negative_test_vector,
 )
 from graphcurvature.graphs import (
+    Graph,
     contains_k3,
     diameter,
     effective_degree,
@@ -464,6 +470,57 @@ def oracle_bipartite_decomposition(g, x, y):
             if closure({y, w}) != (set(t) | {x}, set(s) | {y}):
                 return None
     return classes
+
+
+def zigzag_one_by_one(g1, g2):
+    """The zigzag product of g1 (edge-labelled by V(g2)) with g2, walked
+    from every vertex: each 2-walk x ~ y ~ z in g2 at (a, x) adds the
+    edge (a, x) ~ (a[y], z) to a set, so each edge is found from both
+    ends.  A symmetry s of g1 lifts to (a, x) -> (s(a), x) when it maps
+    every labelled edge onto an edge of the same label, tested edge by
+    edge.  families.zigzag instead emits the edges across each g1 edge
+    once and tests the labels through the partner maps."""
+    n1, n2 = len(g1.vertices), len(g2.vertices)
+    across = [{} for _ in range(n1)]
+    for (u, v), lab in g1.edge_labels.items():
+        across[u][lab] = v
+        across[v][lab] = u
+    edges = set()
+    for a in range(n1):
+        for x in range(n2):
+            for y in g2.neighbors(x):
+                b = across[a][y]
+                for z in g2.neighbors(y):
+                    p, q = a * n2 + x, b * n2 + z
+                    if p != q:
+                        edges.add((min(p, q), max(p, q)))
+    labels = {a * n2 + x: f"({g1.label(a)},{g2.label(x)})"
+              for a in range(n1) for x in range(n2)}
+    out = Graph(range(n1 * n2), sorted(edges), labels=labels,
+                name=f"zigzag-{g1.name or 'g1'}-{g2.name or 'g2'}")
+    labelled = g1.edge_labels
+    out.symmetries = tuple(
+        tuple(s[a] * n2 + x for a in range(n1) for x in range(n2))
+        for s in g1.symmetries
+        if all(labelled.get((min(s[u], s[v]), max(s[u], s[v]))) == lab
+               for (u, v), lab in labelled.items()))
+    return out
+
+
+def ball_key_one_by_one(g, x) -> tuple[int, ...]:
+    """checks._ball_key at x from the LocalBall extract_ball builds: every
+    ball vertex's whole neighbor set is scanned, a vertex outside the
+    ball reading as position 0, where the package intersects each sphere2
+    row with sphere2."""
+    ball = extract_ball(g, x)
+    pos = {ball.base: 0}
+    for v in ball.sphere1 + ball.sphere2:
+        pos[v] = len(pos)
+    n = len(pos)
+    adj = g.neighbor_sets()
+    codes = sorted(i * n + j for v, i in pos.items()
+                   for j in (pos.get(w, 0) for w in adj[v]) if j > i)
+    return (effective_degree(g, ball.base), n, *codes)
 
 
 def orbit_roots(g) -> list[int]:

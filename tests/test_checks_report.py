@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -46,6 +47,7 @@ from graphcurvature.report import (
 
 from conftest import exact_rho, perturbed
 from oracles import (
+    ball_key_one_by_one,
     checks_one_by_one,
     csv_one_by_one,
     edge_facts_one_by_one,
@@ -269,24 +271,37 @@ class TestVertexMemo:
                 monkeypatch.setattr(module, "extract_ball", counting)
         return calls
 
-    def test_one_ball_per_orbit_root(self, monkeypatch):
+    @staticmethod
+    def _first_root_of_each_class(g):
+        # the roots in order, each kept when its refined class is new
+        firsts = {}
+        for r in orbit_roots(g):
+            if g.two_ball_complete(r) and g.degree(r):
+                firsts.setdefault(checks._relabel(checks._ball_key(g, r))[0], r)
+        return list(firsts.values())
+
+    def test_one_ball_per_refined_class_on_orbit_roots(self, monkeypatch):
         # the fan, the inner triangle and the zigzag: the three orbits of
-        # the hexagon's dihedral group on its 14 triangulations
+        # the hexagon's dihedral group on its 14 triangulations; the keys
+        # are read off the graph, and only the two refined classes among
+        # the three roots have their two-balls built
         calls = self._count_balls(monkeypatch)
         item = build_item("flip:6")
         facts = gather_facts(item)
         assert sum(vf.safe for vf in facts.vertices) == 14
-        assert calls == orbit_roots(item.graph)
-        assert len(calls) == 3
+        assert len(orbit_roots(item.graph)) == 3
+        assert calls == self._first_root_of_each_class(item.graph)
+        assert len(calls) == 2
 
-    def test_one_ball_per_safe_vertex(self, monkeypatch):
-        # a graph that declares no symmetry sweeps every vertex as a root
+    def test_one_ball_per_refined_class_without_symmetries(self, monkeypatch):
+        # a graph that declares no symmetry sweeps every vertex as a root,
+        # and the Petersen graph's ten two-balls form one refined class
         calls = self._count_balls(monkeypatch)
         item = build_item("petersen")
         assert item.graph.symmetries == ()
         facts = gather_facts(item)
-        assert calls == [vf.vertex for vf in facts.vertices if vf.safe]
-        assert len(calls) == 10
+        assert sum(vf.safe for vf in facts.vertices) == 10
+        assert calls == self._first_root_of_each_class(item.graph) == [0]
 
     def test_second_sphere_is_part_of_the_key(self):
         # 0 and 10 both have two degree-3 neighbors with the base first in
@@ -385,6 +400,33 @@ class TestSymmetries:
         with pytest.raises(GraphError, match="internal: .* not an automorphism"):
             gather_facts(item)
 
+    @pytest.mark.parametrize("change", [
+        {1: 0}, {0: -1}, {7: 8}, "short", "long"],
+        ids=["repeats an id", "negative id", "names n", "one entry short",
+             "one entry long"])
+    def test_malformed_symmetry_refused(self, change):
+        # the whole-array check must refuse these, never index with them
+        g = build_item("hypercube:3").graph
+        s = list(range(8))
+        if change == "short":
+            s.pop()
+        elif change == "long":
+            s.append(0)
+        else:
+            for at, value in change.items():
+                s[at] = value
+        g.symmetries += (tuple(s),)
+        with pytest.raises(GraphError, match="internal: .* not an automorphism"):
+            orbit_parents(g)
+
+    @pytest.mark.parametrize("s", [(1, 2, 3), (0, 1, 2), (2, 0, 1)])
+    def test_symmetry_on_ids_not_from_zero_refused(self, s):
+        # symmetries permute range(n), so a graph on other ids has none
+        g = Graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+        g.symmetries = (s,)
+        with pytest.raises(GraphError, match="internal: .* not an automorphism"):
+            orbit_parents(g)
+
     def test_symmetry_moving_the_truncation_center_refused(self):
         # a rotation of the 6-cycle is an automorphism, but it moves the
         # center of the truncation and with it every vertex's safety
@@ -402,6 +444,38 @@ class TestSymmetries:
         assert len(orbit_roots(item.graph)) == 8
         assert tuple(facts.vertices) == vertex_facts_one_by_one(item.graph)
         assert tuple(facts.edges) == edge_facts_one_by_one(item.graph)
+
+
+class TestBallKey:
+    """checks._ball_key reads the positional key off the graph's rows; it
+    must equal the key scanned from the extracted two-ball."""
+
+    @staticmethod
+    def assert_keys_match(g, vertices):
+        for x in vertices:
+            if g.two_ball_complete(x) and g.degree(x):
+                assert checks._ball_key(g, x) == ball_key_one_by_one(g, x), (
+                    g.name, x)
+
+    def test_corpus_orbit_roots(self, corpus_items):
+        for item in corpus_items.values():
+            self.assert_keys_match(item.graph, orbit_roots(item.graph))
+
+    def test_seeded_random_graphs(self):
+        # scattered ids, negative ones included, and at times a
+        # truncation, which leaves some vertices unswept and cuts the
+        # second sphere of others
+        for seed in range(80):
+            rng = random.Random(seed)
+            n = rng.randint(1, 18)
+            ids = rng.sample(range(-20, 40), n)
+            p = rng.uniform(0.1, 0.6)
+            edges = [(u, v) for u, v in itertools.combinations(ids, 2)
+                     if rng.random() < p]
+            truncation = (Truncation(rng.choice(ids), rng.randint(0, 6))
+                          if seed % 3 == 0 else None)
+            g = Graph(ids, edges, truncation=truncation, name=f"random-{seed}")
+            self.assert_keys_match(g, orbit_roots(g))
 
 
 def wrong_swap(g: Graph) -> None:

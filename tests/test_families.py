@@ -35,6 +35,8 @@ from graphcurvature.graphs import (
     is_regular,
 )
 
+from oracles import zigzag_one_by_one
+
 
 def girth(g):
     """Length of the shortest cycle, None for forests."""
@@ -304,6 +306,18 @@ class TestZigzag:
             "(010000,1)",
             "(010000,3)",
         ]
+
+    @pytest.mark.parametrize("g1, g2", [
+        *((hypercube(k), cycle(k)) for k in (4, 6, 8)),
+        (hypercube(4), complete_bipartite(2)),
+    ], ids=["cycle:4", "cycle:6", "cycle:8", "complete-bipartite:2"])
+    def test_matches_the_walk_from_every_vertex(self, g1, g2):
+        got, expect = zigzag(g1, g2), zigzag_one_by_one(g1, g2)
+        assert got.vertices == expect.vertices
+        assert got.edges == expect.edges
+        assert got.labels == expect.labels
+        assert got.symmetries == expect.symmetries
+        assert len(got.symmetries) == len(g1.symmetries)
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(GraphError, match="degree"):

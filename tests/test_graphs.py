@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -124,6 +125,95 @@ class TestConstruction:
     def test_truncation_center_must_exist(self):
         with pytest.raises(GraphError, match="not a vertex"):
             Graph([0, 1], [(0, 1)], truncation=Truncation(center=5, radius=2))
+
+    # the whole-collection tests fall back to a walk in input order, so
+    # each fault keeps its message and the first fault is the one named
+
+    @pytest.mark.parametrize("entry", [5, (0, 1, 2), (0,)])
+    def test_non_pair_edge_rejected(self, entry):
+        with pytest.raises(GraphError, match=r"edge .* is not a pair"):
+            Graph([0, 1, 2], [(0, 1), entry])
+
+    def test_non_string_label_rejected(self):
+        with pytest.raises(GraphError, match="label 7 for vertex 1 is not a string"):
+            Graph([0, 1], [(0, 1)], labels={0: "a", 1: 7})
+
+    def test_label_for_unknown_vertex_rejected(self):
+        with pytest.raises(GraphError, match="label for unknown vertex 5"):
+            Graph([0, 1], [(0, 1)], labels={0: "a", 5: "b"})
+
+    @pytest.mark.parametrize("vertices, edges, labels, message", [
+        ([0, 1, 2], [(0, 5), (1, 1)], None, "unknown endpoint"),
+        ([0, 1, 2], [(1, 1), (0, 5)], None, "self-loop at vertex 1"),
+        ([0, 1, 2], [(0, 1), (1, 0), (2, 2)], None, r"duplicate edge \(0, 1\)"),
+        ([0, 1, 2], [(2, 2), (0, 1), (1, 0)], None, "self-loop at vertex 2"),
+        ([0, 1, 1, "a"], [], None, "duplicate vertex id 1"),
+        ([0, "a", 1, 1], [], None, "vertex id 'a' is not an integer"),
+        ([0, 0], [(0, 0)], None, "duplicate vertex id 0"),
+        ([0, 1], [(0, 1.0), (0, 0)], None, "vertex id 1.0 is not an integer"),
+        ([0, 1], [(0, 1)], {5: "a", 0: 7}, "label for unknown vertex 5"),
+        ([0, 1], [(0, 1)], {0: 7, 5: "a"}, "label 7 for vertex 0 is not a string"),
+        ([0, 1], [(0, 1)], {0: "a", 1: "a\0"}, "holds a NUL"),
+        ([0, 1, 2], [(0, 1)], {0: "a\0", 1: "b", 2: "b"}, "holds a NUL"),
+    ])
+    def test_first_fault_in_input_order(self, vertices, edges, labels, message):
+        with pytest.raises(GraphError, match=message):
+            Graph(vertices, edges, labels=labels)
+
+    def test_equal_but_not_int_endpoint_rejected_among_valid_edges(self):
+        # 1.0 equals the id 1 and an earlier edge already names 1
+        with pytest.raises(GraphError, match="vertex id 1.0 is not an integer"):
+            Graph([0, 1, 2], [(0, 1), (1.0, 2)])
+
+    def test_int_subclass_ids_accepted(self):
+        class Id(int):
+            pass
+
+        g = Graph([Id(0), Id(1), 2], [(Id(1), Id(0)), (2, Id(1))])
+        assert g.vertices == (0, 1, 2)
+        assert g.edges == ((0, 1), (1, 2))
+
+    def test_edge_generator_faults_named_after_the_bulk_pass(self):
+        # the generator is consumed once, and the walk that names the
+        # fault reads what it yielded
+        with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
+            Graph([0, 1, 2], (e for e in [(0, 1), (1, 2), (1, 0)]))
+        with pytest.raises(GraphError, match="unknown endpoint"):
+            Graph(range(3), ((i, i + 1) for i in range(3)))
+        g = Graph(range(4), ((i, i + 1) for i in range(3)))
+        assert g.edges == ((0, 1), (1, 2), (2, 3))
+
+    def test_edge_labels_in_either_orientation(self):
+        g = Graph([0, 1, 2], [(0, 1), (1, 2)],
+                  edge_labels={(1, 0): 4, (1, 2): 5})
+        assert g.edge_labels == {(0, 1): 4, (1, 2): 5}
+        # both orientations of one edge: the later one stands
+        g = Graph([0, 1], [(0, 1)], edge_labels={(0, 1): 4, (1, 0): 5})
+        assert g.edge_labels == {(0, 1): 5}
+        with pytest.raises(GraphError, match="self-loop"):
+            Graph([0, 1], [(0, 1)], edge_labels={(1, 1): 4})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_sorted_without_a_row_sort(self, data):
+        # random edges, shuffled, in both orientations, over scattered
+        # ids with negative and isolated ones: every row comes out sorted
+        ids = data.draw(st.lists(st.integers(-30, 30), unique=True,
+                                 max_size=14), label="ids")
+        pairs = [(u, v) for u, v in combinations(sorted(ids), 2)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                           if pairs else st.just([]), label="edges")
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                                   max_size=len(chosen)), label="flips")
+        edges = [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
+        edges = data.draw(st.permutations(edges), label="order")
+        order = data.draw(st.permutations(ids), label="vertex order")
+        g = Graph(order, edges)
+        assert g.vertices == tuple(sorted(ids))
+        assert g.edges == tuple(sorted(chosen))
+        for v in ids:
+            assert g.neighbors(v) == tuple(sorted(
+                {b for a, b in chosen if a == v} | {a for a, b in chosen if b == v}))
 
 
 class TestQueries:

@@ -361,30 +361,33 @@ def _verify_symmetries(g: Graph) -> None:
 
 
 def _all_automorphisms(g: Graph) -> bool:
-    """Whether every declared symmetry passes, checked all at once in
-    whole-array passes: each row of their array, sorted, must be
-    range(n), and the images of the edges under each, as sorted integer
-    codes u*n + v with u < v, must be the codes of the edges themselves.
-    No id is used as an index before it is known to be in range."""
+    """Whether every declared symmetry passes, each checked in whole-array
+    passes: its array, sorted, must be range(n), and the images of the
+    edges, as sorted integer codes u*n + v with u < v, must be the codes
+    of the edges themselves.  No id is used as an index before it is
+    known to be in range.  One symmetry at a time keeps the arrays at m
+    entries, so the check adds no memory that shows in a sweep's peak."""
     n = len(g.vertices)
-    if g.vertices != tuple(range(n)) or any(len(s) != n for s in g.symmetries):
-        return False
-    perms = np.array(g.symmetries)
-    if n and perms.dtype.kind != "i":
-        return False
-    perms = perms.astype(np.int64, copy=False)
-    if not (np.sort(perms, axis=1) == np.arange(n)).all():
-        return False
-    t = g.truncation
-    if t is not None and any(s[t.center] != t.center for s in g.symmetries):
+    if g.vertices != tuple(range(n)):
         return False
     ends = np.fromiter(chain.from_iterable(g.edges), np.int64,
                        2 * len(g.edges)).reshape(-1, 2)
-    u, v = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
-    images = np.minimum(u, v) * n + np.maximum(u, v)
-    images.sort(axis=1)
     # g.edges is sorted, so its codes are too
-    return bool((images == ends[:, 0] * n + ends[:, 1]).all())
+    codes = ends[:, 0] * n + ends[:, 1]
+    ids = np.arange(n)
+    t = g.truncation
+    for s in g.symmetries:
+        perm = np.array(s)
+        if (perm.shape != (n,) or (n and perm.dtype.kind != "i")
+                or not (np.sort(perm) == ids).all()
+                or (t is not None and s[t.center] != t.center)):
+            return False
+        u, v = perm[ends[:, 0]], perm[ends[:, 1]]
+        images = np.minimum(u, v) * n + np.maximum(u, v)
+        images.sort()
+        if not (images == codes).all():
+            return False
+    return True
 
 
 def orbit_parents(g: Graph) -> dict[int, tuple[int, tuple[int, ...]] | None]:

@@ -366,7 +366,7 @@ def _all_automorphisms(g: Graph) -> bool:
     edges, as sorted integer codes u*n + v with u < v, must be the codes
     of the edges themselves.  No id is used as an index before it is
     known to be in range.  One symmetry at a time keeps the arrays at m
-    entries, so the check adds no memory that shows in a sweep's peak."""
+    entries."""
     n = len(g.vertices)
     if g.vertices != tuple(range(n)):
         return False
@@ -382,6 +382,8 @@ def _all_automorphisms(g: Graph) -> bool:
                 or not (np.sort(perm) == ids).all()
                 or (t is not None and s[t.center] != t.center)):
             return False
+        # 64-bit codes wherever numpy's default int is 32-bit
+        perm = perm.astype(np.int64, copy=False)
         u, v = perm[ends[:, 0]], perm[ends[:, 1]]
         images = np.minimum(u, v) * n + np.maximum(u, v)
         images.sort()

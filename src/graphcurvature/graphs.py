@@ -193,7 +193,7 @@ class Graph:
             edge_set = _checked_edges(edges, seen)
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
 
-        # sorted edges reach each row its lower neighbors first, in
+        # the sorted edges give each row its lower neighbors first, in
         # increasing order, then its upper ones, so every row is sorted
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
+import numpy as np
+
 from .graphs import Graph, GraphError, Truncation, is_regular
 
 
@@ -26,24 +28,31 @@ def hypercube(d: int) -> Graph:
     Character i of a label is coordinate i.  Each edge carries its flip
     coordinate as an edge label; the zigzag construction uses those as
     the per-vertex edge indexing.  The d coordinate flips are declared as
-    symmetries; they keep every edge label.
+    symmetries; they keep every edge label.  All three come from one
+    n x d table of a ^ (1 << i).
     """
     if d < 1:
         raise GraphError("hypercube needs d >= 1")
     n = 1 << d
-    edges = []
-    edge_labels = {}
-    for a in range(n):
-        for i in range(d):
-            b = a ^ (1 << i)
-            if a < b:
-                edges.append((a, b))
-                edge_labels[(a, b)] = i
-    labels = {a: "".join("1" if a >> i & 1 else "0" for i in range(d)) for a in range(n)}
-    g = Graph(range(n), edges, labels=labels, edge_labels=edge_labels,
+    # refuse a table larger than any numpy array may be; from d = 63
+    # numpy would wrap the int64 ids rather than refuse them
+    too_large = GraphError(f"hypercube of dimension {d} is too large to build")
+    if n * d > np.iinfo(np.intp).max // 8:
+        raise too_large
+    try:
+        ids = np.arange(n, dtype=np.int64)
+        table = ids[:, None] ^ (1 << np.arange(d, dtype=np.int64))
+    except MemoryError:
+        raise too_large from None
+    # row-major, so the edges (a, a ^ (1 << i)) with a < a ^ (1 << i)
+    # come out sorted, by a and then by i
+    rows, cols = np.nonzero(table > ids[:, None])
+    edges = list(zip(rows.tolist(), table[rows, cols].tolist()))
+    g = Graph(range(n), edges,
+              labels={a: format(a, f"0{d}b")[::-1] for a in range(n)},
+              edge_labels=dict(zip(edges, cols.tolist())),
               name=f"hypercube-{d}")
-    g.symmetries = tuple(tuple(a ^ (1 << i) for a in range(n))
-                         for i in range(d))
+    g.symmetries = tuple(map(tuple, table.T.tolist()))
     return g
 
 
@@ -302,56 +311,72 @@ def interchange_graph(h: Graph) -> Graph:
 # -- polygon triangulations ------------------------------------------------
 
 
-def _flip_neighbors(n: int, tri: frozenset) -> list[frozenset]:
-    """The triangulations one flip away from tri, one per diagonal."""
-    adj = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
-    for a, b in tri:
-        adj[a].add(b)
-        adj[b].add(a)
-    out = []
-    for a, b in sorted(tri):
-        # convex position: the diagonal's two triangles have its only
-        # common neighbors as apexes
-        apexes = adj[a] & adj[b]
-        if len(apexes) != 2:
-            raise GraphError(f"triangulation invariant broken at diagonal ({a},{b})")
-        c, d = sorted(apexes)
-        out.append((tri - {(a, b)}) | {(c, d)})
-    return out
-
-
 def flip_graph(n: int) -> Graph:
     """Flip graph of triangulations of a convex n-gon.
 
-    Vertices are the diagonal sets; two triangulations are adjacent when
-    one diagonal flip maps one to the other.  (n-3)-regular with Catalan
-    (n-2) many vertices.  The polygon's rotation i -> i+1 and reflection
-    i -> -i (mod n), applied to every diagonal, are declared as
-    symmetries.
+    Vertices are the diagonal sets, in the order of their sorted diagonal
+    lists; two triangulations are adjacent when one diagonal flip maps
+    one to the other.  (n-3)-regular with Catalan(n-2) many vertices.
+    The polygon's rotation i -> i+1 and reflection i -> -i (mod n),
+    applied to every diagonal, are declared as symmetries.
+
+    A triangulation is walked as a bitmask over the n(n-3)/2 diagonals,
+    the smallest diagonal at the highest bit, so that of two masks the
+    larger has the earlier sorted diagonal list.
     """
     if n < 4:
         raise GraphError("flip graph needs n >= 4")
-    fan = frozenset((0, j) for j in range(2, n - 1))
-    flips = {}
+    ends = [(a, b) for a in range(n) for b in range(a + 2, n) if b - a < n - 1]
+    ends.reverse()  # ends[p] is the diagonal at bit p
+    bit = {e: 1 << p for p, e in enumerate(ends)}
+    ring = [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)]
+    fan = sum(bit[(0, j)] for j in range(2, n - 1))
+    # each triangulation's set bits, highest first, and its neighbors
+    diagonals: dict[int, list[int]] = {}
+    flips: dict[int, list[int]] = {}
     todo = [fan]
     while todo:
         tri = todo.pop()
-        if tri not in flips:
-            flips[tri] = _flip_neighbors(n, tri)
-            todo.extend(flips[tri])
-    order = sorted(flips, key=lambda tri: sorted(tri))
+        if tri in flips:
+            continue
+        ps = []
+        adj = ring[:]
+        m = tri
+        while m:
+            p = m.bit_length() - 1
+            m ^= 1 << p
+            ps.append(p)
+            a, b = ends[p]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        out = []
+        for p in ps:
+            # convex position: the diagonal's two triangles have its only
+            # common neighbors as apexes, and the flip joins them
+            a, b = ends[p]
+            apexes = adj[a] & adj[b]
+            low = apexes & -apexes
+            high = apexes ^ low
+            if not high or high & (high - 1):
+                raise GraphError(f"triangulation invariant broken at diagonal ({a},{b})")
+            out.append(tri ^ 1 << p | bit[(low.bit_length() - 1, high.bit_length() - 1)])
+        diagonals[tri] = ps
+        flips[tri] = out
+        todo.extend(out)
+    order = sorted(flips, reverse=True)
     index = {tri: i for i, tri in enumerate(order)}
-    edges = {(i, j) for tri, i in index.items()
-             for j in map(index.__getitem__, flips[tri]) if i < j}
-    labels = {
-        i: ".".join(f"{a}{b}" if n <= 10 else f"{a}-{b}" for a, b in sorted(tri))
-        for tri, i in index.items()
-    }
-    g = Graph(range(len(order)), sorted(edges), labels=labels, name=f"flip-{n}")
+    edges = []
+    for i, tri in enumerate(order):
+        edges.extend((i, j) for j in sorted(index[t] for t in flips[tri]) if j > i)
+    text = [f"{a}{b}" if n <= 10 else f"{a}-{b}" for a, b in ends]
+    labels = {i: ".".join(map(text.__getitem__, diagonals[tri]))
+              for i, tri in enumerate(order)}
+    g = Graph(range(len(order)), edges, labels=labels, name=f"flip-{n}")
     g.symmetries = tuple(
-        tuple(index[frozenset(tuple(sorted((move(a), move(b)))) for a, b in tri)]
-              for tri in order)
-        for move in (lambda i: (i + 1) % n, lambda i: -i % n))
+        tuple(index[sum(map(image.__getitem__, diagonals[tri]))] for tri in order)
+        for image in (
+            [bit[tuple(sorted(((a + 1) % n, (b + 1) % n)))] for a, b in ends],
+            [bit[tuple(sorted((-a % n, -b % n)))] for a, b in ends]))
     return g
 
 

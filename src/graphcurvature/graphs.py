@@ -4,9 +4,10 @@ Vertices are integers.  Adjacency is kept in sorted tuples so traversals,
 matrix indices and report rows come out in a reproducible order, and as
 frozensets, built on first use, for edge and distance tests.  A Graph
 decides the validity of its input by whole-collection tests (sets of
-the ids and of their types, one normalising pass over the edges, set
-sizes and subset tests), and walks the input element by element only
-after one fails, to name its first fault.  Its rows come from the
+the ids and of their types, one normalising pass over the edges and a
+sort of its pairs, each sorted pair compared with the next, set sizes
+and subset tests), and walks the input element by element only after
+one fails, to name its first fault.  Its rows come from the
 sorted edges with no sort of their own: each row receives its lower
 neighbors first, in increasing order, then its upper ones.  A Graph
 may carry a Truncation record saying it is a radius-limited piece of a
@@ -30,7 +31,8 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
+from operator import eq
 
 import numpy as np
 
@@ -90,20 +92,23 @@ def _all_ids(values) -> bool:
                for t in set(map(type, values)))
 
 
-def _bulk_edges(edges: tuple, ids: set[int]) -> set[tuple[int, int]] | None:
-    """The edges as (smaller, larger) pairs, or None unless every entry is
-    a pair of ids of `ids`, no pair is a loop and none repeats: one
-    normalising pass, then set sizes and a subset test."""
+def _bulk_edges(edges: tuple, ids: set[int]) -> list[tuple[int, int]] | None:
+    """The edges as sorted (smaller, larger) pairs, or None unless every
+    entry is a pair of ids of `ids`, no pair is a loop and none repeats:
+    one normalising pass, a sort, which is close to linear on the nearly
+    sorted lists the families emit, a comparison of each pair with the
+    next and a subset test."""
     try:
         pairs = [(u, v) if u < v else (v, u) for u, v in edges if u != v]
     except (TypeError, ValueError):
         return None
     if len(pairs) != len(edges) or not _all_ids(chain.from_iterable(pairs)):
         return None
-    edge_set = set(pairs)
-    if len(edge_set) != len(pairs) or not ids.issuperset(chain.from_iterable(pairs)):
+    pairs.sort()
+    if (any(map(eq, pairs, islice(pairs, 1, None)))
+            or not ids.issuperset(chain.from_iterable(pairs))):
         return None
-    return edge_set
+    return pairs
 
 
 def _checked_vertices(vertices: tuple) -> set[int]:
@@ -188,10 +193,10 @@ class Graph:
         self.vertices: tuple[int, ...] = tuple(sorted(seen))
 
         edges = tuple(edges)
-        edge_set = _bulk_edges(edges, seen)
-        if edge_set is None:
-            edge_set = _checked_edges(edges, seen)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
+        pairs = _bulk_edges(edges, seen)
+        if pairs is None:
+            pairs = sorted(_checked_edges(edges, seen))
+        self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
 
         # the sorted edges give each row its lower neighbors first, in
         # increasing order, then its upper ones, so every row is sorted
@@ -215,13 +220,18 @@ class Graph:
 
         self.edge_labels: dict[tuple[int, int], int] = {}
         if edge_labels:
-            try:
-                marked = {((u, v) if u < v else (v, u)): lab
-                          for (u, v), lab in edge_labels.items() if u != v}
-            except (TypeError, ValueError):
-                marked = {}
-            if len(marked) != len(edge_labels) or not edge_set.issuperset(marked):
-                marked = _checked_edge_labels(edge_labels, edge_set)
+            # keys that are edges are (smaller, larger) pairs already
+            edge_set = set(pairs)
+            if edge_set.issuperset(edge_labels):
+                marked = dict(edge_labels)
+            else:
+                try:
+                    marked = {((u, v) if u < v else (v, u)): lab
+                              for (u, v), lab in edge_labels.items() if u != v}
+                except (TypeError, ValueError):
+                    marked = {}
+                if len(marked) != len(edge_labels) or not edge_set.issuperset(marked):
+                    marked = _checked_edge_labels(edge_labels, edge_set)
             self.edge_labels = marked
 
         if truncation is not None:

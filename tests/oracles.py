@@ -26,11 +26,14 @@ with its images under the declared symmetries in a union-find, where
 the package searches breadth first.  The zigzag oracle walks every
 2-walk from every vertex into an edge set and tests each lifted
 symmetry edge by edge, where the package emits the edges across each
-first-factor edge once; the ball-key oracle scans whole neighbor sets
-of an extracted two-ball, where the package reads the key off the
-graph's rows.  The link-profile oracle recounts
-each joining vertex's first-sphere neighbors for every pair and adds
-the linkage weights one `Fraction` at a time.  The section oracle
+first-factor edge once.  The hypercube oracle joins each id to its d
+flips one by one, where the package reads edges, edge labels and
+symmetries off one XOR table; the flip-graph oracle walks triangulations
+as frozensets of diagonals, where the package walks bitmasks.  The
+ball-key oracle scans whole neighbor sets of an extracted two-ball,
+where the package reads the key off the graph's rows.  The link-profile
+oracle recounts each joining vertex's first-sphere neighbors for every
+pair and adds the linkage weights one `Fraction` at a time.  The section oracle
 formats every report row from its own fact, where the package formats
 each class's values once, and the CSV oracle writes one csv.writer row
 per report row, where the package quotes each label and each class's
@@ -505,6 +508,75 @@ def zigzag_one_by_one(g1, g2):
         if all(labelled.get((min(s[u], s[v]), max(s[u], s[v]))) == lab
                for (u, v), lab in labelled.items()))
     return out
+
+
+def hypercube_one_by_one(d: int) -> Graph:
+    """The d-cube built id by id: every id a is joined to a ^ (1 << i) for
+    each coordinate i, labelled one character per coordinate, with the d
+    coordinate flips as symmetries.  families.hypercube reads the same
+    from one XOR table."""
+    n = 1 << d
+    edges = []
+    edge_labels = {}
+    for a in range(n):
+        for i in range(d):
+            b = a ^ (1 << i)
+            if a < b:
+                edges.append((a, b))
+                edge_labels[(a, b)] = i
+    labels = {a: "".join("1" if a >> i & 1 else "0" for i in range(d))
+              for a in range(n)}
+    g = Graph(range(n), edges, labels=labels, edge_labels=edge_labels,
+              name=f"hypercube-{d}")
+    g.symmetries = tuple(tuple(a ^ (1 << i) for a in range(n))
+                         for i in range(d))
+    return g
+
+
+def _flip_neighbors(n: int, tri: frozenset) -> list[frozenset]:
+    """The triangulations one flip away from tri, one per diagonal: the
+    apexes of a diagonal's two triangles are its endpoints' only common
+    polygon-or-diagonal neighbors."""
+    adj = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
+    for a, b in tri:
+        adj[a].add(b)
+        adj[b].add(a)
+    out = []
+    for a, b in sorted(tri):
+        apexes = adj[a] & adj[b]
+        assert len(apexes) == 2, (a, b)
+        c, d = sorted(apexes)
+        out.append((tri - {(a, b)}) | {(c, d)})
+    return out
+
+
+def flip_graph_one_by_one(n: int) -> Graph:
+    """The flip graph of the convex n-gon over frozensets of diagonals,
+    each triangulation's flips found by set intersections, and its
+    rotation and reflection applied diagonal by diagonal.
+    families.flip_graph walks the same triangulations as bitmasks."""
+    fan = frozenset((0, j) for j in range(2, n - 1))
+    flips = {}
+    todo = [fan]
+    while todo:
+        tri = todo.pop()
+        if tri not in flips:
+            flips[tri] = _flip_neighbors(n, tri)
+            todo.extend(flips[tri])
+    order = sorted(flips, key=lambda tri: sorted(tri))
+    index = {tri: i for i, tri in enumerate(order)}
+    edges = {(i, j) for tri, i in index.items()
+             for j in map(index.__getitem__, flips[tri]) if i < j}
+    labels = {
+        i: ".".join(f"{a}{b}" if n <= 10 else f"{a}-{b}" for a, b in sorted(tri))
+        for tri, i in index.items()
+    }
+    g = Graph(range(len(order)), sorted(edges), labels=labels, name=f"flip-{n}")
+    g.symmetries = tuple(
+        tuple(index[frozenset(tuple(sorted((move(a), move(b)))) for a, b in tri)]
+              for tri in order)
+        for move in (lambda i: (i + 1) % n, lambda i: -i % n))
+    return g
 
 
 def ball_key_one_by_one(g, x) -> tuple[int, ...]:

@@ -702,6 +702,15 @@ class TestGenCommand:
         g = load_graph(target)
         assert len(g.edges) == 6
 
+    @pytest.mark.parametrize("d", [62, 63, 64])
+    def test_oversized_hypercube_refused(self, capsys, d):
+        # 2**d int64 ids would wrap at d = 63 and numpy refuses the table
+        # at 62 and 64; smaller dimensions are not tried, since their
+        # tables would be allocated
+        code, out, err = run_cli(capsys, "gen", f"gen:hypercube:{d}")
+        assert (code, out, err) == (
+            2, "", f"error: hypercube of dimension {d} is too large to build\n")
+
     def test_generated_lattice_keeps_truncation(self, capsys, tmp_path):
         target = tmp_path / "lat.json"
         code, *_ = run_cli(

@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from graphcurvature.corpus import parse_graph_spec
+from graphcurvature import corpus
+from graphcurvature.corpus import default_corpus_specs, parse_graph_spec
 from graphcurvature.families import (
     adjacent_transposition_cayley,
     biplane_incidence,
@@ -35,7 +37,11 @@ from graphcurvature.graphs import (
     is_regular,
 )
 
-from oracles import zigzag_one_by_one
+from oracles import (
+    flip_graph_one_by_one,
+    hypercube_one_by_one,
+    zigzag_one_by_one,
+)
 
 
 def girth(g):
@@ -73,6 +79,18 @@ class TestBasicFamilies:
             labs = sorted(g.edge_labels[min(a, b), max(a, b)]
                           for b in g.neighbors(a))
             assert labs == list(range(d))
+
+    def test_hypercube_refused_when_its_table_cannot_be_allocated(
+            self, monkeypatch):
+        # stands in for a dimension whose table passes numpy's size limit
+        # but not the memory at hand; a real one would try to allocate
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(GraphError, match="^hypercube of dimension 20 "
+                                             "is too large to build$"):
+            hypercube(20)
 
     def test_cycle_and_path(self):
         assert is_regular(cycle(7)) == 2
@@ -291,6 +309,42 @@ class TestFlipGraphs:
         # the fan triangulation touches all other fans sharing two diagonals
         fan = g.resolve_vertex("02.03.04")
         assert g.degree(fan) == 3
+
+
+class TestAgainstReferenceBuilders:
+    """Every field of a built graph against the same spec built with the
+    reference hypercube, flip-graph and zigzag builders of oracles.py."""
+
+    SPECS = list(dict.fromkeys([
+        *(f"hypercube:{d}" for d in range(1, 13)),
+        *(f"flip:{n}" for n in range(4, 10)),
+        # TestZigzag's pairs
+        *(f"zigzag:hypercube:{k},cycle:{k}" for k in (4, 6, 8)),
+        "zigzag:hypercube:4,complete-bipartite:2",
+        *default_corpus_specs(),
+        # the dense sweep of the benchmark
+        "transpositions:5", "hypercube:8", "flip:8",
+    ]))
+
+    @staticmethod
+    def fields(g):
+        rows = [g.neighbors(v) for v in g.vertices]
+        ids = {type(x) for x in itertools.chain(
+            g.vertices, *g.edges, *g.symmetries, *rows)}
+        return (g.vertices, g.edges, list(g.labels.items()),
+                list(g.edge_labels.items()), g.symmetries, g.name,
+                g.truncation, rows, ids <= {int})
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_fields_match(self, monkeypatch, spec):
+        got = self.fields(parse_graph_spec(spec))
+        for name, build in (("hypercube", hypercube_one_by_one),
+                            ("flip", flip_graph_one_by_one)):
+            monkeypatch.setitem(corpus._GENERATORS, name, (build, 1))
+        monkeypatch.setitem(corpus._GENERATORS, "zigzag", (
+            lambda arg: zigzag_one_by_one(*map(parse_graph_spec,
+                                               arg.split(","))), None))
+        assert got == self.fields(parse_graph_spec(spec))
 
 
 class TestZigzag:

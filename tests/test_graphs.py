@@ -183,6 +183,40 @@ class TestConstruction:
         g = Graph(range(4), ((i, i + 1) for i in range(3)))
         assert g.edges == ((0, 1), (1, 2), (2, 3))
 
+    # the bulk pass sorts the normalised pairs and compares neighbours;
+    # the walk still names the first fault in input order
+
+    def test_repeat_in_both_orientations_far_apart(self):
+        edges = [(5, 2), (0, 9), (3, 7), (8, 1), (4, 6), (2, 0), (7, 3),
+                 (9, 5), (1, 4)]
+        with pytest.raises(GraphError, match=r"^duplicate edge \(3, 7\)$"):
+            Graph(range(10), edges)
+
+    def test_repeat_adjacent_only_after_normalising(self):
+        # as given, (1, 0) sorts after (0, 2); normalised, it meets (0, 1)
+        with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(range(3), [(1, 0), (0, 2), (0, 1)])
+
+    def test_edge_labels_keyed_against_sorted_edges(self):
+        g = Graph(range(4), [(0, 1), (1, 2), (2, 3)],
+                  edge_labels={(1, 0): 7, (3, 2): 8, (2, 1): 9})
+        assert list(g.edge_labels.items()) == [((0, 1), 7), ((2, 3), 8),
+                                               ((1, 2), 9)]
+        with pytest.raises(GraphError,
+                           match=r"^edge label on missing edge \(0, 2\)$"):
+            Graph(range(4), [(0, 1), (1, 2), (2, 3)],
+                  edge_labels={(1, 0): 7, (2, 0): 8})
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (True, 2), (2, 3)],
+        # equal to the edge before it once normalised
+        [(0, 1), (1, 2), (2, True), (2, 3)],
+    ])
+    def test_true_id_in_a_sorted_edge_list(self, edges):
+        with pytest.raises(GraphError,
+                           match="^vertex id True is not an integer$"):
+            Graph(range(4), edges)
+
     def test_edge_labels_in_either_orientation(self):
         g = Graph([0, 1, 2], [(0, 1), (1, 2)],
                   edge_labels={(1, 0): 4, (1, 2): 5})

@@ -223,16 +223,9 @@ class Graph:
             # keys that are edges are (smaller, larger) pairs already
             edge_set = set(pairs)
             if edge_set.issuperset(edge_labels):
-                marked = dict(edge_labels)
+                self.edge_labels = dict(edge_labels)
             else:
-                try:
-                    marked = {((u, v) if u < v else (v, u)): lab
-                              for (u, v), lab in edge_labels.items() if u != v}
-                except (TypeError, ValueError):
-                    marked = {}
-                if len(marked) != len(edge_labels) or not edge_set.issuperset(marked):
-                    marked = _checked_edge_labels(edge_labels, edge_set)
-            self.edge_labels = marked
+                self.edge_labels = _checked_edge_labels(edge_labels, edge_set)
 
         if truncation is not None:
             if truncation.center not in seen:

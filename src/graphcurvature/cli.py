@@ -73,7 +73,8 @@ def _split_edge_arg(text: str) -> tuple[str, str]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        # a file: path that is not UTF-8 keeps its bytes in the report key
+        with open(out, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

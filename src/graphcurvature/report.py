@@ -11,18 +11,18 @@ serialized as exact fraction strings "p/q" next to a
 15-significant-digit decimal, so a reader of the output can decide signs
 at zero exactly.  The table and JSON renderers read the rows through
 `Section.vertex_rows` and `edge_rows`; `to_csv` quotes each distinct
-label and each class's cells once, through the csv module, and joins
-each row from them; a field holding a line break is quoted on every
-supported Python.  Timing lives in its own field and never influences
-row content; re-running an identical corpus reproduces every non-timing
-byte.
+label and each class's cells once and joins each row from them.  It
+quotes by the rule of RFC 4180: a field holding a comma, a double quote
+or a line break is enclosed in double quotes, its own doubled.  Timing
+lives in its own field and never influences row content; re-running an
+identical corpus reproduces every non-timing byte.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -139,47 +139,34 @@ _CSV_HEADER = ["kind", "graph", "a", "b", "safe", "rho", "class", "N",
                "kappa", "kappa_decimal", "applicable", "passed", "details"]
 
 
-def _csv_fields(fields: list[str]) -> list[str]:
-    """Each field as the csv module writes it inside a row of several, in
-    its default dialect, with a field holding "\r" or "\n" quoted.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
-    Before Python 3.13 the module quotes a line break only when it is in
-    the line terminator, so rows are written here ending in "\r\n": a
-    bare "\r" in a label then reads back inside its field on every
-    supported Python, as 3.13 writes it.  One row of all the fields,
-    ended by an empty field, decides whether any needs quoting: none does
-    when it reads as their plain join.  Only then is each written again,
-    before an empty field, which adds the ",\r\n" cut off here."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow([*fields, ""])
-    if buf.getvalue() == ",".join(fields) + ",\r\n":
-        return fields
-    quoted = []
-    for f in fields:
-        buf.seek(0)
-        buf.truncate()
-        w.writerow([f, ""])
-        quoted.append(buf.getvalue()[:-3])
-    return quoted
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, its quotes doubled, when it holds a
+    comma, a double quote or a line break."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_tail(fields: list) -> str:
-    """The cells of a row after its labels, each written as csv writes it."""
-    return "," + ",".join(_csv_fields(["" if f is None else str(f)
-                                        for f in fields]))
+    """The cells of a row after its labels, each quoted by the rule."""
+    return "," + ",".join(["" if f is None else _csv_field(str(f))
+                           for f in fields])
 
 
 def to_csv(report: CurvatureReport) -> str:
-    """The report as CSV rows, byte for byte what one csv.writer row per
-    vertex, edge and check writes, each row ended by "\n": each distinct
-    label, graph name and class tail is quoted once and each vertex or
-    edge row is joined from them."""
+    """The report as CSV rows, byte for byte what one
+    csv.writer(lineterminator="\r\n") row per vertex, edge and check
+    writes, with each row ended by "\n" instead: each distinct label,
+    graph name and class tail is quoted once and each vertex or edge row
+    is joined from them."""
     buf = io.StringIO()
-    buf.write(",".join(_csv_fields(_CSV_HEADER)) + "\n")
+    buf.write(",".join(map(_csv_field, _CSV_HEADER)) + "\n")
     sections = report.sections
-    quoted = [(_csv_fields([s.graph])[0],
-               dict(zip(s.labels, _csv_fields(list(s.labels.values())))))
+    quoted = [(_csv_field(s.graph),
+               {v: _csv_field(text) for v, text in s.labels.items()})
               for s in sections]
     for s, (graph, labels) in zip(sections, quoted):
         rows = s.vertices

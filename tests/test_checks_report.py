@@ -38,6 +38,7 @@ from graphcurvature.report import (
     CurvatureReport,
     Rows,
     Section,
+    _csv_field,
     edge_cells,
     section,
     to_csv,
@@ -1017,6 +1018,19 @@ class TestReportSerialization:
         assert f"\nedge,{graph}," + '"line\nbreak", lead,0,,,,,,,,\n' in text
         assert (f'\ncheck,{graph},duality,,,,,,,,1,0,'
                 f'"gap 1/2 on (""a,b"", x); plan, off"\n') in text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.one_of(
+        st.sampled_from(',"\r\n '),
+        # from U+0001, since Graph refuses a NUL, and with no surrogate
+        st.characters(min_codepoint=1, max_codepoint=0x2FFF,
+                      exclude_categories=("Cs",)))), min_size=2, max_size=4))
+    def test_csv_field_quotes_as_the_writer(self, fields):
+        # a row of two fields or more, since the writer quotes a lone
+        # empty field
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        assert ",".join(map(_csv_field, fields)) + "\r\n" == buf.getvalue()
 
     def test_csv_reads_back_every_label(self, tmp_path):
         path = odd_labels_file(tmp_path)

@@ -611,6 +611,48 @@ class TestGraphInput:
             assert err == ("error: label 'a\\x00b' for vertex 0 holds a "
                            "NUL\n"), argv
 
+    def test_lone_surrogate_in_label_refused(self, capsys, tmp_path):
+        # valid JSON, but no output encoding takes "\ud800": verify and
+        # curvature --all ended in a traceback with exit 1 writing it
+        p = tmp_path / "g.json"
+        p.write_text('{"vertices": [0, 1], "edges": [[0, 1]], '
+                     '"labels": {"0": "\\ud800", "1": "b"}}')
+        for argv in (["verify", f"file:{p}", "--format", "csv"],
+                     ["verify", f"file:{p}"],
+                     ["curvature", f"file:{p}", "--all"],
+                     ["diameter-bound", f"file:{p}"],
+                     ["gen", f"file:{p}"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == ("error: label '\\ud800' for vertex 0 holds a "
+                           "lone surrogate\n"), argv
+
+    def test_two_labels_for_one_edge_refused(self, capsys, tmp_path):
+        # "1,0" once overwrote the label of "0,1" without a word
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"vertices": [0, 1], "edges": [[0, 1]],
+                                 "edge_labels": {"0,1": 1, "1,0": 2}}))
+        for argv in (["verify", f"file:{p}"], ["gen", f"file:{p}"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (
+                2, "", "error: two edge labels for edge (0, 1)\n"), argv
+
+    def test_out_keeps_a_path_that_is_not_utf8(self, capsys, tmp_path):
+        # the report key and an edge list's name hold the path's byte 0xff
+        # as "\udcff", which a strict UTF-8 --out file refused with a
+        # traceback
+        p = tmp_path / "x\udcff.txt"
+        p.write_text("0 1\n1 2\n2 0\n")
+        report, edges = tmp_path / "out.csv", tmp_path / "out.edges"
+        code, out, err = run_cli(capsys, "verify", f"file:{p}", "--format",
+                                 "csv", "--out", str(report))
+        assert (code, out, err) == (0, "", "")
+        assert b"\nvertex,file:" + bytes(p) + b",0," in report.read_bytes()
+        code, out, err = run_cli(capsys, "gen", f"file:{p}", "--format",
+                                 "edgelist", "--out", str(edges))
+        assert (code, out, err) == (0, "", "")
+        assert edges.read_bytes().startswith(b"# " + bytes(p) + b"\n")
+
     @pytest.mark.parametrize("where", ["labels", "edge_labels", "edge list",
                                        "--vertex"])
     @pytest.mark.parametrize("token", ["1_0", " 0 ", "+3", "٣"])

@@ -118,6 +118,12 @@ class TestConstruction:
         with pytest.raises(GraphError, match="holds a NUL"):
             Graph([0, 1], [(0, 1)], labels={0: "a\0b", 1: "c"})
 
+    def test_lone_surrogate_in_label_rejected(self):
+        with pytest.raises(GraphError, match="holds a lone surrogate"):
+            Graph([0, 1], [(0, 1)], labels={0: "a\ud800", 1: "c"})
+        with pytest.raises(GraphError, match="holds a lone surrogate"):
+            Graph([0, 1], [(0, 1)], labels={0: "ü", 1: "\udcff"})
+
     def test_edge_label_requires_edge(self):
         with pytest.raises(GraphError, match="missing edge"):
             Graph([0, 1, 2], [(0, 1)], edge_labels={(1, 2): 0})
@@ -155,6 +161,7 @@ class TestConstruction:
         ([0, 1], [(0, 1)], {0: 7, 5: "a"}, "label 7 for vertex 0 is not a string"),
         ([0, 1], [(0, 1)], {0: "a", 1: "a\0"}, "holds a NUL"),
         ([0, 1, 2], [(0, 1)], {0: "a\0", 1: "b", 2: "b"}, "holds a NUL"),
+        ([0, 1, 2], [(0, 1)], {0: "\udc80", 1: "b", 2: "b"}, "lone surrogate"),
     ])
     def test_first_fault_in_input_order(self, vertices, edges, labels, message):
         with pytest.raises(GraphError, match=message):
@@ -221,9 +228,11 @@ class TestConstruction:
         g = Graph([0, 1, 2], [(0, 1), (1, 2)],
                   edge_labels={(1, 0): 4, (1, 2): 5})
         assert g.edge_labels == {(0, 1): 4, (1, 2): 5}
-        # both orientations of one edge: the later one stands
-        g = Graph([0, 1], [(0, 1)], edge_labels={(0, 1): 4, (1, 0): 5})
-        assert g.edge_labels == {(0, 1): 5}
+        # both orientations of one edge: refused, where the later label
+        # once stood without a word
+        with pytest.raises(GraphError,
+                           match=r"^two edge labels for edge \(0, 1\)$"):
+            Graph([0, 1], [(0, 1)], edge_labels={(0, 1): 4, (1, 0): 5})
         with pytest.raises(GraphError, match="self-loop"):
             Graph([0, 1], [(0, 1)], edge_labels={(1, 1): 4})
 

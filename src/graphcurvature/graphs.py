@@ -147,9 +147,8 @@ def _check_labels(labels: dict, seen: set[int]) -> None:
             raise GraphError(f"label for unknown vertex {v!r}")
         if not isinstance(lab, str):
             raise GraphError(f"label {lab!r} for vertex {v} is not a string")
-        # Python 3.10's csv module, the tests' oracle and a reader of
-        # reports, cannot handle a NUL; no output encoding takes a lone
-        # surrogate
+        # Python 3.10's csv (the tests' oracle, and readers) cannot handle
+        # a NUL, and no output encoding takes a lone surrogate
         if "\0" in lab:
             raise GraphError(f"label {lab!r} for vertex {v} holds a NUL")
         if _SURROGATE.search(lab):
@@ -750,9 +749,10 @@ def load_graph(path) -> Graph:
     """Read a graph from a JSON file or a whitespace edge list.
 
     The format is sniffed from the content: anything starting with '{' is
-    treated as JSON.
+    treated as JSON.  A byte that is not UTF-8 reads as a lone surrogate,
+    which no label or id takes, so only an edge list's comment may hold it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
     name = str(path)
     if text.lstrip().startswith("{"):
@@ -794,7 +794,6 @@ def render_graph(g: Graph, fmt: str = "json") -> str:
 
 def save_graph(g: Graph, path, fmt: str = "json") -> None:
     payload = render_graph(g, fmt)
-    # an edge list names a graph read from a path that is not UTF-8 by
-    # its bytes
+    # an edge list's name line keeps the bytes of a path that is not UTF-8
     with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(payload)

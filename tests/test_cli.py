@@ -652,6 +652,25 @@ class TestGraphInput:
                                  "edgelist", "--out", str(edges))
         assert (code, out, err) == (0, "", "")
         assert edges.read_bytes().startswith(b"# " + bytes(p) + b"\n")
+        # and the edge list reads back, the byte in its comment line
+        code, _, err = run_cli(capsys, "verify", f"file:{edges}")
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"vertices": [0, 1], "edges": [[0, 1]], '
+         b'"labels": {"0": "\xff", "1": "b"}}',
+         "label '\\udcff' for vertex 0 holds a lone surrogate"),
+        (b"0 1\n1 \xff\n",
+         "line 2: vertex ids must be integers, got '1 \\udcff'"),
+    ], ids=["json label", "edge list id"])
+    def test_content_that_is_not_utf8_refused(self, capsys, tmp_path,
+                                              content, message):
+        # a strict UTF-8 read ended in a traceback with exit 1
+        p = tmp_path / "g.txt"
+        p.write_bytes(content)
+        code, out, err = run_cli(capsys, "verify", f"file:{p}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
 
     @pytest.mark.parametrize("where", ["labels", "edge_labels", "edge list",
                                        "--vertex"])

@@ -10,12 +10,13 @@ shortest paths.  The flow's own node potentials are the dual
 certificate: on every edge they are checked in integers to be dual
 feasible, to agree where the supports overlap and to meet the plan's
 cost with zero gap, so each distance comes back certified from both
-sides.  Each problem lays its rows and columns out in a canonical order,
-so its supplies, demands and costs are themselves the key under which a
-graph keeps the solution, and every edge that poses the same problem
-reuses it index for index: a symmetric graph is solved once per kind of
-edge.  `wasserstein` returns the distance with its plan and certificate,
-and `ollivier_kappa` is `kappa_detail`'s certified fraction.
+sides.  Each problem lays its rows and columns out by mass and cost
+multiset, ties broken by the cost lines themselves, so its supplies,
+demands and costs are the key under which a graph keeps the solution,
+and every edge that poses that matrix reuses it index for index.
+Isomorphic problems often, but not always, meet under this layout.
+`wasserstein` returns the distance with its plan and certificate, and
+`ollivier_kappa` is `kappa_detail`'s certified fraction.
 `validate_plan`, `certificate_violations` and `extend_certificate` read
 distances from `graphs.bfs_distances`, never from `_move_lengths`, and
 name vertices by label.
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from itertools import count
+from operator import itemgetter, mul, sub
 
 from .classify import bipartite_decomposition, edge_partners
 from .graphs import (
@@ -58,11 +60,13 @@ class TransportProblem:
     Over the scale 2 lcm(dx, dy) the lazy measure of x puts lcm(dx, dy) on
     x and lcm(dx, dy) / dx on each neighbor, and likewise for y.  Sources
     and targets are the closed neighborhoods, and the costs their
-    distances, 0 to 3, from `_move_lengths`.  Rows and columns come in
-    `_order`'s canonical order, ties by vertex id, and supply, demand and
-    cost are tuples, so the problem is its own memo key.  An edge whose
-    transport neighborhood a truncation boundary may cut, or that the
-    truncation center cannot reach, is refused.
+    distances, 0 to 3, from `_move_lengths`.  Rows and columns come by
+    mass and cost multiset (`_order`), ties broken by cost lines: the rows'
+    under the columns so sorted, then the columns' under the rows as laid
+    out.  Lines still tied are equal, so their order cannot change the
+    matrix.  Supply, demand and cost are tuples, so the problem is its own
+    memo key.  An edge whose transport neighborhood a truncation boundary
+    may cut, or that the truncation center cannot reach, is refused.
     """
 
     def __init__(self, g: Graph, x: int, y: int):
@@ -81,14 +85,19 @@ class TransportProblem:
         cost = [_move_lengths(adj, s, targets) for s in sources]
         supply = [lcm if s == x else unit_x for s in sources]
         demand = [lcm if t == y else unit_y for t in targets]
-        rows, cols = _order(supply, cost), _order(demand, zip(*cost))
+        # each stage sorts (mass, multiset, line, index) tuples, and zip
+        # turns the sorted rows into columns and back
+        demand, multisets, cols = zip(*_order(demand, zip(*cost)))
+        lines = map(itemgetter(*cols), cost)
+        self.supply, _, lines, rows = zip(*sorted(zip(
+            supply, map(sorted, cost), lines, count())))
+        self.demand, _, lines, cols = zip(*sorted(zip(
+            demand, multisets, zip(*lines), cols)))
         self.graph, self.x, self.y = g, x, y
         self.scale = 2 * lcm
-        self.sources = tuple([sources[i] for i in rows])
-        self.targets = tuple([targets[j] for j in cols])
-        self.supply = tuple([supply[i] for i in rows])
-        self.demand = tuple([demand[j] for j in cols])
-        self.cost = tuple([tuple([cost[i][j] for j in cols]) for i in rows])
+        self.sources = itemgetter(*rows)(sources)
+        self.targets = itemgetter(*cols)(targets)
+        self.cost = tuple(zip(*lines))
 
     @property
     def mu(self) -> tuple[tuple[int, int], ...]:
@@ -197,7 +206,7 @@ def _residual_dijkstra(cost, flow, pot, dist):
     residual backwards at -c(s, t).  The graphs are a few dozen nodes, so
     each step scans for the nearest open node instead of keeping a heap.
     """
-    m, n = len(flow), len(flow[0])
+    m = len(flow)
     open_nodes = [k for k, d in enumerate(dist) if d is not None]
     while open_nodes:
         k = min(open_nodes, key=dist.__getitem__)
@@ -205,21 +214,29 @@ def _residual_dijkstra(cost, flow, pot, dist):
         d = dist[k]
         base = d + pot[k]
         if k < m:
-            row = cost[k]
-            arcs = ((m + j, base + row[j] - pot[m + j]) for j in range(n))
+            for node, c in enumerate(cost[k], m):
+                nd = base + c - pot[node]
+                if nd < d:
+                    raise GraphError("internal: negative reduced cost in "
+                                     "transport residual")
+                if dist[node] is None:
+                    open_nodes.append(node)
+                elif nd >= dist[node]:
+                    continue
+                dist[node] = nd
         else:
             j = k - m
-            arcs = ((i, base - cost[i][j] - pot[i])
-                    for i in range(m) if flow[i][j] > 0)
-        for node, nd in arcs:
-            if nd < d:
-                raise GraphError("internal: negative reduced cost in "
-                                 "transport residual")
-            if dist[node] is None:
-                open_nodes.append(node)
-            elif nd >= dist[node]:
-                continue
-            dist[node] = nd
+            for node, row in enumerate(flow):
+                if row[j] > 0:
+                    nd = base - cost[node][j] - pot[node]
+                    if nd < d:
+                        raise GraphError("internal: negative reduced cost in "
+                                         "transport residual")
+                    if dist[node] is None:
+                        open_nodes.append(node)
+                    elif nd >= dist[node]:
+                        continue
+                    dist[node] = nd
 
 
 def _zero_cost_path(cost, flow, pot, rem_s, rem_t):
@@ -302,25 +319,24 @@ def _dual_certificate(sources, targets, cost, supply, demand, cells,
 
 
 def _order(masses, lines):
-    """Indices of the rows (or columns) of a transport problem, sorted by
-    mass, then by how many of the line's costs are 0, 1 and 2, each count
-    descending; ties keep their order.
+    """(mass, sorted costs, index) for each row (or column) of a transport
+    problem, sorted: by mass, then by the line's cost multiset, then by
+    position.
 
-    All lines have one length, so where costs run from 0 to 3, as on
-    every edge, this orders them exactly as their sorted cost lists do.
+    A line's multiset does not change when the other side is permuted, so
+    `TransportProblem` keeps the columns' multisets from this first stage
+    when it sorts them again, ties broken by their lines.
     """
-    keys = [(a, -c.count(0), -c.count(1), -c.count(2))
-            for a, c in zip(masses, lines)]
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    return sorted(zip(masses, map(sorted, lines), count()))
 
 
 def _solve(tp: TransportProblem):
     """Flow and potentials of one transport problem, solved once per graph.
 
-    The problem's supply, demand and cost, laid out in canonical order, are
-    the memo key, so a hit is the same problem index for index.  Ties in
-    that order cost hits but never correctness.  Returns the (row, column,
-    units, mass) cells that carry flow and the potentials, rows first.
+    The laid-out supply, demand and cost are the memo key, so a hit is the
+    same problem index for index; an isomorphic problem laid out otherwise
+    costs a solve, never correctness.  Returns the (row, column, units,
+    mass) cells that carry flow and the potentials, rows first.
     """
     key = (tp.supply, tp.demand, tp.cost)
     solved = tp.graph._transport.get(key)

@@ -9,12 +9,15 @@ form entry by entry in Fractions; none of these shares code with the
 package.  Two helpers are the exceptions.  The reference vertex sweep
 calls the package's kernels, but at every vertex afresh, with nothing
 shared between vertices, and the reference edge sweep likewise calls
-`ollivier_kappa` and `bipartite_decomposition` on every edge.  `solve_integer_transport` poses general
-transport problems (costs above 3, supports that are not closed
-neighborhoods) to the package's flow and integer certificate, so the
-transport oracle can check more than the edge problems the package
-itself builds.  The decomposition oracle finds the biclique classes
-across an edge by Galois closures, where the package groups neighbors.
+`ollivier_kappa` and `bipartite_decomposition` on every edge.
+`solve_integer_transport` poses general transport problems (costs above
+3, supports that are not closed neighborhoods) to the package's flow and
+integer certificate, so the transport oracle can check more than the edge
+problems the package itself builds.  `reference_min_cost_flow` is the
+package's flow solver before its Dijkstra scanned arcs in plain loops,
+which the package's must match flow for flow and potential for
+potential.  The decomposition oracle finds the biclique classes across
+an edge by Galois closures, where the package groups neighbors.
 The rho oracle decides the sign of rho - r by Sylvester's minor
 criteria, each minor a Fraction Gaussian elimination, where the package
 runs one fraction-free elimination with diagonal pivoting.
@@ -75,6 +78,7 @@ from graphcurvature.classify import (
 )
 from graphcurvature.graphs import (
     Graph,
+    GraphError,
     contains_k3,
     diameter,
     effective_degree,
@@ -157,15 +161,14 @@ def oracle_wasserstein(cost, supply, demand) -> Fraction:
     return Fraction(raw) / scale
 
 
-def solve_integer_transport(g, mu, nu):
-    """Transport between two measures at cost = graph distance, through
-    the package's flow and certificate.
+def pose_integer_transport(g, mu, nu):
+    """Transport between two measures at cost = graph distance, in integers.
 
     mu and nu map support points to positive integer weights, each read
     as a probability measure, on a connected graph.  The masses go over
-    the common scale lcm(total mu, total nu).  Returns the cost matrix,
-    supply and demand (sorted supports, in units of that scale), the
-    certified plan cost in those units and the potential by point.
+    the common scale lcm(total mu, total nu).  Returns the sorted sources
+    and targets, the cost matrix, and supply and demand in units of that
+    scale.
     """
     total_mu, total_nu = sum(mu.values()), sum(nu.values())
     scale = math.lcm(total_mu, total_nu)
@@ -173,12 +176,150 @@ def solve_integer_transport(g, mu, nu):
     cost = [[bfs(g, s)[t] for t in targets] for s in sources]
     supply = [mu[s] * (scale // total_mu) for s in sources]
     demand = [nu[t] * (scale // total_nu) for t in targets]
+    return sources, targets, cost, supply, demand
+
+
+def solve_integer_transport(g, mu, nu):
+    """`pose_integer_transport`'s problem, through the package's flow and
+    certificate.
+
+    Returns the cost matrix, supply and demand, the certified plan cost
+    in units of the masses' scale and the potential by point.
+    """
+    sources, targets, cost, supply, demand = pose_integer_transport(g, mu, nu)
     flow, pot = _min_cost_flow(cost, supply, demand)
     cells = [(i, j, f, None) for i, row in enumerate(flow)
              for j, f in enumerate(row) if f > 0]
     total, values = _dual_certificate(sources, targets, cost, supply, demand,
                                       cells, pot)
     return cost, supply, demand, total, values
+
+
+def reference_min_cost_flow(cost, supply, demand):
+    """The package's `_min_cost_flow` as it was before its Dijkstra's arc
+    scans became plain loops, kept whole as the reference it must match
+    flow for flow and potential for potential.
+
+    Integral min-cost transportation by successive shortest paths.
+
+    Returns the flow matrix and node potentials (sources first, then
+    targets) with nonnegative reduced cost c(s, t) + p(s) - p(t) on every
+    residual arc and zero reduced cost on every arc that carries flow.
+    Each phase runs Dijkstra on reduced costs from every source with
+    units left; those sources always have potential 0, because nothing
+    reaches them at negative reduced cost, so seeding them at distance 0
+    is exact.  After the potentials move by those distances, every
+    shortest path has zero reduced cost, and the phase augments along
+    such paths until none is left.
+
+    The optimal potentials form a lattice that does not depend on which
+    optimal flow was found.  The returned one is its normal form: the
+    greatest potential that is at most 0 everywhere, shifted up so its
+    least value is 0.  That is one more Dijkstra, from a root joined to
+    every node at cost 0, and it makes the potentials a function of the
+    problem alone, whatever flow or node order the solve used.
+    """
+    m, n = len(supply), len(demand)
+    flow = [[0] * n for _ in range(m)]
+    rem_s = list(supply)
+    rem_t = list(demand)
+    pot = [0] * (m + n)
+    while any(rem_s):
+        dist = [0 if r > 0 else None for r in rem_s] + [None] * n
+        _reference_dijkstra(cost, flow, pot, dist)
+        if all(dist[m + j] is None for j in range(n) if rem_t[j] > 0):
+            raise GraphError("internal: live demand unreachable")
+        for k, d in enumerate(dist):
+            if d is not None:
+                pot[k] += d
+        path = _reference_zero_cost_path(cost, flow, pot, rem_s, rem_t)
+        if not path:
+            raise GraphError("internal: no zero reduced cost path after "
+                             "a potential update")
+        while path:
+            root, best = path[-1][0], path[0][1] - m
+            delta = min(rem_s[root], rem_t[best])
+            for a, b in path:
+                if a >= m:
+                    delta = min(delta, flow[b][a - m])
+            for a, b in path:
+                if a < m:
+                    flow[a][b - m] += delta
+                else:
+                    flow[b][a - m] -= delta
+            rem_s[root] -= delta
+            rem_t[best] -= delta
+            path = _reference_zero_cost_path(cost, flow, pot, rem_s, rem_t)
+    top = max(pot)
+    dist = [top - p for p in pot]
+    _reference_dijkstra(cost, flow, pot, dist)
+    phi = [d + p for d, p in zip(dist, pot)]
+    low = min(phi)
+    return flow, [f - low for f in phi]
+
+
+def _reference_dijkstra(cost, flow, pot, dist):
+    """Dijkstra on reduced costs over the transport residual graph.
+
+    dist holds the seeds (None elsewhere) and is completed in place.
+    Forward arcs s -> t cost c(s, t); an arc carrying flow is also
+    residual backwards at -c(s, t).  The graphs are a few dozen nodes, so
+    each step scans for the nearest open node instead of keeping a heap.
+    """
+    m, n = len(flow), len(flow[0])
+    open_nodes = [k for k, d in enumerate(dist) if d is not None]
+    while open_nodes:
+        k = min(open_nodes, key=dist.__getitem__)
+        open_nodes.remove(k)
+        d = dist[k]
+        base = d + pot[k]
+        if k < m:
+            row = cost[k]
+            arcs = ((m + j, base + row[j] - pot[m + j]) for j in range(n))
+        else:
+            j = k - m
+            arcs = ((i, base - cost[i][j] - pot[i])
+                    for i in range(m) if flow[i][j] > 0)
+        for node, nd in arcs:
+            if nd < d:
+                raise GraphError("internal: negative reduced cost in "
+                                 "transport residual")
+            if dist[node] is None:
+                open_nodes.append(node)
+            elif nd >= dist[node]:
+                continue
+            dist[node] = nd
+
+
+def _reference_zero_cost_path(cost, flow, pot, rem_s, rem_t):
+    """Breadth-first residual path of zero reduced cost from a source
+    with units left to a target with demand left, as (tail, head) arcs
+    from the target back to the source; empty when there is none."""
+    m, n = len(rem_s), len(rem_t)
+    prev = [None] * (m + n)
+    queue = [i for i in range(m) if rem_s[i] > 0]
+    seen = set(queue)
+    for k in queue:
+        if k < m:
+            row, base = cost[k], pot[k]
+            heads = [m + j for j in range(n) if row[j] + base == pot[m + j]]
+        else:
+            heads = [i for i in range(m) if flow[i][k - m] > 0]
+        for h in heads:
+            if h in seen:
+                continue
+            seen.add(h)
+            prev[h] = k
+            if h >= m and rem_t[h - m] > 0:
+                path = []
+                while prev[h] is not None:
+                    path.append((prev[h], h))
+                    h = prev[h]
+                    if len(path) > m + n:
+                        raise GraphError("internal: cyclic predecessor chain")
+                return path
+            queue.append(h)
+    return []
 
 
 def bellman_ford_potential(points, distance, flows) -> dict:

@@ -130,7 +130,7 @@ def test_traced_eigh_counts_one_per_refined_class(capsys):
     assert tracer.absent == []
     assert kernel_calls(tracer.metrics()) == {
         "ollivier.TransportProblem": 47, "ollivier.wasserstein": 47,
-        "ollivier._min_cost_flow": 13, "classify.bipartite_decomposition": 42,
+        "ollivier._min_cost_flow": 6, "classify.bipartite_decomposition": 42,
         "bakry_emery.eigh": 6}
 
 
@@ -156,7 +156,7 @@ def test_traced_corpus_verify_sees_the_moved_layers(capsys):
     # solves, so a change to the classes that moves kernel work fails here
     assert kernel_calls(metrics) == {
         "ollivier.TransportProblem": 228, "ollivier.wasserstein": 228,
-        "ollivier._min_cost_flow": 61, "classify.bipartite_decomposition": 182,
+        "ollivier._min_cost_flow": 53, "classify.bipartite_decomposition": 182,
         "bakry_emery.eigh": 40}
 
 

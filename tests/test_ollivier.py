@@ -657,7 +657,7 @@ def connected_graph_and_edge(draw):
 
 
 @st.composite
-def connected_graph_and_measures(draw):
+def connected_graph_and_measures(draw, points=6, cells=20):
     g, _ = draw(connected_graph_and_edge())
     n = len(g.vertices)
 
@@ -668,24 +668,9 @@ def connected_graph_and_measures(draw):
                             max_size=len(verts)))
         return dict(zip(verts, raw))
 
-    mu = measure(6)
+    mu = measure(points)
     # the exhaustive oracle blows up beyond about 20 plan cells
-    return g, mu, measure(min(6, 20 // len(mu)))
-
-
-@st.composite
-def connected_graph_and_wide_measures(draw):
-    g, _ = draw(connected_graph_and_edge())
-    n = len(g.vertices)
-
-    def measure():
-        verts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
-                              unique=True))
-        raw = draw(st.lists(st.integers(1, 6), min_size=len(verts),
-                            max_size=len(verts)))
-        return dict(zip(verts, raw))
-
-    return g, measure(), measure()
+    return g, mu, measure(min(points, cells // len(mu)))
 
 
 class TestSolverReference:
@@ -693,7 +678,7 @@ class TestSolverReference:
     Dijkstra's distances are unique, so the flows and potentials are too."""
 
     @settings(max_examples=80, deadline=None)
-    @given(connected_graph_and_wide_measures())
+    @given(connected_graph_and_measures(points=8, cells=64))
     def test_general_problems_match(self, case):
         _, _, cost, supply, demand = pose_integer_transport(*case)
         assert ollivier._min_cost_flow(cost, supply, demand) \

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -49,17 +50,16 @@ class QuadraticForm:
     def value(self, values) -> Fraction:
         """Evaluate f^T M f; vertices absent from `values` count as zero.
 
-        Exact for int, Fraction and float values: they are brought to a
-        common denominator and the sum runs over integers.
+        Exact for int, Fraction and float values: a value that is neither
+        int nor Fraction is made an exact Fraction, all of them are brought
+        to one common denominator, and each row sums over ints.
         """
-        f = [Fraction(values.get(v, 0)) for v in self.index]
+        f = [values.get(v, 0) for v in self.index]
+        f = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in f]
         den = math.lcm(*(x.denominator for x in f))
-        nums = [(i, x.numerator * (den // x.denominator))
-                for i, x in enumerate(f) if x]
-        total = 0
-        for i, fi in nums:
-            row = self.matrix[i]
-            total += fi * sum(row[j] * fj for j, fj in nums)
+        f = [x.numerator * (den // x.denominator) for x in f]
+        total = sum(fi * sum(map(mul, row, f))
+                    for fi, row in zip(f, self.matrix) if fi)
         return Fraction(total, den * den * self.scale)
 
     def as_array(self) -> np.ndarray:
@@ -116,14 +116,21 @@ def second_neighbor_minimizer(ball: LocalBall, s1_values) -> dict[int, Fraction]
     """Closed-form optimal sphere2 values: twice the mean over linked sphere1.
 
     s1_values maps sphere1 vertices to numbers; missing entries count 0.
+    Each value is Fraction(2 * total, k) over the k sphere1 neighbors of
+    the vertex, from a plain sum; when that sum is neither int nor
+    Fraction, as with a float among the values, the values are made exact
+    Fractions and summed again.
     """
     out = {}
     for u in ball.sphere2:
         nbrs = ball.adj[u]
         if not nbrs:
             raise GraphError(f"second neighbor {u} has no first-sphere neighbor")
-        total = sum(Fraction(s1_values.get(v, 0)) for v in nbrs)
-        out[u] = 2 * total / len(nbrs)
+        vals = [s1_values.get(v, 0) for v in nbrs]
+        total = sum(vals)
+        if not isinstance(total, (int, Fraction)):
+            total = sum(map(Fraction, vals))
+        out[u] = Fraction(2 * total, len(nbrs))
     return out
 
 

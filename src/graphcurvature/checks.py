@@ -19,13 +19,17 @@ once per class: rho is certified from one eigensolve and exact tests,
 with its class thresholds decided there, and shared by every vertex of
 the class; each vertex reads its non-link counts and test vectors off the
 class in its own sphere1 order.  The edge problem across (x, y) lives
-inside the two-ball of x, and x is a swept vertex wherever the edge is
-transport-safe, so the edge takes the kappa of the first edge from a
-vertex of the same relabelled class to a neighbor of the same label,
-and on a triangle-free graph whether the biclique decomposition across
-it exists.  Repeated edges in a sweep are therefore no longer posed,
-solved or certified one by one; ollivier_kappa still certifies every
-answer it computes.
+inside the two-ball of x, and both ends are swept vertices wherever the
+edge is transport-safe, so an edge key, the relabelled class of x with
+the label of y, fixes the edge's kappa and, on a triangle-free graph,
+whether the biclique decomposition across it exists.  So does the
+reverse key, the class of y with the label of x: W1 is symmetric, and
+the decomposition across (x, y) exists exactly when the one across
+(y, x) does.  The sweep joins each new key with its reverse and solves
+once per joined set, at the first edge of its first key; a missed join
+costs one more solve, never a wrong answer.  Repeated edges in a sweep
+are therefore not posed, solved or certified one by one, and
+ollivier_kappa still certifies every answer it computes.
 
 The sweep also sorts its rows into classes of equal facts.  An edge
 class is every edge row with the same safety, kappa, decomposability
@@ -432,6 +436,15 @@ def _relabel(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (key[0], n, *codes), tuple(where[1:d + 1])
 
 
+def _find(joins: dict, k):
+    """The root of k's set in the union-find `joins`, which maps a key to
+    its parent, halving the path; a key `joins` does not hold is a set of
+    its own."""
+    while (p := joins.get(k, k)) != k:
+        k = joins[k] = joins.get(p, p)
+    return k
+
+
 def gather_facts(item: CorpusItem) -> GraphFacts:
     """Sweep one corpus graph."""
     g = item.graph
@@ -467,18 +480,21 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
 
     # an edge key is (refined class of x, label of y in the two-ball of x)
     # for x < y: its kappa and whether the biclique decomposition across
-    # it exists are read inside that two-ball, once per key.  Adjacent
-    # vertices differ by at most one in their distance from the truncation
-    # center, so both ends of a transport-safe edge are classed.  An edge
-    # class is every row with equal (safe, kappa, decomposable) cells and
-    # equal sorted end degrees, which is all a check reads of an edge; the
-    # transport-unsafe rows are one class.  Those values -> the first row
-    # of their class, and edge key -> the first row of its class
+    # it exists are read inside that two-ball.  Adjacent vertices differ
+    # by at most one in their distance from the truncation center, so
+    # both ends of a transport-safe edge are classed, and the reverse key
+    # (class of y, label of x in the two-ball of y) names the same kappa,
+    # decomposability and sorted end degrees: W1 is symmetric, and so is
+    # the existence of the decomposition.  The pass records each key's
+    # index, first edge and first row, and joins each new key with its
+    # reverse in the union-find `joins`; the transport-unsafe rows share
+    # the key None, which joins nothing
     anchor = (None if g.truncation is None
               else {v: g.transport_anchor(v) for v in g.vertices})
-    first_row: dict[tuple, int] = {}
-    key_row: dict[tuple[_TwoBall, int], int] = {}
-    row_class: list[int] = []
+    key_at: dict = {}
+    firsts: list[tuple[int, int, int]] = []
+    joins: dict[tuple[_TwoBall, int], tuple[_TwoBall, int]] = {}
+    row_key: list[int] = []
     vals: list[tuple | None] = []
     vertex_class: list[int] = []
     # values() returns one tuple per class and labelling, so its refined
@@ -510,21 +526,40 @@ def gather_facts(item: CorpusItem) -> GraphFacts:
         for j, y in enumerate(g.neighbors(x)):
             if y < x:
                 continue
-            if anchor is not None and not (anchor[x] or anchor[y]):
-                row_class.append(first_row.setdefault((False, None, None),
-                                                      len(row_class)))
-                continue
-            k = (kind, labels[j])
-            c = key_row.get(k)
+            k = (None if anchor is not None and not (anchor[x] or anchor[y])
+                 else (kind, labels[j]))
+            c = key_at.get(k)
             if c is None:
-                c = key_row[k] = first_row.setdefault(
-                    (True, ollivier_kappa(g, x, y),
-                     bipartite_decomposition(g, x, y) is not None
-                     if triangle_free else None,
-                     *sorted((g.degree(x), g.degree(y)))), len(row_class))
-            row_class.append(c)
+                c = key_at[k] = len(firsts)
+                firsts.append((x, y, len(row_key)))
+                if k is not None:
+                    back, back_labels = ball_class[y]
+                    joins[_find(joins, k)] = _find(joins, (back, back_labels[
+                        bisect_left(g.neighbors(y), x)]))
+            row_key.append(c)
+    # kappa and the decomposition are solved once per joined set, at the
+    # first edge of its first key.  An edge class is every row with equal
+    # (safe, kappa, decomposable) cells and equal sorted end degrees, which
+    # is all a check reads of an edge, so the cells are hashed once per
+    # key: cells -> the first row of their class
+    solved: dict[tuple[_TwoBall, int], tuple] = {}
+    first_row: dict[tuple, int] = {}
+    key_class: list[int] = []
+    for k, (x, y, row) in zip(key_at, firsts):
+        if k is None:
+            cells = (False, None, None)
+        else:
+            root = _find(joins, k)
+            cells = solved.get(root)
+            if cells is None:
+                cells = solved[root] = (
+                    True, ollivier_kappa(g, x, y),
+                    bipartite_decomposition(g, x, y) is not None
+                    if triangle_free else None,
+                    *sorted((g.degree(x), g.degree(y))))
+        key_class.append(first_row.setdefault(cells, row))
     edge_cells = {c: view[:3] for view, c in first_row.items()}
-    edge_class = tuple(row_class)
+    edge_class = tuple(map(key_class.__getitem__, row_key))
     return GraphFacts(
         item.key, g, is_regular(g), triangle_free, not contains_k23(g),
         g.truncation is not None, VertexRows(g, vals),

@@ -281,12 +281,12 @@ def flat_test_vector(ball: LocalBall, pair: tuple[int, int]):
     class hypotheses hold; LinkProfile.first_unlinked_pair picks the pair.
     """
     y, z = pair
-    values = {v: Fraction(0) for v in ball.sphere1}
-    values[y] = Fraction(1)
-    values[z] = Fraction(-1)
+    values = dict.fromkeys(ball.sphere1, 0)
+    values[y] = 1
+    values[z] = -1
     out = dict(values)
     out.update(second_neighbor_minimizer(ball, values))
-    out[ball.base] = Fraction(0)
+    out[ball.base] = 0
     return out
 
 
@@ -297,9 +297,9 @@ def negative_test_vector(ball: LocalBall, y: int):
     class hypotheses hold; LinkProfile.first_deficient picks y.
     """
     d = len(ball.sphere1)
-    values = {v: Fraction(-1) for v in ball.sphere1}
-    values[y] = Fraction(d - 1)
+    values = dict.fromkeys(ball.sphere1, -1)
+    values[y] = d - 1
     out = dict(values)
     out.update(second_neighbor_minimizer(ball, values))
-    out[ball.base] = Fraction(0)
+    out[ball.base] = 0
     return out

@@ -113,9 +113,10 @@ def test_traced_eigh_counts_one_per_refined_class(capsys):
     # the tracer counts eigh by proxying bakry_emery's numpy, so an eigh
     # called from anywhere else would read 0 calls with every layer
     # present; the dense-sweep graphs have 1, 1 and 4 refined classes.
-    # The transport kernels are pinned too: the sweep solves once per edge
-    # key and the deep checks once per safe edge class (1, 1 and 4), so a
-    # change to either rule fails here and not only in a benchmark run
+    # The transport kernels are pinned too: the sweep solves once per set
+    # of edge keys joined with their reverse keys (10, 8 and 8) and the
+    # deep checks once per safe edge class (1, 1 and 4), so a change to
+    # either rule fails here and not only in a benchmark run
     tracing = load_perfbench("tracing")
     from graphcurvature.cli import main
     tracer = tracing.Tracer()
@@ -129,8 +130,8 @@ def test_traced_eigh_counts_one_per_refined_class(capsys):
     capsys.readouterr()
     assert tracer.absent == []
     assert kernel_calls(tracer.metrics()) == {
-        "ollivier.TransportProblem": 47, "ollivier.wasserstein": 47,
-        "ollivier._min_cost_flow": 6, "classify.bipartite_decomposition": 42,
+        "ollivier.TransportProblem": 35, "ollivier.wasserstein": 35,
+        "ollivier._min_cost_flow": 6, "classify.bipartite_decomposition": 30,
         "bakry_emery.eigh": 6}
 
 
@@ -151,12 +152,13 @@ def test_traced_corpus_verify_sees_the_moved_layers(capsys):
     metrics = tracer.metrics()
     assert metrics["checks.gather_facts.calls"] == 47
     assert metrics["report.to_csv.calls"] == 1
-    # the kernel work: the sweep solves once per edge key and certifies
-    # rho once per refined class, and the deep checks add their own
-    # solves, so a change to the classes that moves kernel work fails here
+    # the kernel work: the sweep solves once per set of edge keys joined
+    # with their reverse keys and certifies rho once per refined class,
+    # and the deep checks add their own solves, so a change to the classes
+    # that moves kernel work fails here
     assert kernel_calls(metrics) == {
-        "ollivier.TransportProblem": 228, "ollivier.wasserstein": 228,
-        "ollivier._min_cost_flow": 53, "classify.bipartite_decomposition": 182,
+        "ollivier.TransportProblem": 161, "ollivier.wasserstein": 161,
+        "ollivier._min_cost_flow": 53, "classify.bipartite_decomposition": 115,
         "bakry_emery.eigh": 40}
 
 

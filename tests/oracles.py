@@ -570,6 +570,19 @@ def oracle_link_profile(ball) -> LinkProfile:
     return LinkProfile(links, linkage, nonlink, max(nonlink.values(), default=0))
 
 
+class _NeighborSets(dict):
+    """v -> the set of v's neighbors in g, read from g when first asked
+    for, so that an oracle near one edge reads only the rows it needs."""
+
+    def __init__(self, g):
+        super().__init__()
+        self._g = g
+
+    def __missing__(self, v):
+        self[v] = found = set(self._g.neighbors(v))
+        return found
+
+
 def oracle_bipartite_decomposition(g, x, y):
     """Equal-part biclique classes across edge (x, y) of a triangle-free
     graph, by Galois closures.
@@ -580,7 +593,7 @@ def oracle_bipartite_decomposition(g, x, y):
     N(y) - x, and the closure seeded anywhere inside a class must
     reproduce it.  None when any of this fails.
     """
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = _NeighborSets(g)
 
     def closure(seed):
         a_side = set.intersection(*(adj[b] for b in seed))

@@ -19,7 +19,11 @@ from graphcurvature.bakry_emery import (
     rho_sign,
     second_neighbor_minimizer,
 )
-from graphcurvature.classify import link_profile
+from graphcurvature.classify import (
+    flat_test_vector,
+    link_profile,
+    negative_test_vector,
+)
 from graphcurvature.corpus import parse_graph_spec
 from graphcurvature.families import (
     adjacent_transposition_cayley,
@@ -158,6 +162,90 @@ class TestElimination:
         for u, val in ext.items():
             nbrs = ball.adj[u]
             assert val == 2 * sum(s1.get(v, Fraction(0)) for v in nbrs) / len(nbrs)
+
+
+def number_of_kind(rng, kind):
+    """A random value of `kind`: an int, a Fraction, a float, which is a
+    dyadic rational with a long expansion, or any one of the three."""
+    if kind == "mixed":
+        kind = rng.choice(["int", "Fraction", "float"])
+    if kind == "int":
+        return rng.randint(-6, 6)
+    if kind == "Fraction":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.uniform(-6, 6)
+
+
+def fraction_value(ball, f) -> Fraction:
+    """f^T M f over the fraction_gamma2 matrix, each value made exact."""
+    index, m = fraction_gamma2(ball)
+    v = [Fraction(f.get(u, 0)) for u in index]
+    return sum(v[i] * m[i][j] * v[j]
+               for i in range(len(v)) for j in range(len(v)))
+
+
+VALUE_KINDS = ["int", "Fraction", "float", "mixed"]
+
+
+class TestExactValues:
+    """QuadraticForm.value and second_neighbor_minimizer sum ints when
+    they can; whatever the kind of their inputs, the answer is the exact
+    one."""
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    @pytest.mark.parametrize("g,x", [
+        (petersen(), 0), (transposition_cayley(4), 0), (flip_graph(6), 0)])
+    def test_value_matches_fraction_reference(self, g, x, kind):
+        rng = random.Random(f"{g.name}-{kind}")
+        ball = extract_ball(g, x)
+        form = gamma2_form(ball)
+        for _ in range(6):
+            f = {v: number_of_kind(rng, kind)
+                 for v in ball.sphere1 + ball.sphere2 if rng.random() < 0.8}
+            got = form.value(f)
+            assert type(got) is Fraction
+            assert got == fraction_value(ball, f)
+            assert got == slow_doubled_gamma2(
+                g, {v: Fraction(val) for v, val in f.items()}, x)
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_minimizer_is_exact_for_every_kind(self, kind):
+        rng = random.Random(kind)
+        for g in (petersen(), transposition_cayley(4), hypercube(4)):
+            ball = extract_ball(g, 0)
+            for _ in range(6):
+                s1 = {v: number_of_kind(rng, kind) for v in ball.sphere1}
+                ext = second_neighbor_minimizer(ball, s1)
+                assert list(ext) == list(ball.sphere2)
+                for u, val in ext.items():
+                    nbrs = ball.adj[u]
+                    assert type(val) is Fraction
+                    assert val == 2 * sum(Fraction(s1[v]) for v in nbrs) \
+                        / len(nbrs)
+
+    def test_float_sum_is_not_rounded(self):
+        # 0.1 + 0.2 rounds in floats; the minimizer sums the exact values.
+        # On the 4-cycle the vertex opposite 0 sees both its neighbors
+        ball = extract_ball(cycle(4), 0)
+        v, w = ball.sphere1
+        (u,) = ball.sphere2
+        ext = second_neighbor_minimizer(ball, {v: 0.1, w: 0.2})
+        assert ext[u] == Fraction(0.1) + Fraction(0.2) != Fraction(0.1 + 0.2)
+
+    @pytest.mark.parametrize("g,x", [(g, x) for _, g, x in OPERATOR_CASES],
+                             ids=[c[0] for c in OPERATOR_CASES])
+    def test_test_vectors_match_iterated_operators(self, g, x):
+        # every pair and every neighbor, not just the ones a class picks
+        ball = extract_ball(g, x)
+        form = gamma2_form(ball)
+        s1 = ball.sphere1
+        vectors = [flat_test_vector(ball, (y, z))
+                   for i, y in enumerate(s1) for z in s1[i + 1:]]
+        vectors += [negative_test_vector(ball, y) for y in s1]
+        for f in vectors:
+            assert all(type(f[v]) is int for v in (ball.base, *s1))
+            assert form.value(f) == slow_doubled_gamma2(g, f, x) \
+                == fraction_value(ball, f)
 
 
 FROZEN_RHO = [

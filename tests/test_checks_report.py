@@ -20,8 +20,9 @@ from graphcurvature.checks import (
     gather_facts,
     run_checks,
 )
-from graphcurvature.corpus import CorpusItem, build_item
-from graphcurvature.families import complete_graph
+from graphcurvature.classify import bipartite_decomposition
+from graphcurvature.corpus import CorpusItem, build_item, default_corpus_specs
+from graphcurvature.families import complete_graph, cycle
 from graphcurvature.graphs import (
     Graph,
     GraphError,
@@ -34,6 +35,7 @@ from graphcurvature.graphs import (
     extract_ball,
     orbit_parents,
 )
+from graphcurvature.ollivier import kappa_detail
 from graphcurvature.report import (
     CurvatureReport,
     Rows,
@@ -52,6 +54,7 @@ from oracles import (
     checks_one_by_one,
     csv_one_by_one,
     edge_facts_one_by_one,
+    oracle_bipartite_decomposition,
     oracle_contains_k3,
     oracle_contains_k23,
     oracle_diameter,
@@ -625,6 +628,56 @@ class TestRowViews:
         assert 0 < len(built) < 1500
 
 
+def random_triangle_free_regular(rng: random.Random, n: int,
+                                 d: int) -> Graph:
+    """A d-regular graph on n vertices without triangles: points paired
+    uniformly at random, redrawn until the pairing is simple and
+    triangle-free."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b))
+                 for a, b in zip(points[::2], points[1::2])}
+        if len(edges) * 2 == n * d and all(a != b for a, b in edges):
+            g = Graph(range(n), edges, name=f"random-{d}-regular-{n}")
+            if not oracle_contains_k3(g):
+                return g
+
+
+def random_bipartite_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """A d-regular bipartite graph with n vertices a side: d perfect
+    matchings between the sides, each redrawn until it meets no edge of
+    the ones before."""
+    edges: set[tuple[int, int]] = set()
+    for _ in range(d):
+        while True:
+            right = rng.sample(range(n, 2 * n), n)
+            matching = set(zip(range(n), right))
+            if not matching & edges:
+                edges |= matching
+                break
+    return Graph(range(2 * n), edges, name=f"random-bipartite-{d}-{n}")
+
+
+def assert_orientations_agree(g: Graph) -> None:
+    """The premises of the sweep's join of an edge key with its reverse:
+    kappa across (x, y) equals kappa across (y, x) at every
+    transport-safe edge, and on a triangle-free graph the biclique
+    decomposition across (x, y) exists exactly when the one across (y, x)
+    does, as the Galois-closure oracle finds too."""
+    triangle_free = not oracle_contains_k3(g)
+    for x, y in g.edges:
+        if g.transport_neighborhood_complete(x, y):
+            assert kappa_detail(g, x, y).kappa == \
+                   kappa_detail(g, y, x).kappa, (g.name, x, y)
+        if triangle_free:
+            exists = bipartite_decomposition(g, x, y) is not None
+            assert exists == (bipartite_decomposition(g, y, x) is not None) \
+                == (oracle_bipartite_decomposition(g, x, y) is not None) \
+                == (oracle_bipartite_decomposition(g, y, x) is not None), \
+                (g.name, x, y)
+
+
 class TestEdgeMemo:
     def test_matches_edge_by_edge_sweep(self, corpus_items, corpus_facts):
         # repeated edges are no longer certified one by one in a sweep, so
@@ -664,6 +717,81 @@ class TestEdgeMemo:
         facts = gather_facts(build_item("zigzag:hypercube:6,cycle:6"))
         assert len(facts.edges) == 768
         assert len(built) == 4
+
+    def test_both_orientations_agree_on_the_corpus(self, corpus_items):
+        for item in corpus_items.values():
+            assert_orientations_agree(item.graph)
+
+    def test_both_orientations_agree_on_random_regular_graphs(self):
+        rng = random.Random(32)
+        graphs = [random_triangle_free_regular(rng, n, 3)
+                  for n in (8, 10, 12, 14, 16, 20)]
+        graphs += [random_bipartite_regular(rng, n, d)
+                   for n, d in ((5, 3), (6, 4), (8, 4), (9, 5))]
+        for g in graphs:
+            assert_orientations_agree(g)
+            assert tuple(gather_facts(CorpusItem(g.name, g)).edges) == \
+                   edge_facts_one_by_one(g), g.name
+
+    @pytest.mark.parametrize("spec", ["lattice:3:4", "tree:4:4", "cycle9"])
+    def test_unsafe_edges_never_join(self, spec, monkeypatch):
+        # the sweep reads the label of x in the two-ball of y only to join
+        # the key of a transport-safe edge (x, y) with its reverse.  On the
+        # 9-cycle cut at radius 6 around 0, the edge (4, 5) is unsafe
+        # although both its ends are swept
+        if spec == "cycle9":
+            g = cycle(9)
+            g = Graph(g.vertices, g.edges, truncation=Truncation(0, 6),
+                      name="cycle:9 cut at 6")
+            item = CorpusItem(g.name, g)
+        else:
+            item = build_item(spec)
+            g = item.graph
+        assert g.truncation is not None
+        owner = {id(g.neighbors(v)): v for v in g.vertices}
+        joined = []
+        find = checks.bisect_left
+
+        def spying(row, x):
+            joined.append((x, owner[id(row)]))
+            return find(row, x)
+
+        monkeypatch.setattr(checks, "bisect_left", spying)
+        facts = gather_facts(item)
+        monkeypatch.undo()
+        unsafe = [e for e in g.edges if not g.transport_neighborhood_complete(*e)]
+        assert joined and unsafe
+        assert all(g.transport_neighborhood_complete(x, y) for x, y in joined)
+        assert tuple(facts.edges) == edge_facts_one_by_one(g)
+        if spec == "cycle9":
+            assert unsafe == [(4, 5)]
+            assert g.two_ball_complete(4) and g.two_ball_complete(5)
+
+    def test_one_solve_per_joined_key_set(self, monkeypatch):
+        # one ollivier_kappa call per set of edge keys joined with their
+        # reverse keys: 10, 8 and 8 on the dense graphs (one per forward
+        # key made 10, 8 and 20), and 97 on the default corpus, where one
+        # per forward key made 164
+        calls = []
+        solve = checks.ollivier_kappa
+
+        def counting(g, x, y):
+            calls.append((g.name, x, y))
+            return solve(g, x, y)
+
+        monkeypatch.setattr(checks, "ollivier_kappa", counting)
+        dense = {}
+        for spec in ("transpositions:5", "hypercube:8", "flip:8"):
+            before = len(calls)
+            gather_facts(build_item(spec))
+            dense[spec] = len(calls) - before
+        assert dense == {"transpositions:5": 10, "hypercube:8": 8,
+                         "flip:8": 8}
+        assert sum(dense.values()) == 26
+        calls.clear()
+        for spec in default_corpus_specs():
+            gather_facts(build_item(spec))
+        assert len(calls) == 97
 
 
 class TestDeepChecks:

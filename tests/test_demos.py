@@ -1,8 +1,9 @@
 """Every demo script and the README quickstart run against the source tree,
 the top-level API they import from stays whole, every layer the
 benchmark's tracer wraps by name still exists, `verify` still passes the
-benchmark's output gate, and every public name of the package has a use
-outside the tests."""
+benchmark's output gate, every public name of the package has a use
+outside the tests, and every third-party module the package and its tests
+import is declared in pyproject.toml."""
 
 import ast
 import importlib.util
@@ -215,3 +216,50 @@ def test_every_public_name_has_a_non_test_use():
               if name not in TEST_ONLY_ALLOWED
               and len(re.findall(rf"\b{re.escape(name)}\b", text)) == 1]
     assert unused == []
+
+
+def third_party_imports(paths) -> dict[str, list[str]]:
+    """Each module imported from outside the stdlib, the package and the
+    files of `paths`' own directories -> the files importing it."""
+    local = {"graphcurvature"} | {p.stem for d in {p.parent for p in paths}
+                                  for p in d.glob("*.py")}
+    found: dict[str, list[str]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, []).append(path.name)
+    return found
+
+
+def test_every_third_party_import_is_declared():
+    # CI installs what pyproject.toml declares, so a module the package,
+    # the tests or the benchmark's tests import without declaring it
+    # would fail there only
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9._-]+", r).group().lower()
+                for r in requirements}
+
+    runtime = names(project["dependencies"])
+    test_extra = names(project["optional-dependencies"]["test"])
+    package = third_party_imports(
+        sorted((ROOT / "src" / "graphcurvature").glob("*.py")))
+    tests = third_party_imports(sorted((ROOT / "tests").glob("*.py"))
+                                + sorted((ROOT / "perfbench").glob("*.py")))
+    assert {m: w for m, w in package.items() if m not in runtime} == {}
+    assert {m: w for m, w in tests.items()
+            if m not in runtime | test_extra} == {}
+    assert {"numpy"} <= runtime
+    assert {"pytest", "hypothesis"} <= test_extra
+    assert {"numpy", "pytest", "hypothesis"} <= set(tests)
